@@ -184,6 +184,13 @@ def shift_gradings(C, shift):
     return FreeComplex(C.ring, gens, dict(C.diff))
 
 
+def fuv_image(a, b):
+    """Image in X of the monomial U^a V^b."""
+    if (a, b) == (0, 0):
+        return ONE_ELEM
+    return elem_from_side_exp(Side.U, (a, b)) + elem_from_side_exp(Side.V, (b, a))
+
+
 def base_change(C):
     """Extension of scalars from F2[U,V] into ring X.
 
@@ -196,21 +203,10 @@ def base_change(C):
     for (i, j), exps in C.diff.items():
         acc = ZERO
         for (a, b) in exps:
-            if (a, b) == (0, 0):
-                acc = acc + ONE_ELEM
-            else:
-                acc = acc + elem_from_side_exp(Side.U, (a, b))
-                acc = acc + elem_from_side_exp(Side.V, (b, a))
+            acc = acc + fuv_image(a, b)
         if acc:
             diff[(i, j)] = acc
     return FreeComplex(RingId.X, tuple(C.generators), diff)
-
-
-def fuv_image(a, b):
-    """Image in X of the monomial U^a V^b (helper mirroring base_change)."""
-    if (a, b) == (0, 0):
-        return ONE_ELEM
-    return elem_from_side_exp(Side.U, (a, b)) + elem_from_side_exp(Side.V, (b, a))
 
 
 def reduce(C):
@@ -513,23 +509,31 @@ def quotient_homology(C, side):
     return QuotientHomology(side, len(pb.unpaired), towers, tuple(torsion))
 
 
-def is_knotlike(C):
-    """Single-tower test on both sides, plus the normalizing grading shift.
+def _knotlike_bases(C):
+    """Both sides' paired bases and the normalizing shift, or None for the shift.
 
-    Returns (flag, shift); subtracting the shift puts the U-side tower in
-    gr2 = 0 and the V-side tower in gr1 = 0.  The shift is None when the
-    complex is not knotlike.
+    The shift is None unless each side has a single tower; subtracting it
+    puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.
     """
     if not is_reduced(C):
         raise ValueError("is_knotlike needs a reduced complex; reduce first")
-    qu = quotient_homology(C, Side.U)
-    qv = quotient_homology(C, Side.V)
-    if qu.tower_count != 1 or qv.tower_count != 1:
-        return False, None
-    shift = (qv.tower_gradings[0], qu.tower_gradings[0])
+    pb_u = paired_basis(C, Side.U)
+    pb_v = paired_basis(C, Side.V)
+    if len(pb_u.unpaired) != 1 or len(pb_v.unpaired) != 1:
+        return pb_u, pb_v, None
+    shift = (pb_v.gradings[pb_v.unpaired[0]][0], pb_u.gradings[pb_u.unpaired[0]][1])
     if (shift[0] - shift[1]) % 2:
         raise NotKnotlikeError("tower gradings have mixed parity; complex is malformed")
-    return True, shift
+    return pb_u, pb_v, shift
+
+
+def is_knotlike(C):
+    """Single-tower test on both sides, plus the normalizing grading shift.
+
+    Returns (flag, shift); the shift is None when the complex is not knotlike.
+    """
+    shift = _knotlike_bases(C)[2]
+    return shift is not None, shift
 
 
 def normalize(C):

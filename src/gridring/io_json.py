@@ -50,15 +50,34 @@ def complex_to_document(C, dy=0):
     }
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_pair(x):
+    return isinstance(x, list) and len(x) == 2 and all(_is_int(g) for g in x)
+
+
+def _records(obj, key):
+    """The list of JSON objects under ``key`` (absent means empty)."""
+    recs = obj.get(key, [])
+    if not isinstance(recs, list) or not all(isinstance(r, dict) for r in recs):
+        raise DocumentError("%s must be a list of objects" % key)
+    return recs
+
+
 def _grading(rec, name):
     gr = rec.get("gr")
-    if (
-        not isinstance(gr, list)
-        or len(gr) != 2
-        or not all(isinstance(g, int) for g in gr)
-    ):
+    if not _int_pair(gr):
         raise DocumentError("generator %r needs an integer grading pair" % name)
     return tuple(gr)
+
+
+def _endpoint(rec, key, index):
+    name = rec.get(key)
+    if not isinstance(name, str) or name not in index:
+        raise DocumentError("differential references unknown generator %r" % (name,))
+    return index[name]
 
 
 def document_to_complex(doc):
@@ -79,11 +98,11 @@ def document_to_complex(doc):
     if base == "FUV" and ring != "X":
         raise DocumentError("FUV documents are base-changed into ring X")
     dy = doc.get("dY", 0)
-    if not isinstance(dy, int):
+    if not _is_int(dy):
         raise DocumentError("dY must be an integer")
     gens = []
     index = {}
-    for rec in doc.get("generators", []):
+    for rec in _records(doc, "generators"):
         name = rec.get("name")
         if not isinstance(name, str) or not name:
             raise DocumentError("every generator needs a name")
@@ -92,17 +111,15 @@ def document_to_complex(doc):
         index[name] = len(gens)
         gens.append((name, _grading(rec, name)))
     diff = {}
-    for rec in doc.get("differential", []):
-        try:
-            i = index[rec["from"]]
-            j = index[rec["to"]]
-        except KeyError as exc:
-            raise DocumentError("differential references unknown generator %s" % exc)
+    for rec in _records(doc, "differential"):
+        i = _endpoint(rec, "from", index)
+        j = _endpoint(rec, "to", index)
+        coeff = _records(rec, "coeff")
         if base == "FUV":
             exps = set()
-            for m in rec.get("coeff", []):
+            for m in coeff:
                 a, b = m.get("U"), m.get("V")
-                if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+                if not _is_int(a) or not _is_int(b) or a < 0 or b < 0:
                     raise DocumentError("bad FUV monomial record %r" % m)
                 exps.symmetric_difference_update([(a, b)])
             if exps:
@@ -111,13 +128,13 @@ def document_to_complex(doc):
             scalar = 0
             u = set()
             v = set()
-            for m in rec.get("coeff", []):
+            for m in coeff:
                 part = m.get("part")
                 if part == "K":
                     scalar ^= 1
                 elif part in ("U", "V"):
                     e = m.get("e")
-                    if not isinstance(e, list) or len(e) != 2:
+                    if not _int_pair(e):
                         raise DocumentError("bad monomial record %r" % m)
                     (u if part == "U" else v).symmetric_difference_update([tuple(e)])
                 else:
@@ -144,10 +161,10 @@ def document_to_spec(doc):
     if ring not in ("R", "X"):
         raise DocumentError("ring must be 'R' or 'X'")
     params = []
-    for k, rec in enumerate(doc["params"], start=1):
+    for k, rec in enumerate(_records(doc, "params"), start=1):
         sign = rec.get("sign")
         e = rec.get("e")
-        if sign not in (1, -1) or not isinstance(e, list) or len(e) != 2:
+        if not _is_int(sign) or sign not in (1, -1) or not _int_pair(e):
             raise DocumentError("bad parameter record %r" % rec)
         side = Side.U if k % 2 else Side.V
         params.append(SignedParam(side, sign, tuple(e)))

@@ -19,6 +19,9 @@ from . import _gf2
 from .complexes import (
     NotKnotlikeError,
     _compose,
+    _knotlike_bases,
+    _side_exp,
+    basis_mod2,
     is_knotlike,
     paired_basis,
     reduce,
@@ -37,12 +40,10 @@ from .ring import (
     elem_ok,
     elem_side_part,
     grading_basis,
-    monomial_ok,
     mono_text,
     param_compare,
 )
 from .standard import (
-    StandardSpec,
     format_spec,
     lex_compare,
     make_spec,
@@ -91,43 +92,25 @@ class ExtantSet:
         return self.u_coeffs if side is Side.U else self.v_coeffs
 
 
-def _side_exp(e, side):
-    part = e.u if side is Side.U else e.v
-    if not part:
-        return None
-    if len(part) != 1:
-        raise ValueError("side part of a homogeneous entry must be a single monomial")
-    return next(iter(part))
-
-
-def _ring_exp_for_grading(ring, side, gr):
-    """Exponent of the side element in one bigrading; (0,0) = scalar; None if empty."""
-    g1, g2 = gr
-    if g1 % 2 or g2 % 2:
-        return None
-    exp = (-g1 // 2, -g2 // 2) if side is Side.U else (-g2 // 2, -g1 // 2)
-    if exp == (0, 0):
-        return exp
-    return exp if monomial_ok(ring, Monomial(side, exp)) else None
-
-
 def _require_normalized(C, what):
-    ok, shift = is_knotlike(C)
-    if not ok:
+    """Both paired bases (U side, V side) of a knotlike, normalized complex."""
+    pb_u, pb_v, shift = _knotlike_bases(C)
+    if shift is None:
         raise NotKnotlikeError("%s must be knotlike" % what)
     if shift != (0, 0):
         raise ValueError("%s must be normalized; apply the knotlike shift %s first" % (what, shift))
+    return pb_u, pb_v
+
+
+def _tower(C, pb):
+    """(functional mask, element mask, tower grading) of a paired basis's tower."""
+    w, t = tower_functional(C, pb)
+    return w, basis_mod2(pb)[t], pb.gradings[t]
 
 
 def _tower_data(C, side=Side.V):
-    """(functional mask, element mask, tower grading) of one side's tower."""
-    pb = paired_basis(C, side)
-    w, t = tower_functional(C, pb)
-    elem_mask = 0
-    for j, e in enumerate(pb.basis[t]):
-        if e.scalar:
-            elem_mask |= 1 << j
-    return w, elem_mask, pb.gradings[t]
+    """Tower data of one side, from a freshly computed paired basis."""
+    return _tower(C, paired_basis(C, side))
 
 
 def extant_coefficients(C):
@@ -138,20 +121,21 @@ def extant_coefficients(C):
     that bigrading; the union over bigradings contains every coefficient a
     (short) local map can use.
     """
-    _require_normalized(C, "complex")
-    gen_grades = [C.gr(i) for i in range(C.n_gens())]
+    return _extant(C, *_require_normalized(C, "complex"))
+
+
+def _extant(C, pb_u, pb_v):
+    gen_grades = {C.gr(i) for i in range(C.n_gens())}
     sides = {}
-    for side in (Side.U, Side.V):
-        pb = paired_basis(C, side)
+    for pb in (pb_u, pb_v):
         coeffs = set()
         for (y, _z, order) in pb.pairs:
             gy = pb.gradings[y]
             for g0 in gen_grades:
-                cm = _ring_exp_for_grading(C.ring, side, (g0[0] - gy[0], g0[1] - gy[1]))
-                if cm is None:
-                    continue
-                coeffs.add((order.exp[0] + cm[0], order.exp[1] + cm[1]))
-        sides[side] = frozenset(coeffs)
+                for m in grading_basis(C.ring, (g0[0] - gy[0], g0[1] - gy[1])):
+                    if m.side is Side.ONE or m.side is pb.side:
+                        coeffs.add((order.exp[0] + m.exp[0], order.exp[1] + m.exp[1]))
+        sides[pb.side] = frozenset(coeffs)
     return ExtantSet(sides[Side.U], sides[Side.V])
 
 
@@ -241,11 +225,9 @@ def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     return matrix
 
 
-def _short_skip(spec):
-    """The dropped chain condition of a short map out of this spec."""
-    n = len(spec.params)
-    off = Side.U if isinstance(spec, StandardSpec) else Side.V
-    return (n, off)
+def _short_skip(n):
+    """The dropped chain condition of a short map out of an n-parameter spec."""
+    return (n, Side.U if n % 2 == 0 else Side.V)
 
 
 def find_local_map(spec, target, kind="full"):
@@ -256,26 +238,16 @@ def find_local_map(spec, target, kind="full"):
     """
     if kind not in ("full", "short"):
         raise ValueError("kind must be 'full' or 'short'")
-    _require_normalized(target, "target")
+    _pb_u, pb_v = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
     src = realize(spec)
-    w, _elem_mask, tgr = _tower_data(target)
-    skip = _short_skip(spec) if kind == "short" else None
+    w, _elem_mask, tgr = _tower(target, pb_v)
+    skip = _short_skip(len(spec.params)) if kind == "short" else None
     matrix = _solve_map(src, target, tgr[1] - src.gr(0)[1], 1, w, skip=skip)
     if matrix is None:
         return None
     return LocalMapCert(format_spec(spec), "target", tgr[1] - src.gr(0)[1], matrix, kind)
-
-
-def _solve_between(src, tgt, src_label, tgt_label):
-    """A full local map between two normalized knotlike complexes, or None."""
-    w_t, _em, tgr = _tower_data(tgt)
-    _w_s, elem_mask, sgr = _tower_data(src)
-    matrix = _solve_map(src, tgt, tgr[1] - sgr[1], elem_mask, w_t, skip=None)
-    if matrix is None:
-        return None
-    return LocalMapCert(src_label, tgt_label, tgr[1] - sgr[1], matrix, "full")
 
 
 def check_certificate(src, tgt, cert, src_mask=None, check_left=False):
@@ -309,10 +281,7 @@ def check_certificate(src, tgt, cert, src_mask=None, check_left=False):
             delta[key] = acc
         else:
             delta.pop(key, None)
-    skip = None
-    if cert.kind == "short":
-        n = src.n_gens() - 1
-        skip = (n, Side.U) if len(src.generators) % 2 else (n, Side.V)
+    skip = _short_skip(src.n_gens() - 1) if cert.kind == "short" else None
     for (i, k), e in sorted(delta.items()):
         if e.scalar:
             out.append("chain defect has a unit part at (%d, %d)" % (i, k))
@@ -375,16 +344,16 @@ def standardize(C, trace=None):
     bad = validate(C)
     if bad:
         raise ValueError("invalid complex: " + "; ".join(bad))
-    _require_normalized(C, "complex")
-    ext = extant_coefficients(C)
-    w_tgt, _em, tgr = _tower_data(C)
+    pb_u, pb_v = _require_normalized(C, "complex")
+    ext = _extant(C, pb_u, pb_v)
+    w_tgt, elem_mask, tgr = _tower(C, pb_v)
     guard = 2 * C.n_gens()
 
     def short_ok(prefix):
         spec = make_spec(C.ring, prefix)
         src = realize(spec)
         matrix = _solve_map(
-            src, C, tgr[1] - src.gr(0)[1], 1, w_tgt, skip=_short_skip(spec)
+            src, C, tgr[1] - src.gr(0)[1], 1, w_tgt, skip=_short_skip(len(prefix))
         )
         return matrix is not None
 
@@ -429,14 +398,17 @@ def standardize(C, trace=None):
     if matrix is None:
         raise VerificationError("final prefix admits no full local map")
     fwd = LocalMapCert(format_spec(spec), "complex", shift, matrix, "full")
-    back = _solve_between(C, realize(spec), "complex", format_spec(spec))
-    if back is None:
+    std = realize(spec)
+    w_std, _em, sgr = _tower_data(std)
+    back_shift = sgr[1] - tgr[1]
+    matrix = _solve_map(C, std, back_shift, elem_mask, w_std)
+    if matrix is None:
         raise VerificationError("no local map back to the standard representative")
-    bad = check_certificate(realize(spec), C, fwd)
+    back = LocalMapCert("complex", format_spec(spec), back_shift, matrix, "full")
+    bad = check_certificate(std, C, fwd)
     if bad:
         raise VerificationError("forward certificate failed: " + "; ".join(bad))
-    _w, elem_mask, _g = _tower_data(C)
-    bad = check_certificate(C, realize(spec), back, src_mask=elem_mask)
+    bad = check_certificate(C, std, back, src_mask=elem_mask)
     if bad:
         raise VerificationError("backward certificate failed: " + "; ".join(bad))
     return spec, fwd, back

@@ -15,6 +15,34 @@ from gridring.io_json import (
 from conftest import same_complex
 
 
+def _set(path, value):
+    def mutate(doc):
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return mutate
+
+
+# malformed S-base documents (mutations of the base-changed Zhou n = 2 complex)
+BAD_DOCUMENTS = [
+    _set(("generators",), {"x0": [0, 0]}),
+    _set(("generators", 0), "x0"),
+    _set(("generators", 0, "gr"), [True, True]),
+    _set(("differential", 0, "coeff"), 1),
+    _set(("differential", 0), 1),
+    _set(("differential", 0, "coeff"), [{"part": "U", "e": ["a", 0]}]),
+]
+
+
+def bad_documents():
+    for mutate in BAD_DOCUMENTS:
+        doc = complex_to_document(base_change(example_zhou(2)))
+        mutate(doc)
+        yield doc
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
@@ -47,10 +75,15 @@ class TestDocuments:
     def test_bad_records_rejected(self):
         with pytest.raises(DocumentError):
             document_to_spec({"ring": "X", "params": [{"sign": 2, "e": [1, 0]}]})
+        with pytest.raises(DocumentError):
+            document_to_spec({"ring": "X", "params": 1})
         doc = complex_to_document(example_zhou(2))
         doc["generators"][0]["gr"] = [1]
         with pytest.raises(DocumentError):
             document_to_complex(doc)
+        for doc in bad_documents():
+            with pytest.raises(DocumentError):
+                document_to_complex(doc)
 
 
 class TestCli:
@@ -134,6 +167,26 @@ class TestCli:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = invoke(capsys, "standardize", str(path))
         assert code == 1 and "schemaVersion" in err
+
+    def test_bad_documents_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        for doc in bad_documents():
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = invoke(capsys, "standardize", str(path))
+            assert code == 1 and not out
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_verification_failure_exit_code(self, capsys, tmp_path, monkeypatch):
+        import gridring.localeq
+
+        fuv = self.emit_file(capsys, tmp_path, "z2.json", "example", "zhou", "--n", "2")
+        monkeypatch.setattr(
+            gridring.localeq, "check_certificate", lambda *args, **kwargs: ["forced violation"]
+        )
+        code, out, err = invoke(capsys, "standardize", str(fuv))
+        assert code == 3 and not out
+        assert err.startswith("internal verification failure: ") and err.count("\n") == 1
+        assert "forced violation" in err
 
     def test_not_knotlike_exit_code(self, capsys, tmp_path):
         doc = {

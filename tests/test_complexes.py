@@ -318,6 +318,17 @@ class TestKnotlike:
         with pytest.raises(ValueError):
             is_knotlike(C)
 
+    def test_shift_matches_quotient_homology(self, pool):
+        # the shift is read off the two paired bases directly; it must agree
+        # with the tower gradings of the quotient homologies
+        realized = [realize(spec) for spec in pool]
+        for C in realized + [tensor(A, B) for A in realized for B in realized]:
+            for moved in (C, shift_gradings(C, (3, 1))):
+                qu = quotient_homology(moved, Side.U)
+                qv = quotient_homology(moved, Side.V)
+                want = (qv.tower_gradings[0], qu.tower_gradings[0])
+                assert is_knotlike(moved) == (True, want)
+
     def test_cable_shift(self):
         C = reduce(base_change(example_cable()))
         ok, shift = is_knotlike(C)

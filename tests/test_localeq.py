@@ -89,6 +89,23 @@ class TestFindLocalMap:
         bad = replace(cert, matrix={k: v for k, v in broken.items() if v})
         assert check_certificate(realize(spec), tgt, bad) != []
 
+    def test_short_certificates_check(self):
+        # the checker drops the same chain condition as the solver: (n, U)
+        # after an even prefix of n parameters, (n, V) after an odd one
+        from dataclasses import replace
+        from gridring.complexes import normalize
+
+        target = normalize(reduce(base_change(example_cable())))
+        cable = parse_spec("C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])")
+        for n in range(len(cable.params) + 1):
+            prefix = make_spec(RingId.X, cable.params[:n])
+            cert = find_local_map(prefix, target, "short")
+            assert cert is not None
+            assert check_certificate(realize(prefix), target, cert) == []
+            if n % 2 == 0:
+                full = check_certificate(realize(prefix), target, replace(cert, kind="full"))
+                assert set(full) == {"chain condition fails at generator %d on side U" % n}
+
     def test_short_weaker_than_full(self):
         # the length-1 prefix of the zhou spec admits a short map but no
         # standard extension by a positive parameter
@@ -172,6 +189,27 @@ class TestStandardize:
             params = [p for p, _ok in trials if p is not None]
             for a, b in zip(params, params[1:]):
                 assert param_compare(a, b) == GREATER
+
+    def test_paired_bases_computed_once(self, monkeypatch):
+        # per call: is_knotlike on the input (2), the input's bases shared by
+        # the normalization check, extant pool and tower (2), the standard
+        # representative's tower (1), and one fresh target basis for each
+        # certificate check (2)
+        import gridring.complexes
+        import gridring.localeq
+
+        calls = []
+        original = gridring.complexes.paired_basis
+
+        def counting(C, side):
+            calls.append(side)
+            return original(C, side)
+
+        monkeypatch.setattr(gridring.complexes, "paired_basis", counting)
+        monkeypatch.setattr(gridring.localeq, "paired_basis", counting)
+        cable = reduce(base_change(example_cable()))
+        standard_representative(tensor(cable, cable))
+        assert len(calls) <= 7
 
     def test_termination_guard_via_certificates(self):
         # certificates returned by standardize always verify; a complex with
