@@ -135,42 +135,18 @@ def validate(C):
 
 
 def validate_fuv(C):
-    out = []
-    names = [nm for nm, _gr in C.generators]
-    if len(set(names)) != len(names):
-        out.append("generator names are not unique")
-    for nm, (g1, g2) in C.generators:
-        if (g1 - g2) % 2:
-            out.append("generator %s has gradings of mixed parity %s" % (nm, (g1, g2)))
-    n = C.n_gens()
-    for (i, j), exps in C.diff.items():
-        if not exps:
-            out.append("stored zero entry at (%s, %s)" % (C.name(i), C.name(j)))
-            continue
-        want = (C.gr(i)[0] - C.gr(j)[0] - 1, C.gr(i)[1] - C.gr(j)[1] - 1)
-        for (a, b) in exps:
-            if a < 0 or b < 0:
-                out.append("entry (%s, %s) has negative exponents" % (C.name(i), C.name(j)))
-            elif (-2 * a, -2 * b) != want:
-                out.append(
-                    "entry (%s, %s): U^%dV^%d has grading %s, expected %s"
-                    % (C.name(i), C.name(j), a, b, (-2 * a, -2 * b), want)
-                )
-    if not out:
-        sq = {}
-        from_ = {}
-        for (j, k), exps in C.diff.items():
-            from_.setdefault(j, []).append((k, exps))
-        for (i, j), e1 in C.diff.items():
-            for k, e2 in from_.get(j, ()):
-                acc = sq.setdefault((i, k), set())
-                for (a1, b1) in e1:
-                    for (a2, b2) in e2:
-                        acc.symmetric_difference_update([(a1 + a2, b1 + b2)])
-        for (i, k), acc in sq.items():
-            if acc:
-                out.append("d^2 is nonzero: (%s -> %s)" % (C.name(i), C.name(k)))
-    return out
+    """Structural checks of an F2[U,V] complex; returns violation strings.
+
+    Base change into X is an injective ring map that preserves gradings, so
+    the checks of ``validate`` on the image give the same verdicts; only an
+    empty entry, which the base change drops, is checked here.
+    """
+    out = [
+        "stored zero entry at (%s, %s)" % (C.name(i), C.name(j))
+        for (i, j), exps in C.diff.items()
+        if not exps
+    ]
+    return out or validate(base_change(C))
 
 
 def is_reduced(C):
@@ -448,16 +424,18 @@ def paired_basis(C, side):
     )
 
 
+def _scalar_mask(row):
+    """One row of ring elements reduced mod the maximal ideals, as a bitmask."""
+    mask = 0
+    for j, e in enumerate(row):
+        if e.scalar:
+            mask |= 1 << j
+    return mask
+
+
 def basis_mod2(pb):
     """The change-of-basis matrix reduced mod the maximal ideals, as bitmasks."""
-    rows = []
-    for row in pb.basis:
-        mask = 0
-        for j, e in enumerate(row):
-            if e.scalar:
-                mask |= 1 << j
-        rows.append(mask)
-    return rows
+    return [_scalar_mask(row) for row in pb.basis]
 
 
 def tower_functional(C, pb):

@@ -120,17 +120,13 @@ def p_invariants(spec):
     pv = C.gr(0)[1]
     sgn_sum = sum(p.sign for p in spec.params)
     table = phi(spec)
-    cu1 = sum(mono_grading(_side_mono(Side.U, e))[0] * c for e, c in table.side_items(Side.U))
-    cv1 = sum(mono_grading(_side_mono(Side.V, e))[0] * c for e, c in table.side_items(Side.V))
-    cu2 = sum(mono_grading(_side_mono(Side.U, e))[1] * c for e, c in table.side_items(Side.U))
-    cv2 = sum(mono_grading(_side_mono(Side.V, e))[1] * c for e, c in table.side_items(Side.V))
+    cu1 = sum(mono_grading(Monomial(Side.U, e))[0] * c for e, c in table.side_items(Side.U))
+    cv1 = sum(mono_grading(Monomial(Side.V, e))[0] * c for e, c in table.side_items(Side.V))
+    cu2 = sum(mono_grading(Monomial(Side.U, e))[1] * c for e, c in table.side_items(Side.U))
+    cv2 = sum(mono_grading(Monomial(Side.V, e))[1] * c for e, c in table.side_items(Side.V))
     if pu != cu1 + cv1 + sgn_sum or -pv != cu2 + cv2 + sgn_sum:
         raise VerificationError("tower-grading closed form fails on %s" % format_spec(spec))
     return pu, pv
-
-
-def _side_mono(side, exp):
-    return Monomial(side, exp)
 
 
 def obstructions(spec, table=None):

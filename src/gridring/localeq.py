@@ -7,7 +7,9 @@ coefficient by coefficient, and locality contributes one inhomogeneous
 equation (the image of the distinguished generator must hit the target's
 tower generator with coefficient 1).  The canonical representative of a
 knotlike complex is then extracted greedily, one parameter at a time, trying
-candidates drawn from the extant coefficients in descending order.
+candidates drawn from the extant coefficients in descending order.  At odd
+steps the neutral element 1, which sorts between the positive and the
+negative candidates, stands for stopping.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .complexes import (
     NotKnotlikeError,
     _compose,
     _knotlike_bases,
+    _scalar_mask,
     _side_exp,
-    basis_mod2,
     is_knotlike,
     paired_basis,
     reduce,
@@ -105,7 +107,7 @@ def _require_normalized(C, what):
 def _tower(C, pb):
     """(functional mask, element mask, tower grading) of a paired basis's tower."""
     w, t = tower_functional(C, pb)
-    return w, basis_mod2(pb)[t], pb.gradings[t]
+    return w, _scalar_mask(pb.basis[t]), pb.gradings[t]
 
 
 def _tower_data(C, side=Side.V):
@@ -230,6 +232,21 @@ def _short_skip(n):
     return (n, Side.U if n % 2 == 0 else Side.V)
 
 
+def _map_into(spec, C, w, tgr, kind, label):
+    """A (short) local map from a realized spec into C, as a certificate or None.
+
+    ``w`` and ``tgr`` are the functional mask and grading of C's tower; the
+    source tower is x_0.
+    """
+    src = realize(spec)
+    shift = tgr[1] - src.gr(0)[1]
+    skip = _short_skip(len(spec.params)) if kind == "short" else None
+    matrix = _solve_map(src, C, shift, 1, w, skip=skip)
+    if matrix is None:
+        return None
+    return LocalMapCert(format_spec(spec), label, shift, matrix, kind)
+
+
 def find_local_map(spec, target, kind="full"):
     """A local (or short local) map from a realized spec into a complex.
 
@@ -241,13 +258,8 @@ def find_local_map(spec, target, kind="full"):
     _pb_u, pb_v = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
-    src = realize(spec)
     w, _elem_mask, tgr = _tower(target, pb_v)
-    skip = _short_skip(len(spec.params)) if kind == "short" else None
-    matrix = _solve_map(src, target, tgr[1] - src.gr(0)[1], 1, w, skip=skip)
-    if matrix is None:
-        return None
-    return LocalMapCert(format_spec(spec), "target", tgr[1] - src.gr(0)[1], matrix, kind)
+    return _map_into(spec, target, w, tgr, kind, "target")
 
 
 def check_certificate(src, tgt, cert, src_mask=None, check_left=False):
@@ -326,8 +338,11 @@ def _tower_coefficient(matrix, src, tgt, src_mask, w):
     return bin(img & w).count("1") & 1
 
 
-def _descending(side, exps):
+def _descending(side, exps, stop):
+    """Candidates in descending <! order; ``stop`` adds the neutral 1 as None."""
     cands = [SignedParam(side, sgn, exp) for exp in sorted(exps) for sgn in (1, -1)]
+    if stop:
+        cands.append(None)
     cands.sort(key=functools.cmp_to_key(param_compare), reverse=True)
     return cands
 
@@ -335,11 +350,12 @@ def _descending(side, exps):
 def standardize(C, trace=None):
     """The unique standard-complex representative, with certificates both ways.
 
-    The input must be reduced, knotlike and normalized.  At odd steps the
-    positive candidates are tried in descending order, then the option of
-    stopping (a full local map from the current even prefix), then the
-    negative candidates; at even steps all candidates.  Each accepted
-    parameter is witnessed by a short local map from the extended prefix.
+    The input must be reduced, knotlike and normalized.  Each step tries its
+    candidates in descending <! order and keeps the first that admits a map:
+    a parameter p needs a short local map from the prefix extended by p; at
+    odd steps the neutral 1, ordered between the positive and the negative
+    parameters, stops the search and needs a full local map from the prefix.
+    That full map is the forward certificate.
     """
     bad = validate(C)
     if bad:
@@ -348,60 +364,31 @@ def standardize(C, trace=None):
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask, tgr = _tower(C, pb_v)
     guard = 2 * C.n_gens()
-
-    def short_ok(prefix):
-        spec = make_spec(C.ring, prefix)
-        src = realize(spec)
-        matrix = _solve_map(
-            src, C, tgr[1] - src.gr(0)[1], 1, w_tgt, skip=_short_skip(len(prefix))
-        )
-        return matrix is not None
-
-    def full_matrix(spec):
-        src = realize(spec)
-        shift = tgr[1] - src.gr(0)[1]
-        return _solve_map(src, C, shift, 1, w_tgt, skip=None), shift
-
-    def try_candidates(k, cands):
-        for p in cands:
-            ok = short_ok(params + [p])
-            if trace is not None:
-                trace.append((k, p, ok))
-            if ok:
-                return p
-        return None
-
     params = []
     while True:
         k = len(params) + 1
         if k > guard + 1:
             raise VerificationError("standardization exceeded the splitting bound")
         side = Side.U if k % 2 else Side.V
-        cands = _descending(side, ext.for_side(side))
-        if k % 2:
-            # candidate order at odd steps: positives, then 1 (stop), then negatives
-            chosen = try_candidates(k, [p for p in cands if p.sign > 0])
-            if chosen is None:
-                matrix, _shift = full_matrix(make_spec(C.ring, params))
-                if trace is not None:
-                    trace.append((k, None, matrix is not None))
-                if matrix is not None:
-                    break
-                chosen = try_candidates(k, [p for p in cands if p.sign < 0])
+        for p in _descending(side, ext.for_side(side), stop=k % 2 == 1):
+            if p is None:
+                spec, kind = make_spec(C.ring, params), "full"
+            else:
+                spec, kind = make_spec(C.ring, params + [p]), "short"
+            fwd = _map_into(spec, C, w_tgt, tgr, kind, "complex")
+            if trace is not None:
+                trace.append((k, p, fwd is not None))
+            if fwd is not None:
+                break
         else:
-            chosen = try_candidates(k, cands)
-        if chosen is None:
             raise VerificationError("no feasible parameter at step %d" % k)
-        params.append(chosen)
-    spec = make_spec(C.ring, params)
-    matrix, shift = full_matrix(spec)
-    if matrix is None:
-        raise VerificationError("final prefix admits no full local map")
-    fwd = LocalMapCert(format_spec(spec), "complex", shift, matrix, "full")
+        if p is None:
+            break
+        params.append(p)
     std = realize(spec)
-    w_std, _em, sgr = _tower_data(std)
-    back_shift = sgr[1] - tgr[1]
-    matrix = _solve_map(C, std, back_shift, elem_mask, w_std)
+    # a realized standard complex has its tower at x_0
+    back_shift = std.gr(0)[1] - tgr[1]
+    matrix = _solve_map(C, std, back_shift, elem_mask, 1)
     if matrix is None:
         raise VerificationError("no local map back to the standard representative")
     back = LocalMapCert("complex", format_spec(spec), back_shift, matrix, "full")

@@ -55,6 +55,51 @@ class TestValidate:
         assert validate_fuv(example_zhou(2)) == []
         assert validate(base_change(example_zhou(2))) == []
 
+    @pytest.mark.parametrize(
+        "C, ok",
+        [
+            pytest.param(FUVComplex((("a", (0, 0)), ("a", (0, 0))), {}), False, id="duplicate-names"),
+            pytest.param(FUVComplex((("a", (1, 0)),), {}), False, id="mixed-parity"),
+            pytest.param(
+                FUVComplex((("a", (0, 0)), ("b", (-1, -1))), {(0, 1): frozenset({(1, 0)})}),
+                False,
+                id="wrong-grading",
+            ),
+            pytest.param(
+                FUVComplex((("a", (0, 0)), ("b", (1, -1))), {(0, 1): frozenset({(1, 0), (0, 1)})}),
+                False,
+                id="inhomogeneous",
+            ),
+            pytest.param(
+                FUVComplex((("a", (0, 0)), ("b", (-3, 1))), {(0, 1): frozenset({(-1, 1)})}),
+                False,
+                id="negative-u",
+            ),
+            pytest.param(
+                FUVComplex((("a", (0, 0)), ("b", (1, -3))), {(0, 1): frozenset({(1, -1)})}),
+                False,
+                id="negative-v",
+            ),
+            pytest.param(
+                FUVComplex((("a", (0, 0)), ("b", (-1, -1))), {(0, 1): frozenset()}),
+                False,
+                id="empty-entry",
+            ),
+            pytest.param(
+                FUVComplex(
+                    (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2))),
+                    {(0, 1): frozenset({(0, 0)}), (1, 2): frozenset({(0, 0)})},
+                ),
+                False,
+                id="d-squared",
+            ),
+        ]
+        + [pytest.param(example_zhou(n), True, id="zhou%d" % n) for n in range(2, 6)]
+        + [pytest.param(example_cable(), True, id="cable")],
+    )
+    def test_fuv_verdicts(self, C, ok):
+        assert (validate_fuv(C) == []) is ok
+
     def test_d_squared_detected(self):
         gens = (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2)))
         diff = {(0, 1): ONE_ELEM, (1, 2): ONE_ELEM}

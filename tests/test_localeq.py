@@ -36,6 +36,15 @@ from gridring.standard import make_spec
 from conftest import random_spec
 
 
+def _search_input(which):
+    """A reduced, normalized complex whose standardization takes several steps."""
+    from gridring.complexes import normalize
+
+    if which == "cable":
+        return normalize(reduce(base_change(example_cable())))
+    return base_change(example_zhou(3))
+
+
 class TestExtant:
     def test_zhou_spec_contains_arrow(self):
         ext = extant_coefficients(realize(parse_spec("C(-U[2,1], +V[2,1])")))
@@ -172,29 +181,49 @@ class TestStandardize:
             assert N == parse_spec("C(0)")
 
     def test_trace_is_descending_until_success(self):
-        from gridring.complexes import normalize
+        for which in ("cable", "zhou3"):
+            trace = []
+            standardize(_search_input(which), trace=trace)
+            by_step = {}
+            for k, p, ok in trace:
+                by_step.setdefault(k, []).append((p, ok))
+            for k, trials in by_step.items():
+                # at most one success, and only as the last trial of the step
+                oks = [ok for _p, ok in trials]
+                assert oks.count(True) <= 1
+                if True in oks:
+                    assert oks[-1] is True
+                # the neutral 1 (None) is tried in its <! place, at odd steps only
+                params = [p for p, _ok in trials]
+                assert None not in params or k % 2 == 1
+                for a, b in zip(params, params[1:]):
+                    assert param_compare(a, b) == GREATER
+            # the search ends on the first feasible stop
+            assert trace[-1][1:] == (None, True)
 
+    @pytest.mark.parametrize("which", ["cable", "zhou3"])
+    def test_one_solve_per_trial_plus_backward(self, which, monkeypatch):
+        # each trial is one system; the stopping trial's map is the forward
+        # certificate, so only the backward map adds a solve
+        import gridring.localeq
+
+        calls = []
+        original = gridring.localeq._solve_map
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gridring.localeq, "_solve_map", counting)
         trace = []
-        C = normalize(reduce(base_change(example_cable())))
-        standardize(C, trace=trace)
-        by_step = {}
-        for k, p, ok in trace:
-            by_step.setdefault(k, []).append((p, ok))
-        for k, trials in by_step.items():
-            # at most one success, and only as the last trial of the step
-            oks = [ok for _p, ok in trials]
-            assert oks.count(True) <= 1
-            if True in oks:
-                assert oks[-1] is True
-            params = [p for p, _ok in trials if p is not None]
-            for a, b in zip(params, params[1:]):
-                assert param_compare(a, b) == GREATER
+        standardize(_search_input(which), trace=trace)
+        assert len(calls) == len(trace) + 1
 
     def test_paired_bases_computed_once(self, monkeypatch):
         # per call: is_knotlike on the input (2), the input's bases shared by
-        # the normalization check, extant pool and tower (2), the standard
-        # representative's tower (1), and one fresh target basis for each
-        # certificate check (2)
+        # the normalization check, extant pool and tower (2), and one fresh
+        # target basis for each certificate check (2); the standard
+        # representative's tower is x_0 in closed form
         import gridring.complexes
         import gridring.localeq
 
@@ -209,7 +238,7 @@ class TestStandardize:
         monkeypatch.setattr(gridring.localeq, "paired_basis", counting)
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
-        assert len(calls) <= 7
+        assert len(calls) <= 6
 
     def test_termination_guard_via_certificates(self):
         # certificates returned by standardize always verify; a complex with
@@ -304,4 +333,5 @@ class TestCertJson:
         cert = find_local_map(spec, realize(spec), "full")
         doc = cert.to_json()
         assert doc["kind"] == "full" and doc["gr2shift"] == 0
+        assert doc["target"] == "target"
         assert any(e["coeff"] == ["1"] for e in doc["entries"])
