@@ -20,7 +20,6 @@ from .complexes import (
     reduce,
     tensor,
     validate,
-    validate_fuv,
 )
 from .invariants import report
 from .localeq import VerificationError, standard_representative
@@ -34,10 +33,23 @@ EXIT_NOT_KNOTLIKE = 2
 EXIT_VERIFICATION = 3
 
 
-def _load_complex(path):
-    doc = io_json.load_document(path)
-    C, dy = io_json.document_to_complex(doc)
-    bad = validate_fuv(C) if isinstance(C, FUVComplex) else validate(C)
+def _read_complex(path, base=None):
+    """Parse a document and base-change an FUV one; returns (X complex, dY).
+
+    With ``base`` ("S" or "FUV") a document of the other base is rejected.
+    """
+    C, dy = io_json.document_to_complex(io_json.load_document(path))
+    fuv = isinstance(C, FUVComplex)
+    if base is not None and fuv != (base == "FUV"):
+        raise DocumentError("%s: expected a base-%s document" % (path, base))
+    # validate_fuv would only add an empty-entry check, and the parser drops those.
+    return (base_change(C) if fuv else C), dy
+
+
+def _load_complex(path, base=None):
+    """A validated complex from a document, base-changed into X once."""
+    C, dy = _read_complex(path, base)
+    bad = validate(C)
     if bad:
         raise DocumentError("%s: %s" % (path, "; ".join(bad)))
     return C, dy
@@ -47,10 +59,7 @@ def _load_spec_arg(arg):
     """A spec from either the C(...) literal form or a document path."""
     if arg.strip().startswith("C("):
         return parse_spec(arg)
-    C, dy = _load_complex(arg)
-    if isinstance(C, FUVComplex):
-        C = base_change(C)
-    return standard_representative(C, dy)[0]
+    return standard_representative(*_load_complex(arg))[0]
 
 
 def _emit(args, payload, text):
@@ -61,9 +70,8 @@ def _emit(args, payload, text):
 
 
 def cmd_validate(args):
-    doc = io_json.load_document(args.file)
-    C, _dy = io_json.document_to_complex(doc)
-    bad = validate_fuv(C) if isinstance(C, FUVComplex) else validate(C)
+    C, _dy = _read_complex(args.file)
+    bad = validate(C)
     if bad:
         _emit(args, {"ok": False, "violations": bad}, "\n".join(bad))
         return EXIT_INVALID
@@ -72,20 +80,15 @@ def cmd_validate(args):
 
 
 def cmd_reduce(args):
-    C, dy = _load_complex(args.file)
-    if isinstance(C, FUVComplex):
-        raise DocumentError("reduce expects a base-S document; run basechange first")
-    R = reduce(C)
-    doc = io_json.complex_to_document(R, dy)
+    C, dy = _load_complex(args.file, base="S")
+    doc = io_json.complex_to_document(reduce(C), dy)
     _emit(args, doc, io_json.dump_json(doc))
     return EXIT_OK
 
 
 def cmd_basechange(args):
-    C, dy = _load_complex(args.file)
-    if not isinstance(C, FUVComplex):
-        raise DocumentError("basechange expects a base-FUV document")
-    doc = io_json.complex_to_document(base_change(C), dy)
+    C, dy = _load_complex(args.file, base="FUV")
+    doc = io_json.complex_to_document(C, dy)
     _emit(args, doc, io_json.dump_json(doc))
     return EXIT_OK
 
@@ -94,8 +97,6 @@ def cmd_standardize(args):
     C, dy = _load_complex(args.file)
     if args.dy is not None:
         dy = args.dy
-    if isinstance(C, FUVComplex):
-        C = base_change(C)
     spec, fwd, back, applied = standard_representative(C, dy)
     payload = {
         "spec": io_json.spec_to_document(spec),
@@ -110,19 +111,15 @@ def cmd_standardize(args):
 
 
 def cmd_tensor(args):
-    A, dya = _load_complex(args.a)
-    B, dyb = _load_complex(args.b)
-    if isinstance(A, FUVComplex) or isinstance(B, FUVComplex):
-        raise DocumentError("tensor expects base-S documents")
+    A, dya = _load_complex(args.a, base="S")
+    B, dyb = _load_complex(args.b, base="S")
     doc = io_json.complex_to_document(tensor(A, B), dya + dyb)
     _emit(args, doc, io_json.dump_json(doc))
     return EXIT_OK
 
 
 def cmd_dual(args):
-    C, dy = _load_complex(args.file)
-    if isinstance(C, FUVComplex):
-        raise DocumentError("dual expects a base-S document")
+    C, dy = _load_complex(args.file, base="S")
     doc = io_json.complex_to_document(dual(C), -dy)
     _emit(args, doc, io_json.dump_json(doc))
     return EXIT_OK

@@ -8,13 +8,10 @@ F2[U,V] appear only as inputs to the base change into ring X.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from . import _gf2
 from .ring import (
-    EQUAL,
-    GREATER,
     ONE_ELEM,
     RingId,
     Side,
@@ -25,7 +22,7 @@ from .ring import (
     elem_mul,
     elem_ok,
     in_region,
-    lattice_compare,
+    lattice_key,
     mono_grading,
 )
 
@@ -339,7 +336,7 @@ def paired_basis(C, side):
             D[i][j] = exp
     basis = [[ONE_ELEM if i == j else ZERO for j in range(m)] for i in range(m)]
     grades = [C.gr(i) for i in range(m)]
-    active = set(range(m))
+    active = list(range(m))  # ascending
     pairs = []
 
     def sub(a, b):
@@ -357,17 +354,11 @@ def paired_basis(C, side):
             raise ValueError("conflicting monomials in one matrix slot")
 
     while True:
-        pivot = None
-        for p in sorted(active):
-            for q in sorted(active):
-                exp = D[p][q]
-                if exp is None:
-                    continue
-                if pivot is None or lattice_compare(exp, pivot[2]) == GREATER:
-                    pivot = (p, q, exp)
-        if pivot is None:
+        # The first <!-greatest entry in row-major order.
+        entries = [(p, q, D[p][q]) for p in active for q in active if D[p][q] is not None]
+        if not entries:
             break
-        p, q, mu = pivot
+        p, q, mu = max(entries, key=lambda t: lattice_key(t[2]))
         lam = {r: sub(D[p][r], mu) for r in range(m) if D[p][r] is not None}
         # Replace basis element q by (1/mu) d_side(g_p).
         newrow = [ZERO] * m
@@ -407,8 +398,7 @@ def paired_basis(C, side):
             if D[k][p] is not None:
                 raise ValueError("column of a paired generator did not clear; d^2 != 0?")
         pairs.append((p, q, Monomial(side, mu)))
-        active.discard(p)
-        active.discard(q)
+        active = [i for i in active if i not in (p, q)]
     matrix = {}
     for i in range(m):
         for j in range(m):
@@ -420,7 +410,7 @@ def paired_basis(C, side):
         gradings=tuple(grades),
         matrix=matrix,
         pairs=tuple(pairs),
-        unpaired=tuple(sorted(active)),
+        unpaired=tuple(active),
     )
 
 
@@ -464,13 +454,6 @@ class QuotientHomology:
     torsion: tuple  # of (Monomial, shift)
 
 
-def _cmp_torsion(a, b):
-    c = lattice_compare(a[0].exp, b[0].exp)
-    if c != EQUAL:
-        return -c  # descending in <!
-    return (a[1] > b[1]) - (a[1] < b[1])
-
-
 def quotient_homology(C, side):
     """Tower and torsion data of the homology after killing the other side.
 
@@ -483,7 +466,8 @@ def quotient_homology(C, side):
     keep = 1 if side is Side.U else 0
     towers = tuple(pb.gradings[t][keep] for t in pb.unpaired)
     torsion = [(order, pb.gradings[z][keep]) for (_y, z, order) in pb.pairs]
-    torsion.sort(key=functools.cmp_to_key(_cmp_torsion))
+    # Descending in <!, ties in ascending shift.
+    torsion.sort(key=lambda t: (lattice_key(t[0].exp), -t[1]), reverse=True)
     return QuotientHomology(side, len(pb.unpaired), towers, tuple(torsion))
 
 

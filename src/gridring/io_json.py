@@ -182,6 +182,8 @@ def load_document(path):
         raise DocumentError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON in %s: %s" % (path, exc))
+    except RecursionError:
+        raise DocumentError("invalid JSON in %s: nested too deeply" % path)
 
 
 def dump_json(obj):

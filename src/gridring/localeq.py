@@ -14,7 +14,6 @@ negative candidates, stands for stopping.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import _gf2
@@ -43,7 +42,7 @@ from .ring import (
     elem_side_part,
     grading_basis,
     mono_text,
-    param_compare,
+    param_key,
 )
 from .standard import (
     format_spec,
@@ -340,10 +339,10 @@ def _tower_coefficient(matrix, src, tgt, src_mask, w):
 
 def _descending(side, exps, stop):
     """Candidates in descending <! order; ``stop`` adds the neutral 1 as None."""
-    cands = [SignedParam(side, sgn, exp) for exp in sorted(exps) for sgn in (1, -1)]
+    cands = [SignedParam(side, sgn, exp) for exp in exps for sgn in (1, -1)]
     if stop:
         cands.append(None)
-    cands.sort(key=functools.cmp_to_key(param_compare), reverse=True)
+    cands.sort(key=param_key, reverse=True)
     return cands
 
 

@@ -16,14 +16,16 @@ Homogeneous elements of one side, and their formal inverses, carry the total
 order ``<!`` used everywhere downstream: positives are ordered by reverse
 divisibility (the generator U_B, encoded (1, 0), is the greatest element),
 negatives sit below the positives and mirror them (the inverse of U_B,
-encoded (-1, 0), is the least element).
+encoded (-1, 0), is the least element).  The order is represented by one
+integer sort key, ``lattice_key`` on exponent pairs and ``param_key`` on
+signed parameters with the neutral 1 (``None``) in its own band between the
+negatives and the positives; consumers sort or take a max by the key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -137,60 +139,62 @@ def param_grading(p):
     return (p.sign * g1, p.sign * g2)
 
 
-def _axis_key(i):
-    # 1/i as an exact rational; i != 0 here.
-    return Fraction(1, i)
+def lattice_key(exp):
+    """Integer sort key of the total order <! on Z x Z - {(0,0)}.
+
+    Bands, least to greatest: the negative x-axis ``(0, -i)``, rows j < 0
+    ``(1, -j, -i)``, a free band 2 for the neutral 1, rows j > 0
+    ``(3, -j, -i)`` and the positive x-axis ``(4, -i)``.  So rows compare by
+    1/j, within a row the order descends as i grows, and on the x-axis points
+    compare by 1/i: (1, 0) is the greatest element and (-1, 0) the least.
+    Agrees with reverse divisibility on the region and with its mirror image
+    on the complement.
+    """
+    i, j = exp
+    if j > 0:
+        return (3, -j, -i)
+    if j < 0:
+        return (1, -j, -i)
+    if i > 0:
+        return (4, -i)
+    if i < 0:
+        return (0, -i)
+    raise ValueError("the order <! is undefined at the origin")
 
 
-def _row_key(point):
-    # Comparison key for the "which row" stage: 1/j, with the x-axis split
-    # into +infinity (positive half) and -infinity (negative half).
-    i, j = point
-    if j == 0:
-        return (2, Fraction(0)) if i > 0 else (0, Fraction(0))
-    return (1, _axis_key(j))
+def param_key(p):
+    """Sort key of a signed parameter under <!, or ``(2,)`` for None (= 1).
+
+    Negatives <! 1 <! positives; a parameter's key is the lattice key of its
+    signed exponent pair.  Keys of parameters from different sides must not
+    be compared.
+    """
+    if p is None:
+        return (2,)
+    return lattice_key((p.sign * p.exp[0], p.sign * p.exp[1]))
+
+
+def _compare_keys(a, b):
+    return (a > b) - (a < b)
 
 
 def lattice_compare(a, b):
-    """The total order <! on Z x Z - {(0,0)}.
+    """The total order <! on Z x Z - {(0,0)}, as a comparison of lattice keys.
 
-    Distinct rows compare by 1/j (x-axis counting as +/- infinity according
-    to the sign of i); within a row j != 0 the order descends as i grows;
-    on the x-axis points compare by 1/i.  (1, 0) is the greatest element and
-    (-1, 0) the least.  Agrees with reverse divisibility on the region and
-    with its mirror image on the complement.
+    Returns LESS, EQUAL or GREATER as ``lattice_key(a)`` is less than, equal
+    to or greater than ``lattice_key(b)``; raises ValueError at the origin.
     """
-    a = tuple(a)
-    b = tuple(b)
-    if a == (0, 0) or b == (0, 0):
-        raise ValueError("lattice_compare is undefined at the origin")
-    if a == b:
-        return EQUAL
-    (i, j), (k, l) = a, b
-    if j != l:
-        return LESS if _row_key(a) < _row_key(b) else GREATER
-    if j != 0:
-        return LESS if i > k else GREATER
-    return LESS if _axis_key(i) < _axis_key(k) else GREATER
+    return _compare_keys(lattice_key(a), lattice_key(b))
 
 
 def param_compare(a, b):
     """Extend <! to signed parameters and the neutral sentinel None (= 1).
 
-    Negatives <! 1 <! positives; same-signed parameters reduce to
-    lattice_compare on the signed exponent pairs.
+    Compares the two parameter keys; parameters from different sides raise.
     """
-    if a is None and b is None:
-        return EQUAL
-    if a is None:
-        return LESS if b.sign > 0 else GREATER
-    if b is None:
-        return GREATER if a.sign > 0 else LESS
-    if a.side is not b.side:
+    if a is not None and b is not None and a.side is not b.side:
         raise ValueError("cannot compare parameters from different sides")
-    pa = (a.sign * a.exp[0], a.sign * a.exp[1])
-    pb = (b.sign * b.exp[0], b.sign * b.exp[1])
-    return lattice_compare(pa, pb)
+    return _compare_keys(param_key(a), param_key(b))
 
 
 def mono_divides(a, b):
@@ -212,11 +216,7 @@ def mono_gcd(monos):
     side = monos[0].side
     if side is Side.ONE or any(m.side is not side for m in monos):
         raise ValueError("gcd needs nontrivial monomials of one side")
-    best = monos[0]
-    for m in monos[1:]:
-        if lattice_compare(m.exp, best.exp) == GREATER:
-            best = m
-    return best
+    return max(monos, key=lambda m: lattice_key(m.exp))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridring import base_change, example_zhou, parse_spec, validate, validate_fuv
+from gridring import base_change, example_cable, example_zhou, parse_spec, validate, validate_fuv
 from gridring.cli import run
 from gridring.io_json import (
     DocumentError,
     complex_to_document,
     document_to_complex,
     document_to_spec,
+    dump_json,
     spec_to_document,
 )
 
@@ -213,7 +219,95 @@ class TestCli:
         code, _, err = invoke(capsys, "example", "zhou", "--n", "1")
         assert code == 1
 
+    def test_basechange_output(self, capsys, tmp_path):
+        fuv = self.emit_file(capsys, tmp_path, "z2.json", "example", "zhou", "--n", "2")
+        code, out, _ = invoke(capsys, "basechange", str(fuv))
+        assert code == 0
+        assert out == dump_json(complex_to_document(base_change(example_zhou(2))))
+
+    @pytest.mark.parametrize(
+        "argv, base",
+        [
+            (("reduce", "{fuv}"), "S"),
+            (("tensor", "{x}", "{fuv}"), "S"),
+            (("dual", "{fuv}"), "S"),
+            (("basechange", "{x}"), "FUV"),
+        ],
+    )
+    def test_wrong_base_exit_code(self, capsys, tmp_path, argv, base):
+        fuv = self.emit_file(capsys, tmp_path, "z2.json", "example", "zhou", "--n", "2")
+        x = self.emit_file(capsys, tmp_path, "z2x.json", "basechange", str(fuv))
+        code, out, err = invoke(capsys, *[a.format(fuv=fuv, x=x) for a in argv])
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "base-%s" % base in err
+
+    def test_deep_nesting_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        for command in ("validate", "standardize"):
+            code, out, err = invoke(capsys, command, str(path))
+            assert code == 1 and not out
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invariants_human_table(self, capsys):
         code, out, _ = invoke(capsys, "invariants", "C(0)")
         assert code == 0
         assert "tau" in out and "unknotting" in out
+
+
+FUZZ_DOCUMENTS = [
+    complex_to_document(example_zhou(3)),
+    complex_to_document(example_cable()),
+    complex_to_document(base_change(example_zhou(3))),
+]
+FUZZ_VALUES = [None, True, False, -1, 0, 2, "", "x0", [], {}, [0, 0], 10**30, 1.5, {"part": "K"}]
+
+
+def _slots(obj, path=()):
+    """Every (container path, key) pair of a JSON document, depth first."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path, key
+        yield from _slots(value, path + (key,))
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), original=st.sampled_from(FUZZ_DOCUMENTS))
+    def test_mutated_documents(self, data, original):
+        # 1-3 key deletions or value swaps: every command either succeeds or
+        # fails with its exit code and one line on stderr, never a traceback
+        doc = json.loads(json.dumps(original))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path, key = data.draw(st.sampled_from(list(_slots(doc))))
+            obj = doc
+            for step in path:
+                obj = obj[step]
+            if data.draw(st.booleans()):
+                del obj[key]
+            else:
+                obj[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for argv in (["--json", "standardize", path], ["reduce", path]):
+                code, out, err = _run_quiet(argv)
+                assert code in (0, 1, 2)
+                if code:
+                    assert not out and err.count("\n") == 1 and err.endswith("\n")
+            code, _out, _err = _run_quiet(["validate", path])
+            assert code in (0, 1)

@@ -25,6 +25,9 @@ from gridring import (
 )
 from gridring.complexes import NotKnotlikeError, basis_mod2, fuv_image, shift_gradings
 from gridring.ring import (
+    EQUAL,
+    GREATER,
+    LESS,
     Monomial,
     ONE_ELEM,
     RingElem,
@@ -32,6 +35,7 @@ from gridring.ring import (
     elem_from_mono,
     elem_mul,
     elem_side_part,
+    lattice_compare,
     u_mono,
     v_mono,
 )
@@ -339,6 +343,26 @@ class TestQuotientHomology:
                 )
                 shifts.append(-total)
             assert sorted(s for _o, s in q.torsion) == sorted(shifts)
+
+
+class TestOrders:
+    def test_pairs_and_torsion_descend(self, pool):
+        # pivots are taken <!-greatest first, and torsion is listed in
+        # descending <! order with ties in ascending shift
+        rng = random.Random(29)
+        for _ in range(25):
+            C = tensor(realize(rng.choice(pool)), realize(rng.choice(pool)))
+            for _ in range(rng.randint(1, 3)):
+                gr = (2 * rng.randint(-2, 2), 2 * rng.randint(-2, 2))
+                C = direct_sum(C, acyclic_pair(RingId.X, gr))
+            R = reduce(scramble(C, rng, n_ops=12))
+            for side in (Side.U, Side.V):
+                orders = [order.exp for _y, _z, order in paired_basis(R, side).pairs]
+                assert all(lattice_compare(a, b) != LESS for a, b in zip(orders, orders[1:]))
+                torsion = quotient_homology(R, side).torsion
+                for (oa, sa), (ob, sb) in zip(torsion, torsion[1:]):
+                    c = lattice_compare(oa.exp, ob.exp)
+                    assert c == GREATER or (c == EQUAL and sa <= sb)
 
 
 class TestKnotlike:

@@ -29,8 +29,10 @@ from gridring.ring import (
     ZERO,
     elem_from_mono,
     in_region,
+    lattice_key,
     mono_grading,
     monomial_ok,
+    param_key,
 )
 
 WINDOW = [
@@ -105,6 +107,8 @@ class TestLatticeCompare:
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
             lattice_compare((0, 0), (1, 0))
+        with pytest.raises(ValueError):
+            lattice_key((0, 0))
 
     def test_total_order_on_window(self):
         # agreement with the position in a sorted list proves trichotomy and
@@ -122,9 +126,17 @@ class TestLatticeCompare:
             for b in WINDOW:
                 assert lattice_compare(a, b) == oracle_compare(a, b)
 
+    def test_key_sorts_like_oracle(self):
+        assert sorted(WINDOW, key=lattice_key) == sorted(WINDOW, key=cmp_to_key(oracle_compare))
+
 
 def param_oracle(a, b):
-    # literal transcription of the three order rules, via mono_divides
+    # literal transcription of the order rules, via mono_divides; None is the
+    # neutral 1, with negatives < 1 < positives
+    if a is None or b is None:
+        sa = 0 if a is None else a.sign
+        sb = 0 if b is None else b.sign
+        return (sa > sb) - (sa < sb)
     if a.sign != b.sign:
         return LESS if a.sign < 0 else GREATER
     if a.exp == b.exp:
@@ -159,16 +171,22 @@ class TestParamCompare:
         with pytest.raises(ValueError):
             param_compare(SignedParam(Side.U, 1, (1, 0)), SignedParam(Side.V, 1, (1, 0)))
 
+    PARAMS = [
+        SignedParam(Side.U, s, e)
+        for s in (1, -1)
+        for e in REGION_WINDOW
+        if abs(e[0]) <= 2 and e[1] <= 2
+    ] + [None]
+
     def test_window_against_oracle(self):
-        params = [
-            SignedParam(Side.U, s, e)
-            for s in (1, -1)
-            for e in REGION_WINDOW
-            if abs(e[0]) <= 2 and e[1] <= 2
-        ]
-        for a in params:
-            for b in params:
+        for a in self.PARAMS:
+            for b in self.PARAMS:
                 assert param_compare(a, b) == param_oracle(a, b)
+
+    def test_key_sorts_like_oracle(self):
+        want = sorted(self.PARAMS, key=cmp_to_key(param_oracle))
+        assert sorted(self.PARAMS, key=param_key) == want
+        assert want.index(None) == len(want) // 2
 
     def test_divisibility_characterization(self):
         # positive params: a <=! b iff b divides a
