@@ -7,26 +7,27 @@ def solve(rows, rhs):
     """Solve the affine system over GF(2); rows are bitmasks of unknowns.
 
     Returns one solution as a bitmask (free variables zero), or None when
-    the system is inconsistent.
+    the system is inconsistent.  Each row is eliminated down to a new lowest
+    set bit, its pivot; the pivot set, and so the solution, is the one of
+    the reduced row echelon form.
     """
-    sys_rows = []  # (pivot_col, row, b) in reduced row echelon form
+    pivots = {}  # lowest set bit -> (row, b)
     for r, b in zip(rows, rhs):
-        for pc, pr, pb in sys_rows:
-            if (r >> pc) & 1:
-                r ^= pr
-                b ^= pb
-        if r:
+        while r:
             pc = (r & -r).bit_length() - 1
-            sys_rows = [
-                (c2, r2 ^ r, b2 ^ b) if (r2 >> pc) & 1 else (c2, r2, b2)
-                for (c2, r2, b2) in sys_rows
-            ]
-            sys_rows.append((pc, r, b))
-        elif b:
-            return None
+            if pc not in pivots:
+                pivots[pc] = (r, b)
+                break
+            pr, pb = pivots[pc]
+            r ^= pr
+            b ^= pb
+        else:
+            if b:
+                return None
     sol = 0
-    for pc, _r, b in sys_rows:
-        if b:
+    for pc in sorted(pivots, reverse=True):
+        r, b = pivots[pc]
+        if (b ^ (r & sol).bit_count()) & 1:
             sol |= 1 << pc
     return sol
 

@@ -66,17 +66,27 @@ def _records(obj, key):
     return recs
 
 
-def _grading(rec, name):
+def _brief(value):
+    """``repr(value)`` cut to 80 characters, so an error stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _grading(rec, pos):
     gr = rec.get("gr")
     if not _int_pair(gr):
-        raise DocumentError("generator %r needs an integer grading pair" % name)
+        raise DocumentError(
+            "generators[%d] (%s) needs an integer grading pair" % (pos, _brief(rec.get("name")))
+        )
     return tuple(gr)
 
 
-def _endpoint(rec, key, index):
+def _endpoint(rec, key, index, pos):
     name = rec.get(key)
     if not isinstance(name, str) or name not in index:
-        raise DocumentError("differential references unknown generator %r" % (name,))
+        raise DocumentError(
+            "differential[%d] references unknown generator %s" % (pos, _brief(name))
+        )
     return index[name]
 
 
@@ -102,25 +112,28 @@ def document_to_complex(doc):
         raise DocumentError("dY must be an integer")
     gens = []
     index = {}
-    for rec in _records(doc, "generators"):
+    for pos, rec in enumerate(_records(doc, "generators")):
         name = rec.get("name")
         if not isinstance(name, str) or not name:
             raise DocumentError("every generator needs a name")
         if name in index:
-            raise DocumentError("duplicate generator name %r" % name)
+            raise DocumentError("generators[%d] repeats the name %s" % (pos, _brief(name)))
         index[name] = len(gens)
-        gens.append((name, _grading(rec, name)))
+        gens.append((name, _grading(rec, pos)))
     diff = {}
-    for rec in _records(doc, "differential"):
-        i = _endpoint(rec, "from", index)
-        j = _endpoint(rec, "to", index)
+    for pos, rec in enumerate(_records(doc, "differential")):
+        i = _endpoint(rec, "from", index, pos)
+        j = _endpoint(rec, "to", index, pos)
         coeff = _records(rec, "coeff")
         if base == "FUV":
             exps = set()
-            for m in coeff:
+            for c, m in enumerate(coeff):
                 a, b = m.get("U"), m.get("V")
                 if not _is_int(a) or not _is_int(b) or a < 0 or b < 0:
-                    raise DocumentError("bad FUV monomial record %r" % m)
+                    raise DocumentError(
+                        "bad FUV monomial record differential[%d].coeff[%d]: %s"
+                        % (pos, c, _brief(m))
+                    )
                 exps.symmetric_difference_update([(a, b)])
             if exps:
                 diff[(i, j)] = frozenset(exps)
@@ -128,17 +141,16 @@ def document_to_complex(doc):
             scalar = 0
             u = set()
             v = set()
-            for m in coeff:
+            for c, m in enumerate(coeff):
                 part = m.get("part")
                 if part == "K":
                     scalar ^= 1
-                elif part in ("U", "V"):
-                    e = m.get("e")
-                    if not _int_pair(e):
-                        raise DocumentError("bad monomial record %r" % m)
-                    (u if part == "U" else v).symmetric_difference_update([tuple(e)])
+                elif part in ("U", "V") and _int_pair(m.get("e")):
+                    (u if part == "U" else v).symmetric_difference_update([tuple(m["e"])])
                 else:
-                    raise DocumentError("bad monomial record %r" % m)
+                    raise DocumentError(
+                        "bad monomial record differential[%d].coeff[%d]: %s" % (pos, c, _brief(m))
+                    )
             e = RingElem(scalar, frozenset(u), frozenset(v))
             if e:
                 diff[(i, j)] = e
@@ -165,7 +177,7 @@ def document_to_spec(doc):
         sign = rec.get("sign")
         e = rec.get("e")
         if not _is_int(sign) or sign not in (1, -1) or not _int_pair(e):
-            raise DocumentError("bad parameter record %r" % rec)
+            raise DocumentError("bad parameter record params[%d]: %s" % (k - 1, _brief(rec)))
         side = Side.U if k % 2 else Side.V
         params.append(SignedParam(side, sign, tuple(e)))
     try:

@@ -6,10 +6,21 @@ entry in its forced bigrading, the equations match the chain-map identities
 coefficient by coefficient, and locality contributes one inhomogeneous
 equation (the image of the distinguished generator must hit the target's
 tower generator with coefficient 1).  The canonical representative of a
-knotlike complex is then extracted greedily, one parameter at a time, trying
-candidates drawn from the extant coefficients in descending order.  At odd
-steps the neutral element 1, which sorts between the positive and the
-negative candidates, stands for stopping.
+knotlike complex is then extracted greedily, one parameter at a time: each
+step lists the candidates drawn from the extant coefficients in descending
+order and keeps the greatest that admits a map.  At odd steps the neutral
+element 1, which sorts between the positive and the negative candidates,
+stands for stopping.
+
+Along each step's descending list feasibility is monotone: infeasible
+candidates first, then feasible ones, as the lexicographic order of standard
+complexes (Dai-Hom-Stoffregen-Truong, arXiv:1902.03333) suggests, since a
+smaller parameter gives a lower prefix.  The search therefore bisects the
+list for the first feasible index.  The tests check this monotonicity on a
+fixed corpus; correctness does not rest on it: a non-monotone step could
+only return a smaller feasible parameter, and the backward map and the two
+certificate checks then fail with VerificationError instead of returning a
+wrong spec.
 """
 
 from __future__ import annotations
@@ -349,12 +360,20 @@ def _descending(side, exps, stop):
 def standardize(C, trace=None):
     """The unique standard-complex representative, with certificates both ways.
 
-    The input must be reduced, knotlike and normalized.  Each step tries its
-    candidates in descending <! order and keeps the first that admits a map:
-    a parameter p needs a short local map from the prefix extended by p; at
-    odd steps the neutral 1, ordered between the positive and the negative
-    parameters, stops the search and needs a full local map from the prefix.
-    That full map is the forward certificate.
+    The input must be reduced, knotlike and normalized.  Each step lists its
+    candidates in descending <! order and keeps the greatest that admits a
+    map: a parameter p needs a short local map from the prefix extended by
+    p; at odd steps the neutral 1, ordered between the positive and the
+    negative parameters, stops the search and needs a full local map from
+    the prefix.  That full map is the forward certificate.
+
+    Feasibility along the list is monotone (see the module docstring), so
+    each step bisects the list for its first feasible index and keeps that
+    probe's map.  The backward certificate and both certificate checks
+    guard the result: a step that broke monotonicity raises
+    VerificationError rather than return a wrong spec.  ``trace``, when
+    given, receives one ``(step, parameter or None, feasible)`` tuple per
+    probe, in probe order.
     """
     bad = validate(C)
     if bad:
@@ -369,21 +388,29 @@ def standardize(C, trace=None):
         if k > guard + 1:
             raise VerificationError("standardization exceeded the splitting bound")
         side = Side.U if k % 2 else Side.V
-        for p in _descending(side, ext.for_side(side), stop=k % 2 == 1):
+        cands = _descending(side, ext.for_side(side), stop=k % 2 == 1)
+        # bisect for the first feasible index; fwd is the certificate there
+        lo, hi, fwd = 0, len(cands), None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            p = cands[mid]
             if p is None:
                 spec, kind = make_spec(C.ring, params), "full"
             else:
                 spec, kind = make_spec(C.ring, params + [p]), "short"
-            fwd = _map_into(spec, C, w_tgt, tgr, kind, "complex")
+            cert = _map_into(spec, C, w_tgt, tgr, kind, "complex")
             if trace is not None:
-                trace.append((k, p, fwd is not None))
-            if fwd is not None:
-                break
-        else:
+                trace.append((k, p, cert is not None))
+            if cert is None:
+                lo = mid + 1
+            else:
+                hi, fwd = mid, cert
+        if fwd is None:
             raise VerificationError("no feasible parameter at step %d" % k)
-        if p is None:
+        if cands[lo] is None:
+            spec = make_spec(C.ring, params)
             break
-        params.append(p)
+        params.append(cands[lo])
     std = realize(spec)
     # a realized standard complex has its tower at x_0
     back_shift = std.gr(0)[1] - tgr[1]

@@ -31,6 +31,11 @@ def _set(path, value):
     return mutate
 
 
+def _long_duplicate_name(doc):
+    for rec in doc["generators"][:2]:
+        rec["name"] = "x" * 200000
+
+
 # malformed S-base documents (mutations of the base-changed Zhou n = 2 complex)
 BAD_DOCUMENTS = [
     _set(("generators",), {"x0": [0, 0]}),
@@ -249,6 +254,35 @@ class TestCli:
             code, out, err = invoke(capsys, command, str(path))
             assert code == 1 and not out
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "base, mutate",
+        [
+            ("S", _set(("differential", 0, "coeff", 0), {"part": "U", "e": [0] * 200000})),
+            ("FUV", _set(("differential", 0, "coeff", 0), {"U": [0] * 200000, "V": 0})),
+            ("S", _set(("differential", 0, "to"), "y" * 200000)),
+            ("S", _set(("generators", 0), {"name": "x" * 200000, "gr": None})),
+            ("S", _long_duplicate_name),
+        ],
+        ids=["monomial", "fuv-monomial", "endpoint", "grading", "duplicate-name"],
+    )
+    def test_oversized_record_error(self, capsys, tmp_path, base, mutate):
+        # an error names the record by position and truncates its value
+        C = example_zhou(3)
+        doc = complex_to_document(base_change(C) if base == "S" else C)
+        mutate(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke(capsys, "standardize", str(path))
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    def test_oversized_parameter_error(self):
+        doc = {"ring": "X", "params": [{"sign": -1, "e": [1, 1]}, {"sign": 1, "e": [0] * 200000}]}
+        with pytest.raises(DocumentError, match=r"params\[1\]") as info:
+            document_to_spec(doc)
+        assert len(str(info.value)) < 300
 
     def test_invariants_human_table(self, capsys):
         code, out, _ = invoke(capsys, "invariants", "C(0)")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +22,6 @@ from gridring import (
     is_locally_equivalent,
     lex_compare,
     order_compare_complexes,
-    param_compare,
     parse_spec,
     promote_spec,
     realize,
@@ -30,19 +30,46 @@ from gridring import (
     standardize,
     tensor,
 )
-from gridring.localeq import VerificationError, _tower_data
+from gridring.complexes import normalize
+from gridring.localeq import VerificationError, _descending, _map_into, _tower_data
 from gridring.standard import make_spec
 
-from conftest import random_spec
+from conftest import acyclic_pair, direct_sum, random_spec, scramble
 
 
 def _search_input(which):
     """A reduced, normalized complex whose standardization takes several steps."""
-    from gridring.complexes import normalize
-
     if which == "cable":
         return normalize(reduce(base_change(example_cable())))
     return base_change(example_zhou(3))
+
+
+def _linear_scan(C):
+    """The greedy extraction by exhaustive trial, as the reference for the bisection.
+
+    Returns the extracted spec and, per step, (k, descending candidates,
+    feasibility of each); a step accepts its first feasible candidate.
+    """
+    ext = extant_coefficients(C)
+    w, _mask, tgr = _tower_data(C)
+    params = []
+    steps = []
+    for k in range(1, 2 * C.n_gens() + 2):
+        side = Side.U if k % 2 else Side.V
+        cands = _descending(side, ext.for_side(side), stop=k % 2 == 1)
+        pattern = []
+        for p in cands:
+            if p is None:
+                spec, kind = make_spec(C.ring, params), "full"
+            else:
+                spec, kind = make_spec(C.ring, params + [p]), "short"
+            pattern.append(_map_into(spec, C, w, tgr, kind, "complex") is not None)
+        steps.append((k, cands, pattern))
+        p = cands[pattern.index(True)]
+        if p is None:
+            return make_spec(C.ring, params), steps
+        params.append(p)
+    raise AssertionError("no stop within the splitting bound")
 
 
 class TestExtant:
@@ -102,7 +129,6 @@ class TestFindLocalMap:
         # the checker drops the same chain condition as the solver: (n, U)
         # after an even prefix of n parameters, (n, V) after an odd one
         from dataclasses import replace
-        from gridring.complexes import normalize
 
         target = normalize(reduce(base_change(example_cable())))
         cable = parse_spec("C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])")
@@ -180,26 +206,45 @@ class TestStandardize:
             N = standard_representative(tensor(C, dual(C)))[0]
             assert N == parse_spec("C(0)")
 
-    def test_trace_is_descending_until_success(self):
-        for which in ("cable", "zhou3"):
-            trace = []
-            standardize(_search_input(which), trace=trace)
-            by_step = {}
-            for k, p, ok in trace:
-                by_step.setdefault(k, []).append((p, ok))
-            for k, trials in by_step.items():
-                # at most one success, and only as the last trial of the step
-                oks = [ok for _p, ok in trials]
-                assert oks.count(True) <= 1
-                if True in oks:
-                    assert oks[-1] is True
-                # the neutral 1 (None) is tried in its <! place, at odd steps only
-                params = [p for p, _ok in trials]
-                assert None not in params or k % 2 == 1
-                for a, b in zip(params, params[1:]):
-                    assert param_compare(a, b) == GREATER
-            # the search ends on the first feasible stop
-            assert trace[-1][1:] == (None, True)
+    @pytest.mark.parametrize("which", ["cable", "zhou3"])
+    def test_bisection_accepts_greatest_feasible(self, which):
+        C = _search_input(which)
+        trace = []
+        spec = standardize(C, trace=trace)[0]
+        want, steps = _linear_scan(C)
+        assert spec == want
+        by_step = {}
+        for k, p, ok in trace:
+            by_step.setdefault(k, []).append((p, ok))
+        assert sorted(by_step) == [k for k, _cands, _pattern in steps]
+        for k, cands, pattern in steps:
+            accepted = spec.params[k - 1] if k <= len(spec.params) else None
+            # the accepted parameter (or the neutral 1) is the <!-greatest
+            # feasible candidate of the exhaustive pattern
+            assert accepted == cands[pattern.index(True)]
+            trials = by_step[k]
+            assert len(trials) <= math.ceil(math.log2(len(cands))) + 1
+            assert None not in [p for p, _ok in trials] or k % 2 == 1
+            for p, ok in trials:
+                assert ok == pattern[cands.index(p)]
+
+    def test_feasibility_is_monotone(self, pool):
+        # the bisection relies on feasibility along each step's descending
+        # list reading 0*1*; check it exhaustively on a fixed corpus
+        rng = random.Random(53)
+        corpus = [_search_input("cable"), _search_input("zhou3")]
+        for _ in range(10):
+            C = tensor(realize(rng.choice(pool)), realize(rng.choice(pool)))
+            C = direct_sum(C, acyclic_pair(RingId.X, (2 * rng.randint(-1, 1), 0)))
+            corpus.append(normalize(reduce(scramble(C, rng, n_ops=12))))
+        n_steps = 0
+        for C in corpus:
+            want, steps = _linear_scan(C)
+            for _k, _cands, pattern in steps:
+                assert pattern == sorted(pattern)
+            assert standardize(C)[0] == want
+            n_steps += len(steps)
+        assert n_steps > 3 * len(corpus)
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_one_solve_per_trial_plus_backward(self, which, monkeypatch):
@@ -267,6 +312,28 @@ class TestStandardize:
             check_certificate(X, realize(spec), back, src_mask=mask, check_left=True)
             == []
         )
+
+
+@pytest.mark.slow
+class TestKnownAnswersAtScale:
+    # products with a known standard representative, at sizes where the
+    # search runs dozens of steps over systems of thousands of unknowns
+    CABLE = parse_spec("C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])")
+
+    def test_cable_cubed(self):
+        cable = reduce(base_change(example_cable()))
+        C = tensor(tensor(cable, cable), cable)
+        assert C.n_gens() == 125
+        spec = standard_representative(C)[0]
+        assert spec == make_spec(RingId.X, list(self.CABLE.params) * 3)
+
+    def test_zhou_cancels_around_cable_squared(self):
+        cable = reduce(base_change(example_cable()))
+        z3 = base_change(example_zhou(3))
+        C = tensor(tensor(tensor(z3, cable), cable), dual(z3))
+        assert C.n_gens() == 225
+        spec = standard_representative(C)[0]
+        assert spec == make_spec(RingId.X, list(self.CABLE.params) * 2)
 
 
 class TestOrderPredicates:
