@@ -12,7 +12,7 @@ import json
 
 from .complexes import FreeComplex, FUVComplex
 from .ring import RingElem, RingId, Side, SignedParam
-from .standard import make_spec
+from .standard import _brief, make_spec
 
 SCHEMA_VERSION = 1
 
@@ -64,12 +64,6 @@ def _records(obj, key):
     if not isinstance(recs, list) or not all(isinstance(r, dict) for r in recs):
         raise DocumentError("%s must be a list of objects" % key)
     return recs
-
-
-def _brief(value):
-    """``repr(value)`` cut to 80 characters, so an error stays one short line."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _grading(rec, pos):

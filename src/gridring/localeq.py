@@ -42,7 +42,6 @@ from .complexes import (
     validate,
 )
 from .ring import (
-    MONO_ONE,
     Monomial,
     Side,
     SignedParam,
@@ -151,89 +150,90 @@ def _extant(C, pb_u, pb_v):
     return ExtantSet(sides[Side.U], sides[Side.V])
 
 
+def _side_edges(C, reverse=False):
+    """Per side, each generator's (other end, side exponent) pairs.
+
+    The pairs follow the differential's arrows out of each generator, or
+    into it when ``reverse`` is set; an arrow with no part on a side is
+    absent from that side's lists.
+    """
+    table = {side: [[] for _ in range(C.n_gens())] for side in (Side.U, Side.V)}
+    for (a, b), e in C.diff.items():
+        if reverse:
+            a, b = b, a
+        for side, lists in table.items():
+            exp = _side_exp(e, side)
+            if exp is not None:
+                lists[a].append((b, exp))
+    return table
+
+
 def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     """Solve for a gr1-preserving chain map; returns a matrix dict or None.
 
-    ``skip`` omits one (generator, side) chain condition (short maps).
-    ``src_mask``/``tgt_w`` encode the locality constraint: the image of the
-    source tower element must carry the target tower with coefficient 1.
+    The unknowns are numbered row-major: source generator, then target
+    generator, then the monomials of the entry's bigrading in
+    ``grading_basis`` order.  Each unknown f[i,j]·m adds its two chain-map
+    terms in one pass: f[i,j]·d_tgt[j,k] to the (i, side, k) equation and
+    d_src[i0,i]·f[i,j] to the (i0, side, j) equation, one equation per
+    coefficient exponent.  ``skip`` omits one (generator, side) chain
+    condition (short maps).  ``src_mask``/``tgt_w`` encode the locality
+    constraint: the image of the source tower element must carry the target
+    tower with coefficient 1.  The returned map is the free-variables-zero
+    solution, so this numbering fixes the certificates the CLI prints.
     """
-    ring = src.ring
-    ns, nt = src.n_gens(), tgt.n_gens()
-    slots = {}
-    index = {}
-    nbits = 0
-    for i in range(ns):
-        gi = src.gr(i)
-        for j in range(nt):
-            gj = tgt.gr(j)
-            basis = grading_basis(ring, (gi[0] - gj[0], gi[1] + gr2shift - gj[1]))
-            if basis:
-                slots[(i, j)] = basis
-                for m in basis:
-                    index[(i, j, m)] = nbits
-                    nbits += 1
-    tgt_from = {}
-    for (j, k), e in tgt.diff.items():
-        tgt_from.setdefault(j, []).append((k, e))
-    src_from = {}
-    for (i, i2), e in src.diff.items():
-        src_from.setdefault(i, []).append((i2, e))
+    tgt_out = _side_edges(tgt)
+    src_in = _side_edges(src, reverse=True)
+    tgt_grs = [tgt.gr(j) for j in range(tgt.n_gens())]
+    bases = {}
+    slots = {}  # (i, j) -> [(bit, monomial)]
     rows = {}
-
-    def touch(key, bit):
-        rows[key] = rows.get(key, 0) ^ (1 << bit)
-
-    for i in range(ns):
-        for side in (Side.U, Side.V):
-            if skip == (i, side):
-                continue
-            for j in range(nt):
-                for m in slots.get((i, j), ()):
-                    if m.side is not Side.ONE and m.side is not side:
-                        continue
-                    bit = index[(i, j, m)]
-                    for (k, e) in tgt_from.get(j, ()):
-                        dm = _side_exp(e, side)
-                        if dm is None:
-                            continue
-                        pexp = dm if m.side is Side.ONE else (m.exp[0] + dm[0], m.exp[1] + dm[1])
-                        touch((i, side.value, k, pexp), bit)
-            for (i2, e) in src_from.get(i, ()):
-                mu = _side_exp(e, side)
-                if mu is None:
-                    continue
-                for j in range(nt):
-                    for m in slots.get((i2, j), ()):
-                        if m.side is not Side.ONE and m.side is not side:
-                            continue
-                        pexp = mu if m.side is Side.ONE else (mu[0] + m.exp[0], mu[1] + m.exp[1])
-                        touch((i, side.value, j, pexp), index[(i2, j, m)])
-    eqs = [mask for _key, mask in sorted(rows.items())]
-    rhs = [0] * len(eqs)
     loc = 0
-    for g in range(ns):
-        if not (src_mask >> g) & 1:
-            continue
-        for h in range(nt):
-            if not (tgt_w >> h) & 1:
+    nbits = 0
+    for i in range(src.n_gens()):
+        g1, g2 = src.gr(i)
+        g2 += gr2shift
+        for j, (h1, h2) in enumerate(tgt_grs):
+            gr = (g1 - h1, g2 - h2)
+            basis = bases.get(gr)
+            if basis is None:
+                basis = bases[gr] = grading_basis(src.ring, gr)
+            if not basis:
                 continue
-            key = (g, h, MONO_ONE)
-            if key in index:
-                loc ^= 1 << index[key]
-    eqs.append(loc)
-    rhs.append(1)
-    sol = _gf2.solve(eqs, rhs)
+            slot = slots[(i, j)] = []
+            for m in basis:
+                mask = 1 << nbits
+                slot.append((nbits, m))
+                nbits += 1
+                if m.side is Side.ONE:
+                    sides = (Side.U, Side.V)
+                    if (src_mask >> i) & (tgt_w >> j) & 1:
+                        loc ^= mask
+                else:
+                    sides = (m.side,)
+                a, b = m.exp
+                for side in sides:
+                    sv = side.value
+                    if skip != (i, side):
+                        for k, (c, d) in tgt_out[side][j]:
+                            key = (i, sv, k, (a + c, b + d))
+                            rows[key] = rows.get(key, 0) ^ mask
+                    for i0, (c, d) in src_in[side][i]:
+                        if skip != (i0, side):
+                            key = (i0, sv, j, (c + a, d + b))
+                            rows[key] = rows.get(key, 0) ^ mask
+    eqs = [mask for _key, mask in sorted(rows.items())]
+    sol = _gf2.solve(eqs + [loc], [0] * len(eqs) + [1])
     if sol is None:
         return None
     matrix = {}
-    for (i, j), basis in slots.items():
+    for ij, slot in slots.items():
         e = ZERO
-        for m in basis:
-            if (sol >> index[(i, j, m)]) & 1:
+        for bit, m in slot:
+            if (sol >> bit) & 1:
                 e = e + elem_from_mono(m)
         if e:
-            matrix[(i, j)] = e
+            matrix[ij] = e
     return matrix
 
 
@@ -320,7 +320,7 @@ def check_certificate(src, tgt, cert, src_mask=None, check_left=False):
     except (NotKnotlikeError, ValueError) as exc:
         out.append("target tower not available: %s" % exc)
         return out
-    if _tower_coefficient(cert.matrix, src, tgt, src_mask, w) != 1:
+    if _tower_coefficient(cert.matrix, src_mask, w) != 1:
         out.append("image of the source tower misses the target tower")
     if check_left and cert.kind == "full":
         try:
@@ -329,23 +329,18 @@ def check_certificate(src, tgt, cert, src_mask=None, check_left=False):
         except (NotKnotlikeError, ValueError) as exc:
             out.append("U-side tower not available: %s" % exc)
             return out
-        if _tower_coefficient(cert.matrix, src, tgt, src_u_mask, w_u) != 1:
+        if _tower_coefficient(cert.matrix, src_u_mask, w_u) != 1:
             out.append("image of the source U-tower misses the target U-tower")
     return out
 
 
-def _tower_coefficient(matrix, src, tgt, src_mask, w):
-    img = 0
-    for h in range(tgt.n_gens()):
-        bit = 0
-        for g in range(src.n_gens()):
-            if (src_mask >> g) & 1:
-                e = matrix.get((g, h))
-                if e is not None and e.scalar:
-                    bit ^= 1
-        if bit:
-            img |= 1 << h
-    return bin(img & w).count("1") & 1
+def _tower_coefficient(matrix, src_mask, w):
+    """Coefficient of the tower ``w`` in the image of the element ``src_mask``."""
+    bit = 0
+    for (g, h), e in matrix.items():
+        if e.scalar and (src_mask >> g) & (w >> h) & 1:
+            bit ^= 1
+    return bit
 
 
 def _descending(side, exps, stop):

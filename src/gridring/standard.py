@@ -49,6 +49,12 @@ class SemistandardSpec:
         return format_spec(self)
 
 
+def _brief(value):
+    """``repr(value)`` cut to 80 characters, so an error stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _expected_side(k):
     """Side of the parameter at 1-based position k."""
     return Side.U if k % 2 else Side.V
@@ -70,7 +76,9 @@ def validate_spec(spec):
                 "parameter %d must lie on side %s" % (k, _expected_side(k).value)
             )
         if not param_ok(spec.ring, p):
-            raise ValueError("parameter %d is invalid in ring %s: %r" % (k, spec.ring.value, p))
+            raise ValueError(
+                "parameter %d is invalid in ring %s: %s" % (k, spec.ring.value, _brief(p))
+            )
 
 
 def make_spec(ring, params):
@@ -225,25 +233,31 @@ def parse_spec(text, ring=RingId.X):
     """Parse the C(...) text form, e.g. ``C(-U[2,1], +V[2,1])``."""
     text = text.strip()
     if not (text.startswith("C(") and text.endswith(")")):
-        raise ValueError("spec must look like C(...): %r" % text)
+        raise ValueError("spec must look like C(...): %s" % _brief(text))
     inner = text[2:-1].strip()
     if inner in ("", "0"):
         return StandardSpec(ring, ())
-    # exponents contain commas: re-join split pieces until brackets balance
-    joined = []
-    buf = ""
+    # exponents contain commas: re-join split pieces until brackets balance;
+    # an empty piece with nothing before it is dropped
+    joined, buf, depth = [], [], 0
     for piece in inner.split(","):
-        buf = piece if not buf else buf + "," + piece
-        if buf.count("[") == buf.count("]") and buf.strip():
-            joined.append(buf)
-            buf = ""
-    if buf:
-        raise ValueError("unbalanced brackets in spec: %r" % text)
+        if buf == [""]:
+            buf = []
+        buf.append(piece)
+        depth += piece.count("[") - piece.count("]")
+        if depth == 0 and (len(buf) > 1 or piece.strip()):
+            joined.append(",".join(buf))
+            buf = []
+    if buf and buf != [""]:
+        raise ValueError(
+            "unbalanced brackets in spec parameter %d: %s"
+            % (len(joined) + 1, _brief(",".join(buf)))
+        )
     out = []
-    for tok in joined:
+    for k, tok in enumerate(joined, start=1):
         m = _PARAM_RE.match(tok)
         if not m:
-            raise ValueError("bad parameter %r in spec" % tok)
+            raise ValueError("bad spec parameter %d: %s" % (k, _brief(tok)))
         sign = 1 if m.group(1) == "+" else -1
         side = Side.U if m.group(2) == "U" else Side.V
         out.append(SignedParam(side, sign, (int(m.group(3)), int(m.group(4)))))

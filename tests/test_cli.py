@@ -1,13 +1,24 @@
 import contextlib
+import copy
 import io
 import json
 import os
+import pathlib
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridring import base_change, example_cable, example_zhou, parse_spec, validate, validate_fuv
+from gridring import (
+    base_change,
+    example_cable,
+    example_zhou,
+    parse_spec,
+    reduce,
+    tensor,
+    validate,
+    validate_fuv,
+)
 from gridring.cli import run
 from gridring.io_json import (
     DocumentError,
@@ -284,10 +295,49 @@ class TestCli:
             document_to_spec(doc)
         assert len(str(info.value)) < 300
 
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "C(-U[1,1], +V[1,1%s])" % (",1" * 50000),
+            "C(-U[1,1%s, +V[1,1])" % (",1" * 50000),
+            "C(%s)" % ("x" * 100000),
+            "C(%s" % ("x" * 100000),
+            "C(-U[1,-%s], +V[1,1])" % ("9" * 4000),
+        ],
+        ids=["parameter", "brackets", "token", "shape", "invalid"],
+    )
+    def test_oversized_spec_literal_error(self, capsys, literal):
+        code, out, err = invoke(capsys, "invariants", literal)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
     def test_invariants_human_table(self, capsys):
         code, out, _ = invoke(capsys, "invariants", "C(0)")
         assert code == 0
         assert "tau" in out and "unknotting" in out
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# the full --json standardize output, certificate matrices included, is part
+# of the output contract; tests/data holds it for three inputs
+GOLDEN_DOCUMENTS = {
+    "zhou3": complex_to_document(example_zhou(3)),
+    "cable": complex_to_document(example_cable()),
+    "cable_zhou3": complex_to_document(
+        tensor(reduce(base_change(example_cable())), base_change(example_zhou(3)))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_standardize_json_known_answer(capsys, tmp_path, name):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(GOLDEN_DOCUMENTS[name]), encoding="utf-8")
+    code, out, err = invoke(capsys, "--json", "standardize", str(path))
+    assert code == 0, err
+    assert out == (DATA / ("standardize_%s.json" % name)).read_text(encoding="utf-8")
 
 
 FUZZ_DOCUMENTS = [
@@ -333,7 +383,9 @@ class TestExitCodeFuzz:
             if data.draw(st.booleans()):
                 del obj[key]
             else:
-                obj[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+                # a copy: a shared value mutated later would change FUZZ_VALUES
+                # or nest a list inside itself
+                obj[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "doc.json")
             with open(path, "w", encoding="utf-8") as fh:
