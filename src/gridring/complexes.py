@@ -8,6 +8,7 @@ F2[U,V] appear only as inputs to the base change into ring X.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from . import _gf2
@@ -185,55 +186,58 @@ def base_change(C):
 def reduce(C):
     """Cancel scalar entries until the differential lies in the maximal ideals.
 
-    Deterministic: the row-major first unit entry is cancelled each round.
-    The result is homotopy equivalent to the input.
+    Deterministic: each round cancels the row-major first unit entry of the
+    current complex.  The result is homotopy equivalent to the input.
+
+    Generators keep their input numbers until the end: a cancelled pair
+    leaves the differential and the row and column indexes, and the
+    survivors are renumbered once, in order.  Since that renumbering keeps
+    order, the row-major first unit entry is the least input position
+    ``(row, col)`` holding a unit, which a min-heap of unit positions yields;
+    a popped position that no longer holds a unit is stale and skipped.
+    Entries keep the order in which the differential gained them.
     """
-    gens = list(C.generators)
+    n = C.n_gens()
     diff = dict(C.diff)
-    while True:
-        pivot = None
-        n = len(gens)
-        for p in range(n):
-            for q in range(n):
-                e = diff.get((p, q))
-                if e is not None and e.scalar:
-                    pivot = (p, q)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        p, q = pivot
-        e = diff[(p, q)]
+    rows = [{} for _ in range(n)]  # rows[i][j] and cols[j][i] mirror diff
+    cols = [{} for _ in range(n)]
+    for (i, j), e in diff.items():
+        rows[i][j] = cols[j][i] = e
+    heap = [key for key, e in diff.items() if e.scalar]
+    heapq.heapify(heap)
+    alive = [True] * n
+    while heap:
+        p, q = heapq.heappop(heap)
+        e = diff.get((p, q))
+        if e is None or not e.scalar:
+            continue
         if e.u or e.v:
             raise ValueError("unit entry is not homogeneous; validate the complex first")
-        col_q = {i: e2 for (i, j), e2 in diff.items() if j == q and i != p}
-        row_p = {j: e2 for (i, j), e2 in diff.items() if i == p and j != q}
-        keep = [i for i in range(n) if i not in (p, q)]
-        remap = {old: new for new, old in enumerate(keep)}
-        newdiff = {}
-        for (i, j), e2 in diff.items():
-            if i in (p, q) or j in (p, q):
-                continue
-            newdiff[(remap[i], remap[j])] = e2
-        for i, ei in col_q.items():
-            if i == q:
-                continue
-            for j, ej in row_p.items():
-                if j == p:
+        col_q = [(i, ei) for i, ei in cols[q].items() if i not in (p, q)]
+        row_p = [(j, ej) for j, ej in rows[p].items() if j not in (p, q)]
+        for g in (p, q):
+            for j in rows[g]:
+                del diff[(g, j)], cols[j][g]
+            for i in cols[g]:
+                del diff[(i, g)], rows[i][g]
+            rows[g], cols[g], alive[g] = {}, {}, False
+        for i, ei in col_q:
+            for j, ej in row_p:
+                prod = elem_mul(ei, ej)
+                if not prod:
                     continue
-                p2 = elem_mul(ei, ej)
-                if not p2:
-                    continue
-                key = (remap[i], remap[j])
-                acc = newdiff.get(key, ZERO) + p2
+                key = (i, j)
+                acc = diff.get(key, ZERO) + prod
                 if acc:
-                    newdiff[key] = acc
-                else:
-                    newdiff.pop(key, None)
-        gens = [gens[i] for i in keep]
-        diff = newdiff
-    return FreeComplex(C.ring, tuple(gens), diff)
+                    diff[key] = rows[i][j] = cols[j][i] = acc
+                    if acc.scalar:
+                        heapq.heappush(heap, key)
+                elif key in diff:
+                    del diff[key], rows[i][j], cols[j][i]
+    keep = [i for i in range(n) if alive[i]]
+    renum = {old: new for new, old in enumerate(keep)}
+    gens = tuple(C.generators[i] for i in keep)
+    return FreeComplex(C.ring, gens, {(renum[i], renum[j]): e for (i, j), e in diff.items()})
 
 
 def _unique_names(names):
@@ -317,26 +321,64 @@ def _side_exp(e, side):
     return next(iter(part))
 
 
+def _neg_key(exp):
+    """The lattice key of ``exp`` with every component negated.
+
+    The keys of one band of ``lattice_key`` share one length and the bands
+    differ in their first component, so no key is a prefix of another and
+    negating the components exactly reverses the order.  The origin, which
+    has no key, gets ``(-5,)``: it is popped before every other exponent.
+    """
+    if exp == (0, 0):
+        return (-5,)
+    return tuple(-k for k in lattice_key(exp))
+
+
+def _add_row(row, coeff, src):
+    """row += coeff * src, for sparse rows ``{col: RingElem}``."""
+    for t, b in src.items():
+        acc = row.get(t, ZERO) + elem_mul(coeff, b)
+        if acc:
+            row[t] = acc
+        else:
+            row.pop(t, None)
+
+
 def paired_basis(C, side):
     """Change of basis putting the side-differential into paired form.
 
-    Pivots are chosen <!-greatest first; such a pivot divides every other
-    remaining entry, so all eliminations stay inside the ring and the
-    resulting torsion orders are canonical.
+    The pivot is the first <!-greatest entry in row-major order over the
+    unpaired rows and columns; such a pivot divides every other remaining
+    entry, so all eliminations stay inside the ring and the resulting
+    torsion orders are canonical.
+
+    The side-differential is held as sparse rows ``{col: exp}`` with a set
+    of rows per column, and every exponent written into a slot is pushed on
+    a min-heap as ``(negated lattice key, row, col)``.  The least entry is
+    then the <!-greatest exponent, first in row-major order among equal
+    ones, which is the pivot rule above; a popped entry is stale, and
+    skipped, once its row or column is paired or its slot no longer holds
+    that exponent.  The basis rows are sparse ``{col: RingElem}`` while the
+    pivots run and are returned dense.
     """
     if side not in (Side.U, Side.V):
         raise ValueError("side must be U or V")
     if not is_reduced(C):
         raise ValueError("paired_basis needs a reduced complex")
     m = C.n_gens()
-    D = [[None] * m for _ in range(m)]
+    rows = [{} for _ in range(m)]  # rows[i][j] = side exponent of entry (i, j)
+    cols = [set() for _ in range(m)]  # cols[j] = the rows with an entry in column j
+    heap = []
     for (i, j), e in C.diff.items():
         exp = _side_exp(e, side)
         if exp is not None:
-            D[i][j] = exp
-    basis = [[ONE_ELEM if i == j else ZERO for j in range(m)] for i in range(m)]
+            rows[i][j] = exp
+            cols[j].add(i)
+            heap.append((_neg_key(exp), i, j, exp))
+    heapq.heapify(heap)
+    basis = [{i: ONE_ELEM} for i in range(m)]
     grades = [C.gr(i) for i in range(m)]
-    active = list(range(m))  # ascending
+    paired = [False] * m
     pairs = []
 
     def sub(a, b):
@@ -346,71 +388,66 @@ def paired_basis(C, side):
         return d
 
     def toggle(i, j, exp):
-        if D[i][j] is None:
-            D[i][j] = exp
-        elif D[i][j] == exp:
-            D[i][j] = None
+        old = rows[i].get(j)
+        if old is None:
+            rows[i][j] = exp
+            cols[j].add(i)
+            heapq.heappush(heap, (_neg_key(exp), i, j, exp))
+        elif old == exp:
+            del rows[i][j]
+            cols[j].discard(i)
         else:
             raise ValueError("conflicting monomials in one matrix slot")
 
-    while True:
-        # The first <!-greatest entry in row-major order.
-        entries = [(p, q, D[p][q]) for p in active for q in active if D[p][q] is not None]
-        if not entries:
-            break
-        p, q, mu = max(entries, key=lambda t: lattice_key(t[2]))
-        lam = {r: sub(D[p][r], mu) for r in range(m) if D[p][r] is not None}
+    while heap:
+        _key, p, q, mu = heapq.heappop(heap)
+        if paired[p] or paired[q] or rows[p].get(q) != mu:
+            continue
+        if mu == (0, 0):
+            lattice_key(mu)  # raises: an entry at the origin cannot be ordered
+        lam = {r: sub(rows[p][r], mu) for r in sorted(rows[p])}
         # Replace basis element q by (1/mu) d_side(g_p).
-        newrow = [ZERO] * m
+        newrow = {}
         for r, lexp in lam.items():
-            coeff = elem_from_side_exp(side, lexp)
-            for t in range(m):
-                if basis[r][t]:
-                    newrow[t] = newrow[t] + elem_mul(coeff, basis[r][t])
+            _add_row(newrow, elem_from_side_exp(side, lexp), basis[r])
         basis[q] = newrow
         mg = mono_grading(Monomial(side, mu))
         grades[q] = (grades[p][0] - 1 - mg[0], grades[p][1] - 1 - mg[1])
-        for i in range(m):
-            if i == q:
-                continue
-            c = D[i][q]
-            if c is None:
-                continue
+        # rows and columns are visited in ascending order, as the dense scan
+        # did, so an invalid input meets the same error first
+        for i in sorted(cols[q] - {q}):
+            c = rows[i][q]
             for r, lexp in lam.items():
-                if r == q:
-                    continue
-                toggle(i, r, (c[0] + lexp[0], c[1] + lexp[1]))
-        D[q] = [None] * m
+                if r != q:
+                    toggle(i, r, (c[0] + lexp[0], c[1] + lexp[1]))
+        for j in rows[q]:
+            cols[j].discard(q)
+        rows[q] = {}
         # Clear the rest of column q by adding multiples of g_p.
-        for i in range(m):
-            if i == p or D[i][q] is None:
-                continue
-            lam2 = sub(D[i][q], mu)
-            coeff = elem_from_side_exp(side, lam2)
-            for t in range(m):
-                if basis[p][t]:
-                    basis[i][t] = basis[i][t] + elem_mul(coeff, basis[p][t])
-            D[i][q] = None
-            for k in range(m):
-                if D[k][i] is not None:
-                    toggle(k, p, (D[k][i][0] + lam2[0], D[k][i][1] + lam2[1]))
-        for k in range(m):
-            if D[k][p] is not None:
-                raise ValueError("column of a paired generator did not clear; d^2 != 0?")
+        for i in sorted(cols[q] - {p}):
+            lam2 = sub(rows[i].pop(q), mu)
+            cols[q].discard(i)
+            _add_row(basis[i], elem_from_side_exp(side, lam2), basis[p])
+            for k in sorted(cols[i]):
+                c = rows[k][i]
+                toggle(k, p, (c[0] + lam2[0], c[1] + lam2[1]))
+        if cols[p]:
+            raise ValueError("column of a paired generator did not clear; d^2 != 0?")
         pairs.append((p, q, Monomial(side, mu)))
-        active = [i for i in active if i not in (p, q)]
-    matrix = {}
-    for i in range(m):
-        for j in range(m):
-            if D[i][j] is not None:
-                matrix[(i, j)] = D[i][j]
+        paired[p] = paired[q] = True
+    dense = []
+    for row in basis:
+        full = [ZERO] * m
+        for t, e in row.items():
+            full[t] = e
+        dense.append(tuple(full))
     return PairedBasis(
         side=side,
-        basis=tuple(tuple(row) for row in basis),
+        basis=tuple(dense),
         gradings=tuple(grades),
-        matrix=matrix,
+        matrix={(i, j): rows[i][j] for i in range(m) for j in sorted(rows[i])},
         pairs=tuple(pairs),
-        unpaired=tuple(active),
+        unpaired=tuple(i for i in range(m) if not paired[i]),
     )
 
 

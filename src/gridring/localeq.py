@@ -168,7 +168,7 @@ def _side_edges(C, reverse=False):
     return table
 
 
-def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
+def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None, tgt_out=None):
     """Solve for a gr1-preserving chain map; returns a matrix dict or None.
 
     The unknowns are numbered row-major: source generator, then target
@@ -179,10 +179,13 @@ def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     coefficient exponent.  ``skip`` omits one (generator, side) chain
     condition (short maps).  ``src_mask``/``tgt_w`` encode the locality
     constraint: the image of the source tower element must carry the target
-    tower with coefficient 1.  The returned map is the free-variables-zero
-    solution, so this numbering fixes the certificates the CLI prints.
+    tower with coefficient 1.  ``tgt_out`` is ``_side_edges(tgt)``, built
+    here unless the caller keeps one for a target it solves into repeatedly.
+    The returned map is the free-variables-zero solution, so this numbering
+    fixes the certificates the CLI prints.
     """
-    tgt_out = _side_edges(tgt)
+    if tgt_out is None:
+        tgt_out = _side_edges(tgt)
     src_in = _side_edges(src, reverse=True)
     tgt_grs = [tgt.gr(j) for j in range(tgt.n_gens())]
     bases = {}
@@ -242,16 +245,16 @@ def _short_skip(n):
     return (n, Side.U if n % 2 == 0 else Side.V)
 
 
-def _map_into(spec, C, w, tgr, kind, label):
+def _map_into(spec, C, w, tgr, kind, label, tgt_out=None):
     """A (short) local map from a realized spec into C, as a certificate or None.
 
-    ``w`` and ``tgr`` are the functional mask and grading of C's tower; the
-    source tower is x_0.
+    ``w`` and ``tgr`` are the functional mask and grading of C's tower, and
+    ``tgt_out`` optionally C's ``_side_edges`` table; the source tower is x_0.
     """
     src = realize(spec)
     shift = tgr[1] - src.gr(0)[1]
     skip = _short_skip(len(spec.params)) if kind == "short" else None
-    matrix = _solve_map(src, C, shift, 1, w, skip=skip)
+    matrix = _solve_map(src, C, shift, 1, w, skip=skip, tgt_out=tgt_out)
     if matrix is None:
         return None
     return LocalMapCert(format_spec(spec), label, shift, matrix, kind)
@@ -376,6 +379,7 @@ def standardize(C, trace=None):
     pb_u, pb_v = _require_normalized(C, "complex")
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask, tgr = _tower(C, pb_v)
+    tgt_out = _side_edges(C)
     guard = 2 * C.n_gens()
     params = []
     while True:
@@ -393,7 +397,7 @@ def standardize(C, trace=None):
                 spec, kind = make_spec(C.ring, params), "full"
             else:
                 spec, kind = make_spec(C.ring, params + [p]), "short"
-            cert = _map_into(spec, C, w_tgt, tgr, kind, "complex")
+            cert = _map_into(spec, C, w_tgt, tgr, kind, "complex", tgt_out)
             if trace is not None:
                 trace.append((k, p, cert is not None))
             if cert is None:

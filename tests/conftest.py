@@ -7,8 +7,11 @@ from gridring import (
     RingId,
     Side,
     SignedParam,
+    dual,
     grading_basis,
     parse_spec,
+    realize,
+    tensor,
     validate,
 )
 from gridring.ring import ONE_ELEM, elem_from_mono, elem_mul, in_region
@@ -40,9 +43,11 @@ def pool():
     return [parse_spec(t) for t in POOL_TEXTS]
 
 
-def random_spec(rng, ring=RingId.X, max_pairs=1):
+def random_spec(rng, ring=RingId.X, max_pairs=1, n_pairs=None):
+    """A spec of up to ``max_pairs`` parameter pairs, or exactly ``n_pairs``."""
     window = WINDOW_X if ring is RingId.X else WINDOW_R
-    n_pairs = rng.randint(0, max_pairs)
+    if n_pairs is None:
+        n_pairs = rng.randint(0, max_pairs)
     params = []
     for k in range(1, 2 * n_pairs + 1):
         side = Side.U if k % 2 else Side.V
@@ -78,6 +83,14 @@ def direct_sum(C1, C2):
 def acyclic_pair(ring, gr):
     gens = (("p", gr), ("q", (gr[0] - 1, gr[1] - 1)))
     return FreeComplex(ring, gens, {(0, 1): ONE_ELEM})
+
+
+def pad(C, rng, n_pairs):
+    """Direct sum with acyclic pairs at gradings the complex already uses."""
+    for _ in range(n_pairs):
+        gr = C.gr(rng.randrange(C.n_gens()))
+        C = direct_sum(C, acyclic_pair(C.ring, gr))
+    return C
 
 
 def _accumulate(diff, key, term):
@@ -119,3 +132,24 @@ def scramble(C, rng, n_ops=8):
     out = FreeComplex(C.ring, tuple(C.generators), diff)
     assert validate(out) == []
     return out
+
+
+def shuffle_generators(C, rng):
+    """The same complex with its generators in a random order."""
+    perm = list(range(C.n_gens()))
+    rng.shuffle(perm)  # perm[new] = old
+    where = {old: new for new, old in enumerate(perm)}
+    gens = tuple(C.generators[old] for old in perm)
+    return FreeComplex(C.ring, gens, {(where[a], where[b]): e for (a, b), e in C.diff.items()})
+
+
+def wide_product(rng, s_pairs=2, t_pairs=3, pad_pairs=(20, 40)):
+    """``realize(s) ⊗ T ⊗ T∨`` padded with acyclic pairs and scrambled.
+
+    Returns ``(s, complex)``; the complex is locally equivalent to ``s``.
+    With the defaults it has 245 generators before padding.
+    """
+    s = random_spec(rng, n_pairs=s_pairs)
+    T = realize(random_spec(rng, n_pairs=t_pairs))
+    C = tensor(tensor(realize(s), T), dual(T))
+    return s, scramble(pad(C, rng, rng.randint(*pad_pairs)), rng, n_ops=C.n_gens())

@@ -23,7 +23,14 @@ from gridring import (
     validate,
     validate_fuv,
 )
-from gridring.complexes import NotKnotlikeError, basis_mod2, fuv_image, shift_gradings
+from gridring.complexes import (
+    NotKnotlikeError,
+    PairedBasis,
+    _side_exp,
+    basis_mod2,
+    fuv_image,
+    shift_gradings,
+)
 from gridring.ring import (
     EQUAL,
     GREATER,
@@ -33,15 +40,188 @@ from gridring.ring import (
     RingElem,
     ZERO,
     elem_from_mono,
+    elem_from_side_exp,
     elem_mul,
     elem_side_part,
+    in_region,
     lattice_compare,
+    lattice_key,
+    mono_grading,
     u_mono,
     v_mono,
 )
 from gridring import _gf2
 
-from conftest import acyclic_pair, direct_sum, random_spec, same_complex, scramble
+from conftest import (
+    acyclic_pair,
+    direct_sum,
+    pad,
+    random_spec,
+    same_complex,
+    scramble,
+    shuffle_generators,
+    wide_product,
+)
+
+
+def reference_reduce(C):
+    """Cancel scalar entries until the differential lies in the maximal ideals.
+
+    The dense ``reduce`` this package shipped before the heap-driven one:
+    it scans the whole matrix for each pivot and renumbers after every
+    cancellation.  The current ``reduce`` must return the same complex,
+    entry order included.
+
+    Deterministic: the row-major first unit entry is cancelled each round.
+    The result is homotopy equivalent to the input.
+    """
+    gens = list(C.generators)
+    diff = dict(C.diff)
+    while True:
+        pivot = None
+        n = len(gens)
+        for p in range(n):
+            for q in range(n):
+                e = diff.get((p, q))
+                if e is not None and e.scalar:
+                    pivot = (p, q)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        p, q = pivot
+        e = diff[(p, q)]
+        if e.u or e.v:
+            raise ValueError("unit entry is not homogeneous; validate the complex first")
+        col_q = {i: e2 for (i, j), e2 in diff.items() if j == q and i != p}
+        row_p = {j: e2 for (i, j), e2 in diff.items() if i == p and j != q}
+        keep = [i for i in range(n) if i not in (p, q)]
+        remap = {old: new for new, old in enumerate(keep)}
+        newdiff = {}
+        for (i, j), e2 in diff.items():
+            if i in (p, q) or j in (p, q):
+                continue
+            newdiff[(remap[i], remap[j])] = e2
+        for i, ei in col_q.items():
+            if i == q:
+                continue
+            for j, ej in row_p.items():
+                if j == p:
+                    continue
+                p2 = elem_mul(ei, ej)
+                if not p2:
+                    continue
+                key = (remap[i], remap[j])
+                acc = newdiff.get(key, ZERO) + p2
+                if acc:
+                    newdiff[key] = acc
+                else:
+                    newdiff.pop(key, None)
+        gens = [gens[i] for i in keep]
+        diff = newdiff
+    return FreeComplex(C.ring, tuple(gens), diff)
+
+
+def reference_paired_basis(C, side):
+    """Change of basis putting the side-differential into paired form.
+
+    The dense ``paired_basis`` this package shipped before the sparse one,
+    with an m x m scan per pivot; the current one must return the same
+    paired basis in every field.
+
+    Pivots are chosen <!-greatest first; such a pivot divides every other
+    remaining entry, so all eliminations stay inside the ring and the
+    resulting torsion orders are canonical.
+    """
+    if side not in (Side.U, Side.V):
+        raise ValueError("side must be U or V")
+    if not is_reduced(C):
+        raise ValueError("paired_basis needs a reduced complex")
+    m = C.n_gens()
+    D = [[None] * m for _ in range(m)]
+    for (i, j), e in C.diff.items():
+        exp = _side_exp(e, side)
+        if exp is not None:
+            D[i][j] = exp
+    basis = [[ONE_ELEM if i == j else ZERO for j in range(m)] for i in range(m)]
+    grades = [C.gr(i) for i in range(m)]
+    active = list(range(m))  # ascending
+    pairs = []
+
+    def sub(a, b):
+        d = (a[0] - b[0], a[1] - b[1])
+        if not in_region(d):
+            raise ValueError("pivot does not divide entry %s / %s" % (a, b))
+        return d
+
+    def toggle(i, j, exp):
+        if D[i][j] is None:
+            D[i][j] = exp
+        elif D[i][j] == exp:
+            D[i][j] = None
+        else:
+            raise ValueError("conflicting monomials in one matrix slot")
+
+    while True:
+        # The first <!-greatest entry in row-major order.
+        entries = [(p, q, D[p][q]) for p in active for q in active if D[p][q] is not None]
+        if not entries:
+            break
+        p, q, mu = max(entries, key=lambda t: lattice_key(t[2]))
+        lam = {r: sub(D[p][r], mu) for r in range(m) if D[p][r] is not None}
+        # Replace basis element q by (1/mu) d_side(g_p).
+        newrow = [ZERO] * m
+        for r, lexp in lam.items():
+            coeff = elem_from_side_exp(side, lexp)
+            for t in range(m):
+                if basis[r][t]:
+                    newrow[t] = newrow[t] + elem_mul(coeff, basis[r][t])
+        basis[q] = newrow
+        mg = mono_grading(Monomial(side, mu))
+        grades[q] = (grades[p][0] - 1 - mg[0], grades[p][1] - 1 - mg[1])
+        for i in range(m):
+            if i == q:
+                continue
+            c = D[i][q]
+            if c is None:
+                continue
+            for r, lexp in lam.items():
+                if r == q:
+                    continue
+                toggle(i, r, (c[0] + lexp[0], c[1] + lexp[1]))
+        D[q] = [None] * m
+        # Clear the rest of column q by adding multiples of g_p.
+        for i in range(m):
+            if i == p or D[i][q] is None:
+                continue
+            lam2 = sub(D[i][q], mu)
+            coeff = elem_from_side_exp(side, lam2)
+            for t in range(m):
+                if basis[p][t]:
+                    basis[i][t] = basis[i][t] + elem_mul(coeff, basis[p][t])
+            D[i][q] = None
+            for k in range(m):
+                if D[k][i] is not None:
+                    toggle(k, p, (D[k][i][0] + lam2[0], D[k][i][1] + lam2[1]))
+        for k in range(m):
+            if D[k][p] is not None:
+                raise ValueError("column of a paired generator did not clear; d^2 != 0?")
+        pairs.append((p, q, Monomial(side, mu)))
+        active = [i for i in active if i not in (p, q)]
+    matrix = {}
+    for i in range(m):
+        for j in range(m):
+            if D[i][j] is not None:
+                matrix[(i, j)] = D[i][j]
+    return PairedBasis(
+        side=side,
+        basis=tuple(tuple(row) for row in basis),
+        gradings=tuple(grades),
+        matrix=matrix,
+        pairs=tuple(pairs),
+        unpaired=tuple(active),
+    )
 
 
 class TestValidate:
@@ -304,6 +484,110 @@ class TestPairedBasis:
                         if acc:
                             rhs[(i, k)] = acc
                 assert lhs == rhs
+
+
+def _same_paired_basis(got, want):
+    assert got.side is want.side
+    assert got.basis == want.basis
+    assert got.gradings == want.gradings
+    assert list(got.matrix.items()) == list(want.matrix.items())
+    assert got.pairs == want.pairs
+    assert got.unpaired == want.unpaired
+
+
+def _same_reduction(C):
+    """``reduce(C)``, after checking it against the reference, entry order included."""
+    got, want = reduce(C), reference_reduce(C)
+    assert got.ring is want.ring
+    assert got.generators == want.generators
+    assert list(got.diff.items()) == list(want.diff.items())
+    return got
+
+
+def _same_bases(R):
+    for side in (Side.U, Side.V):
+        _same_paired_basis(paired_basis(R, side), reference_paired_basis(R, side))
+
+
+def _outcome(fn, C, side):
+    try:
+        return fn(C, side)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def _random_side_matrix(rng, m):
+    """A reduced but unvalidated complex: random one-monomial side entries.
+
+    Exponents come from a window that leaves the ring's region, and nothing
+    forces d^2 = 0, so paired_basis meets each of its three errors.  The
+    diagonal stays empty, as in every complex of homogeneous entries.
+    """
+    exps = [(i, j) for i in range(-2, 3) for j in range(-1, 3) if (i, j) != (0, 0)]
+    gens = tuple(("g%d" % k, (2 * rng.randint(-2, 2), 2 * rng.randint(-2, 2))) for k in range(m))
+    diff = {}
+    for i in range(m):
+        for j in range(m):
+            if i == j or rng.random() > 0.35:
+                continue
+            u = frozenset([rng.choice(exps)]) if rng.randrange(3) else frozenset()
+            v = frozenset([rng.choice(exps)]) if rng.randrange(3) else frozenset()
+            if u or v:
+                diff[(i, j)] = RingElem(0, u, v)
+    return FreeComplex(RingId.X, gens, diff)
+
+
+class TestAgainstReference:
+    """The heap-driven reduce and paired_basis return what the dense ones did."""
+
+    def test_pool(self, pool):
+        for spec in pool:
+            _same_bases(_same_reduction(realize(spec)))
+
+    def test_pool_products(self, pool):
+        realized = [realize(spec) for spec in pool]
+        for A in realized:
+            for B in realized:
+                _same_bases(_same_reduction(tensor(A, B)))
+
+    def test_scrambled_padded_products(self, pool):
+        rng = random.Random(43)
+        for k in range(30):
+            C = tensor(realize(rng.choice(pool)), realize(rng.choice(pool)))
+            if k % 3 == 0:
+                C = tensor(C, dual(realize(rng.choice(pool[:9]))))
+            # enough padding and mixing that units share rows and columns
+            # and one cancellation's fill-in meets another's
+            mixed = scramble(pad(C, rng, rng.randint(3, 8)), rng, n_ops=4 * C.n_gens())
+            mixed = shuffle_generators(mixed, rng)
+            assert not is_reduced(mixed)
+            R = _same_reduction(mixed)
+            _same_bases(R)
+            # a homogeneous change of basis keeps a reduced complex reduced,
+            # so the paired bases get one more input per product
+            _same_bases(scramble(R, rng, n_ops=R.n_gens()))
+
+    def test_errors_match(self):
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(1000):
+            C = _random_side_matrix(rng, rng.randint(2, 8))
+            for side in (Side.U, Side.V):
+                got = _outcome(paired_basis, C, side)
+                want = _outcome(reference_paired_basis, C, side)
+                if isinstance(want, PairedBasis):
+                    _same_paired_basis(got, want)
+                    seen.add("ok")
+                else:
+                    assert got == want
+                    seen.add(want.split(" ")[1])
+        assert seen >= {"ok", "pivot", "conflicting", "column"}
+
+    @pytest.mark.slow
+    def test_wide_product(self):
+        _s, C = wide_product(random.Random(53))
+        assert C.n_gens() >= 265
+        _same_bases(_same_reduction(C))
 
 
 class TestQuotientHomology:

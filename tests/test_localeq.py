@@ -34,7 +34,7 @@ from gridring.complexes import normalize
 from gridring.localeq import VerificationError, _descending, _map_into, _tower_data
 from gridring.standard import make_spec
 
-from conftest import acyclic_pair, direct_sum, random_spec, scramble
+from conftest import acyclic_pair, direct_sum, random_spec, scramble, wide_product
 
 
 def _search_input(which):
@@ -264,6 +264,28 @@ class TestStandardize:
         standardize(_search_input(which), trace=trace)
         assert len(calls) == len(trace) + 1
 
+    @pytest.mark.parametrize("which", ["cable", "zhou3"])
+    def test_target_edges_built_once(self, which, monkeypatch):
+        # the target's out-edge table is the same in every trial, so one
+        # standardization builds it once; the backward solve builds the
+        # standard representative's
+        import gridring.localeq
+
+        built = []
+        original = gridring.localeq._side_edges
+
+        def recording(C, reverse=False):
+            built.append((C, reverse))
+            return original(C, reverse)
+
+        monkeypatch.setattr(gridring.localeq, "_side_edges", recording)
+        C = _search_input(which)
+        trace = []
+        standardize(C, trace=trace)
+        assert len(trace) > 3
+        assert [rev for D, rev in built if D is C] == [False, True]
+        assert sum(1 for _D, rev in built if not rev) == 2
+
     def test_paired_bases_computed_once(self, monkeypatch):
         # per call: is_knotlike on the input (2), the input's bases shared by
         # the normalization check, extant pool and tower (2), and one fresh
@@ -326,6 +348,13 @@ class TestKnownAnswersAtScale:
         assert C.n_gens() == 125
         spec = standard_representative(C)[0]
         assert spec == make_spec(RingId.X, list(self.CABLE.params) * 3)
+
+    def test_wide_padded_product(self):
+        # s ⊗ t ⊗ t∨ is locally equivalent to s, whatever the padding and
+        # scrambling did
+        s, C = wide_product(random.Random(59))
+        assert C.n_gens() >= 250
+        assert standard_representative(C)[0] == s
 
     def test_zhou_cancels_around_cable_squared(self):
         cable = reduce(base_change(example_cable()))
