@@ -3,27 +3,50 @@
 from __future__ import annotations
 
 
-def solve(rows, rhs):
-    """Solve the affine system over GF(2); rows are bitmasks of unknowns.
+def _reduce(rows, rhs, pivots):
+    """Eliminate each row into ``pivots``; False once a row reduces to 0 = 1.
 
-    Returns one solution as a bitmask (free variables zero), or None when
-    the system is inconsistent.  Each row is eliminated down to a new lowest
-    set bit, its pivot; the pivot set, and so the solution, is the one of
-    the reduced row echelon form.
+    ``pivots`` maps a lowest set bit to its ``(row, b)``.  Each row is
+    eliminated down to a new lowest set bit, which becomes its pivot.
     """
-    pivots = {}  # lowest set bit -> (row, b)
     for r, b in zip(rows, rhs):
         while r:
             pc = (r & -r).bit_length() - 1
-            if pc not in pivots:
+            pivot = pivots.get(pc)
+            if pivot is None:
                 pivots[pc] = (r, b)
                 break
-            pr, pb = pivots[pc]
-            r ^= pr
-            b ^= pb
+            r ^= pivot[0]
+            b ^= pivot[1]
         else:
             if b:
-                return None
+                return False
+    return True
+
+
+def eliminate(rows, rhs):
+    """The echelon pivots of an affine system, or None when it is inconsistent.
+
+    Hand them to ``solve`` to add further rows without eliminating these
+    again.
+    """
+    pivots = {}
+    return pivots if _reduce(rows, rhs, pivots) else None
+
+
+def solve(rows, rhs, pivots=None):
+    """Solve the affine system over GF(2); rows are bitmasks of unknowns.
+
+    Returns one solution as a bitmask (free variables zero), or None when
+    the system is inconsistent.  ``pivots``, from ``eliminate``, stands for
+    rows already eliminated; it is copied, not changed.  The pivot set is
+    the one of the reduced row echelon form, which depends only on the
+    row space, so the solution does not depend on the order of the rows or
+    on which of them were eliminated beforehand.
+    """
+    pivots = {} if pivots is None else dict(pivots)
+    if not _reduce(rows, rhs, pivots):
+        return None
     sol = 0
     for pc in sorted(pivots, reverse=True):
         r, b = pivots[pc]

@@ -21,6 +21,16 @@ fixed corpus; correctness does not rest on it: a non-monotone step could
 only return a smaller feasible parameter, and the backward map and the two
 certificate checks then fail with VerificationError instead of returning a
 wrong spec.
+
+Every system of one standardization maps into the same complex, whose
+edge and slot tables are built once.  All probes of one step share the
+source prefix x_0..x_{k-1}: its gradings (x_0 sits on the tower grading),
+its unknowns, which are numbered before the candidate's x_k, and every
+equation keyed by x_0..x_{k-2}.  Those equations are eliminated once per
+step and each probe reduces only its own rows against them.  The
+free-variables-zero solution depends only on the row space and the
+numbering, not on the order in which rows are eliminated, so every map
+equals the one a from-scratch solve returns.
 """
 
 from __future__ import annotations
@@ -137,13 +147,18 @@ def extant_coefficients(C):
 
 def _extant(C, pb_u, pb_v):
     gen_grades = {C.gr(i) for i in range(C.n_gens())}
+    bases = {}  # grading difference -> grading_basis
     sides = {}
     for pb in (pb_u, pb_v):
         coeffs = set()
         for (y, _z, order) in pb.pairs:
             gy = pb.gradings[y]
             for g0 in gen_grades:
-                for m in grading_basis(C.ring, (g0[0] - gy[0], g0[1] - gy[1])):
+                gr = (g0[0] - gy[0], g0[1] - gy[1])
+                basis = bases.get(gr)
+                if basis is None:
+                    basis = bases[gr] = grading_basis(C.ring, gr)
+                for m in basis:
                     if m.side is Side.ONE or m.side is pb.side:
                         coeffs.add((order.exp[0] + m.exp[0], order.exp[1] + m.exp[1]))
         sides[pb.side] = frozenset(coeffs)
@@ -151,93 +166,146 @@ def _extant(C, pb_u, pb_v):
 
 
 def _side_edges(C, reverse=False):
-    """Per side, each generator's (other end, side exponent) pairs.
+    """Per generator and side, its (other end, side exponent) pairs.
 
     The pairs follow the differential's arrows out of each generator, or
     into it when ``reverse`` is set; an arrow with no part on a side is
-    absent from that side's lists.
+    absent from that side's list.
     """
-    table = {side: [[] for _ in range(C.n_gens())] for side in (Side.U, Side.V)}
+    table = [{Side.U: [], Side.V: []} for _ in range(C.n_gens())]
     for (a, b), e in C.diff.items():
         if reverse:
             a, b = b, a
-        for side, lists in table.items():
+        for side, pairs in table[a].items():
             exp = _side_exp(e, side)
             if exp is not None:
-                lists[a].append((b, exp))
+                pairs.append((b, exp))
     return table
 
 
-def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None, tgt_out=None):
+class _Target:
+    """The tables every system into one target complex reads, built once.
+
+    ``out`` is the target's ``_side_edges`` table.  ``slots(G)`` lists, for
+    a source generator of (shifted) grading G, the target generators j
+    whose entry bigrading G - gr(j) has a non-empty monomial basis, each
+    with that basis; it is memoized per grading.
+    """
+
+    def __init__(self, C):
+        self.ring = C.ring
+        self.out = _side_edges(C)
+        self.grs = [C.gr(j) for j in range(C.n_gens())]
+        self._bases = {}
+        self._slots = {}
+
+    def slots(self, G):
+        got = self._slots.get(G)
+        if got is None:
+            g1, g2 = G
+            got = self._slots[G] = []
+            for j, (h1, h2) in enumerate(self.grs):
+                gr = (g1 - h1, g2 - h2)
+                basis = self._bases.get(gr)
+                if basis is None:
+                    basis = self._bases[gr] = grading_basis(self.ring, gr)
+                if basis:
+                    got.append((j, basis))
+        return got
+
+
+def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None, in_only=False):
+    """Number source generator i's unknowns from bit ``nbits`` on and add their terms.
+
+    ``G`` is the generator's shifted grading and ``in_edges`` its
+    ``_side_edges(src, reverse=True)`` entry, the source arrows into it.  The
+    unknowns are numbered by target generator, then by monomial in
+    ``grading_basis`` order, and ``slots`` receives (i, j) -> [(bit,
+    monomial)].  Each unknown f[i,j]·m XORs its two chain-map terms into
+    ``rows`` (equation key -> mask): f[i,j]·d_tgt[j,k] into the (i, side, k)
+    equation and d_src[i0,i]·f[i,j] into the (i0, side, j) equation, one
+    equation per coefficient exponent.  ``skip`` omits one (generator,
+    side) chain condition (short maps).  ``in_only`` adds only the second
+    kind of term, for unknowns numbered earlier that gain arrows into i.
+    Returns the next free bit and the locality mask: the unknowns f[i,j]·1
+    whose j lies on the target tower functional ``w``.
+    """
+    out = target.out
+    loc = 0
+    for j, basis in target.slots(G):
+        slot = slots[(i, j)] = []
+        out_j = out[j]
+        for m in basis:
+            mask = 1 << nbits
+            slot.append((nbits, m))
+            nbits += 1
+            if m.side is Side.ONE:
+                sides = (Side.U, Side.V)
+                if (w >> j) & 1:
+                    loc ^= mask
+            else:
+                sides = (m.side,)
+            a, b = m.exp
+            for side in sides:
+                sv = side.value
+                if not in_only and skip != (i, side):
+                    for k, (c, d) in out_j[side]:
+                        key = (i, sv, k, (a + c, b + d))
+                        rows[key] = rows.get(key, 0) ^ mask
+                for i0, (c, d) in in_edges[side]:
+                    if skip != (i0, side):
+                        key = (i0, sv, j, (c + a, d + b))
+                        rows[key] = rows.get(key, 0) ^ mask
+    return nbits, loc
+
+
+def _matrix(sol, *slot_tables):
+    """The map a solution assigns to the numbered unknowns, zero entries left out."""
+    matrix = {}
+    for slots in slot_tables:
+        for ij, slot in slots.items():
+            e = ZERO
+            for bit, m in slot:
+                if (sol >> bit) & 1:
+                    e = e + elem_from_mono(m)
+            if e:
+                matrix[ij] = e
+    return matrix
+
+
+def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None, target=None):
     """Solve for a gr1-preserving chain map; returns a matrix dict or None.
 
     The unknowns are numbered row-major: source generator, then target
     generator, then the monomials of the entry's bigrading in
-    ``grading_basis`` order.  Each unknown f[i,j]·m adds its two chain-map
-    terms in one pass: f[i,j]·d_tgt[j,k] to the (i, side, k) equation and
-    d_src[i0,i]·f[i,j] to the (i0, side, j) equation, one equation per
-    coefficient exponent.  ``skip`` omits one (generator, side) chain
-    condition (short maps).  ``src_mask``/``tgt_w`` encode the locality
-    constraint: the image of the source tower element must carry the target
-    tower with coefficient 1.  ``tgt_out`` is ``_side_edges(tgt)``, built
-    here unless the caller keeps one for a target it solves into repeatedly.
-    The returned map is the free-variables-zero solution, so this numbering
-    fixes the certificates the CLI prints.
+    ``grading_basis`` order; ``_add_unknowns`` numbers each generator's
+    unknowns and adds their chain-map terms.  ``skip`` omits one
+    (generator, side) chain condition (short maps).  ``src_mask``/``tgt_w``
+    encode the locality constraint: the image of the source tower element
+    must carry the target tower with coefficient 1.  ``target`` is the
+    ``_Target`` of ``tgt``, built here unless the caller keeps one for a
+    target it solves into repeatedly.  The returned map is the
+    free-variables-zero solution, so this numbering fixes the certificates
+    the CLI prints; the order of the equations does not matter.
     """
-    if tgt_out is None:
-        tgt_out = _side_edges(tgt)
+    if target is None:
+        target = _Target(tgt)
     src_in = _side_edges(src, reverse=True)
-    tgt_grs = [tgt.gr(j) for j in range(tgt.n_gens())]
-    bases = {}
-    slots = {}  # (i, j) -> [(bit, monomial)]
     rows = {}
+    slots = {}
     loc = 0
     nbits = 0
     for i in range(src.n_gens()):
         g1, g2 = src.gr(i)
-        g2 += gr2shift
-        for j, (h1, h2) in enumerate(tgt_grs):
-            gr = (g1 - h1, g2 - h2)
-            basis = bases.get(gr)
-            if basis is None:
-                basis = bases[gr] = grading_basis(src.ring, gr)
-            if not basis:
-                continue
-            slot = slots[(i, j)] = []
-            for m in basis:
-                mask = 1 << nbits
-                slot.append((nbits, m))
-                nbits += 1
-                if m.side is Side.ONE:
-                    sides = (Side.U, Side.V)
-                    if (src_mask >> i) & (tgt_w >> j) & 1:
-                        loc ^= mask
-                else:
-                    sides = (m.side,)
-                a, b = m.exp
-                for side in sides:
-                    sv = side.value
-                    if skip != (i, side):
-                        for k, (c, d) in tgt_out[side][j]:
-                            key = (i, sv, k, (a + c, b + d))
-                            rows[key] = rows.get(key, 0) ^ mask
-                    for i0, (c, d) in src_in[side][i]:
-                        if skip != (i0, side):
-                            key = (i0, sv, j, (c + a, d + b))
-                            rows[key] = rows.get(key, 0) ^ mask
-    eqs = [mask for _key, mask in sorted(rows.items())]
-    sol = _gf2.solve(eqs + [loc], [0] * len(eqs) + [1])
+        w = tgt_w if (src_mask >> i) & 1 else 0
+        nbits, bits = _add_unknowns(
+            i, (g1, g2 + gr2shift), src_in[i], target, rows, slots, nbits, w, skip
+        )
+        loc ^= bits
+    sol = _gf2.solve(list(rows.values()) + [loc], [0] * len(rows) + [1])
     if sol is None:
         return None
-    matrix = {}
-    for ij, slot in slots.items():
-        e = ZERO
-        for bit, m in slot:
-            if (sol >> bit) & 1:
-                e = e + elem_from_mono(m)
-        if e:
-            matrix[ij] = e
-    return matrix
+    return _matrix(sol, slots)
 
 
 def _short_skip(n):
@@ -245,19 +313,95 @@ def _short_skip(n):
     return (n, Side.U if n % 2 == 0 else Side.V)
 
 
-def _map_into(spec, C, w, tgr, kind, label, tgt_out=None):
+def _map_into(spec, C, w, tgr, kind, label, target=None):
     """A (short) local map from a realized spec into C, as a certificate or None.
 
     ``w`` and ``tgr`` are the functional mask and grading of C's tower, and
-    ``tgt_out`` optionally C's ``_side_edges`` table; the source tower is x_0.
+    ``target`` optionally C's ``_Target``; the source tower is x_0.
     """
     src = realize(spec)
     shift = tgr[1] - src.gr(0)[1]
     skip = _short_skip(len(spec.params)) if kind == "short" else None
-    matrix = _solve_map(src, C, shift, 1, w, skip=skip, tgt_out=tgt_out)
+    matrix = _solve_map(src, C, shift, 1, w, skip=skip, target=target)
     if matrix is None:
         return None
     return LocalMapCert(format_spec(spec), label, shift, matrix, kind)
+
+
+class _Step:
+    """One step of the greedy search, with its prefix's equations eliminated once.
+
+    At step k the prefix ``params`` gives the source generators
+    x_0..x_{k-1}; the shift puts x_0 on the tower grading ``tgr``, so
+    their gradings, numbering and unknowns are the same in every probe of
+    the step.  The equations keyed by x_0..x_{k-2}, and the locality row
+    (it touches only x_0), involve only those unknowns and no probe adds a
+    term to them: they are eliminated once into ``block``.  The equations
+    of x_{k-1} are the ``tail``, which a candidate's arrow extends.
+    """
+
+    def __init__(self, target, w, tgr, params):
+        self.target = target
+        self.tgr = tgr
+        self.params = list(params)
+        self.k = k = len(params) + 1
+        prefix = realize(make_spec(target.ring, params))
+        shift = tgr[1] - prefix.gr(0)[1]
+        src_in = _side_edges(prefix, reverse=True)
+        rows = {}
+        self.slots = {}
+        self.nbits = 0
+        loc = 0
+        for i in range(k):
+            g1, g2 = prefix.gr(i)
+            # ends as x_{k-1}'s grading and first bit
+            self.last = ((g1, g2 + shift), self.nbits)
+            self.nbits, bits = _add_unknowns(
+                i, self.last[0], src_in[i], target, rows, self.slots, self.nbits,
+                w if i == 0 else 0,
+            )
+            loc ^= bits
+        self.tail = {key: mask for key, mask in rows.items() if key[0] == k - 1}
+        head = [mask for key, mask in rows.items() if key[0] < k - 1]
+        self.block = _gf2.eliminate(head + [loc], [0] * len(head) + [1])
+
+    def probe(self, p):
+        """The certificate of candidate ``p`` (None: stop, a full map), or None.
+
+        The probe's own rows are the tail plus, for a parameter, the terms
+        of x_k's unknowns, numbered after the prefix's, and of the arrow
+        between x_{k-1} and x_k; one ``_gf2.solve`` reduces them against a
+        copy of the block.
+        """
+        if self.block is None:
+            return None
+        if p is None:
+            spec, kind = make_spec(self.target.ring, self.params), "full"
+        else:
+            spec, kind = make_spec(self.target.ring, self.params + [p]), "short"
+        src = realize(spec)
+        shift = self.tgr[1] - src.gr(0)[1]
+        rows = dict(self.tail)
+        slots = {}
+        if p is not None:
+            k = self.k
+            skip = _short_skip(k)
+            src_in = _side_edges(src, reverse=True)
+            g1, g2 = src.gr(k)
+            _add_unknowns(
+                k, (g1, g2 + shift), src_in[k], self.target, rows, slots, self.nbits, skip=skip
+            )
+            # a positive p's arrow x_k -> x_{k-1} adds d_src·f terms on the
+            # unknowns of x_{k-1}, numbered in __init__
+            back = {side: [e for e in pairs if e[0] == k] for side, pairs in src_in[k - 1].items()}
+            if any(back.values()):
+                G, start = self.last
+                _add_unknowns(k - 1, G, back, self.target, rows, {}, start, skip=skip, in_only=True)
+        sol = _gf2.solve(list(rows.values()), [0] * len(rows), pivots=self.block)
+        if sol is None:
+            return None
+        matrix = _matrix(sol, self.slots, slots)
+        return LocalMapCert(format_spec(spec), "complex", shift, matrix, kind)
 
 
 def find_local_map(spec, target, kind="full"):
@@ -369,9 +513,11 @@ def standardize(C, trace=None):
     each step bisects the list for its first feasible index and keeps that
     probe's map.  The backward certificate and both certificate checks
     guard the result: a step that broke monotonicity raises
-    VerificationError rather than return a wrong spec.  ``trace``, when
-    given, receives one ``(step, parameter or None, feasible)`` tuple per
-    probe, in probe order.
+    VerificationError rather than return a wrong spec.  The target's tables
+    are built once (``_Target``) and each step eliminates its prefix's
+    equations once (``_Step``), so a probe solves only its own few rows.
+    ``trace``, when given, receives one ``(step, parameter or None,
+    feasible)`` tuple per probe, in probe order.
     """
     bad = validate(C)
     if bad:
@@ -379,7 +525,7 @@ def standardize(C, trace=None):
     pb_u, pb_v = _require_normalized(C, "complex")
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask, tgr = _tower(C, pb_v)
-    tgt_out = _side_edges(C)
+    target = _Target(C)
     guard = 2 * C.n_gens()
     params = []
     while True:
@@ -388,16 +534,13 @@ def standardize(C, trace=None):
             raise VerificationError("standardization exceeded the splitting bound")
         side = Side.U if k % 2 else Side.V
         cands = _descending(side, ext.for_side(side), stop=k % 2 == 1)
+        step = _Step(target, w_tgt, tgr, params)
         # bisect for the first feasible index; fwd is the certificate there
         lo, hi, fwd = 0, len(cands), None
         while lo < hi:
             mid = (lo + hi) // 2
             p = cands[mid]
-            if p is None:
-                spec, kind = make_spec(C.ring, params), "full"
-            else:
-                spec, kind = make_spec(C.ring, params + [p]), "short"
-            cert = _map_into(spec, C, w_tgt, tgr, kind, "complex", tgt_out)
+            cert = step.probe(p)
             if trace is not None:
                 trace.append((k, p, cert is not None))
             if cert is None:

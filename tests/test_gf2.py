@@ -96,6 +96,31 @@ class TestSolve:
             if sol is not None:
                 assert [bin(r & sol).count("1") & 1 for r in rows] == rhs
 
+    def test_split_at_eliminated_head(self):
+        # rows eliminated beforehand and handed to solve give the solution
+        # of the whole system, whatever the split point
+        rng = random.Random(67)
+        splits = inconsistent = 0
+        for rows, rhs in CASES:
+            want = reference_solve(rows, rhs)
+            for cut in sorted({0, len(rows), rng.randint(0, len(rows)), rng.randint(0, len(rows))}):
+                splits += 1
+                block = _gf2.eliminate(rows[:cut], rhs[:cut])
+                if block is None:
+                    inconsistent += 1
+                    assert reference_solve(rows[:cut], rhs[:cut]) is None
+                    assert want is None
+                    continue
+                kept = dict(block)
+                assert _gf2.solve(rows[cut:], rhs[cut:], pivots=block) == want
+                assert block == kept
+        assert 0 < inconsistent < splits
+
+    def test_inconsistent_head(self):
+        assert _gf2.eliminate([1, 1], [0, 1]) is None
+        assert _gf2.eliminate([0], [1]) is None
+        assert _gf2.eliminate([0, 3], [0, 1]) == {0: (3, 1)}
+
     @pytest.mark.parametrize("n", [1, 3, 16, 90])
     def test_solve_unit_matches_reference(self, n):
         rng = random.Random(n)

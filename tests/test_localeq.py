@@ -31,7 +31,14 @@ from gridring import (
     tensor,
 )
 from gridring.complexes import normalize
-from gridring.localeq import VerificationError, _descending, _map_into, _tower_data
+from gridring.localeq import (
+    VerificationError,
+    _Step,
+    _Target,
+    _descending,
+    _map_into,
+    _tower_data,
+)
 from gridring.standard import make_spec
 
 from conftest import acyclic_pair, direct_sum, random_spec, scramble, wide_product
@@ -42,6 +49,17 @@ def _search_input(which):
     if which == "cable":
         return normalize(reduce(base_change(example_cable())))
     return base_change(example_zhou(3))
+
+
+def _scrambled_products(pool):
+    """Ten reduced, normalized, scrambled products of two pool complexes plus an acyclic pair."""
+    rng = random.Random(53)
+    out = []
+    for _ in range(10):
+        C = tensor(realize(rng.choice(pool)), realize(rng.choice(pool)))
+        C = direct_sum(C, acyclic_pair(RingId.X, (2 * rng.randint(-1, 1), 0)))
+        out.append(normalize(reduce(scramble(C, rng, n_ops=12))))
+    return out
 
 
 def _linear_scan(C):
@@ -70,6 +88,64 @@ def _linear_scan(C):
             return make_spec(C.ring, params), steps
         params.append(p)
     raise AssertionError("no stop within the splitting bound")
+
+
+def _check_steps_against_scratch(C):
+    """Walk the greedy extraction, comparing every candidate's step probe with ``_map_into``.
+
+    The reference solves the whole system into the same ``_Target``.
+    Returns the number of candidates compared.
+    """
+    ext = extant_coefficients(C)
+    w, _mask, tgr = _tower_data(C)
+    target = _Target(C)
+    params = []
+    n_probes = 0
+    for k in range(1, 2 * C.n_gens() + 2):
+        side = Side.U if k % 2 else Side.V
+        step = _Step(target, w, tgr, params)
+        feasible = []
+        for p in _descending(side, ext.for_side(side), stop=k % 2 == 1):
+            if p is None:
+                spec, kind = make_spec(C.ring, params), "full"
+            else:
+                spec, kind = make_spec(C.ring, params + [p]), "short"
+            want = _map_into(spec, C, w, tgr, kind, "complex", target)
+            got = step.probe(p)
+            n_probes += 1
+            assert (got is None) == (want is None), (spec, kind)
+            if want is not None:
+                assert got.gr2shift == want.gr2shift
+                assert got.to_json() == want.to_json()
+                feasible.append(p)
+        if feasible[0] is None:
+            return n_probes
+        params.append(feasible[0])
+    raise AssertionError("no stop within the splitting bound")
+
+
+def _count_gf2(monkeypatch):
+    """Record the ``_gf2.solve`` and ``_gf2.eliminate`` calls made by ``localeq``."""
+    import types
+
+    import gridring.localeq
+    from gridring import _gf2
+
+    calls = {"solve": [], "eliminate": []}
+
+    def recording(name):
+        def call(*args, **kwargs):
+            calls[name].append(args)
+            return getattr(_gf2, name)(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(
+        gridring.localeq,
+        "_gf2",
+        types.SimpleNamespace(solve=recording("solve"), eliminate=recording("eliminate")),
+    )
+    return calls
 
 
 class TestExtant:
@@ -231,12 +307,7 @@ class TestStandardize:
     def test_feasibility_is_monotone(self, pool):
         # the bisection relies on feasibility along each step's descending
         # list reading 0*1*; check it exhaustively on a fixed corpus
-        rng = random.Random(53)
-        corpus = [_search_input("cable"), _search_input("zhou3")]
-        for _ in range(10):
-            C = tensor(realize(rng.choice(pool)), realize(rng.choice(pool)))
-            C = direct_sum(C, acyclic_pair(RingId.X, (2 * rng.randint(-1, 1), 0)))
-            corpus.append(normalize(reduce(scramble(C, rng, n_ops=12))))
+        corpus = [_search_input("cable"), _search_input("zhou3")] + _scrambled_products(pool)
         n_steps = 0
         for C in corpus:
             want, steps = _linear_scan(C)
@@ -246,23 +317,28 @@ class TestStandardize:
             n_steps += len(steps)
         assert n_steps > 3 * len(corpus)
 
+    def test_step_probes_match_scratch_solve(self, pool):
+        # every candidate of every step, not only the bisection's probes:
+        # the step's prefix block gives the map a from-scratch solve gives
+        corpus = [_search_input("cable"), _search_input("zhou3")] + _scrambled_products(pool)
+        n_probes = sum(_check_steps_against_scratch(C) for C in corpus)
+        assert n_probes > 20 * len(corpus)
+
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_one_solve_per_trial_plus_backward(self, which, monkeypatch):
         # each trial is one system; the stopping trial's map is the forward
         # certificate, so only the backward map adds a solve
-        import gridring.localeq
-
-        calls = []
-        original = gridring.localeq._solve_map
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(gridring.localeq, "_solve_map", counting)
+        calls = _count_gf2(monkeypatch)
         trace = []
         standardize(_search_input(which), trace=trace)
-        assert len(calls) == len(trace) + 1
+        assert len(calls["solve"]) == len(trace) + 1
+
+    @pytest.mark.parametrize("which", ["cable", "zhou3"])
+    def test_prefix_block_once_per_step(self, which, monkeypatch):
+        calls = _count_gf2(monkeypatch)
+        trace = []
+        standardize(_search_input(which), trace=trace)
+        assert len(calls["eliminate"]) == len({k for k, _p, _ok in trace}) > 1
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):
@@ -355,6 +431,10 @@ class TestKnownAnswersAtScale:
         s, C = wide_product(random.Random(59))
         assert C.n_gens() >= 250
         assert standard_representative(C)[0] == s
+
+    def test_wide_step_probes_match_scratch_solve(self):
+        _s, C = wide_product(random.Random(59))
+        assert _check_steps_against_scratch(normalize(reduce(C))) > 0
 
     def test_zhou_cancels_around_cable_squared(self):
         cable = reduce(base_change(example_cable()))
