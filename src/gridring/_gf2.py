@@ -24,13 +24,13 @@ def _reduce(rows, rhs, pivots):
     return True
 
 
-def eliminate(rows, rhs):
+def eliminate(rows, rhs, pivots=None):
     """The echelon pivots of an affine system, or None when it is inconsistent.
 
-    Hand them to ``solve`` to add further rows without eliminating these
-    again.
+    ``pivots``, from an earlier call, is extended in place.  Hand the result
+    to ``solve`` to add further rows without eliminating these again.
     """
-    pivots = {}
+    pivots = {} if pivots is None else pivots
     return pivots if _reduce(rows, rhs, pivots) else None
 
 

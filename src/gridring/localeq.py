@@ -23,14 +23,13 @@ certificate checks then fail with VerificationError instead of returning a
 wrong spec.
 
 Every system of one standardization maps into the same complex, whose
-edge and slot tables are built once.  All probes of one step share the
-source prefix x_0..x_{k-1}: its gradings (x_0 sits on the tower grading),
-its unknowns, which are numbered before the candidate's x_k, and every
-equation keyed by x_0..x_{k-2}.  Those equations are eliminated once per
-step and each probe reduces only its own rows against them.  The
-free-variables-zero solution depends only on the row space and the
-numbering, not on the order in which rows are eliminated, so every map
-equals the one a from-scratch solve returns.
+edge and slot tables are built once.  Accepted parameters are never
+revisited, so one source system grows with the search: accepting a
+parameter eliminates the equations it completes, once, and each probe
+reduces only its own few rows against them.  The free-variables-zero
+solution depends only on the row space and the numbering, not on the order
+in which rows are eliminated, so every map equals the one a from-scratch
+solve returns.
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ from .ring import (
     elem_ok,
     elem_side_part,
     grading_basis,
+    mono_grading,
     mono_text,
     param_key,
 )
@@ -214,19 +214,18 @@ class _Target:
         return got
 
 
-def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None, in_only=False):
+def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None):
     """Number source generator i's unknowns from bit ``nbits`` on and add their terms.
 
     ``G`` is the generator's shifted grading and ``in_edges`` its
-    ``_side_edges(src, reverse=True)`` entry, the source arrows into it.  The
-    unknowns are numbered by target generator, then by monomial in
-    ``grading_basis`` order, and ``slots`` receives (i, j) -> [(bit,
-    monomial)].  Each unknown f[i,j]·m XORs its two chain-map terms into
-    ``rows`` (equation key -> mask): f[i,j]·d_tgt[j,k] into the (i, side, k)
-    equation and d_src[i0,i]·f[i,j] into the (i0, side, j) equation, one
-    equation per coefficient exponent.  ``skip`` omits one (generator,
-    side) chain condition (short maps).  ``in_only`` adds only the second
-    kind of term, for unknowns numbered earlier that gain arrows into i.
+    ``_side_edges(src, reverse=True)`` entry, the source arrows into it (a
+    side without arrows may be left out).  The unknowns are numbered by
+    target generator, then by monomial in ``grading_basis`` order, and
+    ``slots`` receives (i, j) -> [(bit, monomial)].  Each unknown f[i,j]·m
+    XORs its two chain-map terms into ``rows`` (equation key -> mask):
+    f[i,j]·d_tgt[j,k] into the (i, side, k) equation and d_src[i0,i]·f[i,j]
+    into the (i0, side, j) equation, one equation per coefficient exponent.
+    ``skip`` omits one (generator, side) chain condition (short maps).
     Returns the next free bit and the locality mask: the unknowns f[i,j]·1
     whose j lies on the target tower functional ``w``.
     """
@@ -248,28 +247,27 @@ def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None, in
             a, b = m.exp
             for side in sides:
                 sv = side.value
-                if not in_only and skip != (i, side):
+                if skip != (i, side):
                     for k, (c, d) in out_j[side]:
                         key = (i, sv, k, (a + c, b + d))
                         rows[key] = rows.get(key, 0) ^ mask
-                for i0, (c, d) in in_edges[side]:
+                for i0, (c, d) in in_edges.get(side, ()):
                     if skip != (i0, side):
                         key = (i0, sv, j, (c + a, d + b))
                         rows[key] = rows.get(key, 0) ^ mask
     return nbits, loc
 
 
-def _matrix(sol, *slot_tables):
+def _matrix(sol, slots):
     """The map a solution assigns to the numbered unknowns, zero entries left out."""
     matrix = {}
-    for slots in slot_tables:
-        for ij, slot in slots.items():
-            e = ZERO
-            for bit, m in slot:
-                if (sol >> bit) & 1:
-                    e = e + elem_from_mono(m)
-            if e:
-                matrix[ij] = e
+    for ij, slot in slots.items():
+        e = ZERO
+        for bit, m in slot:
+            if (sol >> bit) & 1:
+                e = e + elem_from_mono(m)
+        if e:
+            matrix[ij] = e
     return matrix
 
 
@@ -328,80 +326,72 @@ def _map_into(spec, C, w, tgr, kind, label, target=None):
     return LocalMapCert(format_spec(spec), label, shift, matrix, kind)
 
 
-class _Step:
-    """One step of the greedy search, with its prefix's equations eliminated once.
+class _Search:
+    """The one system of a greedy search, grown as its parameters are accepted.
 
-    At step k the prefix ``params`` gives the source generators
-    x_0..x_{k-1}; the shift puts x_0 on the tower grading ``tgr``, so
-    their gradings, numbering and unknowns are the same in every probe of
-    the step.  The equations keyed by x_0..x_{k-2}, and the locality row
-    (it touches only x_0), involve only those unknowns and no probe adds a
-    term to them: they are eliminated once into ``block``.  The equations
-    of x_{k-1} are the ``tail``, which a candidate's arrow extends.
+    With the prefix ``params`` accepted, the source is x_0..x_{k-1}: x_0 on
+    the tower grading ``tgr`` and each later generator's grading derived
+    from the previous one by ``realize``'s zig-zag recurrence.  Their
+    unknowns are numbered in that order and listed in ``slots``.  The
+    equations keyed by x_0..x_{k-2}, and the locality row (it touches only
+    x_0), are complete and eliminated into ``block``.  The equations keyed
+    by x_{k-1} are the ``tail``: a negative p_k still adds terms to them.
     """
 
-    def __init__(self, target, w, tgr, params):
+    def __init__(self, target, w, tgr):
         self.target = target
-        self.tgr = tgr
-        self.params = list(params)
-        self.k = k = len(params) + 1
-        prefix = realize(make_spec(target.ring, params))
-        shift = tgr[1] - prefix.gr(0)[1]
-        src_in = _side_edges(prefix, reverse=True)
-        rows = {}
+        self.params = []
         self.slots = {}
-        self.nbits = 0
-        loc = 0
-        for i in range(k):
-            g1, g2 = prefix.gr(i)
-            # ends as x_{k-1}'s grading and first bit
-            self.last = ((g1, g2 + shift), self.nbits)
-            self.nbits, bits = _add_unknowns(
-                i, self.last[0], src_in[i], target, rows, self.slots, self.nbits,
-                w if i == 0 else 0,
-            )
-            loc ^= bits
-        self.tail = {key: mask for key, mask in rows.items() if key[0] == k - 1}
-        head = [mask for key, mask in rows.items() if key[0] < k - 1]
-        self.block = _gf2.eliminate(head + [loc], [0] * len(head) + [1])
+        self.G = (0, tgr[1])  # the grading of x_{k-1}
+        self.tail = {}
+        self.nbits, loc = _add_unknowns(0, self.G, {}, target, self.tail, self.slots, 0, w)
+        self.block = _gf2.eliminate([loc], [1])
+
+    def _add(self, p, rows, slots, skip=None):
+        """Add x_k under parameter p: its unknowns and the arrow between x_{k-1} and x_k.
+
+        Returns x_k's grading and the next free bit.
+        """
+        k = len(self.params) + 1
+        g1, g2 = mono_grading(Monomial(p.side, p.exp))
+        G = (self.G[0] + p.sign * (1 + g1), self.G[1] + p.sign * (1 + g2))
+        in_edges = {p.side: [(k - 1, p.exp)]} if p.sign < 0 else {}
+        nbits, _loc = _add_unknowns(k, G, in_edges, self.target, rows, slots, self.nbits, skip=skip)
+        if p.sign > 0:
+            # the arrow x_k -> x_{k-1} adds d_src·f terms on x_{k-1}'s
+            # unknowns to x_k's equations; a short map's skipped condition
+            # lies on the other side
+            sv, (c, d) = p.side.value, p.exp
+            for j, _basis in self.target.slots(self.G):
+                for bit, m in self.slots[(k - 1, j)]:
+                    if m.side is Side.ONE or m.side is p.side:
+                        key = (k, sv, j, (c + m.exp[0], d + m.exp[1]))
+                        rows[key] = rows.get(key, 0) ^ (1 << bit)
+        return G, nbits
 
     def probe(self, p):
-        """The certificate of candidate ``p`` (None: stop, a full map), or None.
+        """The solution for candidate ``p`` (None: stop, a full map), or None.
 
-        The probe's own rows are the tail plus, for a parameter, the terms
-        of x_k's unknowns, numbered after the prefix's, and of the arrow
-        between x_{k-1} and x_k; one ``_gf2.solve`` reduces them against a
-        copy of the block.
+        A parameter adds x_k's rows, under a short map's conditions, to a
+        copy of the tail; one ``_gf2.solve`` reduces them against a copy of
+        the block.
         """
         if self.block is None:
             return None
-        if p is None:
-            spec, kind = make_spec(self.target.ring, self.params), "full"
-        else:
-            spec, kind = make_spec(self.target.ring, self.params + [p]), "short"
-        src = realize(spec)
-        shift = self.tgr[1] - src.gr(0)[1]
         rows = dict(self.tail)
-        slots = {}
         if p is not None:
-            k = self.k
-            skip = _short_skip(k)
-            src_in = _side_edges(src, reverse=True)
-            g1, g2 = src.gr(k)
-            _add_unknowns(
-                k, (g1, g2 + shift), src_in[k], self.target, rows, slots, self.nbits, skip=skip
-            )
-            # a positive p's arrow x_k -> x_{k-1} adds d_src·f terms on the
-            # unknowns of x_{k-1}, numbered in __init__
-            back = {side: [e for e in pairs if e[0] == k] for side, pairs in src_in[k - 1].items()}
-            if any(back.values()):
-                G, start = self.last
-                _add_unknowns(k - 1, G, back, self.target, rows, {}, start, skip=skip, in_only=True)
-        sol = _gf2.solve(list(rows.values()), [0] * len(rows), pivots=self.block)
-        if sol is None:
-            return None
-        matrix = _matrix(sol, self.slots, slots)
-        return LocalMapCert(format_spec(spec), "complex", shift, matrix, kind)
+            self._add(p, rows, {}, _short_skip(len(self.params) + 1))
+        return _gf2.solve(list(rows.values()), [0] * len(rows), pivots=self.block)
+
+    def accept(self, p):
+        """Fix p as the next parameter: eliminate the equations of x_{k-1} it completes."""
+        k = len(self.params) + 1
+        rows = self.tail
+        self.G, self.nbits = self._add(p, rows, self.slots)
+        done = [mask for key, mask in rows.items() if key[0] == k - 1]
+        self.tail = {key: mask for key, mask in rows.items() if key[0] == k}
+        self.block = _gf2.eliminate(done, [0] * len(done), self.block)
+        self.params.append(p)
 
 
 def find_local_map(spec, target, kind="full"):
@@ -510,12 +500,12 @@ def standardize(C, trace=None):
     the prefix.  That full map is the forward certificate.
 
     Feasibility along the list is monotone (see the module docstring), so
-    each step bisects the list for its first feasible index and keeps that
-    probe's map.  The backward certificate and both certificate checks
-    guard the result: a step that broke monotonicity raises
-    VerificationError rather than return a wrong spec.  The target's tables
-    are built once (``_Target``) and each step eliminates its prefix's
-    equations once (``_Step``), so a probe solves only its own few rows.
+    each step bisects the list for its first feasible index.  The backward
+    certificate and both certificate checks guard the result: a step that
+    broke monotonicity raises VerificationError rather than return a wrong
+    spec.  The target's tables are built once (``_Target``) and one system
+    grows with the search (``_Search``).  Only the stopping probe's solution
+    becomes a certificate, and only the returned spec is realized.
     ``trace``, when given, receives one ``(step, parameter or None,
     feasible)`` tuple per probe, in probe order.
     """
@@ -525,41 +515,40 @@ def standardize(C, trace=None):
     pb_u, pb_v = _require_normalized(C, "complex")
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask, tgr = _tower(C, pb_v)
-    target = _Target(C)
+    search = _Search(_Target(C), w_tgt, tgr)
     guard = 2 * C.n_gens()
-    params = []
     while True:
-        k = len(params) + 1
+        k = len(search.params) + 1
         if k > guard + 1:
             raise VerificationError("standardization exceeded the splitting bound")
         side = Side.U if k % 2 else Side.V
         cands = _descending(side, ext.for_side(side), stop=k % 2 == 1)
-        step = _Step(target, w_tgt, tgr, params)
-        # bisect for the first feasible index; fwd is the certificate there
-        lo, hi, fwd = 0, len(cands), None
+        # bisect for the first feasible index; sol is the solution there
+        lo, hi, sol = 0, len(cands), None
         while lo < hi:
             mid = (lo + hi) // 2
             p = cands[mid]
-            cert = step.probe(p)
+            got = search.probe(p)
             if trace is not None:
-                trace.append((k, p, cert is not None))
-            if cert is None:
+                trace.append((k, p, got is not None))
+            if got is None:
                 lo = mid + 1
             else:
-                hi, fwd = mid, cert
-        if fwd is None:
+                hi, sol = mid, got
+        if sol is None:
             raise VerificationError("no feasible parameter at step %d" % k)
         if cands[lo] is None:
-            spec = make_spec(C.ring, params)
             break
-        params.append(cands[lo])
+        search.accept(cands[lo])
+    spec = make_spec(C.ring, search.params)
     std = realize(spec)
     # a realized standard complex has its tower at x_0
-    back_shift = std.gr(0)[1] - tgr[1]
-    matrix = _solve_map(C, std, back_shift, elem_mask, 1)
+    shift = tgr[1] - std.gr(0)[1]
+    fwd = LocalMapCert(format_spec(spec), "complex", shift, _matrix(sol, search.slots), "full")
+    matrix = _solve_map(C, std, -shift, elem_mask, 1)
     if matrix is None:
         raise VerificationError("no local map back to the standard representative")
-    back = LocalMapCert("complex", format_spec(spec), back_shift, matrix, "full")
+    back = LocalMapCert("complex", format_spec(spec), -shift, matrix, "full")
     bad = check_certificate(std, C, fwd)
     if bad:
         raise VerificationError("forward certificate failed: " + "; ".join(bad))

@@ -119,6 +119,8 @@ def realize(spec):
 def read_params(C):
     """Recover the parameter sequence from a realized zig-zag complex."""
     n = C.n_gens() - 1
+    if n < 0:
+        raise ValueError("complex has no generators")
     params = []
     for k in range(1, n + 1):
         fwd = C.diff.get((k - 1, k))
@@ -132,6 +134,8 @@ def read_params(C):
             raise ValueError("arrow %d is not a single %s-side monomial" % (k, side.value))
         exp = next(iter(part))
         params.append(SignedParam(side, -1 if fwd is not None else 1, exp))
+    if len(C.diff) > n:
+        raise ValueError("complex has arrows outside the zig-zag")
     return make_spec(C.ring, params)
 
 

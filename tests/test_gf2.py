@@ -97,15 +97,21 @@ class TestSolve:
                 assert [bin(r & sol).count("1") & 1 for r in rows] == rhs
 
     def test_split_at_eliminated_head(self):
-        # rows eliminated beforehand and handed to solve give the solution
-        # of the whole system, whatever the split point
+        # rows eliminated beforehand, in two calls that extend one pivot
+        # dict, and handed to solve give the solution of the whole system,
+        # whatever the split points
         rng = random.Random(67)
         splits = inconsistent = 0
         for rows, rhs in CASES:
             want = reference_solve(rows, rhs)
             for cut in sorted({0, len(rows), rng.randint(0, len(rows)), rng.randint(0, len(rows))}):
                 splits += 1
-                block = _gf2.eliminate(rows[:cut], rhs[:cut])
+                mid = rng.randint(0, cut)
+                block = _gf2.eliminate(rows[:mid], rhs[:mid])
+                if block is not None:
+                    grown = _gf2.eliminate(rows[mid:cut], rhs[mid:cut], block)
+                    assert grown is None or grown is block
+                    block = grown
                 if block is None:
                     inconsistent += 1
                     assert reference_solve(rows[:cut], rhs[:cut]) is None

@@ -33,10 +33,11 @@ from gridring import (
 from gridring.complexes import normalize
 from gridring.localeq import (
     VerificationError,
-    _Step,
+    _Search,
     _Target,
     _descending,
     _map_into,
+    _matrix,
     _tower_data,
 )
 from gridring.standard import make_spec
@@ -91,19 +92,22 @@ def _linear_scan(C):
 
 
 def _check_steps_against_scratch(C):
-    """Walk the greedy extraction, comparing every candidate's step probe with ``_map_into``.
+    """Walk the greedy extraction, comparing every candidate's probe with ``_map_into``.
 
-    The reference solves the whole system into the same ``_Target``.
-    Returns the number of candidates compared.
+    The reference solves the whole system into the same ``_Target``.  A
+    feasible probe's solution, read back through the search's slot table
+    and the candidate's own, must give the reference map entry by entry.
+    Each step then accepts its first feasible candidate.  Returns the
+    number of candidates compared.
     """
     ext = extant_coefficients(C)
     w, _mask, tgr = _tower_data(C)
     target = _Target(C)
-    params = []
+    search = _Search(target, w, tgr)
     n_probes = 0
     for k in range(1, 2 * C.n_gens() + 2):
         side = Side.U if k % 2 else Side.V
-        step = _Step(target, w, tgr, params)
+        params = search.params
         feasible = []
         for p in _descending(side, ext.for_side(side), stop=k % 2 == 1):
             if p is None:
@@ -111,16 +115,18 @@ def _check_steps_against_scratch(C):
             else:
                 spec, kind = make_spec(C.ring, params + [p]), "short"
             want = _map_into(spec, C, w, tgr, kind, "complex", target)
-            got = step.probe(p)
+            got = search.probe(p)
             n_probes += 1
             assert (got is None) == (want is None), (spec, kind)
             if want is not None:
-                assert got.gr2shift == want.gr2shift
-                assert got.to_json() == want.to_json()
+                slots = dict(search.slots)
+                if p is not None:
+                    search._add(p, {}, slots)
+                assert _matrix(got, slots) == want.matrix, (spec, kind)
                 feasible.append(p)
         if feasible[0] is None:
             return n_probes
-        params.append(feasible[0])
+        search.accept(feasible[0])
     raise AssertionError("no stop within the splitting bound")
 
 
@@ -339,6 +345,27 @@ class TestStandardize:
         trace = []
         standardize(_search_input(which), trace=trace)
         assert len(calls["eliminate"]) == len({k for k, _p, _ok in trace}) > 1
+
+    @pytest.mark.parametrize("which", ["cable", "zhou3"])
+    def test_realize_at_most_twice(self, which, monkeypatch):
+        # probes derive each candidate's generator from the parameter, so a
+        # standardization realizes only the stop certificate's spec and the
+        # backward target, whatever its trial count
+        import gridring.localeq
+
+        realized = []
+        original = gridring.localeq.realize
+
+        def recording(spec):
+            realized.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(gridring.localeq, "realize", recording)
+        trace = []
+        spec = standardize(_search_input(which), trace=trace)[0]
+        assert len(trace) > 3
+        assert 1 <= len(realized) <= 2
+        assert set(realized) == {spec}
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):

@@ -1,0 +1,87 @@
+"""Property tests: the order the greedy search rests on, and the document round trips."""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from gridring import (
+    GREATER,
+    FreeComplex,
+    RingId,
+    Side,
+    SignedParam,
+    find_local_map,
+    lex_compare,
+    realize,
+)
+from gridring.complexes import FUVComplex
+from gridring.io_json import (
+    complex_to_document,
+    document_to_complex,
+    document_to_spec,
+    dump_json,
+    spec_to_document,
+)
+from gridring.ring import RingElem
+from gridring.standard import make_spec
+
+from conftest import WINDOW_R, WINDOW_X
+
+RINGS = st.sampled_from([RingId.X, RingId.R])
+
+
+@st.composite
+def specs(draw, ring, max_pairs=2):
+    """A spec over ``ring`` of at most ``max_pairs`` parameter pairs."""
+    window = WINDOW_X if ring is RingId.X else WINDOW_R
+    params = []
+    for k in range(1, 2 * draw(st.integers(0, max_pairs)) + 1):
+        side = Side.U if k % 2 else Side.V
+        sign = draw(st.sampled_from([1, -1]))
+        params.append(SignedParam(side, sign, draw(st.sampled_from(window))))
+    return make_spec(ring, params)
+
+
+SPEC_PAIRS = RINGS.flatmap(lambda ring: st.tuples(specs(ring), specs(ring)))
+
+EXPS = st.frozensets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=3)
+
+
+@st.composite
+def complexes(draw, base):
+    """A complex of up to five generators with arbitrary entries; not validated."""
+    names = draw(st.lists(st.text(min_size=1, max_size=3), max_size=5, unique=True))
+    n = len(names)
+    grading = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    gens = tuple((nm, draw(grading)) for nm in names)
+    if base == "FUV":
+        monomial = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        entry = st.frozensets(monomial, min_size=1, max_size=3)
+    else:
+        entry = st.builds(RingElem, st.integers(0, 1), EXPS, EXPS).filter(bool)
+    keys = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    diff = draw(st.dictionaries(keys, entry, max_size=2 * n))
+    if base == "FUV":
+        return FUVComplex(gens, diff)
+    return FreeComplex(draw(RINGS), gens, diff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=SPEC_PAIRS)
+def test_lex_order_is_local_map_existence(pair):
+    # the bisection over each step's descending list rests on this order
+    a, b = pair
+    assert (lex_compare(a, b) != GREATER) == (find_local_map(a, realize(b), "full") is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(C=st.sampled_from(["S", "FUV"]).flatmap(complexes), dy=st.integers(-4, 4))
+def test_complex_document_round_trip(C, dy):
+    doc = json.loads(dump_json(complex_to_document(C, dy)))
+    assert document_to_complex(doc) == (C, dy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=RINGS.flatmap(specs))
+def test_spec_document_round_trip(spec):
+    assert document_to_spec(json.loads(dump_json(spec_to_document(spec)))) == spec

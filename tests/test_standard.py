@@ -4,6 +4,7 @@ import pytest
 
 from gridring import (
     EQUAL,
+    FreeComplex,
     GREATER,
     LESS,
     RingId,
@@ -85,6 +86,14 @@ class TestRealize:
         for _ in range(25):
             spec = random_spec(rng, max_pairs=2)
             assert read_params(realize(spec)) == spec
+
+    def test_read_params_rejects_other_complexes(self):
+        C = realize(parse_spec("C(-U[1,0], +V[1,0], -U[1,0], +V[1,0])"))
+        extra = FreeComplex(C.ring, C.generators, {**C.diff, (0, 3): elem_from_mono(u_mono(1, 0))})
+        with pytest.raises(ValueError, match="arrows outside the zig-zag"):
+            read_params(extra)
+        with pytest.raises(ValueError, match="no generators"):
+            read_params(FreeComplex(RingId.X, (), {}))
 
 
 class TestLexCompare:
