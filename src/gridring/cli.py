@@ -59,7 +59,7 @@ def _load_spec_arg(arg):
     """A spec from either the C(...) literal form or a document path."""
     if arg.strip().startswith("C("):
         return parse_spec(arg)
-    return standard_representative(*_load_complex(arg))[0]
+    return standard_representative(_load_complex(arg)[0])[0]
 
 
 def _emit(args, payload, text):
@@ -94,10 +94,7 @@ def cmd_basechange(args):
 
 
 def cmd_standardize(args):
-    C, dy = _load_complex(args.file)
-    if args.dy is not None:
-        dy = args.dy
-    spec, fwd, back, applied = standard_representative(C, dy)
+    spec, fwd, back, applied = standard_representative(_load_complex(args.file)[0])
     payload = {
         "spec": io_json.spec_to_document(spec),
         "specText": format_spec(spec),
@@ -211,7 +208,6 @@ def build_parser():
 
     p = sub.add_parser("standardize", help="compute the standard representative")
     p.add_argument("file")
-    p.add_argument("--dy", type=int, default=None, help="correction-term shift")
     p.set_defaults(func=cmd_standardize)
 
     p = sub.add_parser("tensor", help="tensor product of two base-S documents")

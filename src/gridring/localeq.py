@@ -34,7 +34,7 @@ solve returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import _gf2
 from .complexes import (
@@ -43,7 +43,6 @@ from .complexes import (
     _knotlike_bases,
     _scalar_mask,
     _side_exp,
-    is_knotlike,
     paired_basis,
     reduce,
     shift_gradings,
@@ -271,7 +270,7 @@ def _matrix(sol, slots):
     return matrix
 
 
-def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None, target=None):
+def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     """Solve for a gr1-preserving chain map; returns a matrix dict or None.
 
     The unknowns are numbered row-major: source generator, then target
@@ -280,14 +279,12 @@ def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None, target=None):
     unknowns and adds their chain-map terms.  ``skip`` omits one
     (generator, side) chain condition (short maps).  ``src_mask``/``tgt_w``
     encode the locality constraint: the image of the source tower element
-    must carry the target tower with coefficient 1.  ``target`` is the
-    ``_Target`` of ``tgt``, built here unless the caller keeps one for a
-    target it solves into repeatedly.  The returned map is the
-    free-variables-zero solution, so this numbering fixes the certificates
-    the CLI prints; the order of the equations does not matter.
+    must carry the target tower with coefficient 1.  The returned map is
+    the free-variables-zero solution, so this numbering fixes the
+    certificates the CLI prints; the order of the equations does not
+    matter.
     """
-    if target is None:
-        target = _Target(tgt)
+    target = _Target(tgt)
     src_in = _side_edges(src, reverse=True)
     rows = {}
     slots = {}
@@ -311,16 +308,16 @@ def _short_skip(n):
     return (n, Side.U if n % 2 == 0 else Side.V)
 
 
-def _map_into(spec, C, w, tgr, kind, label, target=None):
+def _map_into(spec, C, w, tgr, kind, label):
     """A (short) local map from a realized spec into C, as a certificate or None.
 
-    ``w`` and ``tgr`` are the functional mask and grading of C's tower, and
-    ``target`` optionally C's ``_Target``; the source tower is x_0.
+    ``w`` and ``tgr`` are the functional mask and grading of C's tower; the
+    source tower is x_0.
     """
     src = realize(spec)
     shift = tgr[1] - src.gr(0)[1]
     skip = _short_skip(len(spec.params)) if kind == "short" else None
-    matrix = _solve_map(src, C, shift, 1, w, skip=skip, target=target)
+    matrix = _solve_map(src, C, shift, 1, w, skip=skip)
     if matrix is None:
         return None
     return LocalMapCert(format_spec(spec), label, shift, matrix, kind)
@@ -492,12 +489,12 @@ def _descending(side, exps, stop):
 def standardize(C, trace=None):
     """The unique standard-complex representative, with certificates both ways.
 
-    The input must be reduced, knotlike and normalized.  Each step lists its
-    candidates in descending <! order and keeps the greatest that admits a
-    map: a parameter p needs a short local map from the prefix extended by
-    p; at odd steps the neutral 1, ordered between the positive and the
-    negative parameters, stops the search and needs a full local map from
-    the prefix.  That full map is the forward certificate.
+    The input must be valid, reduced, knotlike and normalized, and is
+    checked.  Each step lists its candidates in descending <! order and
+    keeps the greatest that admits a map: a parameter p needs a short local
+    map from the prefix extended by p; at odd steps the neutral 1, ordered
+    between the positive and the negative parameters, stops the search and
+    needs a full local map from the prefix: the forward certificate.
 
     Feasibility along the list is monotone (see the module docstring), so
     each step bisects the list for its first feasible index.  The backward
@@ -512,7 +509,11 @@ def standardize(C, trace=None):
     bad = validate(C)
     if bad:
         raise ValueError("invalid complex: " + "; ".join(bad))
-    pb_u, pb_v = _require_normalized(C, "complex")
+    return _standardize(C, *_require_normalized(C, "complex"), trace)
+
+
+def _standardize(C, pb_u, pb_v, trace=None):
+    """``standardize`` on a complex known to pass its checks, given its paired bases."""
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask, tgr = _tower(C, pb_v)
     search = _Search(_Target(C), w_tgt, tgr)
@@ -558,38 +559,39 @@ def standardize(C, trace=None):
     return spec, fwd, back
 
 
-def standard_representative(C, dy=0):
-    """Reduce, shift, normalize and standardize an arbitrary valid complex.
+def standard_representative(C):
+    """Reduce, normalize and standardize an arbitrary valid complex.
 
-    Returns (spec, forward cert, backward cert, total applied shift).  ``dy``
-    is subtracted as the external correction-term shift (dy, dy) before the
-    residual knotlike normalization is applied.
+    Returns (spec, forward cert, backward cert, applied shift), the shift
+    being the reduced complex's knotlike normalization; shifting the input's
+    gradings changes only that shift.  Validation and paired bases run once.
     """
     bad = validate(C)
     if bad:
         raise ValueError("invalid complex: " + "; ".join(bad))
     C = reduce(C)
-    applied = (dy, dy)
-    if dy:
-        C = shift_gradings(C, applied)
-    ok, shift = is_knotlike(C)
-    if not ok:
+    pb_u, pb_v, shift = _knotlike_bases(C)
+    if shift is None:
         raise NotKnotlikeError("complex is not knotlike")
-    if shift != (0, 0):
-        C = shift_gradings(C, shift)
-        applied = (applied[0] + shift[0], applied[1] + shift[1])
-    spec, fwd, back = standardize(C)
-    return spec, fwd, back, applied
+    C = shift_gradings(C, shift)
+    # a grading shift moves no pivot, pair, basis row or matrix entry, only gradings
+    s1, s2 = shift
+    pb_u, pb_v = (
+        replace(pb, gradings=tuple((g1 - s1, g2 - s2) for g1, g2 in pb.gradings))
+        for pb in (pb_u, pb_v)
+    )
+    spec, fwd, back = _standardize(C, pb_u, pb_v)
+    return spec, fwd, back, shift
 
 
-def is_locally_equivalent(C1, C2, dy1=0, dy2=0):
-    s1 = standard_representative(C1, dy1)[0]
-    s2 = standard_representative(C2, dy2)[0]
+def is_locally_equivalent(C1, C2):
+    s1 = standard_representative(C1)[0]
+    s2 = standard_representative(C2)[0]
     return s1.params == s2.params and s1.ring is s2.ring
 
 
-def order_compare_complexes(C1, C2, dy1=0, dy2=0):
+def order_compare_complexes(C1, C2):
     """Total-order comparison via the standard representatives."""
-    s1 = standard_representative(C1, dy1)[0]
-    s2 = standard_representative(C2, dy2)[0]
+    s1 = standard_representative(C1)[0]
+    s2 = standard_representative(C2)[0]
     return lex_compare(s1, s2)

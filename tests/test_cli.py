@@ -148,6 +148,19 @@ class TestCli:
         assert doc["specText"] == "C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])"
         assert doc["appliedShift"] == [-2, -2]
 
+    def test_standardize_ignores_dy(self, capsys, tmp_path):
+        # the knotlike normalization cancels any dY, so the output is the same
+        doc = complex_to_document(example_cable())
+        outs = []
+        for dy in (0, 3, -5):
+            path = tmp_path / ("cable_%d.json" % dy)
+            path.write_text(json.dumps(dict(doc, dY=dy)), encoding="utf-8")
+            code, out, err = invoke(capsys, "--json", "standardize", str(path))
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["appliedShift"] == [-2, -2]
+
     def test_invariants_on_spec_literal(self, capsys):
         code, out, _ = invoke(capsys, "--json", "invariants", "C(-U[2,1], +V[2,1])")
         assert code == 0

@@ -94,16 +94,16 @@ def _linear_scan(C):
 def _check_steps_against_scratch(C):
     """Walk the greedy extraction, comparing every candidate's probe with ``_map_into``.
 
-    The reference solves the whole system into the same ``_Target``.  A
-    feasible probe's solution, read back through the search's slot table
+    The reference solves the whole system from scratch into a fresh
+    ``_Target``, so it shares no table with the search.  A feasible probe's
+    solution, read back through the search's slot table
     and the candidate's own, must give the reference map entry by entry.
     Each step then accepts its first feasible candidate.  Returns the
     number of candidates compared.
     """
     ext = extant_coefficients(C)
     w, _mask, tgr = _tower_data(C)
-    target = _Target(C)
-    search = _Search(target, w, tgr)
+    search = _Search(_Target(C), w, tgr)
     n_probes = 0
     for k in range(1, 2 * C.n_gens() + 2):
         side = Side.U if k % 2 else Side.V
@@ -114,7 +114,7 @@ def _check_steps_against_scratch(C):
                 spec, kind = make_spec(C.ring, params), "full"
             else:
                 spec, kind = make_spec(C.ring, params + [p]), "short"
-            want = _map_into(spec, C, w, tgr, kind, "complex", target)
+            want = _map_into(spec, C, w, tgr, kind, "complex")
             got = search.probe(p)
             n_probes += 1
             assert (got is None) == (want is None), (spec, kind)
@@ -390,10 +390,10 @@ class TestStandardize:
         assert sum(1 for _D, rev in built if not rev) == 2
 
     def test_paired_bases_computed_once(self, monkeypatch):
-        # per call: is_knotlike on the input (2), the input's bases shared by
-        # the normalization check, extant pool and tower (2), and one fresh
-        # target basis for each certificate check (2); the standard
-        # representative's tower is x_0 in closed form
+        # per call: both sides of the reduced input once (2), handed shifted
+        # to the extant pool and the tower, and one fresh target basis for
+        # each certificate check (2); the standard representative's tower is
+        # x_0 in closed form
         import gridring.complexes
         import gridring.localeq
 
@@ -408,7 +408,24 @@ class TestStandardize:
         monkeypatch.setattr(gridring.localeq, "paired_basis", counting)
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
-        assert len(calls) <= 6
+        assert len(calls) == 4
+
+    def test_validated_once(self, monkeypatch):
+        # reduce is a homotopy equivalence, so its output needs no second check
+        import gridring.localeq
+
+        calls = []
+        original = gridring.localeq.validate
+
+        def counting(C):
+            calls.append(C)
+            return original(C)
+
+        monkeypatch.setattr(gridring.localeq, "validate", counting)
+        cable = reduce(base_change(example_cable()))
+        C = tensor(cable, cable)
+        standard_representative(C)
+        assert calls == [C]
 
     def test_termination_guard_via_certificates(self):
         # certificates returned by standardize always verify; a complex with

@@ -1,4 +1,4 @@
-"""Property tests: the order the greedy search rests on, and the document round trips."""
+"""Property tests: the facts the standardization rests on, and the document round trips."""
 
 import json
 
@@ -12,9 +12,13 @@ from gridring import (
     SignedParam,
     find_local_map,
     lex_compare,
+    paired_basis,
     realize,
+    reduce,
+    shift_gradings,
+    tensor,
 )
-from gridring.complexes import FUVComplex
+from gridring.complexes import FUVComplex, _knotlike_bases
 from gridring.io_json import (
     complex_to_document,
     document_to_complex,
@@ -25,7 +29,7 @@ from gridring.io_json import (
 from gridring.ring import RingElem
 from gridring.standard import make_spec
 
-from conftest import WINDOW_R, WINDOW_X
+from conftest import WINDOW_R, WINDOW_X, scramble
 
 RINGS = st.sampled_from([RingId.X, RingId.R])
 
@@ -72,6 +76,38 @@ def test_lex_order_is_local_map_existence(pair):
     # the bisection over each step's descending list rests on this order
     a, b = pair
     assert (lex_compare(a, b) != GREATER) == (find_local_map(a, realize(b), "full") is not None)
+
+
+@st.composite
+def knotlike_complexes(draw):
+    """A reduced knotlike complex: a scrambled product of two specs over one ring."""
+    ring = draw(RINGS)
+    C = tensor(realize(draw(specs(ring))), realize(draw(specs(ring))))
+    return reduce(scramble(C, draw(st.randoms(use_true_random=False)), n_ops=C.n_gens()))
+
+
+# a shift keeps gr1 - gr2 mod 2, as the knotlike shift's parity check needs
+PARITY_SHIFTS = st.tuples(st.integers(-6, 6), st.integers(-3, 3)).map(
+    lambda t: (t[0], t[0] + 2 * t[1])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(C=knotlike_complexes(), shift=PARITY_SHIFTS)
+def test_grading_shift_only_offsets_paired_bases(C, shift):
+    # standard_representative hands the unshifted complex's bases, offset,
+    # to the search on the shifted one
+    s1, s2 = shift
+    moved = shift_gradings(C, shift)
+    for side in (Side.U, Side.V):
+        got, want = paired_basis(moved, side), paired_basis(C, side)
+        assert got.basis == want.basis
+        assert list(got.matrix.items()) == list(want.matrix.items())
+        assert got.pairs == want.pairs
+        assert got.unpaired == want.unpaired
+        assert got.gradings == tuple((g1 - s1, g2 - s2) for g1, g2 in want.gradings)
+    t1, t2 = _knotlike_bases(C)[2]
+    assert _knotlike_bases(moved)[2] == (t1 - s1, t2 - s2)
 
 
 @settings(max_examples=100, deadline=None)
