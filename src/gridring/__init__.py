@@ -31,6 +31,7 @@ from .ring import (
 from .complexes import (
     FUVComplex,
     FreeComplex,
+    InvalidComplexError,
     NotKnotlikeError,
     PairedBasis,
     QuotientHomology,

@@ -14,6 +14,7 @@ import sys
 from . import examples, io_json
 from .complexes import (
     FUVComplex,
+    InvalidComplexError,
     NotKnotlikeError,
     base_change,
     dual,
@@ -55,11 +56,21 @@ def _load_complex(path, base=None):
     return C, dy
 
 
+def _standard_document(path):
+    """``standard_representative`` of a document, which it validates once."""
+    try:
+        return standard_representative(_read_complex(path)[0])
+    except InvalidComplexError as exc:
+        bad = exc.violations
+    # raised outside the handler, so it keeps no library frames as its context
+    raise DocumentError("%s: %s" % (path, "; ".join(bad)))
+
+
 def _load_spec_arg(arg):
     """A spec from either the C(...) literal form or a document path."""
     if arg.strip().startswith("C("):
         return parse_spec(arg)
-    return standard_representative(_load_complex(arg)[0])[0]
+    return _standard_document(arg)[0]
 
 
 def _emit(args, payload, text):
@@ -94,7 +105,7 @@ def cmd_basechange(args):
 
 
 def cmd_standardize(args):
-    spec, fwd, back, applied = standard_representative(_load_complex(args.file)[0])
+    spec, fwd, back, applied = _standard_document(args.file)
     payload = {
         "spec": io_json.spec_to_document(spec),
         "specText": format_spec(spec),

@@ -32,6 +32,14 @@ class NotKnotlikeError(ValueError):
     """The complex fails the single-tower condition on some side."""
 
 
+class InvalidComplexError(ValueError):
+    """The complex fails ``validate``; ``violations`` lists what it returned."""
+
+    def __init__(self, violations):
+        super().__init__("invalid complex: " + "; ".join(violations))
+        self.violations = violations
+
+
 @dataclass(frozen=True, eq=False)
 class FreeComplex:
     ring: RingId
@@ -298,14 +306,15 @@ def dual(C):
 class PairedBasis:
     """A homogeneous basis splitting one side-differential into pairs.
 
-    ``basis[i]`` expresses the i-th new basis element as a RingElem row over
-    the original generators; ``matrix`` is the side-differential in the new
-    basis; each pair (y, z, order) satisfies d_side(y) = order * z; unpaired
-    indices are side-cycles generating the nontorsion part.
+    ``basis[i]`` is the i-th new basis element reduced mod the maximal
+    ideals: an int bitmask over the original generators, bit j set when
+    generator j has a unit coefficient.  ``matrix`` is the side-differential
+    in the new basis; each pair (y, z, order) satisfies d_side(y) = order * z;
+    unpaired indices are side-cycles generating the nontorsion part.
     """
 
     side: Side
-    basis: tuple  # rows of RingElems
+    basis: tuple  # residue bitmasks, one per new basis element
     gradings: tuple
     matrix: dict  # (i, j) -> Monomial exp of the side differential
     pairs: tuple  # (y_index, z_index, Monomial)
@@ -321,6 +330,23 @@ def _side_exp(e, side):
     return next(iter(part))
 
 
+def side_rows(C, side, reverse=False):
+    """Per generator, ``{other end: side exponent}`` of its arrows on one side.
+
+    The arrows are the differential's out of each generator, or into it
+    when ``reverse`` is set; an arrow with no part on ``side`` is absent.
+    Each dict keeps the order of ``C.diff``.
+    """
+    rows = [{} for _ in range(C.n_gens())]
+    for (a, b), e in C.diff.items():
+        exp = _side_exp(e, side)
+        if exp is not None:
+            if reverse:
+                a, b = b, a
+            rows[a][b] = exp
+    return rows
+
+
 def _neg_key(exp):
     """The lattice key of ``exp`` with every component negated.
 
@@ -332,16 +358,6 @@ def _neg_key(exp):
     if exp == (0, 0):
         return (-5,)
     return tuple(-k for k in lattice_key(exp))
-
-
-def _add_row(row, coeff, src):
-    """row += coeff * src, for sparse rows ``{col: RingElem}``."""
-    for t, b in src.items():
-        acc = row.get(t, ZERO) + elem_mul(coeff, b)
-        if acc:
-            row[t] = acc
-        else:
-            row.pop(t, None)
 
 
 def paired_basis(C, side):
@@ -358,25 +374,27 @@ def paired_basis(C, side):
     then the <!-greatest exponent, first in row-major order among equal
     ones, which is the pivot rule above; a popped entry is stale, and
     skipped, once its row or column is paired or its slot no longer holds
-    that exponent.  The basis rows are sparse ``{col: RingElem}`` while the
-    pivots run and are returned dense.
+    that exponent.
+
+    Only the change of basis mod the maximal ideals is kept, as one residue
+    bitmask per basis element.  This is exact: a coefficient with a nonzero
+    exponent lies in a maximal ideal, so only the unit multiples of a row
+    (exponent (0, 0)) reach the residues.
     """
     if side not in (Side.U, Side.V):
         raise ValueError("side must be U or V")
     if not is_reduced(C):
         raise ValueError("paired_basis needs a reduced complex")
     m = C.n_gens()
-    rows = [{} for _ in range(m)]  # rows[i][j] = side exponent of entry (i, j)
+    rows = side_rows(C, side)  # rows[i][j] = side exponent of entry (i, j)
     cols = [set() for _ in range(m)]  # cols[j] = the rows with an entry in column j
     heap = []
-    for (i, j), e in C.diff.items():
-        exp = _side_exp(e, side)
-        if exp is not None:
-            rows[i][j] = exp
+    for i, row in enumerate(rows):
+        for j, exp in row.items():
             cols[j].add(i)
             heap.append((_neg_key(exp), i, j, exp))
     heapq.heapify(heap)
-    basis = [{i: ONE_ELEM} for i in range(m)]
+    basis = [1 << i for i in range(m)]
     grades = [C.gr(i) for i in range(m)]
     paired = [False] * m
     pairs = []
@@ -407,9 +425,10 @@ def paired_basis(C, side):
             lattice_key(mu)  # raises: an entry at the origin cannot be ordered
         lam = {r: sub(rows[p][r], mu) for r in sorted(rows[p])}
         # Replace basis element q by (1/mu) d_side(g_p).
-        newrow = {}
+        newrow = 0
         for r, lexp in lam.items():
-            _add_row(newrow, elem_from_side_exp(side, lexp), basis[r])
+            if lexp == (0, 0):
+                newrow ^= basis[r]
         basis[q] = newrow
         mg = mono_grading(Monomial(side, mu))
         grades[q] = (grades[p][0] - 1 - mg[0], grades[p][1] - 1 - mg[1])
@@ -427,7 +446,8 @@ def paired_basis(C, side):
         for i in sorted(cols[q] - {p}):
             lam2 = sub(rows[i].pop(q), mu)
             cols[q].discard(i)
-            _add_row(basis[i], elem_from_side_exp(side, lam2), basis[p])
+            if lam2 == (0, 0):
+                basis[i] ^= basis[p]
             for k in sorted(cols[i]):
                 c = rows[k][i]
                 toggle(k, p, (c[0] + lam2[0], c[1] + lam2[1]))
@@ -435,34 +455,14 @@ def paired_basis(C, side):
             raise ValueError("column of a paired generator did not clear; d^2 != 0?")
         pairs.append((p, q, Monomial(side, mu)))
         paired[p] = paired[q] = True
-    dense = []
-    for row in basis:
-        full = [ZERO] * m
-        for t, e in row.items():
-            full[t] = e
-        dense.append(tuple(full))
     return PairedBasis(
         side=side,
-        basis=tuple(dense),
+        basis=tuple(basis),
         gradings=tuple(grades),
         matrix={(i, j): rows[i][j] for i in range(m) for j in sorted(rows[i])},
         pairs=tuple(pairs),
         unpaired=tuple(i for i in range(m) if not paired[i]),
     )
-
-
-def _scalar_mask(row):
-    """One row of ring elements reduced mod the maximal ideals, as a bitmask."""
-    mask = 0
-    for j, e in enumerate(row):
-        if e.scalar:
-            mask |= 1 << j
-    return mask
-
-
-def basis_mod2(pb):
-    """The change-of-basis matrix reduced mod the maximal ideals, as bitmasks."""
-    return [_scalar_mask(row) for row in pb.basis]
 
 
 def tower_functional(C, pb):
@@ -477,7 +477,7 @@ def tower_functional(C, pb):
             "expected a single tower on side %s, found %d" % (pb.side.value, len(pb.unpaired))
         )
     t = pb.unpaired[0]
-    w = _gf2.solve_unit(basis_mod2(pb), t)
+    w = _gf2.solve_unit(pb.basis, t)
     if w is None:
         raise ValueError("paired-basis change matrix is singular mod the maximal ideals")
     return w, t

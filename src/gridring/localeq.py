@@ -38,14 +38,14 @@ from dataclasses import dataclass, replace
 
 from . import _gf2
 from .complexes import (
+    InvalidComplexError,
     NotKnotlikeError,
     _compose,
     _knotlike_bases,
-    _scalar_mask,
-    _side_exp,
     paired_basis,
     reduce,
     shift_gradings,
+    side_rows,
     tower_functional,
     validate,
 )
@@ -112,6 +112,13 @@ class ExtantSet:
         return self.u_coeffs if side is Side.U else self.v_coeffs
 
 
+def _require_valid(C):
+    """Raise InvalidComplexError unless ``validate`` passes."""
+    bad = validate(C)
+    if bad:
+        raise InvalidComplexError(bad)
+
+
 def _require_normalized(C, what):
     """Both paired bases (U side, V side) of a knotlike, normalized complex."""
     pb_u, pb_v, shift = _knotlike_bases(C)
@@ -125,7 +132,7 @@ def _require_normalized(C, what):
 def _tower(C, pb):
     """(functional mask, element mask, tower grading) of a paired basis's tower."""
     w, t = tower_functional(C, pb)
-    return w, _scalar_mask(pb.basis[t]), pb.gradings[t]
+    return w, pb.basis[t], pb.gradings[t]
 
 
 def _tower_data(C, side=Side.V):
@@ -150,8 +157,8 @@ def _extant(C, pb_u, pb_v):
     sides = {}
     for pb in (pb_u, pb_v):
         coeffs = set()
-        for (y, _z, order) in pb.pairs:
-            gy = pb.gradings[y]
+        # pairs sharing y's grading and the order give the same coefficients
+        for gy, (a, b) in {(pb.gradings[y], order.exp) for (y, _z, order) in pb.pairs}:
             for g0 in gen_grades:
                 gr = (g0[0] - gy[0], g0[1] - gy[1])
                 basis = bases.get(gr)
@@ -159,33 +166,15 @@ def _extant(C, pb_u, pb_v):
                     basis = bases[gr] = grading_basis(C.ring, gr)
                 for m in basis:
                     if m.side is Side.ONE or m.side is pb.side:
-                        coeffs.add((order.exp[0] + m.exp[0], order.exp[1] + m.exp[1]))
+                        coeffs.add((a + m.exp[0], b + m.exp[1]))
         sides[pb.side] = frozenset(coeffs)
     return ExtantSet(sides[Side.U], sides[Side.V])
-
-
-def _side_edges(C, reverse=False):
-    """Per generator and side, its (other end, side exponent) pairs.
-
-    The pairs follow the differential's arrows out of each generator, or
-    into it when ``reverse`` is set; an arrow with no part on a side is
-    absent from that side's list.
-    """
-    table = [{Side.U: [], Side.V: []} for _ in range(C.n_gens())]
-    for (a, b), e in C.diff.items():
-        if reverse:
-            a, b = b, a
-        for side, pairs in table[a].items():
-            exp = _side_exp(e, side)
-            if exp is not None:
-                pairs.append((b, exp))
-    return table
 
 
 class _Target:
     """The tables every system into one target complex reads, built once.
 
-    ``out`` is the target's ``_side_edges`` table.  ``slots(G)`` lists, for
+    ``out[side]`` is the target's ``side_rows`` table.  ``slots(G)`` lists, for
     a source generator of (shifted) grading G, the target generators j
     whose entry bigrading G - gr(j) has a non-empty monomial basis, each
     with that basis; it is memoized per grading.
@@ -193,7 +182,7 @@ class _Target:
 
     def __init__(self, C):
         self.ring = C.ring
-        self.out = _side_edges(C)
+        self.out = {side: side_rows(C, side) for side in (Side.U, Side.V)}
         self.grs = [C.gr(j) for j in range(C.n_gens())]
         self._bases = {}
         self._slots = {}
@@ -216,9 +205,9 @@ class _Target:
 def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None):
     """Number source generator i's unknowns from bit ``nbits`` on and add their terms.
 
-    ``G`` is the generator's shifted grading and ``in_edges`` its
-    ``_side_edges(src, reverse=True)`` entry, the source arrows into it (a
-    side without arrows may be left out).  The unknowns are numbered by
+    ``G`` is the generator's shifted grading and ``in_edges[side]`` its
+    ``side_rows(src, side, reverse=True)`` entry, the source arrows into it
+    (a side without arrows may be left out).  The unknowns are numbered by
     target generator, then by monomial in ``grading_basis`` order, and
     ``slots`` receives (i, j) -> [(bit, monomial)].  Each unknown f[i,j]·m
     XORs its two chain-map terms into ``rows`` (equation key -> mask):
@@ -232,7 +221,6 @@ def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None):
     loc = 0
     for j, basis in target.slots(G):
         slot = slots[(i, j)] = []
-        out_j = out[j]
         for m in basis:
             mask = 1 << nbits
             slot.append((nbits, m))
@@ -247,10 +235,10 @@ def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None):
             for side in sides:
                 sv = side.value
                 if skip != (i, side):
-                    for k, (c, d) in out_j[side]:
+                    for k, (c, d) in out[side][j].items():
                         key = (i, sv, k, (a + c, b + d))
                         rows[key] = rows.get(key, 0) ^ mask
-                for i0, (c, d) in in_edges.get(side, ()):
+                for i0, (c, d) in in_edges.get(side, {}).items():
                     if skip != (i0, side):
                         key = (i0, sv, j, (c + a, d + b))
                         rows[key] = rows.get(key, 0) ^ mask
@@ -285,7 +273,7 @@ def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     matter.
     """
     target = _Target(tgt)
-    src_in = _side_edges(src, reverse=True)
+    src_in = {side: side_rows(src, side, reverse=True) for side in (Side.U, Side.V)}
     rows = {}
     slots = {}
     loc = 0
@@ -293,8 +281,9 @@ def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     for i in range(src.n_gens()):
         g1, g2 = src.gr(i)
         w = tgt_w if (src_mask >> i) & 1 else 0
+        in_edges = {side: table[i] for side, table in src_in.items()}
         nbits, bits = _add_unknowns(
-            i, (g1, g2 + gr2shift), src_in[i], target, rows, slots, nbits, w, skip
+            i, (g1, g2 + gr2shift), in_edges, target, rows, slots, nbits, w, skip
         )
         loc ^= bits
     sol = _gf2.solve(list(rows.values()) + [loc], [0] * len(rows) + [1])
@@ -352,7 +341,7 @@ class _Search:
         k = len(self.params) + 1
         g1, g2 = mono_grading(Monomial(p.side, p.exp))
         G = (self.G[0] + p.sign * (1 + g1), self.G[1] + p.sign * (1 + g2))
-        in_edges = {p.side: [(k - 1, p.exp)]} if p.sign < 0 else {}
+        in_edges = {p.side: {k - 1: p.exp}} if p.sign < 0 else {}
         nbits, _loc = _add_unknowns(k, G, in_edges, self.target, rows, slots, self.nbits, skip=skip)
         if p.sign > 0:
             # the arrow x_k -> x_{k-1} adds d_src·f terms on x_{k-1}'s
@@ -506,9 +495,7 @@ def standardize(C, trace=None):
     ``trace``, when given, receives one ``(step, parameter or None,
     feasible)`` tuple per probe, in probe order.
     """
-    bad = validate(C)
-    if bad:
-        raise ValueError("invalid complex: " + "; ".join(bad))
+    _require_valid(C)
     return _standardize(C, *_require_normalized(C, "complex"), trace)
 
 
@@ -566,9 +553,7 @@ def standard_representative(C):
     being the reduced complex's knotlike normalization; shifting the input's
     gradings changes only that shift.  Validation and paired bases run once.
     """
-    bad = validate(C)
-    if bad:
-        raise ValueError("invalid complex: " + "; ".join(bad))
+    _require_valid(C)
     C = reduce(C)
     pb_u, pb_v, shift = _knotlike_bases(C)
     if shift is None:

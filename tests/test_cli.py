@@ -211,6 +211,42 @@ class TestCli:
             assert code == 1 and not out
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_standardize_validates_once(self, capsys, tmp_path, monkeypatch):
+        # the library's validation is the document check, not a second pass
+        import gridring.cli
+        import gridring.complexes
+        import gridring.localeq
+
+        calls = []
+        original = gridring.complexes.validate
+
+        def counting(C):
+            calls.append(C)
+            return original(C)
+
+        for module in (gridring.cli, gridring.complexes, gridring.localeq):
+            monkeypatch.setattr(module, "validate", counting)
+        cable = self.emit_file(capsys, tmp_path, "cable.json", "example", "cable")
+        code, _out, err = invoke(capsys, "--json", "standardize", str(cable))
+        assert code == 0, err
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["standardize", "{}"], ["compare", "{}", "C(0)"], ["invariants", "{}"]],
+        ids=["standardize", "compare", "invariants"],
+    )
+    def test_invalid_document_error(self, capsys, tmp_path, argv):
+        doc = complex_to_document(example_cable())
+        doc["generators"][0]["gr"] = [3, -1]
+        path = tmp_path / "cable_bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        bad = validate(base_change(document_to_complex(doc)[0]))
+        assert len(bad) == 2
+        code, out, err = invoke(capsys, *[a.format(path) for a in argv])
+        assert code == 1 and not out
+        assert err == "error: %s: %s\n" % (path, "; ".join(bad))
+
     def test_verification_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         import gridring.localeq
 

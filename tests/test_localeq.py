@@ -42,7 +42,7 @@ from gridring.localeq import (
 )
 from gridring.standard import make_spec
 
-from conftest import acyclic_pair, direct_sum, random_spec, scramble, wide_product
+from conftest import acyclic_pair, direct_sum, pad, random_spec, scramble, wide_product
 
 
 def _search_input(which):
@@ -369,25 +369,26 @@ class TestStandardize:
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):
-        # the target's out-edge table is the same in every trial, so one
-        # standardization builds it once; the backward solve builds the
-        # standard representative's
+        # the target's out-edge tables are the same in every trial, so one
+        # standardization builds each side's once; the backward solve builds
+        # the standard representative's, and reverses the input's once
         import gridring.localeq
 
         built = []
-        original = gridring.localeq._side_edges
+        original = gridring.localeq.side_rows
 
-        def recording(C, reverse=False):
-            built.append((C, reverse))
-            return original(C, reverse)
+        def recording(C, side, reverse=False):
+            built.append((C, side, reverse))
+            return original(C, side, reverse)
 
-        monkeypatch.setattr(gridring.localeq, "_side_edges", recording)
+        monkeypatch.setattr(gridring.localeq, "side_rows", recording)
         C = _search_input(which)
         trace = []
         standardize(C, trace=trace)
         assert len(trace) > 3
-        assert [rev for D, rev in built if D is C] == [False, True]
-        assert sum(1 for _D, rev in built if not rev) == 2
+        for side in (Side.U, Side.V):
+            assert [rev for D, s, rev in built if D is C and s is side] == [False, True]
+            assert [rev for _D, s, rev in built if s is side] == [False, False, True]
 
     def test_paired_bases_computed_once(self, monkeypatch):
         # per call: both sides of the reduced input once (2), handed shifted
@@ -474,6 +475,16 @@ class TestKnownAnswersAtScale:
         # scrambling did
         s, C = wide_product(random.Random(59))
         assert C.n_gens() >= 250
+        assert standard_representative(C)[0] == s
+
+    def test_product_of_1655_generators(self):
+        # large enough that a term quadratic in the generator count shows
+        rng = random.Random(5)
+        s = random_spec(rng, n_pairs=3)
+        T = realize(random_spec(rng, n_pairs=7))
+        C = pad(tensor(tensor(realize(s), T), dual(T)), rng, 40)
+        C = scramble(C, rng, n_ops=C.n_gens())
+        assert C.n_gens() == 1655
         assert standard_representative(C)[0] == s
 
     def test_wide_step_probes_match_scratch_solve(self):

@@ -10,12 +10,14 @@ from gridring import (
     RingId,
     Side,
     SignedParam,
+    dual,
     find_local_map,
     lex_compare,
     paired_basis,
     realize,
     reduce,
     shift_gradings,
+    standard_representative,
     tensor,
 )
 from gridring.complexes import FUVComplex, _knotlike_bases
@@ -29,7 +31,7 @@ from gridring.io_json import (
 from gridring.ring import RingElem
 from gridring.standard import make_spec
 
-from conftest import WINDOW_R, WINDOW_X, scramble
+from conftest import WINDOW_R, WINDOW_X, pad, scramble
 
 RINGS = st.sampled_from([RingId.X, RingId.R])
 
@@ -76,6 +78,30 @@ def test_lex_order_is_local_map_existence(pair):
     # the bisection over each step's descending list rests on this order
     a, b = pair
     assert (lex_compare(a, b) != GREATER) == (find_local_map(a, realize(b), "full") is not None)
+
+
+@st.composite
+def trivial_products(draw):
+    """``(s, realize(s) ⊗ T ⊗ T∨)``, the product maybe padded and scrambled."""
+    ring = draw(RINGS)
+    s = draw(specs(ring))
+    T = realize(draw(specs(ring, max_pairs=1)))
+    C = tensor(tensor(realize(s), T), dual(T))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        C = pad(C, rng, draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        C = scramble(C, rng, n_ops=C.n_gens())
+    return s, C
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=trivial_products())
+def test_tensor_with_dual_is_locally_trivial(case):
+    # T ⊗ T∨ is locally trivial (Dai-Hom-Stoffregen-Truong, arXiv:1902.03333;
+    # over X, arXiv:2110.14803), so the product's representative is s
+    s, C = case
+    assert standard_representative(C)[0] == s
 
 
 @st.composite
