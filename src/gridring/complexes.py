@@ -18,10 +18,9 @@ from .ring import (
     Side,
     ZERO,
     Monomial,
+    RingElem,
     elem_from_side_exp,
-    elem_grading,
     elem_mul,
-    elem_ok,
     in_region,
     lattice_key,
     mono_grading,
@@ -88,22 +87,21 @@ class FUVComplex:
         )
 
 
-def _compose(da, db):
-    """Matrix product of two sparse RingElem differentials."""
-    from_b = {}
-    for (j, k), e in db.items():
-        from_b.setdefault(j, []).append((k, e))
-    out = {}
-    for (i, j), e1 in da.items():
-        for k, e2 in from_b.get(j, ()):
-            p = elem_mul(e1, e2)
-            if p:
-                out[(i, k)] = out.get((i, k), ZERO) + p
-    return {key: e for key, e in out.items() if e}
-
-
 def validate(C):
-    """Structural checks; returns a list of violation strings (empty = ok)."""
+    """Structural checks; returns a list of violation strings (empty = ok).
+
+    Each entry is read once into a ``(scalar, u, v)`` triple, ``u`` and
+    ``v`` an exponent pair or None.  This form is exact for a homogeneous
+    entry, which is the scalar 1 alone or at most one U-side monomial plus
+    at most one V-side monomial: the scalar lives only in grading (0, 0),
+    where no side monomial exists, and distinct monomials of one side have
+    distinct gradings.  An entry of another shape is therefore not in the
+    ring if one of its monomials is not, and inhomogeneous otherwise.  Ring
+    membership, homogeneity and the grading are checked as integer
+    arithmetic on the exponents; once every entry passes, d^2 is computed
+    on the triples (``_square_defects``).  ``check_certificate`` keeps the
+    ``RingElem`` product ``_compose``, an arithmetic independent of this one.
+    """
     out = []
     names = [nm for nm, _gr in C.generators]
     if len(set(names)) != len(names):
@@ -112,32 +110,100 @@ def validate(C):
         if (g1 - g2) % 2:
             out.append("generator %s has gradings of mixed parity %s" % (nm, (g1, g2)))
     n = C.n_gens()
+    grs = [gr for _nm, gr in C.generators]
+    over_r = C.ring is RingId.R
+
+    def in_ring(exp):
+        a, b = exp
+        return b == 0 and a > 0 if over_r else b > 0 or (b == 0 and a > 0)
+
+    form = []
     for (i, j), e in C.diff.items():
         if not (0 <= i < n and 0 <= j < n):
             out.append("differential entry (%d, %d) out of range" % (i, j))
             continue
-        if not e:
+        s, u, v = e.scalar, e.u, e.v
+        if not (s or u or v):
             out.append("stored zero entry at (%s, %s)" % (C.name(i), C.name(j)))
             continue
-        if not elem_ok(C.ring, e):
+        if not (all(map(in_ring, u)) and all(map(in_ring, v))):
             out.append("entry (%s, %s) = %r is not in ring %s" % (C.name(i), C.name(j), e, C.ring.value))
             continue
-        try:
-            gr = elem_grading(e)
-        except ValueError:
+        ue = ve = None
+        if s:
+            homogeneous, gr = not (u or v), (0, 0)
+        elif len(u) > 1 or len(v) > 1:
+            homogeneous = False
+        else:
+            (ue,) = u or (None,)
+            (ve,) = v or (None,)
+            # U[a,b] and V[b,a] share the grading (-2a, -2b)
+            homogeneous = not (ue and ve) or ve == (ue[1], ue[0])
+            gr = (-2 * ue[0], -2 * ue[1]) if ue else (-2 * ve[1], -2 * ve[0])
+        if not homogeneous:
             out.append("entry (%s, %s) = %r is inhomogeneous" % (C.name(i), C.name(j), e))
             continue
-        want = (C.gr(i)[0] - C.gr(j)[0] - 1, C.gr(i)[1] - C.gr(j)[1] - 1)
+        (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
+        want = (gi1 - gj1 - 1, gi2 - gj2 - 1)
         if gr != want:
             out.append(
                 "entry (%s, %s) has grading %s, expected %s"
                 % (C.name(i), C.name(j), gr, want)
             )
+        form.append((1 if s else 0, ue, ve))
     if not out:
-        sq = _compose(C.diff, C.diff)
-        for (i, k), e in sq.items():
+        for (i, k), e in _square_defects(C, form):
             out.append("d^2 is nonzero: (%s -> %s) = %r" % (C.name(i), C.name(k), e))
     return out
+
+
+def _square_defects(C, form):
+    """The nonzero entries of d^2, as ``((i, k), RingElem)`` in ``_compose``'s order.
+
+    ``form[t]`` is the ``(scalar, u, v)`` triple of the t-th entry of
+    ``C.diff``, every entry valid, so a scalar triple has no side part.  A
+    product's scalar is s1 & s2; on a side it is the other factor's
+    exponent when one factor is the scalar, else the sum of both factors'
+    exponents, if both have that side.  Each term flips a parity kept per
+    ``(i, k, part, exponent)``, the part being "1", "U" or "V".  ``_compose``
+    lists the keys (i, k) in the order of their first nonzero product, which
+    is the order of their first term here.
+    """
+    out_of = [[] for _ in range(C.n_gens())]
+    for (j, k), t in zip(C.diff, form):
+        out_of[j].append((k, t))
+    parity = {}
+    for (i, j), (s1, u1, v1) in zip(C.diff, form):
+        for k, (s2, u2, v2) in out_of[j]:
+            if s1:
+                if s2:
+                    key = (i, k, "1", (0, 0))
+                    parity[key] = parity.get(key, 0) ^ 1
+                    continue
+                u, v = u2, v2
+            elif s2:
+                u, v = u1, v1
+            else:
+                u = (u1[0] + u2[0], u1[1] + u2[1]) if u1 and u2 else None
+                v = (v1[0] + v2[0], v1[1] + v2[1]) if v1 and v2 else None
+            if u:
+                key = (i, k, "U", u)
+                parity[key] = parity.get(key, 0) ^ 1
+            if v:
+                key = (i, k, "V", v)
+                parity[key] = parity.get(key, 0) ^ 1
+    if not any(parity.values()):
+        return []
+    parts = {}
+    for (i, k, part, exp), bit in parity.items():
+        found = parts.setdefault((i, k), {"1": set(), "U": set(), "V": set()})
+        if bit:
+            found[part].add(exp)
+    return [
+        (ik, RingElem(1 if p["1"] else 0, frozenset(p["U"]), frozenset(p["V"])))
+        for ik, p in parts.items()
+        if any(p.values())
+    ]
 
 
 def validate_fuv(C):
@@ -385,8 +451,12 @@ def paired_basis(C, side):
         raise ValueError("side must be U or V")
     if not is_reduced(C):
         raise ValueError("paired_basis needs a reduced complex")
+    return _paired_basis(C, side, side_rows(C, side))
+
+
+def _paired_basis(C, side, rows):
+    """``paired_basis`` of a reduced C, consuming ``rows``, its ``side_rows`` on ``side``."""
     m = C.n_gens()
-    rows = side_rows(C, side)  # rows[i][j] = side exponent of entry (i, j)
     cols = [set() for _ in range(m)]  # cols[j] = the rows with an entry in column j
     heap = []
     for i, row in enumerate(rows):
@@ -508,22 +578,31 @@ def quotient_homology(C, side):
     return QuotientHomology(side, len(pb.unpaired), towers, tuple(torsion))
 
 
+def side_tables(C):
+    """Both sides' ``side_rows`` tables of C, keyed by side."""
+    return {side: side_rows(C, side) for side in (Side.U, Side.V)}
+
+
 def _knotlike_bases(C):
-    """Both sides' paired bases and the normalizing shift, or None for the shift.
+    """Both sides' paired bases, the normalizing shift or None, and the side tables.
 
     The shift is None unless each side has a single tower; subtracting it
-    puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.
+    puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.  The
+    paired bases work on copies of C's ``side_tables``, which are returned
+    for the caller to read.
     """
     if not is_reduced(C):
         raise ValueError("is_knotlike needs a reduced complex; reduce first")
-    pb_u = paired_basis(C, Side.U)
-    pb_v = paired_basis(C, Side.V)
+    tables = side_tables(C)
+    pb_u, pb_v = (
+        _paired_basis(C, side, [dict(row) for row in tables[side]]) for side in (Side.U, Side.V)
+    )
     if len(pb_u.unpaired) != 1 or len(pb_v.unpaired) != 1:
-        return pb_u, pb_v, None
+        return pb_u, pb_v, None, tables
     shift = (pb_v.gradings[pb_v.unpaired[0]][0], pb_u.gradings[pb_u.unpaired[0]][1])
     if (shift[0] - shift[1]) % 2:
         raise NotKnotlikeError("tower gradings have mixed parity; complex is malformed")
-    return pb_u, pb_v, shift
+    return pb_u, pb_v, shift, tables
 
 
 def is_knotlike(C):

@@ -3,7 +3,8 @@
 A complex document carries a schema version, the coefficient ring, the base
 ("S" for a grid-ring complex, "FUV" for a complex over F2[U,V] awaiting base
 change), an optional correction-term shift dY, named graded generators, and
-the sparse differential with explicit monomial records.
+the sparse differential with explicit monomial records, one record per
+(from, to) pair.
 """
 
 from __future__ import annotations
@@ -115,9 +116,16 @@ def document_to_complex(doc):
         index[name] = len(gens)
         gens.append((name, _grading(rec, pos)))
     diff = {}
+    seen = set()
     for pos, rec in enumerate(_records(doc, "differential")):
         i = _endpoint(rec, "from", index, pos)
         j = _endpoint(rec, "to", index, pos)
+        if (i, j) in seen:
+            raise DocumentError(
+                "differential[%d] repeats the entry (%s, %s)"
+                % (pos, _brief(rec["from"]), _brief(rec["to"]))
+            )
+        seen.add((i, j))
         coeff = _records(rec, "coeff")
         if base == "FUV":
             exps = set()

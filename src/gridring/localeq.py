@@ -40,12 +40,12 @@ from . import _gf2
 from .complexes import (
     InvalidComplexError,
     NotKnotlikeError,
-    _compose,
     _knotlike_bases,
     paired_basis,
     reduce,
     shift_gradings,
     side_rows,
+    side_tables,
     tower_functional,
     validate,
 )
@@ -56,6 +56,7 @@ from .ring import (
     ZERO,
     elem_from_mono,
     elem_grading,
+    elem_mul,
     elem_ok,
     elem_side_part,
     grading_basis,
@@ -120,13 +121,13 @@ def _require_valid(C):
 
 
 def _require_normalized(C, what):
-    """Both paired bases (U side, V side) of a knotlike, normalized complex."""
-    pb_u, pb_v, shift = _knotlike_bases(C)
+    """Both paired bases (U side, V side) and ``side_tables`` of a knotlike, normalized complex."""
+    pb_u, pb_v, shift, tables = _knotlike_bases(C)
     if shift is None:
         raise NotKnotlikeError("%s must be knotlike" % what)
     if shift != (0, 0):
         raise ValueError("%s must be normalized; apply the knotlike shift %s first" % (what, shift))
-    return pb_u, pb_v
+    return pb_u, pb_v, tables
 
 
 def _tower(C, pb):
@@ -148,7 +149,8 @@ def extant_coefficients(C):
     that bigrading; the union over bigradings contains every coefficient a
     (short) local map can use.
     """
-    return _extant(C, *_require_normalized(C, "complex"))
+    pb_u, pb_v, _tables = _require_normalized(C, "complex")
+    return _extant(C, pb_u, pb_v)
 
 
 def _extant(C, pb_u, pb_v):
@@ -174,15 +176,16 @@ def _extant(C, pb_u, pb_v):
 class _Target:
     """The tables every system into one target complex reads, built once.
 
-    ``out[side]`` is the target's ``side_rows`` table.  ``slots(G)`` lists, for
-    a source generator of (shifted) grading G, the target generators j
-    whose entry bigrading G - gr(j) has a non-empty monomial basis, each
-    with that basis; it is memoized per grading.
+    ``out[side]`` is the target's ``side_rows`` table, from ``side_tables``
+    unless the caller built them already.  ``slots(G)`` lists, for a source
+    generator of (shifted) grading G, the target generators j whose entry
+    bigrading G - gr(j) has a non-empty monomial basis, each with that
+    basis; it is memoized per grading.
     """
 
-    def __init__(self, C):
+    def __init__(self, C, tables=None):
         self.ring = C.ring
-        self.out = {side: side_rows(C, side) for side in (Side.U, Side.V)}
+        self.out = side_tables(C) if tables is None else tables
         self.grs = [C.gr(j) for j in range(C.n_gens())]
         self._bases = {}
         self._slots = {}
@@ -388,11 +391,25 @@ def find_local_map(spec, target, kind="full"):
     """
     if kind not in ("full", "short"):
         raise ValueError("kind must be 'full' or 'short'")
-    _pb_u, pb_v = _require_normalized(target, "target")
+    _pb_u, pb_v, _tables = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
     w, _elem_mask, tgr = _tower(target, pb_v)
     return _map_into(spec, target, w, tgr, kind, "target")
+
+
+def _compose(da, db):
+    """Matrix product of two sparse RingElem differentials."""
+    from_b = {}
+    for (j, k), e in db.items():
+        from_b.setdefault(j, []).append((k, e))
+    out = {}
+    for (i, j), e1 in da.items():
+        for k, e2 in from_b.get(j, ()):
+            p = elem_mul(e1, e2)
+            if p:
+                out[(i, k)] = out.get((i, k), ZERO) + p
+    return {key: e for key, e in out.items() if e}
 
 
 def check_certificate(src, tgt, cert, src_mask=None, check_left=False):
@@ -491,19 +508,23 @@ def standardize(C, trace=None):
     broke monotonicity raises VerificationError rather than return a wrong
     spec.  The target's tables are built once (``_Target``) and one system
     grows with the search (``_Search``).  Only the stopping probe's solution
-    becomes a certificate, and only the returned spec is realized.
-    ``trace``, when given, receives one ``(step, parameter or None,
+    becomes a certificate, and only the returned spec is realized.  Each
+    side's exponent table is built once, for the paired bases and the
+    target.  ``trace``, when given, receives one ``(step, parameter or None,
     feasible)`` tuple per probe, in probe order.
     """
     _require_valid(C)
     return _standardize(C, *_require_normalized(C, "complex"), trace)
 
 
-def _standardize(C, pb_u, pb_v, trace=None):
-    """``standardize`` on a complex known to pass its checks, given its paired bases."""
+def _standardize(C, pb_u, pb_v, tables, trace=None):
+    """``standardize`` on a complex known to pass its checks.
+
+    ``pb_u``, ``pb_v`` and ``tables`` are C's paired bases and ``side_tables``.
+    """
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask, tgr = _tower(C, pb_v)
-    search = _Search(_Target(C), w_tgt, tgr)
+    search = _Search(_Target(C, tables), w_tgt, tgr)
     guard = 2 * C.n_gens()
     while True:
         k = len(search.params) + 1
@@ -551,21 +572,23 @@ def standard_representative(C):
 
     Returns (spec, forward cert, backward cert, applied shift), the shift
     being the reduced complex's knotlike normalization; shifting the input's
-    gradings changes only that shift.  Validation and paired bases run once.
+    gradings changes only that shift.  Validation, the side exponent tables
+    and the paired bases run once.
     """
     _require_valid(C)
     C = reduce(C)
-    pb_u, pb_v, shift = _knotlike_bases(C)
+    pb_u, pb_v, shift, tables = _knotlike_bases(C)
     if shift is None:
         raise NotKnotlikeError("complex is not knotlike")
     C = shift_gradings(C, shift)
-    # a grading shift moves no pivot, pair, basis row or matrix entry, only gradings
+    # a grading shift moves no pivot, pair, basis row, matrix entry or
+    # side exponent, only gradings
     s1, s2 = shift
     pb_u, pb_v = (
         replace(pb, gradings=tuple((g1 - s1, g2 - s2) for g1, g2 in pb.gradings))
         for pb in (pb_u, pb_v)
     )
-    spec, fwd, back = _standardize(C, pb_u, pb_v)
+    spec, fwd, back = _standardize(C, pb_u, pb_v, tables)
     return spec, fwd, back, shift
 
 

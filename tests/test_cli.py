@@ -71,6 +71,30 @@ def invoke(capsys, *argv):
     return code, out.out, out.err
 
 
+# (base, coefficients of an entry's first record, of its second record)
+REPEATED_ENTRIES = [
+    pytest.param("S", [{"part": "K"}], [{"part": "U", "e": [1, 0]}], id="replaced"),
+    pytest.param(
+        "S",
+        [{"part": "K"}],
+        [{"part": "U", "e": [1, 0]}, {"part": "U", "e": [1, 0]}],
+        id="cancelled",
+    ),
+    pytest.param("FUV", [{"U": 1, "V": 0}], [{"U": 0, "V": 1}], id="fuv"),
+]
+
+
+def _repeated_entry_document(base, first, second):
+    """A Zhou n = 2 document whose first entry has a second record; and the error."""
+    C = example_zhou(2)
+    doc = complex_to_document(base_change(C) if base == "S" else C)
+    rec = doc["differential"][0]
+    rec["coeff"] = first
+    doc["differential"].append(dict(rec, coeff=second))
+    pos = len(doc["differential"]) - 1
+    return doc, "differential[%d] repeats the entry (%r, %r)" % (pos, rec["from"], rec["to"])
+
+
 class TestDocuments:
     def test_round_trip_fuv(self):
         C = example_zhou(3)
@@ -89,6 +113,14 @@ class TestDocuments:
         doc["schemaVersion"] = 2
         with pytest.raises(DocumentError):
             document_to_complex(doc)
+
+    @pytest.mark.parametrize("base, first, second", REPEATED_ENTRIES)
+    def test_repeated_entry_rejected(self, base, first, second):
+        # a second record for one entry neither replaces nor adds to the first
+        doc, message = _repeated_entry_document(base, first, second)
+        with pytest.raises(DocumentError) as info:
+            document_to_complex(doc)
+        assert str(info.value) == message
 
     def test_spec_documents(self, pool):
         for spec in pool:
@@ -246,6 +278,29 @@ class TestCli:
         code, out, err = invoke(capsys, *[a.format(path) for a in argv])
         assert code == 1 and not out
         assert err == "error: %s: %s\n" % (path, "; ".join(bad))
+
+    @pytest.mark.parametrize("command", ["validate", "standardize"])
+    @pytest.mark.parametrize("base, first, second", REPEATED_ENTRIES)
+    def test_repeated_entry_error(self, capsys, tmp_path, command, base, first, second):
+        doc, message = _repeated_entry_document(base, first, second)
+        path = tmp_path / "repeat.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke(capsys, command, str(path))
+        assert code == 1 and not out
+        assert err == "error: %s\n" % message
+
+    def test_validate_json_golden(self, capsys, tmp_path):
+        # the cable document with "gr": [1, -1] rewritten to [3, -1], as the
+        # install smoke test does with sed
+        doc = complex_to_document(example_cable())
+        for rec in doc["generators"]:
+            if rec["gr"] == [1, -1]:
+                rec["gr"] = [3, -1]
+        path = tmp_path / "cable_bad.json"
+        path.write_text(dump_json(doc), encoding="utf-8")
+        code, out, _err = invoke(capsys, "--json", "validate", str(path))
+        assert code == 1
+        assert out == (DATA / "validate_cable_bad.json").read_text(encoding="utf-8")
 
     def test_verification_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         import gridring.localeq

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridring import (
     FUVComplex,
@@ -40,8 +41,11 @@ from gridring.ring import (
     ZERO,
     elem_from_mono,
     elem_from_side_exp,
+    elem_grading,
     elem_mul,
+    elem_ok,
     elem_side_part,
+    grading_basis,
     in_region,
     lattice_compare,
     lattice_key,
@@ -50,6 +54,7 @@ from gridring.ring import (
     v_mono,
 )
 from gridring import _gf2
+from gridring.localeq import _compose
 
 from conftest import (
     acyclic_pair,
@@ -61,6 +66,51 @@ from conftest import (
     shuffle_generators,
     wide_product,
 )
+
+
+def reference_validate(C):
+    """Structural checks; returns a list of violation strings (empty = ok).
+
+    The ``validate`` this package shipped before the entry form: ring
+    membership and gradings through ``elem_ok`` and ``elem_grading`` on
+    ``RingElem`` entries, and d^2 through the ``RingElem`` product
+    ``_compose``.  The current one must return the same list, content and
+    order.
+    """
+    out = []
+    names = [nm for nm, _gr in C.generators]
+    if len(set(names)) != len(names):
+        out.append("generator names are not unique")
+    for nm, (g1, g2) in C.generators:
+        if (g1 - g2) % 2:
+            out.append("generator %s has gradings of mixed parity %s" % (nm, (g1, g2)))
+    n = C.n_gens()
+    for (i, j), e in C.diff.items():
+        if not (0 <= i < n and 0 <= j < n):
+            out.append("differential entry (%d, %d) out of range" % (i, j))
+            continue
+        if not e:
+            out.append("stored zero entry at (%s, %s)" % (C.name(i), C.name(j)))
+            continue
+        if not elem_ok(C.ring, e):
+            out.append("entry (%s, %s) = %r is not in ring %s" % (C.name(i), C.name(j), e, C.ring.value))
+            continue
+        try:
+            gr = elem_grading(e)
+        except ValueError:
+            out.append("entry (%s, %s) = %r is inhomogeneous" % (C.name(i), C.name(j), e))
+            continue
+        want = (C.gr(i)[0] - C.gr(j)[0] - 1, C.gr(i)[1] - C.gr(j)[1] - 1)
+        if gr != want:
+            out.append(
+                "entry (%s, %s) has grading %s, expected %s"
+                % (C.name(i), C.name(j), gr, want)
+            )
+    if not out:
+        sq = _compose(C.diff, C.diff)
+        for (i, k), e in sq.items():
+            out.append("d^2 is nonzero: (%s -> %s) = %r" % (C.name(i), C.name(k), e))
+    return out
 
 
 def reference_reduce(C):
@@ -593,6 +643,238 @@ class TestAgainstReference:
         _s, C = wide_product(random.Random(53))
         assert C.n_gens() >= 265
         _same_bases(_same_reduction(C))
+
+
+# valid complexes to mutate: standard complexes over X and R, a product, the
+# base-changed examples, scrambled padded complexes, which hold scalar
+# entries and entries with both sides, and two stacked acyclic pairs, where
+# an extra unit arrow makes a unit d^2 entry
+_rng = random.Random(61)
+VALID_BASES = (
+    [
+        realize(parse_spec(t))
+        for t in ("C(-U[1,0], +V[1,0])", "C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])")
+    ]
+    + [
+        realize(parse_spec(t, RingId.R))
+        for t in ("C(-U[1,0], +V[1,0])", "C(-U[2,0], +V[1,0], -U[1,0], +V[2,0])")
+    ]
+    + [
+        tensor(
+            realize(parse_spec("C(-U[1,0], +V[1,0])")), realize(parse_spec("C(+U[2,1], -V[2,1])"))
+        ),
+        base_change(example_cable()),
+        base_change(example_zhou(3)),
+        direct_sum(acyclic_pair(RingId.X, (2, 2)), acyclic_pair(RingId.X, (1, 1))),
+    ]
+    + [
+        scramble(pad(realize(parse_spec(t, ring)), _rng, 2), _rng, n_ops=12)
+        for t, ring in (("C(-U[2,1], +V[2,1])", RingId.X), ("C(-U[1,0], +V[2,0])", RingId.R))
+    ]
+)
+OFF_REGION = [(0, 0), (-1, 0), (-2, 0), (1, -1), (0, -1)]
+
+
+def _side_elem(side, exp):
+    """A one-monomial side element, off the ring's region too."""
+    return elem_from_mono(Monomial(side, exp))
+
+
+def _changed(C, gens=None, diff=None):
+    return FreeComplex(
+        C.ring, C.generators if gens is None else tuple(gens), C.diff if diff is None else diff
+    )
+
+
+def _entry(C, rng):
+    """A copy of the differential and one of its keys."""
+    diff = dict(C.diff)
+    return diff, rng.choice(sorted(diff))
+
+
+def _duplicate_name(C, rng):
+    gens = list(C.generators)
+    i, j = rng.sample(range(len(gens)), 2)
+    gens[j] = (gens[i][0], gens[j][1])
+    return _changed(C, gens=gens)
+
+
+def _mixed_parity(C, rng):
+    gens = list(C.generators)
+    k = rng.randrange(len(gens))
+    nm, (g1, g2) = gens[k]
+    gens[k] = (nm, (g1 + rng.choice([-1, 1]), g2))
+    return _changed(C, gens=gens)
+
+
+def _wrong_grading(C, rng):
+    gens = list(C.generators)
+    k = rng.randrange(len(gens))
+    nm, (g1, g2) = gens[k]
+    d1, d2 = rng.choice([(2, 0), (0, -2), (2, 2), (-4, 2)])
+    gens[k] = (nm, (g1 + d1, g2 + d2))
+    return _changed(C, gens=gens)
+
+
+def _out_of_range(C, rng):
+    diff = dict(C.diff)
+    n = C.n_gens()
+    key = rng.choice([(n, 0), (0, n), (-1, 1), (1, n + 2)])
+    diff[key] = ONE_ELEM
+    return _changed(C, diff=diff)
+
+
+def _stored_zero(C, rng):
+    diff, key = _entry(C, rng)
+    diff[key] = ZERO
+    return _changed(C, diff=diff)
+
+
+def _off_region(C, rng):
+    diff, key = _entry(C, rng)
+    term = _side_elem(rng.choice([Side.U, Side.V]), rng.choice(OFF_REGION))
+    diff[key] = term if rng.randrange(2) else diff[key] + term
+    return _changed(C, diff=diff)
+
+
+def _second_row(C, rng):
+    # j != 0 is outside R; over X the entry becomes inhomogeneous or misgraded
+    diff, key = _entry(C, rng)
+    diff[key] = _side_elem(rng.choice([Side.U, Side.V]), rng.choice([(1, 1), (2, 1), (-1, 1)]))
+    return _changed(C, diff=diff)
+
+
+def _two_on_one_side(C, rng):
+    diff, key = _entry(C, rng)
+    side = rng.choice([Side.U, Side.V])
+    e = diff[key]
+    have = e.u if side is Side.U else e.v
+    window = [(1, 0), (2, 0), (3, 0)] if C.ring is RingId.R else [(1, 0), (2, 0), (1, 1), (-1, 1)]
+    for exp in rng.sample([x for x in window if x not in have], 2 - min(len(have), 1)):
+        e = e + _side_elem(side, exp)
+    diff[key] = e
+    return _changed(C, diff=diff)
+
+
+def _scalar_plus_monomial(C, rng):
+    diff, key = _entry(C, rng)
+    e = diff[key]
+    diff[key] = e + _side_elem(rng.choice([Side.U, Side.V]), (1, 0)) if e.scalar else e + ONE_ELEM
+    return _changed(C, diff=diff)
+
+
+def _mismatched_sides(C, rng):
+    diff, key = _entry(C, rng)
+    a, b = rng.choice([(1, 0), (2, 0), (1, 1)])
+    diff[key] = RingElem(0, frozenset([(a, b)]), frozenset([(a, b + 1)]))
+    return _changed(C, diff=diff)
+
+
+def _extra_arrows(C, rng):
+    # homogeneous arrows of the right grading pass every entry check, so
+    # only d^2 can fail; a unit arrow next to a unit entry leaves a scalar
+    diff = dict(C.diff)
+    n = C.n_gens()
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rng.shuffle(pairs)
+    added = 0
+    for i, j in pairs:
+        want = (C.gr(i)[0] - C.gr(j)[0] - 1, C.gr(i)[1] - C.gr(j)[1] - 1)
+        basis = grading_basis(C.ring, want)
+        if not basis:
+            continue
+        term = ZERO
+        for m in rng.sample(basis, rng.randint(1, len(basis))):
+            term = term + elem_from_mono(m)
+        acc = diff.get((i, j), ZERO) + term
+        if acc:
+            diff[(i, j)] = acc
+        else:
+            del diff[(i, j)]
+        added += 1
+        if added == rng.randint(1, 3):
+            break
+    return _changed(C, diff=diff)
+
+
+MUTATIONS = {
+    "duplicate-name": _duplicate_name,
+    "mixed-parity": _mixed_parity,
+    "wrong-grading": _wrong_grading,
+    "out-of-range": _out_of_range,
+    "stored-zero": _stored_zero,
+    "off-region": _off_region,
+    "second-row": _second_row,
+    "two-on-one-side": _two_on_one_side,
+    "scalar-plus-monomial": _scalar_plus_monomial,
+    "mismatched-sides": _mismatched_sides,
+    "extra-arrows": _extra_arrows,
+}
+
+
+def _same_validation(C):
+    got, want = validate(C), reference_validate(C)
+    assert got == want
+    return got
+
+
+VIOLATION_KINDS = (
+    "not unique",
+    "mixed parity",
+    "out of range",
+    "stored zero",
+    "not in ring",
+    "inhomogeneous",
+    "has grading",
+    "d^2",
+)
+
+
+def _kinds(bad):
+    """The kinds of violation in one list, plus the d^2 shapes that test order and scalars."""
+    kinds = set()
+    for msg in bad:
+        kinds.update(kind for kind in VIOLATION_KINDS if kind in msg)
+        if msg.startswith("d^2") and ") = 1" in msg:
+            kinds.add("d^2 scalar")
+    if sum(msg.startswith("d^2") for msg in bad) > 1:
+        kinds.add("d^2 several")
+    return kinds
+
+
+class TestValidateAgainstReference:
+    """``validate`` on the entry form returns what the RingElem one did."""
+
+    def test_random_side_matrices(self):
+        rng = random.Random(47)
+        for _ in range(1000):
+            _same_validation(_random_side_matrix(rng, rng.randint(2, 8)))
+
+    def test_pool_and_products(self, pool):
+        realized = [realize(spec) for spec in pool]
+        for C in realized + [tensor(A, B) for A in realized for B in realized] + VALID_BASES:
+            assert _same_validation(C) == []
+
+    def test_mutations_cover_every_violation(self):
+        rng = random.Random(67)
+        seen = set()
+        for _ in range(20):
+            for C in VALID_BASES:
+                for kind in sorted(MUTATIONS):
+                    seen |= _kinds(_same_validation(MUTATIONS[kind](C, rng)))
+        assert seen >= set(VIOLATION_KINDS) | {"d^2 scalar", "d^2 several"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from(VALID_BASES),
+        kinds=st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=3),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_mutated_complexes(self, base, kinds, rnd):
+        C = base
+        for kind in kinds:
+            C = MUTATIONS[kind](C, rnd)
+        _same_validation(C)
 
 
 class TestQuotientHomology:

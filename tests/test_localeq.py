@@ -369,26 +369,31 @@ class TestStandardize:
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):
-        # the target's out-edge tables are the same in every trial, so one
-        # standardization builds each side's once; the backward solve builds
-        # the standard representative's, and reverses the input's once
+        # each side's table of the input is built once, for its paired bases
+        # and for the target of every trial; the backward solve reverses the
+        # input's and builds the standard representative's, and each
+        # certificate check builds its target's V table for a fresh basis
+        import gridring.complexes
         import gridring.localeq
 
         built = []
-        original = gridring.localeq.side_rows
+        original = gridring.complexes.side_rows
 
         def recording(C, side, reverse=False):
             built.append((C, side, reverse))
             return original(C, side, reverse)
 
-        monkeypatch.setattr(gridring.localeq, "side_rows", recording)
         C = _search_input(which)
+        for module in (gridring.complexes, gridring.localeq):
+            monkeypatch.setattr(module, "side_rows", recording)
         trace = []
         standardize(C, trace=trace)
         assert len(trace) > 3
-        for side in (Side.U, Side.V):
-            assert [rev for D, s, rev in built if D is C and s is side] == [False, True]
-            assert [rev for _D, s, rev in built if s is side] == [False, False, True]
+        others = {id(D) for D, _s, _rev in built if D is not C}
+        assert len(others) == 1  # the standard representative
+        for side, checked in ((Side.U, []), (Side.V, [False])):
+            assert [rev for D, s, rev in built if D is C and s is side] == [False, True] + checked
+            assert [rev for D, s, rev in built if D is not C and s is side] == [False] + checked
 
     def test_paired_bases_computed_once(self, monkeypatch):
         # per call: both sides of the reduced input once (2), handed shifted
@@ -399,14 +404,14 @@ class TestStandardize:
         import gridring.localeq
 
         calls = []
-        original = gridring.complexes.paired_basis
+        original = gridring.complexes._paired_basis
 
-        def counting(C, side):
+        def counting(C, side, rows):
             calls.append(side)
-            return original(C, side)
+            return original(C, side, rows)
 
-        monkeypatch.setattr(gridring.complexes, "paired_basis", counting)
-        monkeypatch.setattr(gridring.localeq, "paired_basis", counting)
+        # every paired basis, public or handed its side table, is built here
+        monkeypatch.setattr(gridring.complexes, "_paired_basis", counting)
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
         assert len(calls) == 4
