@@ -28,7 +28,8 @@ def eliminate(rows, rhs, pivots=None):
     """The echelon pivots of an affine system, or None when it is inconsistent.
 
     ``pivots``, from an earlier call, is extended in place.  Hand the result
-    to ``solve`` to add further rows without eliminating these again.
+    to ``solve`` to add further rows without eliminating these again, or to
+    ``back_substitute`` for the solution.
     """
     pivots = {} if pivots is None else pivots
     return pivots if _reduce(rows, rhs, pivots) else None
@@ -47,6 +48,11 @@ def solve(rows, rhs, pivots=None):
     pivots = {} if pivots is None else dict(pivots)
     if not _reduce(rows, rhs, pivots):
         return None
+    return back_substitute(pivots)
+
+
+def back_substitute(pivots):
+    """The free-variables-zero solution of a consistent system's echelon ``pivots``."""
     sol = 0
     for pc in sorted(pivots, reverse=True):
         r, b = pivots[pc]

@@ -67,9 +67,15 @@ def _standard_document(path):
 
 
 def _load_spec_arg(arg):
-    """A spec from either the C(...) literal form or a document path."""
+    """A standard spec from either the C(...) literal form or a document path."""
     if arg.strip().startswith("C("):
-        return parse_spec(arg)
+        spec = parse_spec(arg)
+        if len(spec.params) % 2:
+            raise ValueError(
+                "spec has an odd number of parameters (%d): a semistandard search "
+                "prefix, not a standard complex" % len(spec.params)
+            )
+        return spec
     return _standard_document(arg)[0]
 
 

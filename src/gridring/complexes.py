@@ -8,6 +8,7 @@ F2[U,V] appear only as inputs to the base change into ring X.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 
@@ -458,11 +459,12 @@ def _paired_basis(C, side, rows):
     """``paired_basis`` of a reduced C, consuming ``rows``, its ``side_rows`` on ``side``."""
     m = C.n_gens()
     cols = [set() for _ in range(m)]  # cols[j] = the rows with an entry in column j
+    neg_key = functools.cache(_neg_key)  # one call sees few distinct exponents
     heap = []
     for i, row in enumerate(rows):
         for j, exp in row.items():
             cols[j].add(i)
-            heap.append((_neg_key(exp), i, j, exp))
+            heap.append((neg_key(exp), i, j, exp))
     heapq.heapify(heap)
     basis = [1 << i for i in range(m)]
     grades = [C.gr(i) for i in range(m)]
@@ -480,7 +482,7 @@ def _paired_basis(C, side, rows):
         if old is None:
             rows[i][j] = exp
             cols[j].add(i)
-            heapq.heappush(heap, (_neg_key(exp), i, j, exp))
+            heapq.heappush(heap, (neg_key(exp), i, j, exp))
         elif old == exp:
             del rows[i][j]
             cols[j].discard(i)

@@ -22,11 +22,16 @@ only return a smaller feasible parameter, and the backward map and the two
 certificate checks then fail with VerificationError instead of returning a
 wrong spec.
 
-Every system of one standardization maps into the same complex, whose
-edge and slot tables are built once.  Accepted parameters are never
-revisited, so one source system grows with the search: accepting a
+Every system of one standardization maps into the same complex.  Its
+generators are bucketed by grading, and the unknowns and chain-map terms
+of a source generator depend only on that generator's grading, so they are
+laid out once per grading: which entries are non-zero, the bits of their
+monomials, and per side the mask each equation receives.  Adding a
+generator then XORs one shifted mask per equation.  Accepted parameters are
+never revisited, so one source system grows with the search: accepting a
 parameter eliminates the equations it completes, once, and each probe
-reduces only its own few rows against them.  The free-variables-zero
+reduces only its own few rows against them.  Only the probe that stops the
+search is back-substituted into a solution.  The free-variables-zero
 solution depends only on the row space and the numbering, not on the order
 in which rows are eliminated, so every map equals the one a from-scratch
 solve returns.
@@ -51,6 +56,7 @@ from .complexes import (
 )
 from .ring import (
     Monomial,
+    RingId,
     Side,
     SignedParam,
     ZERO,
@@ -155,53 +161,122 @@ def extant_coefficients(C):
 
 def _extant(C, pb_u, pb_v):
     gen_grades = {C.gr(i) for i in range(C.n_gens())}
-    bases = {}  # grading difference -> grading_basis
+    bases = _BASES[C.ring]
     sides = {}
     for pb in (pb_u, pb_v):
         coeffs = set()
         # pairs sharing y's grading and the order give the same coefficients
         for gy, (a, b) in {(pb.gradings[y], order.exp) for (y, _z, order) in pb.pairs}:
             for g0 in gen_grades:
-                gr = (g0[0] - gy[0], g0[1] - gy[1])
-                basis = bases.get(gr)
-                if basis is None:
-                    basis = bases[gr] = grading_basis(C.ring, gr)
-                for m in basis:
+                for m in bases[(g0[0] - gy[0], g0[1] - gy[1])][0]:
                     if m.side is Side.ONE or m.side is pb.side:
                         coeffs.add((a + m.exp[0], b + m.exp[1]))
         sides[pb.side] = frozenset(coeffs)
     return ExtantSet(sides[Side.U], sides[Side.V])
 
 
+class _BasisTable(dict):
+    """The entries of one ring's maps, memoized per bigrading for the whole process.
+
+    ``table[gr]`` is ``(basis, u, v)``: ``grading_basis(ring, gr)`` and the
+    masks of its monomials that a U-side or a V-side factor multiplies (the
+    unit and that side's monomials).  The unit, when present, is the whole
+    basis.
+    """
+
+    def __init__(self, ring):
+        super().__init__()
+        self.ring = ring
+
+    def __missing__(self, gr):
+        basis = grading_basis(self.ring, gr)
+        u = sum(1 << t for t, m in enumerate(basis) if m.side is not Side.V)
+        v = sum(1 << t for t, m in enumerate(basis) if m.side is not Side.U)
+        got = self[gr] = (basis, u, v)
+        return got
+
+
+_BASES = {ring: _BasisTable(ring) for ring in RingId}
+
+
+class _Layout:
+    """The unknowns of a source generator of grading G, with bits counted from its first.
+
+    ``slots`` lists, in ascending j, each target generator j whose entry
+    bigrading G - gr(j) has a non-empty monomial basis, as (j, bit of the
+    entry's first unknown, ``_BASES`` entry); ``n`` counts the unknowns.
+    ``eqs[s][k]`` masks the unknowns f[i,j]·m whose terms f[i,j]·m·d_tgt[j,k]
+    fall into equation (i, s, k).
+    """
+
+    __slots__ = ("n", "slots", "eqs")
+
+    def __init__(self, target, G):
+        g1, g2 = G
+        bases = _BASES[target.ring]
+        found = []
+        for (h1, h2), js in target.by_grade.items():
+            entry = bases[(g1 - h1, g2 - h2)]
+            if entry[0]:
+                found += [(j, entry) for j in js]
+        found.sort()  # back into ascending j, so the numbering does not change
+        self.slots = []
+        out_u, out_v = target.out[Side.U], target.out[Side.V]
+        eqs_u, eqs_v = {}, {}
+        bit = 0
+        for j, entry in found:
+            self.slots.append((j, bit, entry))
+            basis, u, v = entry
+            if u:
+                mask = u << bit
+                for k in out_u[j]:
+                    eqs_u[k] = eqs_u.get(k, 0) ^ mask
+            if v:
+                mask = v << bit
+                for k in out_v[j]:
+                    eqs_v[k] = eqs_v.get(k, 0) ^ mask
+            bit += len(basis)
+        self.n = bit
+        self.eqs = {Side.U: eqs_u, Side.V: eqs_v}
+
+    def columns(self, side, first):
+        """Per j, the mask of f[i,j]'s unknowns that a source arrow on ``side`` multiplies.
+
+        These are the unit and the side's monomials, numbered from bit ``first``.
+        """
+        t = 1 if side is Side.U else 2
+        return [(j, entry[t] << (first + bit)) for j, bit, entry in self.slots if entry[t]]
+
+    def locality(self, w):
+        """The mask of the unknowns f[i,j]·1 whose j lies on the functional ``w``."""
+        loc = 0
+        for j, bit, (basis, _u, _v) in self.slots:
+            if basis[0].side is Side.ONE and (w >> j) & 1:
+                loc ^= 1 << bit
+        return loc
+
+
 class _Target:
     """The tables every system into one target complex reads, built once.
 
     ``out[side]`` is the target's ``side_rows`` table, from ``side_tables``
-    unless the caller built them already.  ``slots(G)`` lists, for a source
-    generator of (shifted) grading G, the target generators j whose entry
-    bigrading G - gr(j) has a non-empty monomial basis, each with that
-    basis; it is memoized per grading.
+    unless the caller built them already; ``by_grade`` buckets the target's
+    generators by grading.  ``layout(G)`` is the ``_Layout`` of a source
+    generator of (shifted) grading G, memoized per grading.
     """
 
     def __init__(self, C, tables=None):
         self.ring = C.ring
         self.out = side_tables(C) if tables is None else tables
-        self.grs = [C.gr(j) for j in range(C.n_gens())]
-        self._bases = {}
-        self._slots = {}
+        self.by_grade = {}
+        for j in range(C.n_gens()):
+            self.by_grade.setdefault(C.gr(j), []).append(j)
+        self._layouts = {}
 
-    def slots(self, G):
-        got = self._slots.get(G)
+    def layout(self, G):
+        got = self._layouts.get(G)
         if got is None:
-            g1, g2 = G
-            got = self._slots[G] = []
-            for j, (h1, h2) in enumerate(self.grs):
-                gr = (g1 - h1, g2 - h2)
-                basis = self._bases.get(gr)
-                if basis is None:
-                    basis = self._bases[gr] = grading_basis(self.ring, gr)
-                if basis:
-                    got.append((j, basis))
+            got = self._layouts[G] = _Layout(self, G)
         return got
 
 
@@ -212,52 +287,49 @@ def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None):
     ``side_rows(src, side, reverse=True)`` entry, the source arrows into it
     (a side without arrows may be left out).  The unknowns are numbered by
     target generator, then by monomial in ``grading_basis`` order, and
-    ``slots`` receives (i, j) -> [(bit, monomial)].  Each unknown f[i,j]·m
-    XORs its two chain-map terms into ``rows`` (equation key -> mask):
-    f[i,j]·d_tgt[j,k] into the (i, side, k) equation and d_src[i0,i]·f[i,j]
-    into the (i0, side, j) equation, one equation per coefficient exponent.
-    ``skip`` omits one (generator, side) chain condition (short maps).
-    Returns the next free bit and the locality mask: the unknowns f[i,j]·1
-    whose j lies on the target tower functional ``w``.
+    ``slots[i]`` receives (first bit, layout).  The terms f[i,j]·d_tgt[j,k]
+    go into the equations (i, side, k) and the terms d_src[i0,i]·f[i,j] into
+    (i0, side, j), each equation's mask XORed in once from the layout.  An
+    equation needs no exponent in its key: between homogeneous complexes
+    all its terms have the grading G_i - gr(k) - (1, 1), and a side's
+    monomials differ in grading.  ``skip`` omits one (generator, side) chain
+    condition (short maps).  Returns the next free bit and the locality
+    mask: the unknowns f[i,j]·1 whose j lies on the target tower functional
+    ``w``.
     """
-    out = target.out
-    loc = 0
-    for j, basis in target.slots(G):
-        slot = slots[(i, j)] = []
-        for m in basis:
-            mask = 1 << nbits
-            slot.append((nbits, m))
-            nbits += 1
-            if m.side is Side.ONE:
-                sides = (Side.U, Side.V)
-                if (w >> j) & 1:
-                    loc ^= mask
-            else:
-                sides = (m.side,)
-            a, b = m.exp
-            for side in sides:
-                sv = side.value
-                if skip != (i, side):
-                    for k, (c, d) in out[side][j].items():
-                        key = (i, sv, k, (a + c, b + d))
-                        rows[key] = rows.get(key, 0) ^ mask
-                for i0, (c, d) in in_edges.get(side, {}).items():
-                    if skip != (i0, side):
-                        key = (i0, sv, j, (c + a, d + b))
-                        rows[key] = rows.get(key, 0) ^ mask
-    return nbits, loc
+    lay = target.layout(G)
+    slots[i] = (nbits, lay)
+    for side, eqs in lay.eqs.items():
+        sv = side.value
+        if skip != (i, side):
+            for k, mask in eqs.items():
+                key = (i, sv, k)
+                rows[key] = rows.get(key, 0) ^ (mask << nbits)
+        sources = [i0 for i0 in in_edges.get(side, ()) if skip != (i0, side)]
+        if sources:
+            cols = lay.columns(side, nbits)
+            for i0 in sources:
+                for j, mask in cols:
+                    key = (i0, sv, j)
+                    rows[key] = rows.get(key, 0) ^ mask
+    return nbits + lay.n, (lay.locality(w) << nbits) if w else 0
 
 
 def _matrix(sol, slots):
     """The map a solution assigns to the numbered unknowns, zero entries left out."""
     matrix = {}
-    for ij, slot in slots.items():
-        e = ZERO
-        for bit, m in slot:
-            if (sol >> bit) & 1:
-                e = e + elem_from_mono(m)
-        if e:
-            matrix[ij] = e
+    for i, (first, lay) in slots.items():
+        part = (sol >> first) & ((1 << lay.n) - 1)
+        if not part:
+            continue
+        for j, bit, (basis, _u, _v) in lay.slots:
+            e = ZERO
+            for m in basis:
+                if (part >> bit) & 1:
+                    e = e + elem_from_mono(m)
+                bit += 1
+            if e:
+                matrix[(i, j)] = e
     return matrix
 
 
@@ -321,10 +393,11 @@ class _Search:
     With the prefix ``params`` accepted, the source is x_0..x_{k-1}: x_0 on
     the tower grading ``tgr`` and each later generator's grading derived
     from the previous one by ``realize``'s zig-zag recurrence.  Their
-    unknowns are numbered in that order and listed in ``slots``.  The
-    equations keyed by x_0..x_{k-2}, and the locality row (it touches only
-    x_0), are complete and eliminated into ``block``.  The equations keyed
-    by x_{k-1} are the ``tail``: a negative p_k still adds terms to them.
+    unknowns are numbered in that order, each generator's read from the
+    target's layout of its grading, and listed in ``slots``.  The equations
+    keyed by x_0..x_{k-2}, and the locality row (it touches only x_0), are
+    complete and eliminated into ``block``.  The equations keyed by x_{k-1}
+    are the ``tail``: a negative p_k still adds terms to them.
     """
 
     def __init__(self, target, w, tgr):
@@ -344,33 +417,33 @@ class _Search:
         k = len(self.params) + 1
         g1, g2 = mono_grading(Monomial(p.side, p.exp))
         G = (self.G[0] + p.sign * (1 + g1), self.G[1] + p.sign * (1 + g2))
-        in_edges = {p.side: {k - 1: p.exp}} if p.sign < 0 else {}
+        in_edges = {p.side: (k - 1,)} if p.sign < 0 else {}
         nbits, _loc = _add_unknowns(k, G, in_edges, self.target, rows, slots, self.nbits, skip=skip)
         if p.sign > 0:
             # the arrow x_k -> x_{k-1} adds d_src·f terms on x_{k-1}'s
             # unknowns to x_k's equations; a short map's skipped condition
             # lies on the other side
-            sv, (c, d) = p.side.value, p.exp
-            for j, _basis in self.target.slots(self.G):
-                for bit, m in self.slots[(k - 1, j)]:
-                    if m.side is Side.ONE or m.side is p.side:
-                        key = (k, sv, j, (c + m.exp[0], d + m.exp[1]))
-                        rows[key] = rows.get(key, 0) ^ (1 << bit)
+            first, lay = self.slots[k - 1]
+            sv = p.side.value
+            for j, mask in lay.columns(p.side, first):
+                key = (k, sv, j)
+                rows[key] = rows.get(key, 0) ^ mask
         return G, nbits
 
     def probe(self, p):
-        """The solution for candidate ``p`` (None: stop, a full map), or None.
+        """The echelon pivots for candidate ``p`` (None: stop, a full map), or None.
 
         A parameter adds x_k's rows, under a short map's conditions, to a
-        copy of the tail; one ``_gf2.solve`` reduces them against a copy of
-        the block.
+        copy of the tail; one ``_gf2.eliminate`` reduces them against a copy
+        of the block.  None means infeasible; ``_gf2.back_substitute`` turns
+        the pivots into the map's solution.
         """
         if self.block is None:
             return None
         rows = dict(self.tail)
         if p is not None:
             self._add(p, rows, {}, _short_skip(len(self.params) + 1))
-        return _gf2.solve(list(rows.values()), [0] * len(rows), pivots=self.block)
+        return _gf2.eliminate(list(rows.values()), [0] * len(rows), dict(self.block))
 
     def accept(self, p):
         """Fix p as the next parameter: eliminate the equations of x_{k-1} it completes."""
@@ -386,11 +459,12 @@ class _Search:
 def find_local_map(spec, target, kind="full"):
     """A local (or short local) map from a realized spec into a complex.
 
-    Returns a certificate or None.  The target must be reduced, knotlike and
-    normalized.
+    Returns a certificate or None.  The target must be valid, reduced,
+    knotlike and normalized.
     """
     if kind not in ("full", "short"):
         raise ValueError("kind must be 'full' or 'short'")
+    _require_valid(target)
     _pb_u, pb_v, _tables = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
@@ -506,9 +580,11 @@ def standardize(C, trace=None):
     each step bisects the list for its first feasible index.  The backward
     certificate and both certificate checks guard the result: a step that
     broke monotonicity raises VerificationError rather than return a wrong
-    spec.  The target's tables are built once (``_Target``) and one system
-    grows with the search (``_Search``).  Only the stopping probe's solution
-    becomes a certificate, and only the returned spec is realized.  Each
+    spec.  The target's tables are built once and its layouts once per
+    source grading (``_Target``), one system grows with the search
+    (``_Search``), and each side's candidate list is sorted once.  A probe
+    only eliminates; the stopping probe alone is back-substituted, into the
+    forward certificate, and only the returned spec is realized.  Each
     side's exponent table is built once, for the paired bases and the
     target.  ``trace``, when given, receives one ``(step, parameter or None,
     feasible)`` tuple per probe, in probe order.
@@ -525,15 +601,18 @@ def _standardize(C, pb_u, pb_v, tables, trace=None):
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask, tgr = _tower(C, pb_v)
     search = _Search(_Target(C, tables), w_tgt, tgr)
+    # side U takes the odd steps, so it carries the stop
+    lists = [
+        _descending(side, ext.for_side(side), stop=side is Side.U) for side in (Side.V, Side.U)
+    ]
     guard = 2 * C.n_gens()
     while True:
         k = len(search.params) + 1
         if k > guard + 1:
             raise VerificationError("standardization exceeded the splitting bound")
-        side = Side.U if k % 2 else Side.V
-        cands = _descending(side, ext.for_side(side), stop=k % 2 == 1)
-        # bisect for the first feasible index; sol is the solution there
-        lo, hi, sol = 0, len(cands), None
+        cands = lists[k % 2]
+        # bisect for the first feasible index; found holds its pivots
+        lo, hi, found = 0, len(cands), None
         while lo < hi:
             mid = (lo + hi) // 2
             p = cands[mid]
@@ -543,8 +622,8 @@ def _standardize(C, pb_u, pb_v, tables, trace=None):
             if got is None:
                 lo = mid + 1
             else:
-                hi, sol = mid, got
-        if sol is None:
+                hi, found = mid, got
+        if found is None:
             raise VerificationError("no feasible parameter at step %d" % k)
         if cands[lo] is None:
             break
@@ -553,6 +632,7 @@ def _standardize(C, pb_u, pb_v, tables, trace=None):
     std = realize(spec)
     # a realized standard complex has its tower at x_0
     shift = tgr[1] - std.gr(0)[1]
+    sol = _gf2.back_substitute(found)
     fwd = LocalMapCert(format_spec(spec), "complex", shift, _matrix(sol, search.slots), "full")
     matrix = _solve_map(C, std, -shift, elem_mask, 1)
     if matrix is None:

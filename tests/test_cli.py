@@ -204,6 +204,23 @@ class TestCli:
         code, out, _ = invoke(capsys, "compare", "C(-U[2,1], +V[2,1])", "C(-U[2,1], +V[2,1])")
         assert code == 0 and out.strip() == "equal"
 
+    @pytest.mark.parametrize("literal", ["C(+U[2,0])", "C(-U[1,0],+V[1,0],-U[1,0])"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["invariants", "{}"], ["compare", "{}", "C(0)"], ["compare", "C(0)", "{}"]],
+        ids=["invariants", "compare-a", "compare-b"],
+    )
+    def test_odd_length_literal_rejected(self, capsys, argv, literal):
+        # an odd-length sequence is a semistandard search prefix, not a
+        # standard complex: an input error, not a verification failure
+        n = len(parse_spec(literal).params)
+        code, out, err = invoke(capsys, *[a.format(literal) for a in argv])
+        assert code == 1 and not out
+        assert err == (
+            "error: spec has an odd number of parameters (%d): a semistandard search "
+            "prefix, not a standard complex\n" % n
+        )
+
     def test_compare_files_and_specs(self, capsys, tmp_path):
         fuv = self.emit_file(capsys, tmp_path, "z2.json", "example", "zhou", "--n", "2")
         code, out, _ = invoke(capsys, "compare", str(fuv), "C(-U[3,2], +V[3,2])")

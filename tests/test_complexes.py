@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridring import (
     FUVComplex,
@@ -873,6 +873,8 @@ class TestValidateAgainstReference:
     def test_mutated_complexes(self, base, kinds, rnd):
         C = base
         for kind in kinds:
+            # extra arrows can cancel every entry, and most mutations pick one
+            assume(C.diff)
             C = MUTATIONS[kind](C, rnd)
         _same_validation(C)
 

@@ -30,7 +30,8 @@ from gridring import (
     standardize,
     tensor,
 )
-from gridring.complexes import normalize
+from gridring import _gf2
+from gridring.complexes import normalize, side_rows, side_tables
 from gridring.localeq import (
     VerificationError,
     _Search,
@@ -38,8 +39,11 @@ from gridring.localeq import (
     _descending,
     _map_into,
     _matrix,
+    _short_skip,
+    _solve_map,
     _tower_data,
 )
+from gridring.ring import ZERO, elem_from_mono, grading_basis
 from gridring.standard import make_spec
 
 from conftest import acyclic_pair, direct_sum, pad, random_spec, scramble, wide_product
@@ -61,6 +65,63 @@ def _scrambled_products(pool):
         C = direct_sum(C, acyclic_pair(RingId.X, (2 * rng.randint(-1, 1), 0)))
         out.append(normalize(reduce(scramble(C, rng, n_ops=12))))
     return out
+
+
+def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
+    """A gr1-preserving chain map as a matrix dict, or None: the exponent-keyed reference.
+
+    The same unknowns as ``localeq._solve_map``, numbered the same way
+    (source generator, target generator, monomial in ``grading_basis``
+    order), but every term is added one unknown at a time into an equation
+    keyed by its coefficient exponent too, and every slot is found by
+    scanning all target generators.  It shares no table with the library,
+    so a feasible system must give the library's map entry by entry.
+    """
+    out = side_tables(tgt)
+    src_in = {side: side_rows(src, side, reverse=True) for side in (Side.U, Side.V)}
+    rows, slots, loc, nbits = {}, {}, 0, 0
+    for i in range(src.n_gens()):
+        g1, g2 = src.gr(i)
+        g2 += gr2shift
+        w = tgt_w if (src_mask >> i) & 1 else 0
+        for j in range(tgt.n_gens()):
+            h1, h2 = tgt.gr(j)
+            basis = grading_basis(tgt.ring, (g1 - h1, g2 - h2))
+            if not basis:
+                continue
+            slot = slots[(i, j)] = []
+            for m in basis:
+                mask = 1 << nbits
+                slot.append((nbits, m))
+                nbits += 1
+                if m.side is Side.ONE:
+                    sides = (Side.U, Side.V)
+                    if (w >> j) & 1:
+                        loc ^= mask
+                else:
+                    sides = (m.side,)
+                a, b = m.exp
+                for side in sides:
+                    if skip != (i, side):
+                        for k, (c, d) in out[side][j].items():
+                            key = (i, side, k, (a + c, b + d))
+                            rows[key] = rows.get(key, 0) ^ mask
+                    for i0, (c, d) in src_in[side][i].items():
+                        if skip != (i0, side):
+                            key = (i0, side, j, (c + a, d + b))
+                            rows[key] = rows.get(key, 0) ^ mask
+    sol = _gf2.solve(list(rows.values()) + [loc], [0] * len(rows) + [1])
+    if sol is None:
+        return None
+    matrix = {}
+    for ij, slot in slots.items():
+        e = ZERO
+        for bit, m in slot:
+            if (sol >> bit) & 1:
+                e = e + elem_from_mono(m)
+        if e:
+            matrix[ij] = e
+    return matrix
 
 
 def _linear_scan(C):
@@ -92,14 +153,14 @@ def _linear_scan(C):
 
 
 def _check_steps_against_scratch(C):
-    """Walk the greedy extraction, comparing every candidate's probe with ``_map_into``.
+    """Walk the greedy extraction, comparing every candidate's probe with two scratch solves.
 
-    The reference solves the whole system from scratch into a fresh
-    ``_Target``, so it shares no table with the search.  A feasible probe's
-    solution, read back through the search's slot table
-    and the candidate's own, must give the reference map entry by entry.
-    Each step then accepts its first feasible candidate.  Returns the
-    number of candidates compared.
+    ``_map_into`` solves the whole system from scratch into a fresh
+    ``_Target``, and ``reference_solve_map`` with the exponent-keyed
+    equations; the two must agree entry by entry.  A feasible probe's
+    pivots, back-substituted and read through the search's slot table and
+    the candidate's own, must give the same map.  Each step then accepts its
+    first feasible candidate.  Returns the number of candidates compared.
     """
     ext = extant_coefficients(C)
     w, _mask, tgr = _tower_data(C)
@@ -115,14 +176,18 @@ def _check_steps_against_scratch(C):
             else:
                 spec, kind = make_spec(C.ring, params + [p]), "short"
             want = _map_into(spec, C, w, tgr, kind, "complex")
+            src = realize(spec)
+            skip = _short_skip(len(spec.params)) if kind == "short" else None
+            ref = reference_solve_map(src, C, tgr[1] - src.gr(0)[1], 1, w, skip)
             got = search.probe(p)
             n_probes += 1
-            assert (got is None) == (want is None), (spec, kind)
+            assert (want is None) == (ref is None) == (got is None), (spec, kind)
             if want is not None:
+                assert want.matrix == ref, (spec, kind)
                 slots = dict(search.slots)
                 if p is not None:
                     search._add(p, {}, slots)
-                assert _matrix(got, slots) == want.matrix, (spec, kind)
+                assert _matrix(_gf2.back_substitute(got), slots) == ref, (spec, kind)
                 feasible.append(p)
         if feasible[0] is None:
             return n_probes
@@ -131,25 +196,26 @@ def _check_steps_against_scratch(C):
 
 
 def _count_gf2(monkeypatch):
-    """Record the ``_gf2.solve`` and ``_gf2.eliminate`` calls made by ``localeq``."""
+    """Record the ``_gf2`` calls made by ``localeq``: per name, (arguments, result)."""
     import types
 
     import gridring.localeq
-    from gridring import _gf2
 
-    calls = {"solve": [], "eliminate": []}
+    names = ("solve", "eliminate", "back_substitute")
+    calls = {name: [] for name in names}
 
     def recording(name):
-        def call(*args, **kwargs):
-            calls[name].append(args)
-            return getattr(_gf2, name)(*args, **kwargs)
+        def call(*args):
+            got = getattr(_gf2, name)(*args)
+            calls[name].append((args, got))
+            return got
 
         return call
 
     monkeypatch.setattr(
         gridring.localeq,
         "_gf2",
-        types.SimpleNamespace(solve=recording("solve"), eliminate=recording("eliminate")),
+        types.SimpleNamespace(**{name: recording(name) for name in names}),
     )
     return calls
 
@@ -230,6 +296,22 @@ class TestFindLocalMap:
         prefix = make_spec(RingId.X, [SignedParam(Side.U, -1, (2, 1))])
         cert = find_local_map(prefix, X, "short")
         assert cert is not None
+
+    def test_inhomogeneous_target_rejected(self):
+        # knotlike and normalized, but x1 sits off the gradings its arrows
+        # force: the equations of a local map assume a homogeneous target
+        from gridring import FreeComplex, InvalidComplexError, is_knotlike
+
+        C = realize(parse_spec("C(-U[1,0], +V[1,0])"))
+        gens = list(C.generators)
+        name, (g1, g2) = gens[1]
+        gens[1] = (name, (g1 + 2, g2))
+        bad = FreeComplex(C.ring, tuple(gens), C.diff)
+        assert is_knotlike(bad) == (True, (0, 0))
+        for text in ("C(0)", "C(-U[1,0], +V[1,0])"):
+            for kind in ("full", "short"):
+                with pytest.raises(InvalidComplexError):
+                    find_local_map(parse_spec(text), bad, kind)
 
     def test_unnormalized_target_rejected(self):
         C = reduce(base_change(example_cable()))
@@ -330,21 +412,84 @@ class TestStandardize:
         n_probes = sum(_check_steps_against_scratch(C) for C in corpus)
         assert n_probes > 20 * len(corpus)
 
+    def test_backward_map_matches_reference(self, pool):
+        # the backward map's source is the input, with arrows on both sides
+        # into one generator and several source generators per grading
+        corpus = [_search_input("cable"), _search_input("zhou3")] + _scrambled_products(pool)
+        for C in corpus:
+            spec, fwd, back = standardize(C)
+            std = realize(spec)
+            w, mask, _gr = _tower_data(C)
+            assert fwd.matrix == reference_solve_map(std, C, fwd.gr2shift, 1, w)
+            want = reference_solve_map(C, std, back.gr2shift, mask, 1)
+            assert _solve_map(C, std, back.gr2shift, mask, 1) == want == back.matrix
+
+    def test_layout_built_once_per_grading(self, monkeypatch):
+        # every system into one target reads one layout per source grading:
+        # the probes and the accepted generators share them, and the
+        # backward map builds its own target's
+        import gridring.localeq
+
+        built = []
+        original = gridring.localeq._Layout
+
+        class Recording(original):
+            __slots__ = ()
+
+            def __init__(self, target, G):
+                built.append((target, G))
+                super().__init__(target, G)
+
+        looked = []
+        layout = gridring.localeq._Target.layout
+
+        def lookup(target, G):
+            looked.append((id(target), G))
+            return layout(target, G)
+
+        monkeypatch.setattr(gridring.localeq, "_Layout", Recording)
+        monkeypatch.setattr(gridring.localeq._Target, "layout", lookup)
+        cable = reduce(base_change(example_cable()))
+        standard_representative(tensor(cable, cable))
+        keys = [(id(target), G) for target, G in built]
+        assert len(keys) == len(set(keys)) == len(set(looked))
+        assert len({id(target) for target, _G in built}) == 2
+        # later lookups find the layout built before
+        assert len(looked) > len(keys)
+
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
-    def test_one_solve_per_trial_plus_backward(self, which, monkeypatch):
-        # each trial is one system; the stopping trial's map is the forward
-        # certificate, so only the backward map adds a solve
+    def test_one_eliminate_per_trial_plus_one_back_substitution(self, which, monkeypatch):
+        # each trial is one elimination of its own rows against a copy of the
+        # block; only the stopping trial is back-substituted, into the
+        # forward certificate, and the backward map is the one solve
+        C = _search_input(which)
         calls = _count_gf2(monkeypatch)
         trace = []
-        standardize(_search_input(which), trace=trace)
-        assert len(calls["solve"]) == len(trace) + 1
+        spec, fwd, _back = standardize(C, trace=trace)
+        (init, block), *rest = calls["eliminate"]
+        assert len(init) == 2
+        probes = [(args, got) for args, got in rest if args[2] is not block]
+        assert len(probes) == len(trace)
+        assert [got is not None for _args, got in probes] == [ok for _k, _p, ok in trace]
+        assert len(calls["solve"]) == 1
+        ((args, _sol),) = calls["back_substitute"]
+        stops = [got for (_args, got), (_k, p, ok) in zip(probes, trace) if p is None and ok]
+        assert len(args) == 1 and args[0] is stops[-1]
+        w = _tower_data(C)[0]
+        assert fwd.matrix == reference_solve_map(realize(spec), C, fwd.gr2shift, 1, w)
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_prefix_block_once_per_step(self, which, monkeypatch):
+        # the block is built once and extended once per accepted parameter;
+        # every probe works on a copy, so it never grows the block
         calls = _count_gf2(monkeypatch)
         trace = []
         standardize(_search_input(which), trace=trace)
-        assert len(calls["eliminate"]) == len({k for k, _p, _ok in trace}) > 1
+        (_init, block), *rest = calls["eliminate"]
+        extends = [got for args, got in rest if args[2] is block]
+        assert 1 + len(extends) == len({k for k, _p, _ok in trace}) > 1
+        assert all(got is block for got in extends)
+        assert len(rest) == len(extends) + len(trace)
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_realize_at_most_twice(self, which, monkeypatch):
