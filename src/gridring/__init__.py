@@ -49,7 +49,6 @@ from .complexes import (
     validate_fuv,
 )
 from .standard import (
-    SemistandardSpec,
     ShiftMap,
     StandardSpec,
     dual_spec,

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 
-def _reduce(rows, rhs, pivots):
-    """Eliminate each row into ``pivots``; False once a row reduces to 0 = 1.
+def eliminate(rows, rhs, pivots=None):
+    """The echelon pivots of an affine system, or None when it is inconsistent.
 
-    ``pivots`` maps a lowest set bit to its ``(row, b)``.  Each row is
-    eliminated down to a new lowest set bit, which becomes its pivot.
+    ``pivots`` maps a lowest set bit to its ``(row, b)``; one from an earlier
+    call is extended in place.  Each row is eliminated down to a new lowest
+    set bit, which becomes its pivot.  Hand the result to ``back_substitute``
+    for the solution.
     """
+    pivots = {} if pivots is None else pivots
     for r, b in zip(rows, rhs):
         while r:
             pc = (r & -r).bit_length() - 1
@@ -20,35 +23,21 @@ def _reduce(rows, rhs, pivots):
             b ^= pivot[1]
         else:
             if b:
-                return False
-    return True
+                return None
+    return pivots
 
 
-def eliminate(rows, rhs, pivots=None):
-    """The echelon pivots of an affine system, or None when it is inconsistent.
-
-    ``pivots``, from an earlier call, is extended in place.  Hand the result
-    to ``solve`` to add further rows without eliminating these again, or to
-    ``back_substitute`` for the solution.
-    """
-    pivots = {} if pivots is None else pivots
-    return pivots if _reduce(rows, rhs, pivots) else None
-
-
-def solve(rows, rhs, pivots=None):
+def solve(rows, rhs):
     """Solve the affine system over GF(2); rows are bitmasks of unknowns.
 
     Returns one solution as a bitmask (free variables zero), or None when
-    the system is inconsistent.  ``pivots``, from ``eliminate``, stands for
-    rows already eliminated; it is copied, not changed.  The pivot set is
-    the one of the reduced row echelon form, which depends only on the
-    row space, so the solution does not depend on the order of the rows or
-    on which of them were eliminated beforehand.
+    the system is inconsistent.  The pivot set is the one of the reduced
+    row echelon form, which depends only on the row space, so the solution
+    does not depend on the order of the rows or on which of them were
+    eliminated beforehand.
     """
-    pivots = {} if pivots is None else dict(pivots)
-    if not _reduce(rows, rhs, pivots):
-        return None
-    return back_substitute(pivots)
+    pivots = eliminate(rows, rhs)
+    return None if pivots is None else back_substitute(pivots)
 
 
 def back_substitute(pivots):

@@ -40,11 +40,12 @@ class InvalidComplexError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True, eq=False)
-class FreeComplex:
-    ring: RingId
-    generators: tuple  # of (name, (g1, g2))
-    diff: dict = field(default_factory=dict)  # (from, to) -> nonzero RingElem
+class _Generators:
+    """The generator accessors of both complex types.
+
+    ``generators`` is a tuple of ``(name, (g1, g2))``.  The differential is
+    a dict, so neither type is hashable.
+    """
 
     def n_gens(self):
         return len(self.generators)
@@ -55,37 +56,22 @@ class FreeComplex:
     def gr(self, i):
         return self.generators[i][1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeComplex)
-            and self.ring is other.ring
-            and self.generators == other.generators
-            and self.diff == other.diff
-        )
+
+@dataclass(frozen=True)
+class FreeComplex(_Generators):
+    ring: RingId
+    generators: tuple  # of (name, (g1, g2))
+    diff: dict = field(default_factory=dict)  # (from, to) -> nonzero RingElem
+    __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
-class FUVComplex:
+@dataclass(frozen=True)
+class FUVComplex(_Generators):
     """A complex over F2[U,V]; entries are sets of (a, b) meaning U^a V^b."""
 
     generators: tuple
     diff: dict = field(default_factory=dict)  # (from, to) -> frozenset of (a, b)
-
-    def n_gens(self):
-        return len(self.generators)
-
-    def name(self, i):
-        return self.generators[i][0]
-
-    def gr(self, i):
-        return self.generators[i][1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FUVComplex)
-            and self.generators == other.generators
-            and self.diff == other.diff
-        )
+    __hash__ = None
 
 
 def validate(C):
@@ -537,12 +523,13 @@ def _paired_basis(C, side, rows):
     )
 
 
-def tower_functional(C, pb):
-    """F2 functional extracting the tower coefficient from generator coordinates.
+def tower_functional(pb):
+    """The tower of a paired basis: (functional mask, element mask, grading).
 
-    Returns (mask, tower_index).  Applying the mask (popcount parity of the
-    AND) to the scalar-coordinate vector of an element gives the coefficient
-    of the unpaired tower generator in the paired basis.
+    Applying the functional mask (popcount parity of the AND) to the
+    scalar-coordinate vector of an element gives the coefficient of the
+    unpaired tower generator in the paired basis; the element mask is that
+    generator's residue row and the grading its bigrading.
     """
     if len(pb.unpaired) != 1:
         raise NotKnotlikeError(
@@ -552,7 +539,7 @@ def tower_functional(C, pb):
     w = _gf2.solve_unit(pb.basis, t)
     if w is None:
         raise ValueError("paired-basis change matrix is singular mod the maximal ideals")
-    return w, t
+    return w, pb.basis[t], pb.gradings[t]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .complexes import tensor
 from .localeq import VerificationError, standard_representative
 from .ring import Monomial, Side, mono_grading
-from .standard import format_spec, is_symmetric, realize, shift_spec
+from .standard import _expected_side, format_spec, is_symmetric, realize, shift_spec
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ def phi(spec):
     """Signed count of parameters per decoration; U table from odd positions."""
     counts = {}
     for k, p in enumerate(spec.params, start=1):
-        side = Side.U if k % 2 else Side.V
-        key = (side, p.exp)
+        key = (_expected_side(k), p.exp)
         counts[key] = counts.get(key, 0) + p.sign
     entries = tuple(
         (key, c)
@@ -66,11 +65,10 @@ def tau(spec, table=None):
     table = table if table is not None else phi(spec)
     value = sum((e[0] - e[1]) * c for e, c in table.side_items(Side.U))
     if is_symmetric(spec):
-        g = realize(spec).gr(0)
-        if value != (g[0] - g[1]) // 2:
+        closed = tau_from_gradings(spec)
+        if value != closed:
             raise VerificationError(
-                "tau mismatch on %s: table %d vs gradings %d"
-                % (format_spec(spec), value, (g[0] - g[1]) // 2)
+                "tau mismatch on %s: table %d vs gradings %d" % (format_spec(spec), value, closed)
             )
     return value
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 
 from .complexes import FreeComplex, FUVComplex
-from .ring import RingElem, RingId, Side, SignedParam
-from .standard import _brief, make_spec
+from .ring import RingElem, RingId, SignedParam
+from .standard import _brief, _expected_side, make_spec
 
 SCHEMA_VERSION = 1
 
@@ -180,8 +180,7 @@ def document_to_spec(doc):
         e = rec.get("e")
         if not _is_int(sign) or sign not in (1, -1) or not _int_pair(e):
             raise DocumentError("bad parameter record params[%d]: %s" % (k - 1, _brief(rec)))
-        side = Side.U if k % 2 else Side.V
-        params.append(SignedParam(side, sign, tuple(e)))
+        params.append(SignedParam(_expected_side(k), sign, tuple(e)))
     try:
         return make_spec(RingId(ring), params)
     except ValueError as exc:

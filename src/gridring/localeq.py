@@ -55,22 +55,23 @@ from .complexes import (
     validate,
 )
 from .ring import (
-    Monomial,
     RingId,
     Side,
     SignedParam,
     ZERO,
     elem_from_mono,
     elem_grading,
+    elem_monomials,
     elem_mul,
     elem_ok,
     elem_side_part,
     grading_basis,
-    mono_grading,
     mono_text,
     param_key,
 )
 from .standard import (
+    _expected_side,
+    _next_grading,
     format_spec,
     lex_compare,
     make_spec,
@@ -93,14 +94,10 @@ class LocalMapCert:
     kind: str  # "full" | "short"
 
     def to_json(self):
-        entries = []
-        for (i, j), e in sorted(self.matrix.items()):
-            coeff = []
-            if e.scalar:
-                coeff.append("1")
-            coeff += [mono_text(Monomial(Side.U, exp)) for exp in sorted(e.u)]
-            coeff += [mono_text(Monomial(Side.V, exp)) for exp in sorted(e.v)]
-            entries.append({"from": i, "to": j, "coeff": coeff})
+        entries = [
+            {"from": i, "to": j, "coeff": [mono_text(m) for m in elem_monomials(e)]}
+            for (i, j), e in sorted(self.matrix.items())
+        ]
         return {
             "source": self.source,
             "target": self.target,
@@ -136,15 +133,9 @@ def _require_normalized(C, what):
     return pb_u, pb_v, tables
 
 
-def _tower(C, pb):
-    """(functional mask, element mask, tower grading) of a paired basis's tower."""
-    w, t = tower_functional(C, pb)
-    return w, pb.basis[t], pb.gradings[t]
-
-
 def _tower_data(C, side=Side.V):
-    """Tower data of one side, from a freshly computed paired basis."""
-    return _tower(C, paired_basis(C, side))
+    """``tower_functional`` of one side, from a freshly computed paired basis."""
+    return tower_functional(paired_basis(C, side))
 
 
 def extant_coefficients(C):
@@ -153,8 +144,10 @@ def extant_coefficients(C):
     For each side and each generator bigrading, the pairing orders are
     rescaled by the unique side element moving the paired y-generator into
     that bigrading; the union over bigradings contains every coefficient a
-    (short) local map can use.
+    (short) local map can use.  The complex must be valid, reduced,
+    knotlike and normalized.
     """
+    _require_valid(C)
     pb_u, pb_v, _tables = _require_normalized(C, "complex")
     return _extant(C, pb_u, pb_v)
 
@@ -368,23 +361,11 @@ def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
 
 
 def _short_skip(n):
-    """The dropped chain condition of a short map out of an n-parameter spec."""
-    return (n, Side.U if n % 2 == 0 else Side.V)
+    """The dropped chain condition of a short map out of an n-parameter spec.
 
-
-def _map_into(spec, C, w, tgr, kind, label):
-    """A (short) local map from a realized spec into C, as a certificate or None.
-
-    ``w`` and ``tgr`` are the functional mask and grading of C's tower; the
-    source tower is x_0.
+    It is x_n's condition on the side of the parameter that would come next.
     """
-    src = realize(spec)
-    shift = tgr[1] - src.gr(0)[1]
-    skip = _short_skip(len(spec.params)) if kind == "short" else None
-    matrix = _solve_map(src, C, shift, 1, w, skip=skip)
-    if matrix is None:
-        return None
-    return LocalMapCert(format_spec(spec), label, shift, matrix, kind)
+    return (n, _expected_side(n + 1))
 
 
 class _Search:
@@ -392,7 +373,7 @@ class _Search:
 
     With the prefix ``params`` accepted, the source is x_0..x_{k-1}: x_0 on
     the tower grading ``tgr`` and each later generator's grading derived
-    from the previous one by ``realize``'s zig-zag recurrence.  Their
+    from the previous one by ``_next_grading``, as ``realize`` does.  Their
     unknowns are numbered in that order, each generator's read from the
     target's layout of its grading, and listed in ``slots``.  The equations
     keyed by x_0..x_{k-2}, and the locality row (it touches only x_0), are
@@ -415,8 +396,7 @@ class _Search:
         Returns x_k's grading and the next free bit.
         """
         k = len(self.params) + 1
-        g1, g2 = mono_grading(Monomial(p.side, p.exp))
-        G = (self.G[0] + p.sign * (1 + g1), self.G[1] + p.sign * (1 + g2))
+        G = _next_grading(self.G, p)
         in_edges = {p.side: (k - 1,)} if p.sign < 0 else {}
         nbits, _loc = _add_unknowns(k, G, in_edges, self.target, rows, slots, self.nbits, skip=skip)
         if p.sign > 0:
@@ -468,8 +448,15 @@ def find_local_map(spec, target, kind="full"):
     _pb_u, pb_v, _tables = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
-    w, _elem_mask, tgr = _tower(target, pb_v)
-    return _map_into(spec, target, w, tgr, kind, "target")
+    w, _elem_mask, tgr = tower_functional(pb_v)
+    src = realize(spec)
+    # the source tower is x_0
+    shift = tgr[1] - src.gr(0)[1]
+    skip = _short_skip(len(spec.params)) if kind == "short" else None
+    matrix = _solve_map(src, target, shift, 1, w, skip=skip)
+    if matrix is None:
+        return None
+    return LocalMapCert(format_spec(spec), "target", shift, matrix, kind)
 
 
 def _compose(da, db):
@@ -599,18 +586,19 @@ def _standardize(C, pb_u, pb_v, tables, trace=None):
     ``pb_u``, ``pb_v`` and ``tables`` are C's paired bases and ``side_tables``.
     """
     ext = _extant(C, pb_u, pb_v)
-    w_tgt, elem_mask, tgr = _tower(C, pb_v)
+    w_tgt, elem_mask, tgr = tower_functional(pb_v)
     search = _Search(_Target(C, tables), w_tgt, tgr)
     # side U takes the odd steps, so it carries the stop
-    lists = [
-        _descending(side, ext.for_side(side), stop=side is Side.U) for side in (Side.V, Side.U)
-    ]
+    lists = {
+        side: _descending(side, ext.for_side(side), stop=side is Side.U)
+        for side in (Side.V, Side.U)
+    }
     guard = 2 * C.n_gens()
     while True:
         k = len(search.params) + 1
         if k > guard + 1:
             raise VerificationError("standardization exceeded the splitting bound")
-        cands = lists[k % 2]
+        cands = lists[_expected_side(k)]
         # bisect for the first feasible index; found holds its pivots
         lo, hi, found = 0, len(cands), None
         while lo < hi:

@@ -237,14 +237,7 @@ class RingElem:
         return elem_mul(self, other)
 
     def __repr__(self):
-        if not self:
-            return "0"
-        parts = []
-        if self.scalar:
-            parts.append("1")
-        parts += ["U[%d,%d]" % e for e in sorted(self.u)]
-        parts += ["V[%d,%d]" % e for e in sorted(self.v)]
-        return "+".join(parts)
+        return "+".join(map(mono_text, elem_monomials(self))) or "0"
 
 
 ZERO = RingElem()

@@ -4,9 +4,9 @@ A standard complex is the zig-zag complex on generators x_0, ..., x_n built
 from an even-length sequence of signed parameters, U-side at odd positions
 and V-side at even positions (1-based).  A negative parameter decorates an
 arrow from x_{k-1} to x_k, a positive one the reverse arrow.  Standard
-complexes are the canonical representatives of local equivalence classes;
-the odd-length variant (semistandard) is used as a search prefix and is not
-knotlike.
+complexes are the canonical representatives of local equivalence classes.
+One spec type holds both lengths: an odd-length sequence (semistandard) is
+used as a search prefix and is not knotlike.
 """
 
 from __future__ import annotations
@@ -34,16 +34,7 @@ from .ring import (
 @dataclass(frozen=True)
 class StandardSpec:
     ring: RingId
-    params: tuple  # of SignedParam, even length
-
-    def __repr__(self):
-        return format_spec(self)
-
-
-@dataclass(frozen=True)
-class SemistandardSpec:
-    ring: RingId
-    params: tuple  # of SignedParam, odd length
+    params: tuple  # of SignedParam; odd length for a semistandard prefix
 
     def __repr__(self):
         return format_spec(self)
@@ -60,17 +51,14 @@ def _expected_side(k):
     return Side.U if k % 2 else Side.V
 
 
+def _next_grading(gr, p):
+    """The grading of x_k, from the grading ``gr`` of x_{k-1} and the parameter p_k."""
+    g1, g2 = mono_grading(Monomial(p.side, p.exp))
+    return (gr[0] + p.sign * (1 + g1), gr[1] + p.sign * (1 + g2))
+
+
 def validate_spec(spec):
-    params = spec.params
-    if isinstance(spec, StandardSpec):
-        if len(params) % 2:
-            raise ValueError("standard complex needs an even parameter sequence")
-    elif isinstance(spec, SemistandardSpec):
-        if len(params) % 2 == 0:
-            raise ValueError("semistandard complex needs an odd parameter sequence")
-    else:
-        raise TypeError("spec must be StandardSpec or SemistandardSpec")
-    for k, p in enumerate(params, start=1):
+    for k, p in enumerate(spec.params, start=1):
         if p.side is not _expected_side(k):
             raise ValueError(
                 "parameter %d must lie on side %s" % (k, _expected_side(k).value)
@@ -82,9 +70,8 @@ def validate_spec(spec):
 
 
 def make_spec(ring, params):
-    """Build the standard or semistandard spec fitting the sequence length."""
-    params = tuple(params)
-    spec = StandardSpec(ring, params) if len(params) % 2 == 0 else SemistandardSpec(ring, params)
+    """Build and check the spec of a parameter sequence of any length."""
+    spec = StandardSpec(ring, tuple(params))
     validate_spec(spec)
     return spec
 
@@ -92,7 +79,8 @@ def make_spec(ring, params):
 def realize(spec):
     """The free complex of a parameter sequence, with normalized gradings.
 
-    Standard: gr1(x_0) = 0 and gr2(x_n) = 0.  Semistandard: gr(x_0) = (0, 0).
+    Even length (standard): gr1(x_0) = 0 and gr2(x_n) = 0.  Odd length
+    (semistandard): gr(x_0) = (0, 0).
     """
     validate_spec(spec)
     params = spec.params
@@ -100,16 +88,10 @@ def realize(spec):
     diff = {}
     grades = [(0, 0)]
     for k, p in enumerate(params, start=1):
-        mono = Monomial(p.side, p.exp)
-        g1, g2 = mono_grading(mono)
-        prev = grades[k - 1]
-        if p.sign < 0:
-            diff[(k - 1, k)] = elem_from_mono(mono)
-            grades.append((prev[0] - 1 - g1, prev[1] - 1 - g2))
-        else:
-            diff[(k, k - 1)] = elem_from_mono(mono)
-            grades.append((prev[0] + 1 + g1, prev[1] + 1 + g2))
-    if isinstance(spec, StandardSpec):
+        arrow = (k - 1, k) if p.sign < 0 else (k, k - 1)
+        diff[arrow] = elem_from_mono(Monomial(p.side, p.exp))
+        grades.append(_next_grading(grades[k - 1], p))
+    if n % 2 == 0:
         drop = grades[n][1]
         grades = [(g1, g2 - drop) for (g1, g2) in grades]
     gens = tuple(("x%d" % i, grades[i]) for i in range(n + 1))
@@ -241,18 +223,15 @@ def parse_spec(text, ring=RingId.X):
     inner = text[2:-1].strip()
     if inner in ("", "0"):
         return StandardSpec(ring, ())
-    # exponents contain commas: re-join split pieces until brackets balance;
-    # an empty piece with nothing before it is dropped
+    # exponents contain commas: re-join split pieces until brackets balance
     joined, buf, depth = [], [], 0
     for piece in inner.split(","):
-        if buf == [""]:
-            buf = []
         buf.append(piece)
         depth += piece.count("[") - piece.count("]")
-        if depth == 0 and (len(buf) > 1 or piece.strip()):
+        if depth == 0:
             joined.append(",".join(buf))
             buf = []
-    if buf and buf != [""]:
+    if buf:
         raise ValueError(
             "unbalanced brackets in spec parameter %d: %s"
             % (len(joined) + 1, _brief(",".join(buf)))

@@ -1,7 +1,16 @@
+"""Fixtures and input builders shared by the tests.
+
+The exponent windows, ``direct_sum``, ``acyclic_pair`` and ``pad`` come from
+the benchmark corpus.  ``random_spec`` and ``scramble`` stay here: the
+corpus's ``random_spec`` takes a parameter count and its ``scramble`` also
+shuffles the generators, so they would draw other test inputs.
+"""
+
 import random
 
 import pytest
 
+from corpus import WINDOW_R, WINDOW_X, pad
 from gridring import (
     FreeComplex,
     RingId,
@@ -14,12 +23,8 @@ from gridring import (
     tensor,
     validate,
 )
-from gridring.ring import ONE_ELEM, elem_from_mono, elem_mul, in_region
+from gridring.ring import elem_from_mono, elem_mul
 from gridring.standard import make_spec
-
-# exponent window |i|, |j| <= 2 inside the valid region, origin excluded
-WINDOW_X = [(i, j) for j in range(0, 3) for i in range(-2, 3) if in_region((i, j)) and (i, j) != (0, 0)]
-WINDOW_R = [(1, 0), (2, 0)]
 
 POOL_TEXTS = [
     "C(0)",
@@ -62,35 +67,6 @@ def same_complex(C1, C2):
         and tuple(gr for _nm, gr in C1.generators) == tuple(gr for _nm, gr in C2.generators)
         and C1.diff == C2.diff
     )
-
-
-def direct_sum(C1, C2):
-    off = C1.n_gens()
-    taken = {nm for nm, _gr in C1.generators}
-    gens = list(C1.generators)
-    for nm, gr in C2.generators:
-        new = nm
-        while new in taken:
-            new += "'"
-        taken.add(new)
-        gens.append((new, gr))
-    diff = dict(C1.diff)
-    for (i, j), e in C2.diff.items():
-        diff[(i + off, j + off)] = e
-    return FreeComplex(C1.ring, tuple(gens), diff)
-
-
-def acyclic_pair(ring, gr):
-    gens = (("p", gr), ("q", (gr[0] - 1, gr[1] - 1)))
-    return FreeComplex(ring, gens, {(0, 1): ONE_ELEM})
-
-
-def pad(C, rng, n_pairs):
-    """Direct sum with acyclic pairs at gradings the complex already uses."""
-    for _ in range(n_pairs):
-        gr = C.gr(rng.randrange(C.n_gens()))
-        C = direct_sum(C, acyclic_pair(C.ring, gr))
-    return C
 
 
 def _accumulate(diff, key, term):

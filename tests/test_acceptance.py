@@ -38,7 +38,8 @@ from gridring.invariants import obstructions, tau_from_gradings
 from gridring.ring import elem_mul, in_region
 from gridring.standard import make_spec
 
-from conftest import POOL_TEXTS, acyclic_pair, direct_sum, random_spec, scramble
+from conftest import POOL_TEXTS, random_spec, scramble
+from corpus import acyclic_pair, direct_sum
 
 
 class _Timer:

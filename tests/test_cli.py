@@ -221,6 +221,12 @@ class TestCli:
             "prefix, not a standard complex\n" % n
         )
 
+    @pytest.mark.parametrize("literal", ["C(,)", "C(-U[1,0],,+V[1,0])", "C(-U[1,0], +V[1,0],)"])
+    def test_empty_parameter_rejected(self, capsys, literal):
+        code, out, err = invoke(capsys, "invariants", literal)
+        assert code == 1 and not out
+        assert err.startswith("error: bad spec parameter ") and err.count("\n") == 1
+
     def test_compare_files_and_specs(self, capsys, tmp_path):
         fuv = self.emit_file(capsys, tmp_path, "z2.json", "example", "zhou", "--n", "2")
         code, out, _ = invoke(capsys, "compare", str(fuv), "C(-U[3,2], +V[3,2])")

@@ -57,15 +57,13 @@ from gridring import _gf2
 from gridring.localeq import _compose
 
 from conftest import (
-    acyclic_pair,
-    direct_sum,
-    pad,
     random_spec,
     same_complex,
     scramble,
     shuffle_generators,
     wide_product,
 )
+from corpus import acyclic_pair, direct_sum, pad
 
 
 def reference_validate(C):
@@ -750,7 +748,9 @@ def _two_on_one_side(C, rng):
     e = diff[key]
     have = e.u if side is Side.U else e.v
     window = [(1, 0), (2, 0), (3, 0)] if C.ring is RingId.R else [(1, 0), (2, 0), (1, 1), (-1, 1)]
-    for exp in rng.sample([x for x in window if x not in have], 2 - min(len(have), 1)):
+    # repeated mutations of one entry can use up the window
+    free = [x for x in window if x not in have]
+    for exp in rng.sample(free, min(len(free), 2 - min(len(have), 1))):
         e = e + _side_elem(side, exp)
     diff[key] = e
     return _changed(C, diff=diff)
@@ -863,6 +863,20 @@ class TestValidateAgainstReference:
                 for kind in sorted(MUTATIONS):
                     seen |= _kinds(_same_validation(MUTATIONS[kind](C, rng)))
         assert seen >= set(VIOLATION_KINDS) | {"d^2 scalar", "d^2 several"}
+
+    def test_two_on_one_side_repeated(self):
+        # five mutations of the only entry put three on one side, which
+        # uses up the R window of three monomials
+        gens = (("a", (0, 0)), ("b", (1, -1)))
+        base = FreeComplex(RingId.R, gens, {(0, 1): _side_elem(Side.U, (1, 0))})
+        for seed in range(20):
+            rng = random.Random(seed)
+            C = base
+            for _ in range(5):
+                C = _two_on_one_side(C, rng)
+            (e,) = C.diff.values()
+            assert {(1, 0), (2, 0), (3, 0)} in (e.u, e.v)
+            assert "inhomogeneous" in " ".join(_same_validation(C))
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -98,8 +98,9 @@ class TestSolve:
 
     def test_split_at_eliminated_head(self):
         # rows eliminated beforehand, in two calls that extend one pivot
-        # dict, and handed to solve give the solution of the whole system,
-        # whatever the split points
+        # dict, then the rest eliminated into a copy of it and
+        # back-substituted give the solution of the whole system, whatever
+        # the split points
         rng = random.Random(67)
         splits = inconsistent = 0
         for rows, rhs in CASES:
@@ -118,7 +119,10 @@ class TestSolve:
                     assert want is None
                     continue
                 kept = dict(block)
-                assert _gf2.solve(rows[cut:], rhs[cut:], pivots=block) == want
+                rest = _gf2.eliminate(rows[cut:], rhs[cut:], dict(block))
+                assert (rest is None) == (want is None)
+                if rest is not None:
+                    assert _gf2.back_substitute(rest) == want
                 assert block == kept
         assert 0 < inconsistent < splits
 

@@ -37,7 +37,6 @@ from gridring.localeq import (
     _Search,
     _Target,
     _descending,
-    _map_into,
     _matrix,
     _short_skip,
     _solve_map,
@@ -46,7 +45,8 @@ from gridring.localeq import (
 from gridring.ring import ZERO, elem_from_mono, grading_basis
 from gridring.standard import make_spec
 
-from conftest import acyclic_pair, direct_sum, pad, random_spec, scramble, wide_product
+from conftest import random_spec, scramble, wide_product
+from corpus import acyclic_pair, direct_sum, pad
 
 
 def _search_input(which):
@@ -124,6 +124,13 @@ def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     return matrix
 
 
+def _fresh_map(spec, C, w, tgr, kind):
+    """The (short) local map from a realized spec into C, solved on its own, or None."""
+    src = realize(spec)
+    skip = _short_skip(len(spec.params)) if kind == "short" else None
+    return _solve_map(src, C, tgr[1] - src.gr(0)[1], 1, w, skip)
+
+
 def _linear_scan(C):
     """The greedy extraction by exhaustive trial, as the reference for the bisection.
 
@@ -143,7 +150,7 @@ def _linear_scan(C):
                 spec, kind = make_spec(C.ring, params), "full"
             else:
                 spec, kind = make_spec(C.ring, params + [p]), "short"
-            pattern.append(_map_into(spec, C, w, tgr, kind, "complex") is not None)
+            pattern.append(_fresh_map(spec, C, w, tgr, kind) is not None)
         steps.append((k, cands, pattern))
         p = cands[pattern.index(True)]
         if p is None:
@@ -155,7 +162,7 @@ def _linear_scan(C):
 def _check_steps_against_scratch(C):
     """Walk the greedy extraction, comparing every candidate's probe with two scratch solves.
 
-    ``_map_into`` solves the whole system from scratch into a fresh
+    ``_solve_map`` solves the whole system from scratch into a fresh
     ``_Target``, and ``reference_solve_map`` with the exponent-keyed
     equations; the two must agree entry by entry.  A feasible probe's
     pivots, back-substituted and read through the search's slot table and
@@ -175,15 +182,16 @@ def _check_steps_against_scratch(C):
                 spec, kind = make_spec(C.ring, params), "full"
             else:
                 spec, kind = make_spec(C.ring, params + [p]), "short"
-            want = _map_into(spec, C, w, tgr, kind, "complex")
             src = realize(spec)
             skip = _short_skip(len(spec.params)) if kind == "short" else None
-            ref = reference_solve_map(src, C, tgr[1] - src.gr(0)[1], 1, w, skip)
+            shift = tgr[1] - src.gr(0)[1]
+            want = _solve_map(src, C, shift, 1, w, skip)
+            ref = reference_solve_map(src, C, shift, 1, w, skip)
             got = search.probe(p)
             n_probes += 1
             assert (want is None) == (ref is None) == (got is None), (spec, kind)
             if want is not None:
-                assert want.matrix == ref, (spec, kind)
+                assert want == ref, (spec, kind)
                 slots = dict(search.slots)
                 if p is not None:
                     search._add(p, {}, slots)
@@ -239,6 +247,16 @@ class TestExtant:
 
         C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (0, 0))), {})
         with pytest.raises(ValueError):
+            extant_coefficients(C)
+
+    def test_invalid_complex_rejected(self):
+        # like standardize and find_local_map, validate before pairing
+        from gridring import FreeComplex, InvalidComplexError
+        from gridring.ring import u_mono
+
+        gens = (("a", (0, 0)), ("b", (1, 1)))
+        C = FreeComplex(RingId.X, gens, {(0, 5): elem_from_mono(u_mono(1, 0))})
+        with pytest.raises(InvalidComplexError, match=r"entry \(0, 5\) out of range"):
             extant_coefficients(C)
 
 

@@ -31,7 +31,8 @@ from gridring.io_json import (
 from gridring.ring import RingElem
 from gridring.standard import make_spec
 
-from conftest import WINDOW_R, WINDOW_X, pad, scramble
+from conftest import scramble
+from corpus import WINDOW_R, WINDOW_X, pad
 
 RINGS = st.sampled_from([RingId.X, RingId.R])
 

@@ -224,6 +224,13 @@ class TestMonoGcd:
 
 
 class TestElemMul:
+    def test_repr(self):
+        # error messages print entries this way: scalar, then U then V, each sorted
+        e = RingElem(1, frozenset({(2, 0), (-1, 1)}), frozenset({(1, 1)}))
+        assert repr(e) == "1+U[-1,1]+U[2,0]+V[1,1]"
+        assert repr(elem_from_mono(v_mono(3, 0))) == "V[3,0]"
+        assert repr(ZERO) == "0"
+
     def test_char2_square(self):
         e = ONE_ELEM + elem_from_mono(u_mono(1, 0))
         assert elem_mul(e, e) == ONE_ELEM + elem_from_mono(u_mono(2, 0))

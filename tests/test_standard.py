@@ -26,7 +26,7 @@ from gridring import (
     validate,
 )
 from gridring.ring import param_grading, u_mono, v_mono, elem_from_mono
-from gridring.standard import SemistandardSpec, ShiftMap, StandardSpec, make_spec
+from gridring.standard import ShiftMap, StandardSpec, make_spec
 
 from conftest import random_spec, same_complex
 
@@ -53,8 +53,9 @@ class TestRealize:
             make_spec(RingId.X, [SignedParam(Side.V, 1, (1, 0)), SignedParam(Side.U, 1, (1, 0))])
 
     def test_semistandard_normalization(self):
+        # an odd-length prefix is a StandardSpec too; realize keeps x_0 at the origin
         spec = make_spec(RingId.X, [SignedParam(Side.U, -1, (2, 1))])
-        assert isinstance(spec, SemistandardSpec)
+        assert spec == StandardSpec(RingId.X, spec.params)
         C = realize(spec)
         assert C.gr(0) == (0, 0)
         assert C.gr(1) == (3, 1)
@@ -198,3 +199,17 @@ class TestPromoteAndText:
             parse_spec("D(-U[1,0])")
         with pytest.raises(ValueError):
             parse_spec("C(-U[1,0)")
+
+    @pytest.mark.parametrize(
+        "text, k",
+        [
+            ("C(,)", 1),
+            ("C(-U[1,0],,+V[1,0])", 2),
+            ("C(-U[1,0], +V[1,0],)", 3),
+            ("C(,-U[1,0], +V[1,0])", 1),
+            ("C(-U[1,0], ,+V[1,0])", 2),
+        ],
+    )
+    def test_parse_rejects_empty_parameter(self, text, k):
+        with pytest.raises(ValueError, match=r"^bad spec parameter %d: '\s*'$" % k):
+            parse_spec(text)
