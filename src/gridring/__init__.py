@@ -20,11 +20,6 @@ from .ring import (
     elem_grading,
     elem_mul,
     grading_basis,
-    lattice_compare,
-    mono_divides,
-    mono_gcd,
-    mono_mul,
-    param_compare,
     u_mono,
     v_mono,
 )

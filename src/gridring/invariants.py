@@ -47,12 +47,16 @@ def phi(spec):
     for k, p in enumerate(spec.params, start=1):
         key = (_expected_side(k), p.exp)
         counts[key] = counts.get(key, 0) + p.sign
-    entries = tuple(
+    return PhiTable(_phi_entries(counts))
+
+
+def _phi_entries(counts):
+    """``PhiTable.entries`` of ``{(side, exp): count}``: nonzero counts, by side then exponent."""
+    return tuple(
         (key, c)
         for key, c in sorted(counts.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
         if c
     )
-    return PhiTable(entries)
 
 
 def tau(spec, table=None):
@@ -205,11 +209,7 @@ def _phi_add(a, b):
     for table in (a, b):
         for key, c in table.entries:
             counts[key] = counts.get(key, 0) + c
-    return tuple(
-        (key, c)
-        for key, c in sorted(counts.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-        if c
-    )
+    return _phi_entries(counts)
 
 
 def additivity_check(a, b, shift_map=None):

@@ -133,9 +133,9 @@ def _require_normalized(C, what):
     return pb_u, pb_v, tables
 
 
-def _tower_data(C, side=Side.V):
-    """``tower_functional`` of one side, from a freshly computed paired basis."""
-    return tower_functional(paired_basis(C, side))
+def _tower_data(C):
+    """``tower_functional`` of side V, from a freshly computed paired basis."""
+    return tower_functional(paired_basis(C, Side.V))
 
 
 def extant_coefficients(C):
@@ -473,14 +473,12 @@ def _compose(da, db):
     return {key: e for key, e in out.items() if e}
 
 
-def check_certificate(src, tgt, cert, src_mask=None, check_left=False):
+def check_certificate(src, tgt, cert, src_mask=None):
     """Independent verification of a certificate; returns violation strings.
 
     Checks gradings, the chain-map identities (minus the dropped condition
     for short certificates) by direct matrix algebra, and locality against a
-    freshly computed paired basis of the target.  ``check_left`` additionally
-    re-checks the U-side tower image of a full certificate (guaranteed by
-    the theory, so off by default).
+    freshly computed paired basis of the target.
     """
     out = []
     s = cert.gr2shift
@@ -523,15 +521,6 @@ def check_certificate(src, tgt, cert, src_mask=None, check_left=False):
         return out
     if _tower_coefficient(cert.matrix, src_mask, w) != 1:
         out.append("image of the source tower misses the target tower")
-    if check_left and cert.kind == "full":
-        try:
-            w_u, _em, _g = _tower_data(tgt, Side.U)
-            _wu_src, src_u_mask, _gs = _tower_data(src, Side.U)
-        except (NotKnotlikeError, ValueError) as exc:
-            out.append("U-side tower not available: %s" % exc)
-            return out
-        if _tower_coefficient(cert.matrix, src_u_mask, w_u) != 1:
-            out.append("image of the source U-tower misses the target U-tower")
     return out
 
 

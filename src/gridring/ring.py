@@ -124,19 +124,8 @@ def param_text(p):
     return "%s%s[%d,%d]" % ("+" if p.sign > 0 else "-", p.side.value, p.exp[0], p.exp[1])
 
 
-def param_mono(p):
-    """|p| as a Monomial."""
-    return Monomial(p.side, p.exp)
-
-
 def param_flip(p):
     return SignedParam(p.side, -p.sign, p.exp)
-
-
-def param_grading(p):
-    """Bigrading of a SignedParam: the monomial grading, negated for inverses."""
-    g1, g2 = mono_grading(param_mono(p))
-    return (p.sign * g1, p.sign * g2)
 
 
 def lattice_key(exp):
@@ -172,51 +161,6 @@ def param_key(p):
     if p is None:
         return (2,)
     return lattice_key((p.sign * p.exp[0], p.sign * p.exp[1]))
-
-
-def _compare_keys(a, b):
-    return (a > b) - (a < b)
-
-
-def lattice_compare(a, b):
-    """The total order <! on Z x Z - {(0,0)}, as a comparison of lattice keys.
-
-    Returns LESS, EQUAL or GREATER as ``lattice_key(a)`` is less than, equal
-    to or greater than ``lattice_key(b)``; raises ValueError at the origin.
-    """
-    return _compare_keys(lattice_key(a), lattice_key(b))
-
-
-def param_compare(a, b):
-    """Extend <! to signed parameters and the neutral sentinel None (= 1).
-
-    Compares the two parameter keys; parameters from different sides raise.
-    """
-    if a is not None and b is not None and a.side is not b.side:
-        raise ValueError("cannot compare parameters from different sides")
-    return _compare_keys(param_key(a), param_key(b))
-
-
-def mono_divides(a, b):
-    """True if a divides b.  Both must be nontrivial monomials of one side."""
-    if a.side is not b.side or a.side is Side.ONE:
-        raise ValueError("divisibility needs two monomials of the same side")
-    return in_region((b.exp[0] - a.exp[0], b.exp[1] - a.exp[1]))
-
-
-def mono_gcd(monos):
-    """Greatest common divisor of a nonempty same-side family.
-
-    Same-side monomials form a divisibility chain, so the gcd is just the
-    <!-greatest member.
-    """
-    monos = list(monos)
-    if not monos:
-        raise ValueError("gcd of an empty set")
-    side = monos[0].side
-    if side is Side.ONE or any(m.side is not side for m in monos):
-        raise ValueError("gcd needs nontrivial monomials of one side")
-    return max(monos, key=lambda m: lattice_key(m.exp))
 
 
 @dataclass(frozen=True)
@@ -282,11 +226,6 @@ def elem_mul(a, b):
     for ea in a.v:
         v ^= _shift_all(b.v, ea)
     return RingElem(a.scalar & b.scalar, frozenset(u), frozenset(v))
-
-
-def mono_mul(a, b):
-    """Product of two monomials, as a RingElem (zero for cross-side products)."""
-    return elem_mul(elem_from_mono(a), elem_from_mono(b))
 
 
 def elem_monomials(e):

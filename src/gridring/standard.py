@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .complexes import FreeComplex
 from .ring import (
-    EQUAL,
-    LESS,
     Monomial,
     RingId,
     Side,
     SignedParam,
     elem_from_mono,
+    lattice_key,
     mono_grading,
-    param_compare,
     param_flip,
+    param_key,
     param_ok,
     param_text,
 )
@@ -125,14 +125,12 @@ def lex_compare(a, b):
     """Lexicographic order on standard specs; short sequences pad with 1s."""
     if a.ring is not b.ring:
         raise ValueError("cannot compare specs over different rings")
-    n = max(len(a.params), len(b.params))
-    for k in range(n):
-        pa = a.params[k] if k < len(a.params) else None
-        pb = b.params[k] if k < len(b.params) else None
-        c = param_compare(pa, pb)
-        if c != EQUAL:
-            return c
-    return EQUAL
+    validate_spec(a)
+    validate_spec(b)
+    pairs = list(zip_longest(a.params, b.params))  # None is the neutral 1
+    ka = [param_key(p) for p, _q in pairs]
+    kb = [param_key(q) for _p, q in pairs]
+    return (ka > kb) - (ka < kb)
 
 
 def dual_spec(spec):
@@ -183,8 +181,9 @@ class ShiftMap:
             raise ValueError("shift map applied to the wrong side")
         if self.mult.side is not self.side:
             raise ValueError("shift multiplier lies on the wrong side")
-        abs_p = SignedParam(p.side, 1, p.exp)
-        if param_compare(abs_p, self.threshold) in (LESS, EQUAL):
+        if self.threshold is not None and self.threshold.side is not self.side:
+            raise ValueError("shift threshold lies on the wrong side")
+        if lattice_key(p.exp) <= param_key(self.threshold):
             exp = (p.exp[0] + self.mult.exp[0], p.exp[1] + self.mult.exp[1])
             return SignedParam(p.side, p.sign, exp)
         return p
@@ -192,9 +191,10 @@ class ShiftMap:
 
 def shift_spec(spec, m_u=None, m_v=None):
     """Apply shift maps to the U-side and/or V-side parameters."""
+    validate_spec(spec)
     out = []
     for k, p in enumerate(spec.params, start=1):
-        m = m_u if k % 2 else m_v
+        m = m_u if _expected_side(k) is Side.U else m_v
         out.append(m.apply(p) if m is not None else p)
     return make_spec(spec.ring, out)
 

@@ -23,7 +23,7 @@ from gridring import (
     tensor,
     validate,
 )
-from gridring.ring import elem_from_mono, elem_mul
+from gridring.ring import Monomial, elem_from_mono, elem_mul, mono_grading
 from gridring.standard import make_spec
 
 POOL_TEXTS = [
@@ -58,6 +58,12 @@ def random_spec(rng, ring=RingId.X, max_pairs=1, n_pairs=None):
         side = Side.U if k % 2 else Side.V
         params.append(SignedParam(side, rng.choice([1, -1]), rng.choice(window)))
     return make_spec(ring, params)
+
+
+def param_grading(p):
+    """Bigrading of a signed parameter: its monomial's, negated for an inverse."""
+    g1, g2 = mono_grading(Monomial(p.side, p.exp))
+    return (p.sign * g1, p.sign * g2)
 
 
 def same_complex(C1, C2):

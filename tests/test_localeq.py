@@ -31,7 +31,13 @@ from gridring import (
     tensor,
 )
 from gridring import _gf2
-from gridring.complexes import normalize, side_rows, side_tables
+from gridring.complexes import (
+    normalize,
+    paired_basis,
+    side_rows,
+    side_tables,
+    tower_functional,
+)
 from gridring.localeq import (
     VerificationError,
     _Search,
@@ -40,6 +46,7 @@ from gridring.localeq import (
     _matrix,
     _short_skip,
     _solve_map,
+    _tower_coefficient,
     _tower_data,
 )
 from gridring.ring import ZERO, elem_from_mono, grading_basis
@@ -613,16 +620,23 @@ class TestStandardize:
         assert check_certificate(X, realize(spec), back, src_mask=mask) == []
 
     def test_left_locality_flag(self):
-        # a right-local equivalence is automatically left local; the optional
-        # flag re-verifies the U-side tower image
+        # a right-local equivalence is automatically left local: both
+        # certificates also map the U-side tower onto the U-side tower
         X = base_change(example_zhou(2))
         spec, fwd, back = standardize(X)
-        assert check_certificate(realize(spec), X, fwd, check_left=True) == []
+        S = realize(spec)
+        assert check_certificate(S, X, fwd) == []
+        assert _u_tower_coefficient(S, X, fwd) == 1
         _w, mask, _g = _tower_data(X)
-        assert (
-            check_certificate(X, realize(spec), back, src_mask=mask, check_left=True)
-            == []
-        )
+        assert check_certificate(X, S, back, src_mask=mask) == []
+        assert _u_tower_coefficient(X, S, back) == 1
+
+
+def _u_tower_coefficient(src, tgt, cert):
+    """Coefficient of the target's U-side tower in the image of the source's."""
+    w_u, _em, _g = tower_functional(paired_basis(tgt, Side.U))
+    _w, src_u_mask, _gs = tower_functional(paired_basis(src, Side.U))
+    return _tower_coefficient(cert.matrix, src_u_mask, w_u)
 
 
 @pytest.mark.slow

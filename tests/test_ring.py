@@ -15,11 +15,7 @@ from gridring import (
     elem_grading,
     elem_mul,
     grading_basis,
-    lattice_compare,
-    mono_divides,
-    mono_gcd,
-    mono_mul,
-    param_compare,
+    lex_compare,
     u_mono,
     v_mono,
 )
@@ -34,6 +30,7 @@ from gridring.ring import (
     monomial_ok,
     param_key,
 )
+from gridring.standard import StandardSpec
 
 WINDOW = [
     (i, j)
@@ -42,6 +39,27 @@ WINDOW = [
     if (i, j) != (0, 0) and abs(i) <= 4 and abs(j) <= 4
 ]
 REGION_WINDOW = [p for p in WINDOW if in_region(p)]
+
+
+def cmp(x, y):
+    """LESS, EQUAL or GREATER as x is less than, equal to or greater than y."""
+    return (x > y) - (x < y)
+
+
+def mono_product(a, b):
+    return elem_mul(elem_from_mono(a), elem_from_mono(b))
+
+
+def divides(a, b):
+    """True if a divides b.  Both must be nontrivial monomials of one side."""
+    if a.side is not b.side or a.side is Side.ONE:
+        raise ValueError("divisibility needs two monomials of the same side")
+    return in_region((b.exp[0] - a.exp[0], b.exp[1] - a.exp[1]))
+
+
+def key_gcd(monos):
+    """The <!-greatest member of a family: the gcd, since one side's monomials form a chain."""
+    return max(monos, key=lambda m: lattice_key(m.exp))
 
 
 def oracle_compare(a, b):
@@ -57,119 +75,125 @@ def oracle_compare(a, b):
 
 class TestMonoMul:
     def test_same_side_adds_exponents(self):
-        assert mono_mul(u_mono(1, 0), u_mono(0, 1)) == elem_from_mono(u_mono(1, 1))
+        assert mono_product(u_mono(1, 0), u_mono(0, 1)) == elem_from_mono(u_mono(1, 1))
 
     def test_cross_side_vanishes(self):
-        assert mono_mul(u_mono(1, 0), v_mono(2, 1)) == ZERO
+        assert mono_product(u_mono(1, 0), v_mono(2, 1)) == ZERO
 
     def test_scalar_is_neutral(self):
-        assert mono_mul(MONO_ONE, v_mono(3, 2)) == elem_from_mono(v_mono(3, 2))
+        assert mono_product(MONO_ONE, v_mono(3, 2)) == elem_from_mono(v_mono(3, 2))
 
 
 class TestMonoDivides:
+    # ``divides`` is the reference the order's keys are checked against
     def test_powers(self):
-        assert mono_divides(u_mono(1, 0), u_mono(3, 0))
+        assert divides(u_mono(1, 0), u_mono(3, 0))
 
     def test_row_step_down(self):
         # (0,1) - (2,0) = (-2,1) is in the region
-        assert mono_divides(u_mono(2, 0), u_mono(0, 1))
+        assert divides(u_mono(2, 0), u_mono(0, 1))
 
     def test_row_step_up_fails(self):
-        assert not mono_divides(u_mono(0, 1), u_mono(5, 0))
+        assert not divides(u_mono(0, 1), u_mono(5, 0))
 
     def test_mixed_sides_rejected(self):
         with pytest.raises(ValueError):
-            mono_divides(u_mono(1, 0), v_mono(1, 0))
+            divides(u_mono(1, 0), v_mono(1, 0))
 
     def test_window_against_region_arithmetic(self):
+        # on the region, a divides b exactly when b <=! a
         for a in REGION_WINDOW:
             for b in REGION_WINDOW:
-                got = mono_divides(u_mono(*a), u_mono(*b))
+                got = lattice_key(b) <= lattice_key(a)
                 assert got == in_region((b[0] - a[0], b[1] - a[1]))
 
 
 class TestLatticeCompare:
     def test_u_generator_is_greatest(self):
-        assert lattice_compare((2, 0), (1, 0)) == LESS
-        assert all(lattice_compare(p, (1, 0)) == LESS for p in WINDOW if p != (1, 0))
+        assert lattice_key((2, 0)) < lattice_key((1, 0))
+        assert all(lattice_key(p) < lattice_key((1, 0)) for p in WINDOW if p != (1, 0))
 
     def test_inverse_generator_is_least(self):
-        assert all(lattice_compare((-1, 0), p) == LESS for p in WINDOW if p != (-1, 0))
+        assert all(lattice_key((-1, 0)) < lattice_key(p) for p in WINDOW if p != (-1, 0))
 
     def test_same_row(self):
         # within a row the order descends as i grows (divisibility)
-        assert lattice_compare((2, 1), (3, 1)) == GREATER
-        assert lattice_compare((3, 1), (2, 1)) == LESS
+        assert lattice_key((2, 1)) > lattice_key((3, 1))
+        assert lattice_key((3, 1)) < lattice_key((2, 1))
 
     def test_distinct_rows(self):
-        assert lattice_compare((5, 2), (7, 3)) == GREATER
+        assert lattice_key((5, 2)) > lattice_key((7, 3))
 
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
-            lattice_compare((0, 0), (1, 0))
-        with pytest.raises(ValueError):
             lattice_key((0, 0))
+        with pytest.raises(ValueError):
+            param_key(SignedParam(Side.U, 1, (0, 0)))
 
     def test_total_order_on_window(self):
-        # agreement with the position in a sorted list proves trichotomy and
-        # transitivity on the whole window at once
-        ordered = sorted(WINDOW, key=cmp_to_key(lattice_compare))
+        # agreement with the position in a sorted list proves that distinct
+        # points have distinct keys on the whole window
+        ordered = sorted(WINDOW, key=lattice_key)
         pos = {p: k for k, p in enumerate(ordered)}
         for a in WINDOW:
             for b in WINDOW:
-                got = lattice_compare(a, b)
-                want = (pos[a] > pos[b]) - (pos[a] < pos[b])
+                got = cmp(lattice_key(a), lattice_key(b))
+                want = cmp(pos[a], pos[b])
                 assert got == want
 
     def test_agrees_with_divisibility_oracle(self):
         for a in WINDOW:
             for b in WINDOW:
-                assert lattice_compare(a, b) == oracle_compare(a, b)
+                assert cmp(lattice_key(a), lattice_key(b)) == oracle_compare(a, b)
 
     def test_key_sorts_like_oracle(self):
         assert sorted(WINDOW, key=lattice_key) == sorted(WINDOW, key=cmp_to_key(oracle_compare))
 
 
 def param_oracle(a, b):
-    # literal transcription of the order rules, via mono_divides; None is the
+    # literal transcription of the order rules, via divides; None is the
     # neutral 1, with negatives < 1 < positives
     if a is None or b is None:
         sa = 0 if a is None else a.sign
         sb = 0 if b is None else b.sign
-        return (sa > sb) - (sa < sb)
+        return cmp(sa, sb)
     if a.sign != b.sign:
         return LESS if a.sign < 0 else GREATER
     if a.exp == b.exp:
         return EQUAL
     ma, mb = u_mono(*a.exp), u_mono(*b.exp)
     if a.sign > 0:
-        return LESS if mono_divides(mb, ma) else GREATER
-    return LESS if mono_divides(ma, mb) else GREATER
+        return LESS if divides(mb, ma) else GREATER
+    return LESS if divides(ma, mb) else GREATER
 
 
 class TestParamCompare:
     def test_signs(self):
         pos = SignedParam(Side.U, 1, (1, 0))
         neg = SignedParam(Side.U, -1, (1, 0))
-        assert param_compare(pos, neg) == GREATER
-        assert param_compare(neg, None) == LESS
-        assert param_compare(pos, None) == GREATER
-        assert param_compare(None, None) == EQUAL
+        assert param_key(pos) > param_key(neg)
+        assert param_key(neg) < param_key(None)
+        assert param_key(pos) > param_key(None)
+        assert param_key(None) == param_key(None)
 
     def test_positive_divisibility(self):
         a = SignedParam(Side.U, 1, (3, 0))
         b = SignedParam(Side.U, 1, (2, 0))
-        assert param_compare(a, b) == LESS
+        assert param_key(a) < param_key(b)
 
     def test_negative_divisibility(self):
         # |-(2,1)| divides |-(3,1)|, so -(2,1) <! -(3,1)
         a = SignedParam(Side.U, -1, (2, 1))
         b = SignedParam(Side.U, -1, (3, 1))
-        assert param_compare(a, b) == LESS
+        assert param_key(a) < param_key(b)
 
     def test_mixed_sides_rejected(self):
+        # specs are compared position by position, so a parameter on the
+        # wrong side would be compared with one of the other side
+        on_u = StandardSpec(RingId.X, (SignedParam(Side.U, 1, (1, 0)),))
+        on_v = StandardSpec(RingId.X, (SignedParam(Side.V, 1, (1, 0)),))
         with pytest.raises(ValueError):
-            param_compare(SignedParam(Side.U, 1, (1, 0)), SignedParam(Side.V, 1, (1, 0)))
+            lex_compare(on_u, on_v)
 
     PARAMS = [
         SignedParam(Side.U, s, e)
@@ -181,7 +205,7 @@ class TestParamCompare:
     def test_window_against_oracle(self):
         for a in self.PARAMS:
             for b in self.PARAMS:
-                assert param_compare(a, b) == param_oracle(a, b)
+                assert cmp(param_key(a), param_key(b)) == param_oracle(a, b)
 
     def test_key_sorts_like_oracle(self):
         want = sorted(self.PARAMS, key=cmp_to_key(param_oracle))
@@ -193,34 +217,34 @@ class TestParamCompare:
         params = [SignedParam(Side.U, 1, e) for e in REGION_WINDOW if abs(e[0]) <= 2 and e[1] <= 2]
         for a in params:
             for b in params:
-                leq = param_compare(a, b) in (LESS, EQUAL)
-                assert leq == mono_divides(u_mono(*b.exp), u_mono(*a.exp))
+                leq = param_key(a) <= param_key(b)
+                assert leq == divides(u_mono(*b.exp), u_mono(*a.exp))
 
 
 class TestMonoGcd:
     def test_powers(self):
-        assert mono_gcd([u_mono(2, 0), u_mono(3, 0)]) == u_mono(2, 0)
+        assert key_gcd([u_mono(2, 0), u_mono(3, 0)]) == u_mono(2, 0)
 
     def test_cross_row(self):
-        assert mono_gcd([u_mono(1, 1), u_mono(4, 0)]) == u_mono(4, 0)
+        assert key_gcd([u_mono(1, 1), u_mono(4, 0)]) == u_mono(4, 0)
 
     def test_singleton(self):
-        assert mono_gcd([v_mono(2, 1)]) == v_mono(2, 1)
+        assert key_gcd([v_mono(2, 1)]) == v_mono(2, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mono_gcd([])
+            key_gcd([])
 
     def test_gcd_divides_all_and_is_maximal(self):
         rng = random.Random(7)
         small = [p for p in REGION_WINDOW if abs(p[0]) <= 3 and p[1] <= 3]
         for _ in range(100):
             fam = [u_mono(*rng.choice(small)) for _ in range(rng.randint(1, 4))]
-            g = mono_gcd(fam)
-            assert all(mono_divides(g, m) for m in fam)
+            g = key_gcd(fam)
+            assert all(divides(g, m) for m in fam)
             for d in small:
-                if all(mono_divides(u_mono(*d), m) for m in fam):
-                    assert mono_divides(u_mono(*d), g)
+                if all(divides(u_mono(*d), m) for m in fam):
+                    assert divides(u_mono(*d), g)
 
 
 class TestElemMul:
@@ -269,7 +293,7 @@ class TestElemMul:
     def test_grading_multiplicative(self):
         for a in REGION_WINDOW[:12]:
             for b in REGION_WINDOW[:12]:
-                p = mono_mul(u_mono(*a), u_mono(*b))
+                p = mono_product(u_mono(*a), u_mono(*b))
                 ga = mono_grading(u_mono(*a))
                 gb = mono_grading(u_mono(*b))
                 assert elem_grading(p) == (ga[0] + gb[0], ga[1] + gb[1])

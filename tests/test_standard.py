@@ -25,10 +25,10 @@ from gridring import (
     shift_spec,
     validate,
 )
-from gridring.ring import param_grading, u_mono, v_mono, elem_from_mono
+from gridring.ring import elem_from_mono, u_mono, v_mono
 from gridring.standard import ShiftMap, StandardSpec, make_spec
 
-from conftest import random_spec, same_complex
+from conftest import param_grading, random_spec, same_complex
 
 
 class TestRealize:
@@ -174,6 +174,17 @@ class TestShift:
         m = ShiftMap(Side.V, SignedParam(Side.V, 1, (1, 0)), v_mono(0, 1))
         with pytest.raises(ValueError):
             m.apply(SignedParam(Side.U, 1, (1, 0)))
+
+    def test_threshold_on_other_side_rejected(self):
+        m = ShiftMap(Side.U, SignedParam(Side.V, 1, (1, 0)), u_mono(0, 1))
+        with pytest.raises(ValueError, match="threshold lies on the wrong side"):
+            m.apply(SignedParam(Side.U, 1, (1, 0)))
+
+    def test_spec_with_parameter_on_wrong_side_rejected(self):
+        m = ShiftMap(Side.U, SignedParam(Side.U, 1, (1, 0)), u_mono(0, 1))
+        spec = StandardSpec(RingId.X, (SignedParam(Side.V, 1, (1, 0)),))
+        with pytest.raises(ValueError, match="must lie on side U"):
+            shift_spec(spec, m_u=m)
 
 
 class TestPromoteAndText:
