@@ -13,7 +13,6 @@ import sys
 
 from . import examples, io_json
 from .complexes import (
-    FUVComplex,
     InvalidComplexError,
     NotKnotlikeError,
     base_change,
@@ -35,16 +34,15 @@ EXIT_VERIFICATION = 3
 
 
 def _read_complex(path, base=None):
-    """Parse a document and base-change an FUV one; returns (X complex, dY).
+    """Parse a document, an FUV one into ring X; returns (complex, dY).
 
     With ``base`` ("S" or "FUV") a document of the other base is rejected.
     """
-    C, dy = io_json.document_to_complex(io_json.load_document(path))
-    fuv = isinstance(C, FUVComplex)
-    if base is not None and fuv != (base == "FUV"):
+    doc = io_json.load_document(path)
+    C, dy = io_json.document_to_complex(doc)
+    if base is not None and doc.get("base", "S") != base:
         raise DocumentError("%s: expected a base-%s document" % (path, base))
-    # validate_fuv would only add an empty-entry check, and the parser drops those.
-    return (base_change(C) if fuv else C), dy
+    return C, dy
 
 
 def _load_complex(path, base=None):
@@ -86,6 +84,12 @@ def _emit(args, payload, text):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_document(C, dy=0):
+    """Print the document of C, which is JSON with or without --json."""
+    sys.stdout.write(io_json.dump_json(io_json.complex_to_document(C, dy)))
+    return EXIT_OK
+
+
 def cmd_validate(args):
     C, _dy = _read_complex(args.file)
     bad = validate(C)
@@ -98,16 +102,11 @@ def cmd_validate(args):
 
 def cmd_reduce(args):
     C, dy = _load_complex(args.file, base="S")
-    doc = io_json.complex_to_document(reduce(C), dy)
-    _emit(args, doc, io_json.dump_json(doc))
-    return EXIT_OK
+    return _emit_document(reduce(C), dy)
 
 
 def cmd_basechange(args):
-    C, dy = _load_complex(args.file, base="FUV")
-    doc = io_json.complex_to_document(C, dy)
-    _emit(args, doc, io_json.dump_json(doc))
-    return EXIT_OK
+    return _emit_document(*_load_complex(args.file, base="FUV"))
 
 
 def cmd_standardize(args):
@@ -127,16 +126,12 @@ def cmd_standardize(args):
 def cmd_tensor(args):
     A, dya = _load_complex(args.a, base="S")
     B, dyb = _load_complex(args.b, base="S")
-    doc = io_json.complex_to_document(tensor(A, B), dya + dyb)
-    _emit(args, doc, io_json.dump_json(doc))
-    return EXIT_OK
+    return _emit_document(tensor(A, B), dya + dyb)
 
 
 def cmd_dual(args):
     C, dy = _load_complex(args.file, base="S")
-    doc = io_json.complex_to_document(dual(C), -dy)
-    _emit(args, doc, io_json.dump_json(doc))
-    return EXIT_OK
+    return _emit_document(dual(C), -dy)
 
 
 def cmd_compare(args):
@@ -185,15 +180,10 @@ def cmd_example(args):
         C = examples.example_zhou(args.n)
     else:
         C = examples.example_cable()
-    emit = args.emit
-    if emit == "fuv":
-        doc = io_json.complex_to_document(C)
-        _emit(args, doc, io_json.dump_json(doc))
-        return EXIT_OK
-    if emit == "x":
-        doc = io_json.complex_to_document(base_change(C))
-        _emit(args, doc, io_json.dump_json(doc))
-        return EXIT_OK
+    if args.emit == "fuv":
+        return _emit_document(C)
+    if args.emit == "x":
+        return _emit_document(base_change(C))
     spec = standard_representative(base_change(C))[0]
     _emit(
         args,

@@ -361,15 +361,15 @@ class PairedBasis:
 
     ``basis[i]`` is the i-th new basis element reduced mod the maximal
     ideals: an int bitmask over the original generators, bit j set when
-    generator j has a unit coefficient.  ``matrix`` is the side-differential
-    in the new basis; each pair (y, z, order) satisfies d_side(y) = order * z;
-    unpaired indices are side-cycles generating the nontorsion part.
+    generator j has a unit coefficient.  In the new basis the
+    side-differential is the pairs alone: each pair (y, z, order) satisfies
+    d_side(y) = order * z, and unpaired indices are side-cycles generating
+    the nontorsion part.
     """
 
     side: Side
     basis: tuple  # residue bitmasks, one per new basis element
     gradings: tuple
-    matrix: dict  # (i, j) -> Monomial exp of the side differential
     pairs: tuple  # (y_index, z_index, Monomial)
     unpaired: tuple
 
@@ -517,7 +517,6 @@ def _paired_basis(C, side, rows):
         side=side,
         basis=tuple(basis),
         gradings=tuple(grades),
-        matrix={(i, j): rows[i][j] for i in range(m) for j in sorted(rows[i])},
         pairs=tuple(pairs),
         unpaired=tuple(i for i in range(m) if not paired[i]),
     )

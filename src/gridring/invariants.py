@@ -122,11 +122,9 @@ def p_invariants(spec):
     pv = C.gr(0)[1]
     sgn_sum = sum(p.sign for p in spec.params)
     table = phi(spec)
-    cu1 = sum(mono_grading(Monomial(Side.U, e))[0] * c for e, c in table.side_items(Side.U))
-    cv1 = sum(mono_grading(Monomial(Side.V, e))[0] * c for e, c in table.side_items(Side.V))
-    cu2 = sum(mono_grading(Monomial(Side.U, e))[1] * c for e, c in table.side_items(Side.U))
-    cv2 = sum(mono_grading(Monomial(Side.V, e))[1] * c for e, c in table.side_items(Side.V))
-    if pu != cu1 + cv1 + sgn_sum or -pv != cu2 + cv2 + sgn_sum:
+    c1 = sum(mono_grading(Monomial(s, e))[0] * c for (s, e), c in table.entries)
+    c2 = sum(mono_grading(Monomial(s, e))[1] * c for (s, e), c in table.entries)
+    if pu != c1 + sgn_sum or -pv != c2 + sgn_sum:
         raise VerificationError("tower-grading closed form fails on %s" % format_spec(spec))
     return pu, pv
 

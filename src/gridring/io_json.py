@@ -1,17 +1,17 @@
 """JSON document schema for complexes and parameter sequences.
 
 A complex document carries a schema version, the coefficient ring, the base
-("S" for a grid-ring complex, "FUV" for a complex over F2[U,V] awaiting base
-change), an optional correction-term shift dY, named graded generators, and
-the sparse differential with explicit monomial records, one record per
-(from, to) pair.
+("S" for a grid-ring complex, "FUV" for a complex over F2[U,V], which is
+base-changed into ring X as it is read), an optional correction-term shift
+dY, named graded generators, and the sparse differential with explicit
+monomial records, one record per (from, to) pair.
 """
 
 from __future__ import annotations
 
 import json
 
-from .complexes import FreeComplex, FUVComplex
+from .complexes import FreeComplex, FUVComplex, fuv_image
 from .ring import RingElem, RingId, SignedParam
 from .standard import _brief, _expected_side, make_spec
 
@@ -86,7 +86,12 @@ def _endpoint(rec, key, index, pos):
 
 
 def document_to_complex(doc):
-    """Parse a document; returns (complex, dY)."""
+    """Parse a document; returns (complex, dY).
+
+    A base-FUV document comes back over X: each record U^a V^b adds its
+    image ``fuv_image(a, b)`` to the entry, so the result is the base
+    change of the F2[U,V] complex the records describe.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     if doc.get("schemaVersion") != SCHEMA_VERSION:
@@ -126,24 +131,22 @@ def document_to_complex(doc):
                 % (pos, _brief(rec["from"]), _brief(rec["to"]))
             )
         seen.add((i, j))
-        coeff = _records(rec, "coeff")
-        if base == "FUV":
-            exps = set()
-            for c, m in enumerate(coeff):
+        scalar = 0
+        u = set()
+        v = set()
+        for c, m in enumerate(_records(rec, "coeff")):
+            if base == "FUV":
                 a, b = m.get("U"), m.get("V")
                 if not _is_int(a) or not _is_int(b) or a < 0 or b < 0:
                     raise DocumentError(
                         "bad FUV monomial record differential[%d].coeff[%d]: %s"
                         % (pos, c, _brief(m))
                     )
-                exps.symmetric_difference_update([(a, b)])
-            if exps:
-                diff[(i, j)] = frozenset(exps)
-        else:
-            scalar = 0
-            u = set()
-            v = set()
-            for c, m in enumerate(coeff):
+                image = fuv_image(a, b)
+                scalar ^= image.scalar
+                u ^= image.u
+                v ^= image.v
+            else:
                 part = m.get("part")
                 if part == "K":
                     scalar ^= 1
@@ -153,11 +156,9 @@ def document_to_complex(doc):
                     raise DocumentError(
                         "bad monomial record differential[%d].coeff[%d]: %s" % (pos, c, _brief(m))
                     )
-            e = RingElem(scalar, frozenset(u), frozenset(v))
-            if e:
-                diff[(i, j)] = e
-    if base == "FUV":
-        return FUVComplex(tuple(gens), diff), dy
+        e = RingElem(scalar, frozenset(u), frozenset(v))
+        if e:
+            diff[(i, j)] = e
     return FreeComplex(RingId(ring), tuple(gens), diff), dy
 
 

@@ -133,11 +133,6 @@ def _require_normalized(C, what):
     return pb_u, pb_v, tables
 
 
-def _tower_data(C):
-    """``tower_functional`` of side V, from a freshly computed paired basis."""
-    return tower_functional(paired_basis(C, Side.V))
-
-
 def extant_coefficients(C):
     """Finite candidate pool of side coefficients for the greedy search.
 
@@ -326,11 +321,12 @@ def _matrix(sol, slots):
     return matrix
 
 
-def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
-    """Solve for a gr1-preserving chain map; returns a matrix dict or None.
+def _solve_map(src, target, gr2shift, src_mask, tgt_w, skip=None):
+    """Solve for a gr1-preserving chain map into the ``_Target`` ``target``.
 
-    The unknowns are numbered row-major: source generator, then target
-    generator, then the monomials of the entry's bigrading in
+    Returns a matrix dict or None.  The unknowns are numbered row-major:
+    source generator, then target generator, then the monomials of the
+    entry's bigrading in
     ``grading_basis`` order; ``_add_unknowns`` numbers each generator's
     unknowns and adds their chain-map terms.  ``skip`` omits one
     (generator, side) chain condition (short maps).  ``src_mask``/``tgt_w``
@@ -340,7 +336,6 @@ def _solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     certificates the CLI prints; the order of the equations does not
     matter.
     """
-    target = _Target(tgt)
     src_in = {side: side_rows(src, side, reverse=True) for side in (Side.U, Side.V)}
     rows = {}
     slots = {}
@@ -445,7 +440,7 @@ def find_local_map(spec, target, kind="full"):
     if kind not in ("full", "short"):
         raise ValueError("kind must be 'full' or 'short'")
     _require_valid(target)
-    _pb_u, pb_v, _tables = _require_normalized(target, "target")
+    _pb_u, pb_v, tables = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
     w, _elem_mask, tgr = tower_functional(pb_v)
@@ -453,7 +448,7 @@ def find_local_map(spec, target, kind="full"):
     # the source tower is x_0
     shift = tgr[1] - src.gr(0)[1]
     skip = _short_skip(len(spec.params)) if kind == "short" else None
-    matrix = _solve_map(src, target, shift, 1, w, skip=skip)
+    matrix = _solve_map(src, _Target(target, tables), shift, 1, w, skip=skip)
     if matrix is None:
         return None
     return LocalMapCert(format_spec(spec), "target", shift, matrix, kind)
@@ -473,14 +468,23 @@ def _compose(da, db):
     return {key: e for key, e in out.items() if e}
 
 
-def check_certificate(src, tgt, cert, src_mask=None):
+def check_certificate(src, tgt, cert, src_mask=1):
     """Independent verification of a certificate; returns violation strings.
 
-    Checks gradings, the chain-map identities (minus the dropped condition
-    for short certificates) by direct matrix algebra, and locality against a
-    freshly computed paired basis of the target.
+    Checks the entries' ring membership, homogeneity and gradings, the
+    chain-map identities (minus the dropped condition for short
+    certificates) by direct matrix algebra, and locality against a freshly
+    computed paired basis of the target.  Entries out of range are reported
+    alone, since every other check indexes their generators.
     """
-    out = []
+    n_src, n_tgt = src.n_gens(), tgt.n_gens()
+    out = [
+        "entry (%d, %d) out of range" % (i, j)
+        for i, j in cert.matrix
+        if not (0 <= i < n_src and 0 <= j < n_tgt)
+    ]
+    if out:
+        return out
     s = cert.gr2shift
     for (i, j), e in cert.matrix.items():
         if not e:
@@ -489,7 +493,11 @@ def check_certificate(src, tgt, cert, src_mask=None):
         if not elem_ok(tgt.ring, e):
             out.append("entry (%d, %d) not in the ring" % (i, j))
             continue
-        gr = elem_grading(e)
+        try:
+            gr = elem_grading(e)
+        except ValueError:
+            out.append("entry (%d, %d) is inhomogeneous" % (i, j))
+            continue
         want = (src.gr(i)[0] - tgt.gr(j)[0], src.gr(i)[1] + s - tgt.gr(j)[1])
         if gr != want:
             out.append("entry (%d, %d) has grading %s, expected %s" % (i, j, gr, want))
@@ -512,10 +520,8 @@ def check_certificate(src, tgt, cert, src_mask=None):
                 out.append(
                     "chain condition fails at generator %d on side %s" % (i, side.value)
                 )
-    if src_mask is None:
-        src_mask = 1
     try:
-        w, _em, _gr = _tower_data(tgt)
+        w, _em, _gr = tower_functional(paired_basis(tgt, Side.V))
     except (NotKnotlikeError, ValueError) as exc:
         out.append("target tower not available: %s" % exc)
         return out
@@ -611,7 +617,7 @@ def _standardize(C, pb_u, pb_v, tables, trace=None):
     shift = tgr[1] - std.gr(0)[1]
     sol = _gf2.back_substitute(found)
     fwd = LocalMapCert(format_spec(spec), "complex", shift, _matrix(sol, search.slots), "full")
-    matrix = _solve_map(C, std, -shift, elem_mask, 1)
+    matrix = _solve_map(C, _Target(std), -shift, elem_mask, 1)
     if matrix is None:
         raise VerificationError("no local map back to the standard representative")
     back = LocalMapCert("complex", format_spec(spec), -shift, matrix, "full")

@@ -154,13 +154,7 @@ def reverse_spec(spec):
 
 def is_symmetric(spec):
     """Whether the sequence equals its side-swapped, sign-flipped reversal."""
-    params = spec.params
-    n = len(params)
-    for k in range(n):
-        p, q = params[k], params[n - 1 - k]
-        if p.exp != q.exp or p.sign != -q.sign:
-            return False
-    return True
+    return reverse_spec(spec) == spec
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,8 @@ from gridring.localeq import (
     _short_skip,
     _solve_map,
     _tower_coefficient,
-    _tower_data,
 )
-from gridring.ring import ZERO, elem_from_mono, grading_basis
+from gridring.ring import ZERO, elem_from_mono, grading_basis, u_mono
 from gridring.standard import make_spec
 
 from conftest import random_spec, scramble, wide_product
@@ -135,7 +134,7 @@ def _fresh_map(spec, C, w, tgr, kind):
     """The (short) local map from a realized spec into C, solved on its own, or None."""
     src = realize(spec)
     skip = _short_skip(len(spec.params)) if kind == "short" else None
-    return _solve_map(src, C, tgr[1] - src.gr(0)[1], 1, w, skip)
+    return _solve_map(src, _Target(C), tgr[1] - src.gr(0)[1], 1, w, skip)
 
 
 def _linear_scan(C):
@@ -145,7 +144,7 @@ def _linear_scan(C):
     feasibility of each); a step accepts its first feasible candidate.
     """
     ext = extant_coefficients(C)
-    w, _mask, tgr = _tower_data(C)
+    w, _mask, tgr = tower_functional(paired_basis(C, Side.V))
     params = []
     steps = []
     for k in range(1, 2 * C.n_gens() + 2):
@@ -177,7 +176,7 @@ def _check_steps_against_scratch(C):
     first feasible candidate.  Returns the number of candidates compared.
     """
     ext = extant_coefficients(C)
-    w, _mask, tgr = _tower_data(C)
+    w, _mask, tgr = tower_functional(paired_basis(C, Side.V))
     search = _Search(_Target(C), w, tgr)
     n_probes = 0
     for k in range(1, 2 * C.n_gens() + 2):
@@ -192,7 +191,7 @@ def _check_steps_against_scratch(C):
             src = realize(spec)
             skip = _short_skip(len(spec.params)) if kind == "short" else None
             shift = tgr[1] - src.gr(0)[1]
-            want = _solve_map(src, C, shift, 1, w, skip)
+            want = _solve_map(src, _Target(C), shift, 1, w, skip)
             ref = reference_solve_map(src, C, shift, 1, w, skip)
             got = search.probe(p)
             n_probes += 1
@@ -297,6 +296,27 @@ class TestFindLocalMap:
         broken[(0, 0)] = ZERO  # drop the tower hit
         bad = replace(cert, matrix={k: v for k, v in broken.items() if v})
         assert check_certificate(realize(spec), tgt, bad) != []
+
+    def test_checker_reports_bad_entries(self):
+        # an entry out of range or inhomogeneous is a violation, not an exception
+        from dataclasses import replace
+
+        X = normalize(reduce(base_change(example_cable())))
+        spec, fwd, _back = standardize(X)
+        S = realize(spec)
+        u1 = elem_from_mono(u_mono(1, 0))
+        cases = [
+            ((99, 0), u1, "entry (99, 0) out of range"),
+            ((0, 99), u1, "entry (0, 99) out of range"),
+            ((-1, 0), u1, "entry (-1, 0) out of range"),
+            ((0, 0), u1 + elem_from_mono(u_mono(2, 0)), "entry (0, 0) is inhomogeneous"),
+        ]
+        for key, e, message in cases:
+            bad = check_certificate(S, X, replace(fwd, matrix={**fwd.matrix, key: e}))
+            assert message in bad
+            if "range" in message:
+                # the chain and locality checks would index the missing generator
+                assert bad == [message]
 
     def test_short_certificates_check(self):
         # the checker drops the same chain condition as the solver: (n, U)
@@ -444,10 +464,10 @@ class TestStandardize:
         for C in corpus:
             spec, fwd, back = standardize(C)
             std = realize(spec)
-            w, mask, _gr = _tower_data(C)
+            w, mask, _gr = tower_functional(paired_basis(C, Side.V))
             assert fwd.matrix == reference_solve_map(std, C, fwd.gr2shift, 1, w)
             want = reference_solve_map(C, std, back.gr2shift, mask, 1)
-            assert _solve_map(C, std, back.gr2shift, mask, 1) == want == back.matrix
+            assert _solve_map(C, _Target(std), back.gr2shift, mask, 1) == want == back.matrix
 
     def test_layout_built_once_per_grading(self, monkeypatch):
         # every system into one target reads one layout per source grading:
@@ -500,7 +520,7 @@ class TestStandardize:
         ((args, _sol),) = calls["back_substitute"]
         stops = [got for (_args, got), (_k, p, ok) in zip(probes, trace) if p is None and ok]
         assert len(args) == 1 and args[0] is stops[-1]
-        w = _tower_data(C)[0]
+        w = tower_functional(paired_basis(C, Side.V))[0]
         assert fwd.matrix == reference_solve_map(realize(spec), C, fwd.gr2shift, 1, w)
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
@@ -616,7 +636,7 @@ class TestStandardize:
         X = base_change(example_zhou(3))
         spec, fwd, back = standardize(X)
         assert check_certificate(realize(spec), X, fwd) == []
-        _w, mask, _g = _tower_data(X)
+        _w, mask, _g = tower_functional(paired_basis(X, Side.V))
         assert check_certificate(X, realize(spec), back, src_mask=mask) == []
 
     def test_left_locality_flag(self):
@@ -627,7 +647,7 @@ class TestStandardize:
         S = realize(spec)
         assert check_certificate(S, X, fwd) == []
         assert _u_tower_coefficient(S, X, fwd) == 1
-        _w, mask, _g = _tower_data(X)
+        _w, mask, _g = tower_functional(paired_basis(X, Side.V))
         assert check_certificate(X, S, back, src_mask=mask) == []
         assert _u_tower_coefficient(X, S, back) == 1
 

@@ -31,6 +31,17 @@ from gridring.standard import ShiftMap, StandardSpec, make_spec
 from conftest import param_grading, random_spec, same_complex
 
 
+def reference_is_symmetric(spec):
+    """The parameter loop ``is_symmetric`` ran before it compared with ``reverse_spec``."""
+    params = spec.params
+    n = len(params)
+    for k in range(n):
+        p, q = params[k], params[n - 1 - k]
+        if p.exp != q.exp or p.sign != -q.sign:
+            return False
+    return True
+
+
 class TestRealize:
     def test_zhou_spec_gradings(self):
         C = realize(parse_spec("C(-U[2,1], +V[2,1])"))
@@ -152,6 +163,26 @@ class TestDualReverseSymmetric:
         assert is_symmetric(parse_spec("C(-U[2,1], +V[2,1])"))
         assert is_symmetric(parse_spec("C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])"))
         assert not is_symmetric(parse_spec("C(-U[1,0], +V[2,0])"))
+
+    def test_symmetric_matches_reference(self, pool):
+        # random specs of every length over both rings, and mirrored ones,
+        # which are symmetric by construction
+        rng = random.Random(29)
+        specs = list(pool)
+        for _ in range(200):
+            ring = rng.choice([RingId.X, RingId.R])
+            s = random_spec(rng, ring, max_pairs=3)
+            specs.append(make_spec(ring, s.params[: rng.randint(0, len(s.params))]))
+            half = s.params[: len(s.params) // 2]
+            mirror = [
+                SignedParam(Side.V if k % 2 == 0 else Side.U, -p.sign, p.exp)
+                for k, p in enumerate(half)
+            ]
+            specs.append(make_spec(ring, list(half) + mirror[::-1]))
+        assert any(len(spec.params) % 2 for spec in specs)
+        assert sum(map(reference_is_symmetric, specs)) >= 200
+        for spec in specs:
+            assert is_symmetric(spec) == reference_is_symmetric(spec)
 
     def test_symmetry_dual_invariant(self, pool):
         for spec in pool:
