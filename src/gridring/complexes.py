@@ -374,28 +374,18 @@ class PairedBasis:
     unpaired: tuple
 
 
-def _side_exp(e, side):
-    part = e.u if side is Side.U else e.v
-    if not part:
-        return None
-    if len(part) > 1:
-        raise ValueError("side part of a homogeneous entry must be a single monomial")
-    return next(iter(part))
+def side_rows(C, side):
+    """Per generator, ``{target: side exponent}`` of its arrows on one side.
 
-
-def side_rows(C, side, reverse=False):
-    """Per generator, ``{other end: side exponent}`` of its arrows on one side.
-
-    The arrows are the differential's out of each generator, or into it
-    when ``reverse`` is set; an arrow with no part on ``side`` is absent.
-    Each dict keeps the order of ``C.diff``.
+    An arrow with no part on ``side`` is absent; each dict keeps the order
+    of ``C.diff``.
     """
     rows = [{} for _ in range(C.n_gens())]
     for (a, b), e in C.diff.items():
-        exp = _side_exp(e, side)
-        if exp is not None:
-            if reverse:
-                a, b = b, a
+        part = e.u if side is Side.U else e.v
+        if len(part) > 1:
+            raise ValueError("side part of a homogeneous entry must be a single monomial")
+        for exp in part:
             rows[a][b] = exp
     return rows
 
@@ -438,11 +428,7 @@ def paired_basis(C, side):
         raise ValueError("side must be U or V")
     if not is_reduced(C):
         raise ValueError("paired_basis needs a reduced complex")
-    return _paired_basis(C, side, side_rows(C, side))
-
-
-def _paired_basis(C, side, rows):
-    """``paired_basis`` of a reduced C, consuming ``rows``, its ``side_rows`` on ``side``."""
+    rows = side_rows(C, side)
     m = C.n_gens()
     cols = [set() for _ in range(m)]  # cols[j] = the rows with an entry in column j
     neg_key = functools.cache(_neg_key)  # one call sees few distinct exponents
@@ -566,31 +552,21 @@ def quotient_homology(C, side):
     return QuotientHomology(side, len(pb.unpaired), towers, tuple(torsion))
 
 
-def side_tables(C):
-    """Both sides' ``side_rows`` tables of C, keyed by side."""
-    return {side: side_rows(C, side) for side in (Side.U, Side.V)}
-
-
 def _knotlike_bases(C):
-    """Both sides' paired bases, the normalizing shift or None, and the side tables.
+    """Both sides' paired bases and the normalizing shift, or None.
 
     The shift is None unless each side has a single tower; subtracting it
-    puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.  The
-    paired bases work on copies of C's ``side_tables``, which are returned
-    for the caller to read.
+    puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.
     """
     if not is_reduced(C):
         raise ValueError("is_knotlike needs a reduced complex; reduce first")
-    tables = side_tables(C)
-    pb_u, pb_v = (
-        _paired_basis(C, side, [dict(row) for row in tables[side]]) for side in (Side.U, Side.V)
-    )
+    pb_u, pb_v = paired_basis(C, Side.U), paired_basis(C, Side.V)
     if len(pb_u.unpaired) != 1 or len(pb_v.unpaired) != 1:
-        return pb_u, pb_v, None, tables
+        return pb_u, pb_v, None
     shift = (pb_v.gradings[pb_v.unpaired[0]][0], pb_u.gradings[pb_u.unpaired[0]][1])
     if (shift[0] - shift[1]) % 2:
         raise NotKnotlikeError("tower gradings have mixed parity; complex is malformed")
-    return pb_u, pb_v, shift, tables
+    return pb_u, pb_v, shift
 
 
 def is_knotlike(C):

@@ -50,7 +50,6 @@ from .complexes import (
     reduce,
     shift_gradings,
     side_rows,
-    side_tables,
     tower_functional,
     validate,
 )
@@ -124,13 +123,13 @@ def _require_valid(C):
 
 
 def _require_normalized(C, what):
-    """Both paired bases (U side, V side) and ``side_tables`` of a knotlike, normalized complex."""
-    pb_u, pb_v, shift, tables = _knotlike_bases(C)
+    """Both paired bases (U side, V side) of a knotlike, normalized complex."""
+    pb_u, pb_v, shift = _knotlike_bases(C)
     if shift is None:
         raise NotKnotlikeError("%s must be knotlike" % what)
     if shift != (0, 0):
         raise ValueError("%s must be normalized; apply the knotlike shift %s first" % (what, shift))
-    return pb_u, pb_v, tables
+    return pb_u, pb_v
 
 
 def extant_coefficients(C):
@@ -143,7 +142,7 @@ def extant_coefficients(C):
     knotlike and normalized.
     """
     _require_valid(C)
-    pb_u, pb_v, _tables = _require_normalized(C, "complex")
+    pb_u, pb_v = _require_normalized(C, "complex")
     return _extant(C, pb_u, pb_v)
 
 
@@ -227,14 +226,6 @@ class _Layout:
         self.n = bit
         self.eqs = {Side.U: eqs_u, Side.V: eqs_v}
 
-    def columns(self, side, first):
-        """Per j, the mask of f[i,j]'s unknowns that a source arrow on ``side`` multiplies.
-
-        These are the unit and the side's monomials, numbered from bit ``first``.
-        """
-        t = 1 if side is Side.U else 2
-        return [(j, entry[t] << (first + bit)) for j, bit, entry in self.slots if entry[t]]
-
     def locality(self, w):
         """The mask of the unknowns f[i,j]·1 whose j lies on the functional ``w``."""
         loc = 0
@@ -247,15 +238,14 @@ class _Layout:
 class _Target:
     """The tables every system into one target complex reads, built once.
 
-    ``out[side]`` is the target's ``side_rows`` table, from ``side_tables``
-    unless the caller built them already; ``by_grade`` buckets the target's
-    generators by grading.  ``layout(G)`` is the ``_Layout`` of a source
-    generator of (shifted) grading G, memoized per grading.
+    ``out[side]`` is the target's ``side_rows`` table; ``by_grade`` buckets
+    the target's generators by grading.  ``layout(G)`` is the ``_Layout`` of
+    a source generator of (shifted) grading G, memoized per grading.
     """
 
-    def __init__(self, C, tables=None):
+    def __init__(self, C):
         self.ring = C.ring
-        self.out = side_tables(C) if tables is None else tables
+        self.out = {side: side_rows(C, side) for side in (Side.U, Side.V)}
         self.by_grade = {}
         for j in range(C.n_gens()):
             self.by_grade.setdefault(C.gr(j), []).append(j)
@@ -268,39 +258,46 @@ class _Target:
         return got
 
 
-def _add_unknowns(i, G, in_edges, target, rows, slots, nbits, w=0, skip=None):
+def _add_unknowns(i, G, target, rows, slots, nbits, w=0, skip=None):
     """Number source generator i's unknowns from bit ``nbits`` on and add their terms.
 
-    ``G`` is the generator's shifted grading and ``in_edges[side]`` its
-    ``side_rows(src, side, reverse=True)`` entry, the source arrows into it
-    (a side without arrows may be left out).  The unknowns are numbered by
+    ``G`` is the generator's shifted grading.  The unknowns are numbered by
     target generator, then by monomial in ``grading_basis`` order, and
     ``slots[i]`` receives (first bit, layout).  The terms f[i,j]·d_tgt[j,k]
-    go into the equations (i, side, k) and the terms d_src[i0,i]·f[i,j] into
-    (i0, side, j), each equation's mask XORed in once from the layout.  An
-    equation needs no exponent in its key: between homogeneous complexes
-    all its terms have the grading G_i - gr(k) - (1, 1), and a side's
-    monomials differ in grading.  ``skip`` omits one (generator, side) chain
-    condition (short maps).  Returns the next free bit and the locality
-    mask: the unknowns f[i,j]·1 whose j lies on the target tower functional
-    ``w``.
+    go into the equations (i, side, k), each equation's mask XORed in once
+    from the layout.  An equation needs no exponent in its key: between
+    homogeneous complexes all its terms have the grading G_i - gr(k) -
+    (1, 1), and a side's monomials differ in grading.  The source arrows'
+    terms are added by ``_add_arrow``.  ``skip`` omits one (generator, side)
+    chain condition (short maps).  Returns the next free bit and the
+    locality mask: the unknowns f[i,j]·1 whose j lies on the target tower
+    functional ``w``.
     """
     lay = target.layout(G)
     slots[i] = (nbits, lay)
     for side, eqs in lay.eqs.items():
-        sv = side.value
         if skip != (i, side):
+            sv = side.value
             for k, mask in eqs.items():
                 key = (i, sv, k)
                 rows[key] = rows.get(key, 0) ^ (mask << nbits)
-        sources = [i0 for i0 in in_edges.get(side, ()) if skip != (i0, side)]
-        if sources:
-            cols = lay.columns(side, nbits)
-            for i0 in sources:
-                for j, mask in cols:
-                    key = (i0, sv, j)
-                    rows[key] = rows.get(key, 0) ^ mask
     return nbits + lay.n, (lay.locality(w) << nbits) if w else 0
+
+
+def _add_arrow(a, side, slot, rows):
+    """Add a source arrow a -> b's terms d_src[a,b]·f[b,j] to the equations (a, side, j).
+
+    ``slot`` is b's ``(first bit, layout)``.  The terms are the unknowns of
+    f[b,j] that a factor on ``side`` multiplies, the unit and that side's
+    monomials; the arrow's exponent does not enter the keys.
+    """
+    first, lay = slot
+    sv = side.value
+    t = 1 if side is Side.U else 2
+    for j, bit, entry in lay.slots:
+        if entry[t]:
+            key = (a, sv, j)
+            rows[key] = rows.get(key, 0) ^ (entry[t] << (first + bit))
 
 
 def _matrix(sol, slots):
@@ -328,7 +325,8 @@ def _solve_map(src, target, gr2shift, src_mask, tgt_w, skip=None):
     source generator, then target generator, then the monomials of the
     entry's bigrading in
     ``grading_basis`` order; ``_add_unknowns`` numbers each generator's
-    unknowns and adds their chain-map terms.  ``skip`` omits one
+    unknowns and adds its target terms, then ``_add_arrow`` adds each source
+    arrow's terms, once every generator is numbered.  ``skip`` omits one
     (generator, side) chain condition (short maps).  ``src_mask``/``tgt_w``
     encode the locality constraint: the image of the source tower element
     must carry the target tower with coefficient 1.  The returned map is
@@ -336,7 +334,6 @@ def _solve_map(src, target, gr2shift, src_mask, tgt_w, skip=None):
     certificates the CLI prints; the order of the equations does not
     matter.
     """
-    src_in = {side: side_rows(src, side, reverse=True) for side in (Side.U, Side.V)}
     rows = {}
     slots = {}
     loc = 0
@@ -344,11 +341,12 @@ def _solve_map(src, target, gr2shift, src_mask, tgt_w, skip=None):
     for i in range(src.n_gens()):
         g1, g2 = src.gr(i)
         w = tgt_w if (src_mask >> i) & 1 else 0
-        in_edges = {side: table[i] for side, table in src_in.items()}
-        nbits, bits = _add_unknowns(
-            i, (g1, g2 + gr2shift), in_edges, target, rows, slots, nbits, w, skip
-        )
+        nbits, bits = _add_unknowns(i, (g1, g2 + gr2shift), target, rows, slots, nbits, w, skip)
         loc ^= bits
+    for (a, b), e in src.diff.items():
+        for side, part in ((Side.U, e.u), (Side.V, e.v)):
+            if part and skip != (a, side):
+                _add_arrow(a, side, slots[b], rows)
     sol = _gf2.solve(list(rows.values()) + [loc], [0] * len(rows) + [1])
     if sol is None:
         return None
@@ -382,7 +380,7 @@ class _Search:
         self.slots = {}
         self.G = (0, tgr[1])  # the grading of x_{k-1}
         self.tail = {}
-        self.nbits, loc = _add_unknowns(0, self.G, {}, target, self.tail, self.slots, 0, w)
+        self.nbits, loc = _add_unknowns(0, self.G, target, self.tail, self.slots, 0, w)
         self.block = _gf2.eliminate([loc], [1])
 
     def _add(self, p, rows, slots, skip=None):
@@ -392,17 +390,13 @@ class _Search:
         """
         k = len(self.params) + 1
         G = _next_grading(self.G, p)
-        in_edges = {p.side: (k - 1,)} if p.sign < 0 else {}
-        nbits, _loc = _add_unknowns(k, G, in_edges, self.target, rows, slots, self.nbits, skip=skip)
-        if p.sign > 0:
-            # the arrow x_k -> x_{k-1} adds d_src·f terms on x_{k-1}'s
-            # unknowns to x_k's equations; a short map's skipped condition
-            # lies on the other side
-            first, lay = self.slots[k - 1]
-            sv = p.side.value
-            for j, mask in lay.columns(p.side, first):
-                key = (k, sv, j)
-                rows[key] = rows.get(key, 0) ^ mask
+        nbits, _loc = _add_unknowns(k, G, self.target, rows, slots, self.nbits, skip=skip)
+        # a negative p is the arrow x_{k-1} -> x_k, a positive one x_k ->
+        # x_{k-1}; a short map's skipped condition lies on the other side
+        if p.sign < 0:
+            _add_arrow(k - 1, p.side, slots[k], rows)
+        else:
+            _add_arrow(k, p.side, self.slots[k - 1], rows)
         return G, nbits
 
     def probe(self, p):
@@ -440,7 +434,7 @@ def find_local_map(spec, target, kind="full"):
     if kind not in ("full", "short"):
         raise ValueError("kind must be 'full' or 'short'")
     _require_valid(target)
-    _pb_u, pb_v, tables = _require_normalized(target, "target")
+    _pb_u, pb_v = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
     w, _elem_mask, tgr = tower_functional(pb_v)
@@ -448,7 +442,7 @@ def find_local_map(spec, target, kind="full"):
     # the source tower is x_0
     shift = tgr[1] - src.gr(0)[1]
     skip = _short_skip(len(spec.params)) if kind == "short" else None
-    matrix = _solve_map(src, _Target(target, tables), shift, 1, w, skip=skip)
+    matrix = _solve_map(src, _Target(target), shift, 1, w, skip=skip)
     if matrix is None:
         return None
     return LocalMapCert(format_spec(spec), "target", shift, matrix, kind)
@@ -566,23 +560,20 @@ def standardize(C, trace=None):
     source grading (``_Target``), one system grows with the search
     (``_Search``), and each side's candidate list is sorted once.  A probe
     only eliminates; the stopping probe alone is back-substituted, into the
-    forward certificate, and only the returned spec is realized.  Each
-    side's exponent table is built once, for the paired bases and the
-    target.  ``trace``, when given, receives one ``(step, parameter or None,
-    feasible)`` tuple per probe, in probe order.
+    forward certificate, and only the returned spec is realized.  The
+    paired bases and the target each read C's side exponents where they
+    use them.  ``trace``, when given, receives one ``(step, parameter or
+    None, feasible)`` tuple per probe, in probe order.
     """
     _require_valid(C)
     return _standardize(C, *_require_normalized(C, "complex"), trace)
 
 
-def _standardize(C, pb_u, pb_v, tables, trace=None):
-    """``standardize`` on a complex known to pass its checks.
-
-    ``pb_u``, ``pb_v`` and ``tables`` are C's paired bases and ``side_tables``.
-    """
+def _standardize(C, pb_u, pb_v, trace=None):
+    """``standardize`` on a complex known to pass its checks, with its paired bases."""
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask, tgr = tower_functional(pb_v)
-    search = _Search(_Target(C, tables), w_tgt, tgr)
+    search = _Search(_Target(C), w_tgt, tgr)
     # side U takes the odd steps, so it carries the stop
     lists = {
         side: _descending(side, ext.for_side(side), stop=side is Side.U)
@@ -635,12 +626,12 @@ def standard_representative(C):
 
     Returns (spec, forward cert, backward cert, applied shift), the shift
     being the reduced complex's knotlike normalization; shifting the input's
-    gradings changes only that shift.  Validation, the side exponent tables
-    and the paired bases run once.
+    gradings changes only that shift.  Validation and the paired bases run
+    once.
     """
     _require_valid(C)
     C = reduce(C)
-    pb_u, pb_v, shift, tables = _knotlike_bases(C)
+    pb_u, pb_v, shift = _knotlike_bases(C)
     if shift is None:
         raise NotKnotlikeError("complex is not knotlike")
     C = shift_gradings(C, shift)
@@ -651,14 +642,12 @@ def standard_representative(C):
         replace(pb, gradings=tuple((g1 - s1, g2 - s2) for g1, g2 in pb.gradings))
         for pb in (pb_u, pb_v)
     )
-    spec, fwd, back = _standardize(C, pb_u, pb_v, tables)
+    spec, fwd, back = _standardize(C, pb_u, pb_v)
     return spec, fwd, back, shift
 
 
 def is_locally_equivalent(C1, C2):
-    s1 = standard_representative(C1)[0]
-    s2 = standard_representative(C2)[0]
-    return s1.params == s2.params and s1.ring is s2.ring
+    return standard_representative(C1)[0] == standard_representative(C2)[0]
 
 
 def order_compare_complexes(C1, C2):

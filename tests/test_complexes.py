@@ -27,7 +27,6 @@ from gridring import (
 )
 from gridring.complexes import (
     NotKnotlikeError,
-    _side_exp,
     fuv_image,
     shift_gradings,
 )
@@ -39,6 +38,7 @@ from gridring.ring import (
     elem_from_mono,
     elem_from_side_exp,
     elem_grading,
+    elem_monomials,
     elem_mul,
     elem_ok,
     elem_side_part,
@@ -201,9 +201,11 @@ def reference_paired_basis(C, side):
     m = C.n_gens()
     D = [[None] * m for _ in range(m)]
     for (i, j), e in C.diff.items():
-        exp = _side_exp(e, side)
-        if exp is not None:
-            D[i][j] = exp
+        for mono in elem_monomials(e):
+            if mono.side is side:
+                if D[i][j] is not None:
+                    raise ValueError("side part of a homogeneous entry must be a single monomial")
+                D[i][j] = mono.exp
     basis = [[ONE_ELEM if i == j else ZERO for j in range(m)] for i in range(m)]
     grades = [C.gr(i) for i in range(m)]
     active = list(range(m))  # ascending
@@ -493,6 +495,20 @@ class TestPairedBasis:
         C = FreeComplex(RingId.X, gens, {})
         pb = paired_basis(C, Side.V)
         assert pb.pairs == () and pb.unpaired == (0, 1)
+
+    def test_two_monomials_on_one_side_rejected(self):
+        # reduced, but the entry U[1,0] + U[2,0] is no homogeneous side part
+        e = RingElem(0, frozenset({(1, 0), (2, 0)}), frozenset())
+        C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (3, 1))), {(0, 1): e})
+        assert is_reduced(C)
+        message = "^side part of a homogeneous entry must be a single monomial$"
+        for fn in (paired_basis, reference_paired_basis):
+            with pytest.raises(ValueError, match=message):
+                fn(C, Side.U)
+        with pytest.raises(ValueError, match=message):
+            is_knotlike(C)
+        # the V side has no part in that entry
+        assert paired_basis(C, Side.V).unpaired == (0, 1)
 
     def test_matrix_shape(self, pool):
         rng = random.Random(23)

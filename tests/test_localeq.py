@@ -31,13 +31,7 @@ from gridring import (
     tensor,
 )
 from gridring import _gf2
-from gridring.complexes import (
-    normalize,
-    paired_basis,
-    side_rows,
-    side_tables,
-    tower_functional,
-)
+from gridring.complexes import normalize, paired_basis, tower_functional
 from gridring.localeq import (
     VerificationError,
     _Search,
@@ -48,7 +42,7 @@ from gridring.localeq import (
     _solve_map,
     _tower_coefficient,
 )
-from gridring.ring import ZERO, elem_from_mono, grading_basis, u_mono
+from gridring.ring import ZERO, elem_from_mono, elem_monomials, grading_basis, u_mono
 from gridring.standard import make_spec
 
 from conftest import random_spec, scramble, wide_product
@@ -73,6 +67,20 @@ def _scrambled_products(pool):
     return out
 
 
+def _side_terms(C, side, into=False):
+    """Per generator of C, ``[(other end, exponent)]`` of the ``side`` monomials on its arrows.
+
+    The arrows are those out of the generator, or into it with ``into``,
+    read monomial by monomial from ``C.diff``.
+    """
+    terms = [[] for _ in range(C.n_gens())]
+    for (a, b), e in C.diff.items():
+        if into:
+            a, b = b, a
+        terms[a] += [(b, m.exp) for m in elem_monomials(e) if m.side is side]
+    return terms
+
+
 def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     """A gr1-preserving chain map as a matrix dict, or None: the exponent-keyed reference.
 
@@ -80,11 +88,12 @@ def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     (source generator, target generator, monomial in ``grading_basis``
     order), but every term is added one unknown at a time into an equation
     keyed by its coefficient exponent too, and every slot is found by
-    scanning all target generators.  It shares no table with the library,
-    so a feasible system must give the library's map entry by entry.
+    scanning all target generators.  It reads both differentials itself
+    (``_side_terms``) and shares no table with the library, so a feasible
+    system must give the library's map entry by entry.
     """
-    out = side_tables(tgt)
-    src_in = {side: side_rows(src, side, reverse=True) for side in (Side.U, Side.V)}
+    out = {side: _side_terms(tgt, side) for side in (Side.U, Side.V)}
+    src_in = {side: _side_terms(src, side, into=True) for side in (Side.U, Side.V)}
     rows, slots, loc, nbits = {}, {}, 0, 0
     for i in range(src.n_gens()):
         g1, g2 = src.gr(i)
@@ -109,10 +118,10 @@ def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
                 a, b = m.exp
                 for side in sides:
                     if skip != (i, side):
-                        for k, (c, d) in out[side][j].items():
+                        for k, (c, d) in out[side][j]:
                             key = (i, side, k, (a + c, b + d))
                             rows[key] = rows.get(key, 0) ^ mask
-                    for i0, (c, d) in src_in[side][i].items():
+                    for i0, (c, d) in src_in[side][i]:
                         if skip != (i0, side):
                             key = (i0, side, j, (c + a, d + b))
                             rows[key] = rows.get(key, 0) ^ mask
@@ -469,6 +478,23 @@ class TestStandardize:
             want = reference_solve_map(C, std, back.gr2shift, mask, 1)
             assert _solve_map(C, _Target(std), back.gr2shift, mask, 1) == want == back.matrix
 
+    def test_any_skipped_condition_matches_reference(self, pool):
+        # a short map out of a standard complex skips a condition that no
+        # source arrow touches; skipping each condition of the input in turn
+        # also drops the terms of arrows out of a generator
+        corpus = [_search_input("cable"), _search_input("zhou3")] + _scrambled_products(pool)[:2]
+        changed = 0
+        for C in corpus:
+            spec, _fwd, back = standardize(C)
+            std = realize(spec)
+            _w, mask, _gr = tower_functional(paired_basis(C, Side.V))
+            target = _Target(std)
+            for skip in itertools.product(range(C.n_gens()), (Side.U, Side.V)):
+                got = _solve_map(C, target, back.gr2shift, mask, 1, skip)
+                assert got == reference_solve_map(C, std, back.gr2shift, mask, 1, skip)
+                changed += got != back.matrix
+        assert changed > 0
+
     def test_layout_built_once_per_grading(self, monkeypatch):
         # every system into one target reads one layout per source grading:
         # the probes and the accepted generators share them, and the
@@ -559,19 +585,20 @@ class TestStandardize:
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):
-        # each side's table of the input is built once, for its paired bases
-        # and for the target of every trial; the backward solve reverses the
-        # input's and builds the standard representative's, and each
-        # certificate check builds its target's V table for a fresh basis
+        # side rows are read where they are used: the input's by its two
+        # paired bases, once per side by the target of every trial, and on V
+        # by the forward check's fresh basis; the standard representative's
+        # once per side by the backward target and on V by the backward
+        # check.  The backward solve reads the input's arrows from C.diff.
         import gridring.complexes
         import gridring.localeq
 
         built = []
         original = gridring.complexes.side_rows
 
-        def recording(C, side, reverse=False):
-            built.append((C, side, reverse))
-            return original(C, side, reverse)
+        def recording(C, side):
+            built.append((C, side))
+            return original(C, side)
 
         C = _search_input(which)
         for module in (gridring.complexes, gridring.localeq):
@@ -579,11 +606,11 @@ class TestStandardize:
         trace = []
         standardize(C, trace=trace)
         assert len(trace) > 3
-        others = {id(D) for D, _s, _rev in built if D is not C}
+        others = {id(D) for D, _s in built if D is not C}
         assert len(others) == 1  # the standard representative
-        for side, checked in ((Side.U, []), (Side.V, [False])):
-            assert [rev for D, s, rev in built if D is C and s is side] == [False, True] + checked
-            assert [rev for D, s, rev in built if D is not C and s is side] == [False] + checked
+        for side, of_input, of_std in ((Side.U, 2, 1), (Side.V, 3, 2)):
+            assert sum(1 for D, s in built if D is C and s is side) == of_input
+            assert sum(1 for D, s in built if D is not C and s is side) == of_std
 
     def test_paired_bases_computed_once(self, monkeypatch):
         # per call: both sides of the reduced input once (2), handed shifted
@@ -594,17 +621,18 @@ class TestStandardize:
         import gridring.localeq
 
         calls = []
-        original = gridring.complexes._paired_basis
+        original = gridring.complexes.paired_basis
 
-        def counting(C, side, rows):
+        def counting(C, side):
             calls.append(side)
-            return original(C, side, rows)
+            return original(C, side)
 
-        # every paired basis, public or handed its side table, is built here
-        monkeypatch.setattr(gridring.complexes, "_paired_basis", counting)
+        # every paired basis goes through the public paired_basis
+        for module in (gridring.complexes, gridring.localeq):
+            monkeypatch.setattr(module, "paired_basis", counting)
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
-        assert len(calls) == 4
+        assert calls == [Side.U, Side.V, Side.V, Side.V]
 
     def test_validated_once(self, monkeypatch):
         # reduce is a homotopy equivalence, so its output needs no second check
