@@ -22,9 +22,7 @@ from .ring import (
     RingElem,
     elem_from_side_exp,
     elem_mul,
-    in_region,
     lattice_key,
-    mono_grading,
 )
 
 
@@ -378,15 +376,20 @@ def side_rows(C, side):
     """Per generator, ``{target: side exponent}`` of its arrows on one side.
 
     An arrow with no part on ``side`` is absent; each dict keeps the order
-    of ``C.diff``.
+    of ``C.diff``.  Each entry's side part is read once and unpacked as its
+    single exponent; a part of two or more monomials raises ValueError.
     """
     rows = [{} for _ in range(C.n_gens())]
+    on_u = side is Side.U
     for (a, b), e in C.diff.items():
-        part = e.u if side is Side.U else e.v
-        if len(part) > 1:
-            raise ValueError("side part of a homogeneous entry must be a single monomial")
-        for exp in part:
-            rows[a][b] = exp
+        part = e.u if on_u else e.v
+        if part:
+            try:
+                (rows[a][b],) = part
+            except ValueError:
+                raise ValueError(
+                    "side part of a homogeneous entry must be a single monomial"
+                ) from None
     return rows
 
 
@@ -423,6 +426,13 @@ def paired_basis(C, side):
     bitmask per basis element.  This is exact: a coefficient with a nonzero
     exponent lies in a maximal ideal, so only the unit multiples of a row
     (exponent (0, 0)) reach the residues.
+
+    Exponents are handled as integer pairs throughout: the divisibility
+    test (the quotient must lie in the exponent region) and the slot update
+    (a new exponent fills an empty slot, an equal one cancels, any other
+    conflicts) are written out in the two update loops, which visit rows
+    and columns in ascending order so that an invalid input meets the same
+    error first.
     """
     if side not in (Side.U, Side.V):
         raise ValueError("side must be U or V")
@@ -438,64 +448,87 @@ def paired_basis(C, side):
             cols[j].add(i)
             heap.append((neg_key(exp), i, j, exp))
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     basis = [1 << i for i in range(m)]
     grades = [C.gr(i) for i in range(m)]
     paired = [False] * m
     pairs = []
-
-    def sub(a, b):
-        d = (a[0] - b[0], a[1] - b[1])
-        if not in_region(d):
-            raise ValueError("pivot does not divide entry %s / %s" % (a, b))
-        return d
-
-    def toggle(i, j, exp):
-        old = rows[i].get(j)
-        if old is None:
-            rows[i][j] = exp
-            cols[j].add(i)
-            heapq.heappush(heap, (neg_key(exp), i, j, exp))
-        elif old == exp:
-            del rows[i][j]
-            cols[j].discard(i)
-        else:
-            raise ValueError("conflicting monomials in one matrix slot")
-
+    on_u = side is Side.U
     while heap:
-        _key, p, q, mu = heapq.heappop(heap)
-        if paired[p] or paired[q] or rows[p].get(q) != mu:
+        _key, p, q, mu = pop(heap)
+        prow = rows[p]
+        if paired[p] or paired[q] or prow.get(q) != mu:
             continue
         if mu == (0, 0):
             lattice_key(mu)  # raises: an entry at the origin cannot be ordered
-        lam = {r: sub(rows[p][r], mu) for r in sorted(rows[p])}
-        # Replace basis element q by (1/mu) d_side(g_p).
+        m0, m1 = mu
+        # the quotients rows[p][r] / mu in ascending r; lam leaves out q's, the unit
+        lam = []
         newrow = 0
-        for r, lexp in lam.items():
-            if lexp == (0, 0):
+        for r in sorted(prow):
+            a = prow[r]
+            l0, l1 = a[0] - m0, a[1] - m1
+            if l1 < 0 or (l1 == 0 and l0 < 0):
+                raise ValueError("pivot does not divide entry %s / %s" % (a, mu))
+            if l0 == l1 == 0:
                 newrow ^= basis[r]
+            if r != q:
+                lam.append((r, l0, l1))
+        # Replace basis element q by (1/mu) d_side(g_p).
         basis[q] = newrow
-        mg = mono_grading(Monomial(side, mu))
-        grades[q] = (grades[p][0] - 1 - mg[0], grades[p][1] - 1 - mg[1])
-        # rows and columns are visited in ascending order, as the dense scan
-        # did, so an invalid input meets the same error first
-        for i in sorted(cols[q] - {q}):
-            c = rows[i][q]
-            for r, lexp in lam.items():
-                if r != q:
-                    toggle(i, r, (c[0] + lexp[0], c[1] + lexp[1]))
+        g1, g2 = grades[p]
+        # mu's grading is (-2 m0, -2 m1) on side U, (-2 m1, -2 m0) on side V
+        if on_u:
+            grades[q] = (g1 - 1 + 2 * m0, g2 - 1 + 2 * m1)
+        else:
+            grades[q] = (g1 - 1 + 2 * m1, g2 - 1 + 2 * m0)
+        for i in sorted(cols[q]):
+            if i == q:
+                continue
+            row = rows[i]
+            c0, c1 = row[q]
+            for r, l0, l1 in lam:
+                exp = (c0 + l0, c1 + l1)
+                old = row.get(r)
+                if old is None:
+                    row[r] = exp
+                    cols[r].add(i)
+                    push(heap, (neg_key(exp), i, r, exp))
+                elif old == exp:
+                    del row[r]
+                    cols[r].discard(i)
+                else:
+                    raise ValueError("conflicting monomials in one matrix slot")
         for j in rows[q]:
             cols[j].discard(q)
         rows[q] = {}
         # Clear the rest of column q by adding multiples of g_p.
-        for i in sorted(cols[q] - {p}):
-            lam2 = sub(rows[i].pop(q), mu)
-            cols[q].discard(i)
-            if lam2 == (0, 0):
+        col_q, col_p = cols[q], cols[p]
+        for i in sorted(col_q):
+            if i == p:
+                continue
+            a = rows[i].pop(q)
+            l0, l1 = a[0] - m0, a[1] - m1
+            if l1 < 0 or (l1 == 0 and l0 < 0):
+                raise ValueError("pivot does not divide entry %s / %s" % (a, mu))
+            col_q.discard(i)
+            if l0 == l1 == 0:
                 basis[i] ^= basis[p]
             for k in sorted(cols[i]):
-                c = rows[k][i]
-                toggle(k, p, (c[0] + lam2[0], c[1] + lam2[1]))
-        if cols[p]:
+                row = rows[k]
+                c = row[i]
+                exp = (c[0] + l0, c[1] + l1)
+                old = row.get(p)
+                if old is None:
+                    row[p] = exp
+                    col_p.add(k)
+                    push(heap, (neg_key(exp), k, p, exp))
+                elif old == exp:
+                    del row[p]
+                    col_p.discard(k)
+                else:
+                    raise ValueError("conflicting monomials in one matrix slot")
+        if col_p:
             raise ValueError("column of a paired generator did not clear; d^2 != 0?")
         pairs.append((p, q, Monomial(side, mu)))
         paired[p] = paired[q] = True

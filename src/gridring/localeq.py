@@ -54,16 +54,15 @@ from .complexes import (
     validate,
 )
 from .ring import (
+    RingElem,
     RingId,
     Side,
     SignedParam,
     ZERO,
-    elem_from_mono,
     elem_grading,
     elem_monomials,
     elem_mul,
     elem_ok,
-    elem_side_part,
     grading_basis,
     mono_text,
     param_key,
@@ -301,20 +300,31 @@ def _add_arrow(a, side, slot, rows):
 
 
 def _matrix(sol, slots):
-    """The map a solution assigns to the numbered unknowns, zero entries left out."""
+    """The map a solution assigns to the numbered unknowns, zero entries left out.
+
+    Each entry's ``RingElem`` is built once from its bits: a grading basis
+    holds at most one monomial per part (scalar, U side, V side).
+    """
     matrix = {}
     for i, (first, lay) in slots.items():
         part = (sol >> first) & ((1 << lay.n) - 1)
         if not part:
             continue
         for j, bit, (basis, _u, _v) in lay.slots:
-            e = ZERO
+            bits = part >> bit
+            if not bits & ((1 << len(basis)) - 1):
+                continue
+            s, u, v = 0, frozenset(), frozenset()
             for m in basis:
-                if (part >> bit) & 1:
-                    e = e + elem_from_mono(m)
-                bit += 1
-            if e:
-                matrix[(i, j)] = e
+                if bits & 1:
+                    if m.side is Side.ONE:
+                        s = 1
+                    elif m.side is Side.U:
+                        u = frozenset((m.exp,))
+                    else:
+                        v = frozenset((m.exp,))
+                bits >>= 1
+            matrix[(i, j)] = RingElem(s, u, v)
     return matrix
 
 
@@ -326,7 +336,8 @@ def _solve_map(src, target, gr2shift, src_mask, tgt_w, skip=None):
     entry's bigrading in
     ``grading_basis`` order; ``_add_unknowns`` numbers each generator's
     unknowns and adds its target terms, then ``_add_arrow`` adds each source
-    arrow's terms, once every generator is numbered.  ``skip`` omits one
+    arrow's terms, once every generator is numbered; an arrow into a
+    generator without unknowns adds none and is skipped.  ``skip`` omits one
     (generator, side) chain condition (short maps).  ``src_mask``/``tgt_w``
     encode the locality constraint: the image of the source tower element
     must carry the target tower with coefficient 1.  The returned map is
@@ -344,9 +355,12 @@ def _solve_map(src, target, gr2shift, src_mask, tgt_w, skip=None):
         nbits, bits = _add_unknowns(i, (g1, g2 + gr2shift), target, rows, slots, nbits, w, skip)
         loc ^= bits
     for (a, b), e in src.diff.items():
+        slot = slots[b]
+        if not slot[1].n:
+            continue  # b has no unknowns, so the arrow adds no terms
         for side, part in ((Side.U, e.u), (Side.V, e.v)):
             if part and skip != (a, side):
-                _add_arrow(a, side, slots[b], rows)
+                _add_arrow(a, side, slot, rows)
     sol = _gf2.solve(list(rows.values()) + [loc], [0] * len(rows) + [1])
     if sol is None:
         return None
@@ -508,8 +522,7 @@ def check_certificate(src, tgt, cert, src_mask=1):
     for (i, k), e in sorted(delta.items()):
         if e.scalar:
             out.append("chain defect has a unit part at (%d, %d)" % (i, k))
-        for side in (Side.U, Side.V):
-            part = elem_side_part(e, side)
+        for side, part in ((Side.U, e.u), (Side.V, e.v)):
             if part and skip != (i, side):
                 out.append(
                     "chain condition fails at generator %d on side %s" % (i, side.value)

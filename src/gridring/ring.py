@@ -212,7 +212,25 @@ def _shift_all(exps, exp):
 
 
 def elem_mul(a, b):
-    """Product of two ring elements; opposite-side products vanish."""
+    """Product of two ring elements; opposite-side products vanish.
+
+    A unit factor (the scalar 1 alone) returns the other factor itself, and
+    two single side monomials multiply directly: their exponents add on a
+    shared side, and the product vanishes across sides.  Every other
+    product XORs each pair of terms into the result.
+    """
+    if a.scalar and not (a.u or a.v):
+        return b
+    if b.scalar and not (b.u or b.v):
+        return a
+    if not (a.scalar or b.scalar) and len(a.u) + len(a.v) == 1 == len(b.u) + len(b.v):
+        if a.u and b.u:
+            ((i, j),), ((k, l),) = a.u, b.u
+            return RingElem(u=frozenset([(i + k, j + l)]))
+        if a.v and b.v:
+            ((i, j),), ((k, l),) = a.v, b.v
+            return RingElem(v=frozenset([(i + k, j + l)]))
+        return ZERO
     u = set()
     v = set()
     if a.scalar:
@@ -237,25 +255,31 @@ def elem_monomials(e):
     return mons
 
 
-def elem_side_part(e, side):
-    """The U-part or V-part of an element, as a RingElem."""
-    if side is Side.U:
-        return RingElem(u=e.u)
-    if side is Side.V:
-        return RingElem(v=e.v)
-    raise ValueError("side must be U or V")
-
-
 def elem_ok(ring, e):
-    return all(monomial_ok(ring, m) for m in elem_monomials(e) if m.side is not Side.ONE)
+    """True if every side monomial of ``e`` is valid in ``ring`` (see ``monomial_ok``).
+
+    Reads the exponents directly: a side exponent (i, j) must lie in the
+    region off the origin, and on the x-axis in ring R.
+    """
+    over_r = ring is RingId.R
+    for part in (e.u, e.v):
+        for i, j in part:
+            if j < 0 or (j == 0 and i <= 0) or (over_r and j):
+                return False
+    return True
 
 
 def elem_grading(e):
     """Common bigrading of a homogeneous element; None for zero.
 
     Raises ValueError when the constituents live in different bigradings.
+    The U-side exponent (i, j) has grading (-2i, -2j), the V-side one
+    (-2j, -2i).
     """
-    grs = {mono_grading(m) for m in elem_monomials(e)}
+    grs = {(-2 * i, -2 * j) for i, j in e.u}
+    grs.update((-2 * j, -2 * i) for i, j in e.v)
+    if e.scalar:
+        grs.add((0, 0))
     if not grs:
         return None
     if len(grs) > 1:

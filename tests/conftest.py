@@ -1,7 +1,10 @@
 """Fixtures and input builders shared by the tests.
 
 The exponent windows, ``direct_sum``, ``acyclic_pair`` and ``pad`` come from
-the benchmark corpus.  ``random_spec`` and ``scramble`` stay here: the
+the benchmark corpus.  The ``reference_elem_*`` functions are the
+``Monomial``-based ring tests and a set-based product, kept here so that the
+reference checks share no arithmetic with ``gridring.ring``'s exponent
+kernels.  ``random_spec`` and ``scramble`` stay here: the
 corpus's ``random_spec`` takes a parameter count and its ``scramble`` also
 shuffles the generators, so they would draw other test inputs.
 """
@@ -23,7 +26,15 @@ from gridring import (
     tensor,
     validate,
 )
-from gridring.ring import Monomial, elem_from_mono, elem_mul, mono_grading
+from gridring.ring import (
+    Monomial,
+    RingElem,
+    elem_from_mono,
+    elem_monomials,
+    elem_mul,
+    mono_grading,
+    monomial_ok,
+)
 from gridring.standard import make_spec
 
 POOL_TEXTS = [
@@ -64,6 +75,43 @@ def param_grading(p):
     """Bigrading of a signed parameter: its monomial's, negated for an inverse."""
     g1, g2 = mono_grading(Monomial(p.side, p.exp))
     return (p.sign * g1, p.sign * g2)
+
+
+def reference_elem_ok(ring, e):
+    """Ring membership through ``monomial_ok`` on each side monomial of ``e``."""
+    return all(monomial_ok(ring, m) for m in elem_monomials(e) if m.side is not Side.ONE)
+
+
+def reference_elem_grading(e):
+    """The common ``mono_grading`` of e's monomials; None for zero, ValueError if several."""
+    grs = {mono_grading(m) for m in elem_monomials(e)}
+    if not grs:
+        return None
+    if len(grs) > 1:
+        raise ValueError("element is not homogeneous: %r" % (e,))
+    return grs.pop()
+
+
+def reference_elem_mul(a, b):
+    """The product of a and b term by term, as a set of ``(part, exponent)`` parities.
+
+    The scalar multiplies every term, two terms of one side add their
+    exponents and terms of opposite sides vanish.
+    """
+    def terms(e):
+        return [("1", (0, 0))] * e.scalar + [("U", x) for x in e.u] + [("V", x) for x in e.v]
+
+    out = set()
+    for pa, xa in terms(a):
+        for pb, xb in terms(b):
+            if pa == "1" or pb == "1" or pa == pb:
+                part = pb if pa == "1" else pa
+                out ^= {(part, (xa[0] + xb[0], xa[1] + xb[1]))}
+    return RingElem(
+        int(("1", (0, 0)) in out),
+        frozenset(x for p, x in out if p == "U"),
+        frozenset(x for p, x in out if p == "V"),
+    )
 
 
 def same_complex(C1, C2):

@@ -29,6 +29,7 @@ from gridring.complexes import (
     NotKnotlikeError,
     fuv_image,
     shift_gradings,
+    side_rows,
 )
 from gridring.ring import (
     Monomial,
@@ -37,11 +38,8 @@ from gridring.ring import (
     ZERO,
     elem_from_mono,
     elem_from_side_exp,
-    elem_grading,
     elem_monomials,
     elem_mul,
-    elem_ok,
-    elem_side_part,
     grading_basis,
     in_region,
     lattice_key,
@@ -49,26 +47,29 @@ from gridring.ring import (
     u_mono,
     v_mono,
 )
-from gridring import _gf2
+from gridring import _gf2, io_json
 from gridring.localeq import _compose
 
 from conftest import (
     param_grading,
     random_spec,
+    reference_elem_grading,
+    reference_elem_ok,
     same_complex,
     scramble,
     shuffle_generators,
     wide_product,
 )
-from corpus import acyclic_pair, direct_sum, pad
+from corpus import acyclic_pair, direct_sum, inputs, pad
 
 
 def reference_validate(C):
     """Structural checks; returns a list of violation strings (empty = ok).
 
     The ``validate`` this package shipped before the entry form: ring
-    membership and gradings through ``elem_ok`` and ``elem_grading`` on
-    ``RingElem`` entries, and d^2 through the ``RingElem`` product
+    membership and gradings through the ``Monomial``-based
+    ``reference_elem_ok`` and ``reference_elem_grading`` on ``RingElem``
+    entries, and d^2 through the ``RingElem`` product
     ``_compose``.  The current one must return the same list, content and
     order.
     """
@@ -87,11 +88,11 @@ def reference_validate(C):
         if not e:
             out.append("stored zero entry at (%s, %s)" % (C.name(i), C.name(j)))
             continue
-        if not elem_ok(C.ring, e):
+        if not reference_elem_ok(C.ring, e):
             out.append("entry (%s, %s) = %r is not in ring %s" % (C.name(i), C.name(j), e, C.ring.value))
             continue
         try:
-            gr = elem_grading(e)
+            gr = reference_elem_grading(e)
         except ValueError:
             out.append("entry (%s, %s) = %r is inhomogeneous" % (C.name(i), C.name(j), e))
             continue
@@ -284,6 +285,54 @@ def reference_paired_basis(C, side):
         pairs=tuple(pairs),
         unpaired=tuple(active),
     )
+
+
+def _side_part(e, side):
+    """The U-part or V-part of an element, as a RingElem."""
+    return RingElem(u=e.u) if side is Side.U else RingElem(v=e.v)
+
+
+def reference_side_rows(C, side):
+    """Per generator, ``{target: exponent}`` of its arrows' ``side`` monomials, read one by one."""
+    rows = [{} for _ in range(C.n_gens())]
+    for (a, b), e in C.diff.items():
+        for mono in elem_monomials(e):
+            if mono.side is side:
+                if b in rows[a]:
+                    raise ValueError("side part of a homogeneous entry must be a single monomial")
+                rows[a][b] = mono.exp
+    return rows
+
+
+class TestSideRows:
+    def _corpus(self):
+        """The seed-1 inputs of the three benchmark workloads, and the reduced library ones."""
+        for case in inputs("search-long", 1) + inputs("wide-trivial", 1):
+            yield case.complex
+            yield reduce(case.complex)
+        for case in inputs("batch-small", 1):
+            yield io_json.document_to_complex(case.doc)[0]
+
+    def test_corpus_matches_reference(self):
+        n = 0
+        for C in self._corpus():
+            for side in (Side.U, Side.V):
+                got = side_rows(C, side)
+                want = reference_side_rows(C, side)
+                assert got == want
+                # each dict keeps the order of C.diff
+                assert [list(row) for row in got] == [list(row) for row in want]
+                n += 1
+        assert n > 400
+
+    def test_two_monomials_on_one_side_rejected(self):
+        e = RingElem(0, frozenset({(1, 0), (2, 0)}), frozenset({(1, 0)}))
+        C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (3, 1))), {(0, 1): e})
+        message = "^side part of a homogeneous entry must be a single monomial$"
+        for fn in (side_rows, reference_side_rows):
+            with pytest.raises(ValueError, match=message):
+                fn(C, Side.U)
+        assert side_rows(C, Side.V) == [{1: (1, 0)}, {}]
 
 
 class TestValidate:
@@ -538,7 +587,7 @@ class TestPairedBasis:
                 _same_paired_basis(paired_basis(C, side), pb)
                 d_side = {}
                 for (i, j), e in C.diff.items():
-                    part = elem_side_part(e, side)
+                    part = _side_part(e, side)
                     if part:
                         d_side[(i, j)] = part
                 d_paired = {

@@ -495,6 +495,56 @@ class TestStandardize:
                 changed += got != back.matrix
         assert changed > 0
 
+    def test_solve_map_into_small_standard_complexes(self, pool):
+        # the backward solve's shape on a wide input with a short answer:
+        # many source generators have no unknowns in a one-generator or short
+        # target.  Sources are reduced scrambled products and their padded,
+        # rescrambled (unreduced) presentations.
+        rng = random.Random(59)
+        targets = [realize(parse_spec("C(0)"))] + [realize(spec) for spec in pool[1:5]]
+        n_maps = n_feasible = 0
+        for C in _scrambled_products(pool)[:6]:
+            w, mask, tgr = tower_functional(paired_basis(C, Side.V))
+            padded = scramble(pad(C, rng, 3), rng, n_ops=2 * C.n_gens())
+            for src in (C, padded):
+                for std in targets:
+                    base = std.gr(0)[1] - tgr[1]
+                    target = _Target(std)
+                    for shift in (base - 2, base, base + 2):
+                        got = _solve_map(src, target, shift, mask, 1)
+                        assert got == reference_solve_map(src, std, shift, mask, 1)
+                        n_maps += 1
+                        n_feasible += got is not None
+        assert n_maps == 6 * 2 * len(targets) * 3
+        assert n_feasible > 0
+
+    def test_arrows_into_generators_without_unknowns_skipped(self, monkeypatch):
+        # an arrow a -> b adds b's unknowns to a's equations; when b has none
+        # it adds nothing, and _solve_map does not call _add_arrow for it
+        import gridring.localeq
+
+        calls = []
+        original = gridring.localeq._add_arrow
+
+        def recording(a, side, slot, rows):
+            calls.append((a, side, slot[1].n))
+            return original(a, side, slot, rows)
+
+        monkeypatch.setattr(gridring.localeq, "_add_arrow", recording)
+        cable = reduce(base_change(example_cable()))
+        C = normalize(reduce(tensor(cable, dual(cable))))
+        spec, _fwd, back = standardize(C)
+        assert all(n for _a, _side, n in calls)
+        # the backward map's source has arrows into generators without
+        # unknowns in the standard representative
+        target = _Target(realize(spec))
+        empty = {
+            b
+            for b in range(C.n_gens())
+            if not target.layout((C.gr(b)[0], C.gr(b)[1] + back.gr2shift)).n
+        }
+        assert any(b in empty for _a, b in C.diff)
+
     def test_layout_built_once_per_grading(self, monkeypatch):
         # every system into one target reads one layout per source grading:
         # the probes and the accepted generators share them, and the

@@ -24,6 +24,7 @@ from gridring.ring import (
     RingElem,
     ZERO,
     elem_from_mono,
+    elem_ok,
     in_region,
     lattice_key,
     mono_grading,
@@ -31,6 +32,8 @@ from gridring.ring import (
     param_key,
 )
 from gridring.standard import StandardSpec
+
+from conftest import reference_elem_grading, reference_elem_mul, reference_elem_ok
 
 WINDOW = [
     (i, j)
@@ -297,6 +300,65 @@ class TestElemMul:
                 ga = mono_grading(u_mono(*a))
                 gb = mono_grading(u_mono(*b))
                 assert elem_grading(p) == (ga[0] + gb[0], ga[1] + gb[1])
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+class TestExponentKernels:
+    """The exponent-reading ``elem_ok``, ``elem_grading`` and ``elem_mul`` against references."""
+
+    def test_entry_tests_on_window(self):
+        # every element with at most one monomial per part on the window
+        # (origin included), plus some two-monomial parts, over both rings
+        grid = [(i, j) for i in range(-4, 5) for j in range(-4, 5)]
+        rng = random.Random(5)
+        parts = [frozenset()] + [frozenset([x]) for x in grid]
+        parts += [frozenset(rng.sample(grid, 2)) for _ in range(10)]
+        n = 0
+        for scalar in (0, 1):
+            for u in parts:
+                for v in parts:
+                    e = RingElem(scalar, u, v)
+                    for ring in RingId:
+                        assert elem_ok(ring, e) == reference_elem_ok(ring, e), (ring, e)
+                    assert _outcome(elem_grading, e) == _outcome(reference_elem_grading, e), e
+                    n += 1
+        assert n == 2 * len(parts) ** 2
+
+    def test_mul_against_set_product(self):
+        rng = random.Random(13)
+        small = [p for p in WINDOW if abs(p[0]) <= 2 and abs(p[1]) <= 2]
+
+        def side():
+            return frozenset(rng.sample(small, rng.choice((0, 0, 1, 1, 2))))
+
+        fixed = [
+            ZERO,
+            ONE_ELEM,
+            ONE_ELEM + elem_from_mono(u_mono(1, 0)),
+            ONE_ELEM + elem_from_mono(v_mono(2, 1)),
+            elem_from_mono(u_mono(1, 1)),
+            elem_from_mono(v_mono(1, 1)),
+        ]
+        elems = fixed + [RingElem(rng.randint(0, 1), side(), side()) for _ in range(60)]
+        for a in elems:
+            for b in elems:
+                assert elem_mul(a, b) == reference_elem_mul(a, b), (a, b)
+        for _ in range(2000):
+            a, b = rng.choice(elems), RingElem(rng.randint(0, 1), side(), side())
+            assert elem_mul(a, b) == reference_elem_mul(a, b), (a, b)
+            assert elem_mul(b, a) == reference_elem_mul(b, a), (b, a)
+
+    def test_unit_returns_other_factor(self):
+        e = ONE_ELEM + elem_from_mono(u_mono(2, 1))
+        assert elem_mul(ONE_ELEM, e) is e
+        assert elem_mul(e, ONE_ELEM) is e
 
 
 class TestGradingBasis:
