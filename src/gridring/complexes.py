@@ -574,8 +574,6 @@ def quotient_homology(C, side):
     For side U the surviving grading is gr2 (inverting the U-side generator
     collapses gr1), and symmetrically for side V.
     """
-    if not is_reduced(C):
-        raise ValueError("quotient_homology needs a reduced complex")
     pb = paired_basis(C, side)
     keep = 1 if side is Side.U else 0
     towers = tuple(pb.gradings[t][keep] for t in pb.unpaired)
@@ -591,8 +589,6 @@ def _knotlike_bases(C):
     The shift is None unless each side has a single tower; subtracting it
     puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.
     """
-    if not is_reduced(C):
-        raise ValueError("is_knotlike needs a reduced complex; reduce first")
     pb_u, pb_v = paired_basis(C, Side.U), paired_basis(C, Side.V)
     if len(pb_u.unpaired) != 1 or len(pb_v.unpaired) != 1:
         return pb_u, pb_v, None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .complexes import tensor
 from .localeq import VerificationError, standard_representative
 from .ring import Monomial, Side, mono_grading
-from .standard import _expected_side, format_spec, is_symmetric, realize, shift_spec
+from .standard import _gradings, format_spec, is_symmetric, realize, shift_spec
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class PhiTable:
 def phi(spec):
     """Signed count of parameters per decoration; U table from odd positions."""
     counts = {}
-    for k, p in enumerate(spec.params, start=1):
-        key = (_expected_side(k), p.exp)
+    for p in spec.params:
+        key = (p.side, p.exp)
         counts[key] = counts.get(key, 0) + p.sign
     return PhiTable(_phi_entries(counts))
 
@@ -59,15 +59,14 @@ def _phi_entries(counts):
     )
 
 
-def tau(spec, table=None):
+def tau(spec):
     """tau = sum of (i - j) * phi_{i,j} over the U-side table.
 
     For symmetric specs this equals half of gr1(x_0) - gr2(x_0) of the
     realized complex; the identity is checked.  For asymmetric specs the
     formula is still evaluated (callers should treat it as flagged).
     """
-    table = table if table is not None else phi(spec)
-    value = sum((e[0] - e[1]) * c for e, c in table.side_items(Side.U))
+    value = sum((e[0] - e[1]) * c for e, c in phi(spec).side_items(Side.U))
     if is_symmetric(spec):
         closed = tau_from_gradings(spec)
         if value != closed:
@@ -78,7 +77,7 @@ def tau(spec, table=None):
 
 
 def tau_from_gradings(spec):
-    g = realize(spec).gr(0)
+    g = _gradings(spec)[0]
     return (g[0] - g[1]) // 2
 
 
@@ -95,18 +94,17 @@ def epsilon(spec):
     return False, b1.sign
 
 
-def big_n(spec, table=None):
+def big_n(spec):
     """N = max |i - j| over nonzero U-side entries (0 for an empty table)."""
-    table = table if table is not None else phi(spec)
-    items = table.side_items(Side.U)
+    items = phi(spec).side_items(Side.U)
     if not items:
         return 0
     return max(abs(e[0] - e[1]) for e, _c in items)
 
 
-def bounds(spec, table=None):
+def bounds(spec):
     """(N, genus lower bound N/2 as an exact rational, unknotting lower bound N)."""
-    n = big_n(spec, table)
+    n = big_n(spec)
     return n, Fraction(n, 2), n
 
 
@@ -116,10 +114,9 @@ def p_invariants(spec):
     Checked against the closed forms in terms of the phi tables plus the
     total sign count.
     """
-    C = realize(spec)
-    n = C.n_gens() - 1
-    pu = C.gr(n)[0]
-    pv = C.gr(0)[1]
+    grades = _gradings(spec)
+    pu = grades[-1][0]
+    pv = grades[0][1]
     sgn_sum = sum(p.sign for p in spec.params)
     table = phi(spec)
     c1 = sum(mono_grading(Monomial(s, e))[0] * c for (s, e), c in table.entries)
@@ -129,10 +126,9 @@ def p_invariants(spec):
     return pu, pv
 
 
-def obstructions(spec, table=None):
+def obstructions(spec):
     """(lspace, seifert_pos, seifert_neg) flags from the j > 0 entries."""
-    table = table if table is not None else phi(spec)
-    items = [(e, c) for e, c in table.side_items(Side.U) if e[1] > 0]
+    items = [(e, c) for e, c in phi(spec).side_items(Side.U) if e[1] > 0]
     lspace = any(c != 0 for _e, c in items)
     seifert_neg = any(c > 0 for _e, c in items)
     seifert_pos = any(c < 0 for _e, c in items)
@@ -179,14 +175,13 @@ class InvariantReport:
 
 
 def report(spec):
-    table = phi(spec)
-    n, genus, unknot = bounds(spec, table)
-    lspace, spos, sneg = obstructions(spec, table)
+    n, genus, unknot = bounds(spec)
+    lspace, spos, sneg = obstructions(spec)
     pu, pv = p_invariants(spec)
     eps_zero, eps_sign = epsilon(spec)
     return InvariantReport(
-        phi=table,
-        tau=tau(spec, table),
+        phi=phi(spec),
+        tau=tau(spec),
         epsilon_zero=eps_zero,
         epsilon_sign=eps_sign,
         big_n=n,

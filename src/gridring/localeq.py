@@ -509,15 +509,9 @@ def check_certificate(src, tgt, cert, src_mask=1):
         want = (src.gr(i)[0] - tgt.gr(j)[0], src.gr(i)[1] + s - tgt.gr(j)[1])
         if gr != want:
             out.append("entry (%d, %d) has grading %s, expected %s" % (i, j, gr, want))
-    lhs = _compose(cert.matrix, tgt.diff)
-    rhs = _compose(src.diff, cert.matrix)
-    delta = dict(lhs)
-    for key, e in rhs.items():
-        acc = delta.get(key, ZERO) + e
-        if acc:
-            delta[key] = acc
-        else:
-            delta.pop(key, None)
+    delta = _compose(cert.matrix, tgt.diff)
+    for key, e in _compose(src.diff, cert.matrix).items():
+        delta[key] = delta.get(key, ZERO) + e
     skip = _short_skip(src.n_gens() - 1) if cert.kind == "short" else None
     for (i, k), e in sorted(delta.items()):
         if e.scalar:

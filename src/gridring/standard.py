@@ -33,8 +33,26 @@ from .ring import (
 
 @dataclass(frozen=True)
 class StandardSpec:
+    """A parameter sequence over a ring, checked when it is built.
+
+    Each parameter must lie on the side of its position and be valid in the
+    ring; otherwise construction (also by ``dataclasses.replace``) raises
+    ``ValueError``.
+    """
+
     ring: RingId
     params: tuple  # of SignedParam; odd length for a semistandard prefix
+
+    def __post_init__(self):
+        for k, p in enumerate(self.params, start=1):
+            if p.side is not _expected_side(k):
+                raise ValueError(
+                    "parameter %d must lie on side %s" % (k, _expected_side(k).value)
+                )
+            if not param_ok(self.ring, p):
+                raise ValueError(
+                    "parameter %d is invalid in ring %s: %s" % (k, self.ring.value, _brief(p))
+                )
 
     def __repr__(self):
         return format_spec(self)
@@ -57,44 +75,33 @@ def _next_grading(gr, p):
     return (gr[0] + p.sign * (1 + g1), gr[1] + p.sign * (1 + g2))
 
 
-def validate_spec(spec):
-    for k, p in enumerate(spec.params, start=1):
-        if p.side is not _expected_side(k):
-            raise ValueError(
-                "parameter %d must lie on side %s" % (k, _expected_side(k).value)
-            )
-        if not param_ok(spec.ring, p):
-            raise ValueError(
-                "parameter %d is invalid in ring %s: %s" % (k, spec.ring.value, _brief(p))
-            )
-
-
 def make_spec(ring, params):
     """Build and check the spec of a parameter sequence of any length."""
-    spec = StandardSpec(ring, tuple(params))
-    validate_spec(spec)
-    return spec
+    return StandardSpec(ring, tuple(params))
 
 
-def realize(spec):
-    """The free complex of a parameter sequence, with normalized gradings.
+def _gradings(spec):
+    """The normalized gradings of x_0, ..., x_n of the realized spec.
 
     Even length (standard): gr1(x_0) = 0 and gr2(x_n) = 0.  Odd length
     (semistandard): gr(x_0) = (0, 0).
     """
-    validate_spec(spec)
-    params = spec.params
-    n = len(params)
-    diff = {}
     grades = [(0, 0)]
-    for k, p in enumerate(params, start=1):
+    for p in spec.params:
+        grades.append(_next_grading(grades[-1], p))
+    if len(spec.params) % 2 == 0:
+        drop = grades[-1][1]
+        grades = [(g1, g2 - drop) for (g1, g2) in grades]
+    return grades
+
+
+def realize(spec):
+    """The free complex of a parameter sequence, with the gradings of ``_gradings``."""
+    diff = {}
+    for k, p in enumerate(spec.params, start=1):
         arrow = (k - 1, k) if p.sign < 0 else (k, k - 1)
         diff[arrow] = elem_from_mono(Monomial(p.side, p.exp))
-        grades.append(_next_grading(grades[k - 1], p))
-    if n % 2 == 0:
-        drop = grades[n][1]
-        grades = [(g1, g2 - drop) for (g1, g2) in grades]
-    gens = tuple(("x%d" % i, grades[i]) for i in range(n + 1))
+    gens = tuple(("x%d" % i, g) for i, g in enumerate(_gradings(spec)))
     return FreeComplex(spec.ring, gens, diff)
 
 
@@ -125,8 +132,6 @@ def lex_compare(a, b):
     """Lexicographic order on standard specs; short sequences pad with 1s."""
     if a.ring is not b.ring:
         raise ValueError("cannot compare specs over different rings")
-    validate_spec(a)
-    validate_spec(b)
     pairs = list(zip_longest(a.params, b.params))  # None is the neutral 1
     ka = [param_key(p) for p, _q in pairs]
     kb = [param_key(q) for _p, q in pairs]
@@ -185,10 +190,9 @@ class ShiftMap:
 
 def shift_spec(spec, m_u=None, m_v=None):
     """Apply shift maps to the U-side and/or V-side parameters."""
-    validate_spec(spec)
     out = []
-    for k, p in enumerate(spec.params, start=1):
-        m = m_u if _expected_side(k) is Side.U else m_v
+    for p in spec.params:
+        m = m_u if p.side is Side.U else m_v
         out.append(m.apply(p) if m is not None else p)
     return make_spec(spec.ring, out)
 

@@ -468,6 +468,25 @@ def test_standardize_json_known_answer(capsys, tmp_path, name):
     assert out == (DATA / ("standardize_%s.json" % name)).read_text(encoding="utf-8")
 
 
+# the full --json invariants output of five spec literals: the cable's
+# standard representative, symmetric specs with j > 0 and with j = 0, an
+# asymmetric one and the trivial spec
+GOLDEN_SPECS = {
+    "cable": "C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])",
+    "u32_v32": "C(-U[3,2], +V[3,2])",
+    "u21_v10": "C(-U[2,1], +V[1,0])",
+    "u20_v20": "C(+U[2,0], -V[2,0])",
+    "trivial": "C(0)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_invariants_json_known_answer(capsys, name):
+    code, out, err = invoke(capsys, "--json", "invariants", GOLDEN_SPECS[name])
+    assert code == 0, err
+    assert out == (DATA / ("invariants_%s.json" % name)).read_text(encoding="utf-8")
+
+
 FUZZ_DOCUMENTS = [
     complex_to_document(example_zhou(3)),
     complex_to_document(example_cable()),

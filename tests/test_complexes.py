@@ -1049,10 +1049,14 @@ class TestKnotlike:
         assert not ok and shift is None
 
     def test_non_reduced_rejected(self):
+        # paired_basis holds the one reducedness check for all its callers
         gens = (("x", (0, 0)), ("y", (-1, -1)))
         C = FreeComplex(RingId.X, gens, {(0, 1): ONE_ELEM})
-        with pytest.raises(ValueError):
-            is_knotlike(C)
+        calls = [is_knotlike, normalize]
+        calls += [lambda C, side=side: quotient_homology(C, side) for side in (Side.U, Side.V)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^paired_basis needs a reduced complex$"):
+                call(C)
 
     def test_shift_matches_quotient_homology(self, pool):
         # the shift is read off the two paired bases directly; it must agree

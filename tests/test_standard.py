@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +28,7 @@ from gridring import (
     validate,
 )
 from gridring.ring import elem_from_mono, u_mono, v_mono
-from gridring.standard import ShiftMap, StandardSpec, make_spec
+from gridring.standard import ShiftMap, StandardSpec, _gradings, make_spec
 
 from conftest import param_grading, random_spec, same_complex
 
@@ -106,6 +108,72 @@ class TestRealize:
             read_params(extra)
         with pytest.raises(ValueError, match="no generators"):
             read_params(FreeComplex(RingId.X, (), {}))
+
+
+def _builders(ring, params):
+    """The three ways to build a spec: directly, by make_spec and by replace."""
+    params = tuple(params)
+    return [
+        lambda: StandardSpec(ring, params),
+        lambda: make_spec(ring, params),
+        lambda: replace(StandardSpec(RingId.X, ()), ring=ring, params=params),
+    ]
+
+
+def _rejected(ring, params, message):
+    for build in _builders(ring, params):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            build()
+
+
+class TestConstruction:
+    VALID = parse_spec("C(-U[1,0], +V[1,0], -U[2,1], +V[1,1])").params
+
+    def test_valid_spec_builds_every_way(self):
+        for build in _builders(RingId.X, self.VALID):
+            assert build() == parse_spec("C(-U[1,0], +V[1,0], -U[2,1], +V[1,1])")
+
+    def test_wrong_side_at_each_position(self):
+        for k, p in enumerate(self.VALID, start=1):
+            other = Side.V if p.side is Side.U else Side.U
+            params = list(self.VALID)
+            params[k - 1] = SignedParam(other, p.sign, p.exp)
+            _rejected(
+                RingId.X, params, "parameter %d must lie on side %s" % (k, p.side.value)
+            )
+
+    def test_exponent_outside_region_over_x(self):
+        bad = SignedParam(Side.V, 1, (-1, 0))
+        params = [self.VALID[0], bad]
+        _rejected(RingId.X, params, "parameter 2 is invalid in ring X: %r" % (bad,))
+
+    def test_nonzero_j_over_r(self):
+        bad = SignedParam(Side.U, -1, (1, 1))
+        params = [bad, SignedParam(Side.V, 1, (1, 0))]
+        _rejected(RingId.R, params, "parameter 1 is invalid in ring R: %r" % (bad,))
+
+    def test_first_failing_position_and_side_check_first(self):
+        # the side is checked before the exponent at each position, and the
+        # earliest failing position is the one reported
+        _rejected(RingId.X, [SignedParam(Side.V, 1, (-1, 0))], "parameter 1 must lie on side U")
+        bad = SignedParam(Side.U, 1, (-1, 0))
+        params = [bad, SignedParam(Side.U, 1, (1, 0))]
+        _rejected(RingId.X, params, "parameter 1 is invalid in ring X: %r" % (bad,))
+
+
+class TestGradings:
+    def test_match_realize(self, pool):
+        rng = random.Random(53)
+        specs = list(pool)
+        for ring in (RingId.X, RingId.R):
+            for _ in range(20):
+                specs.append(random_spec(rng, ring, max_pairs=3))
+        # every spec's prefixes, so both parities appear
+        specs += [make_spec(s.ring, s.params[:k]) for s in specs for k in range(len(s.params))]
+        assert any(len(s.params) % 2 for s in specs)
+        for spec in specs:
+            C = realize(spec)
+            assert _gradings(spec) == [C.gr(i) for i in range(C.n_gens())]
 
 
 class TestLexCompare:
@@ -212,10 +280,9 @@ class TestShift:
             m.apply(SignedParam(Side.U, 1, (1, 0)))
 
     def test_spec_with_parameter_on_wrong_side_rejected(self):
-        m = ShiftMap(Side.U, SignedParam(Side.U, 1, (1, 0)), u_mono(0, 1))
-        spec = StandardSpec(RingId.X, (SignedParam(Side.V, 1, (1, 0)),))
+        # the spec is rejected when it is built, before any shift can apply
         with pytest.raises(ValueError, match="must lie on side U"):
-            shift_spec(spec, m_u=m)
+            StandardSpec(RingId.X, (SignedParam(Side.V, 1, (1, 0)),))
 
 
 class TestPromoteAndText:
