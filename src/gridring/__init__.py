@@ -74,10 +74,6 @@ from .invariants import (
     InvariantReport,
     PhiTable,
     additivity_check,
-    big_n,
-    bounds,
-    epsilon,
-    obstructions,
     p_invariants,
     phi,
     report,

@@ -24,7 +24,7 @@ from .complexes import (
 from .invariants import report
 from .localeq import VerificationError, standard_representative
 from .ring import EQUAL, LESS
-from .standard import format_spec, lex_compare, parse_spec
+from .standard import _require_standard, format_spec, lex_compare, parse_spec
 from .io_json import DocumentError
 
 EXIT_OK = 0
@@ -68,11 +68,7 @@ def _load_spec_arg(arg):
     """A standard spec from either the C(...) literal form or a document path."""
     if arg.strip().startswith("C("):
         spec = parse_spec(arg)
-        if len(spec.params) % 2:
-            raise ValueError(
-                "spec has an odd number of parameters (%d): a semistandard search "
-                "prefix, not a standard complex" % len(spec.params)
-            )
+        _require_standard(spec)
         return spec
     return _standard_document(arg)[0]
 

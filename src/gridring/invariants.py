@@ -1,10 +1,12 @@
 """Concordance invariants read off a standard representative.
 
-All invariants are functions of the parameter sequence alone: the signed
-counts phi of odd-index (U-side) and even-index (V-side) parameters, the tau
-invariant as a weighted sum over the U-side table, the epsilon criterion,
-the genus/unknotting bound N, the tower gradings P_U/P_V, and the ambient
-manifold obstructions derived from the entries with j > 0.
+All invariants are functions of the parameter sequence alone, and ``report``
+reads them all off one phi table, one pass of tower gradings and one
+symmetry check: the signed counts phi of odd-index (U-side) and even-index
+(V-side) parameters, the tau invariant as a weighted sum over the U-side
+table, the epsilon criterion, the genus/unknotting bound N, the tower
+gradings P_U/P_V, and the ambient manifold obstructions derived from the
+entries with j > 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from .complexes import tensor
 from .localeq import VerificationError, standard_representative
 from .ring import Monomial, Side, mono_grading
-from .standard import _gradings, format_spec, is_symmetric, realize, shift_spec
+from .standard import _gradings, _require_standard, format_spec, is_symmetric, realize, shift_spec
 
 
 @dataclass(frozen=True)
@@ -47,92 +49,19 @@ def phi(spec):
     for p in spec.params:
         key = (p.side, p.exp)
         counts[key] = counts.get(key, 0) + p.sign
-    return PhiTable(_phi_entries(counts))
-
-
-def _phi_entries(counts):
-    """``PhiTable.entries`` of ``{(side, exp): count}``: nonzero counts, by side then exponent."""
-    return tuple(
-        (key, c)
-        for key, c in sorted(counts.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-        if c
-    )
+    ordered = sorted(counts.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
+    return PhiTable(tuple((key, c) for key, c in ordered if c))
 
 
 def tau(spec):
-    """tau = sum of (i - j) * phi_{i,j} over the U-side table.
-
-    For symmetric specs this equals half of gr1(x_0) - gr2(x_0) of the
-    realized complex; the identity is checked.  For asymmetric specs the
-    formula is still evaluated (callers should treat it as flagged).
-    """
-    value = sum((e[0] - e[1]) * c for e, c in phi(spec).side_items(Side.U))
-    if is_symmetric(spec):
-        closed = tau_from_gradings(spec)
-        if value != closed:
-            raise VerificationError(
-                "tau mismatch on %s: table %d vs gradings %d" % (format_spec(spec), value, closed)
-            )
-    return value
-
-
-def tau_from_gradings(spec):
-    g = _gradings(spec)[0]
-    return (g[0] - g[1]) // 2
-
-
-def epsilon(spec):
-    """(is_zero, sign).  Zero iff trivial or the first decoration has j > 0.
-
-    The sign convention for nonzero values is sgn(b_1).
-    """
-    if not spec.params:
-        return True, 0
-    b1 = spec.params[0]
-    if b1.exp[1] > 0:
-        return True, 0
-    return False, b1.sign
-
-
-def big_n(spec):
-    """N = max |i - j| over nonzero U-side entries (0 for an empty table)."""
-    items = phi(spec).side_items(Side.U)
-    if not items:
-        return 0
-    return max(abs(e[0] - e[1]) for e, _c in items)
-
-
-def bounds(spec):
-    """(N, genus lower bound N/2 as an exact rational, unknotting lower bound N)."""
-    n = big_n(spec)
-    return n, Fraction(n, 2), n
+    """tau = sum of (i - j) * phi_{i,j} over the U-side table (``report(spec).tau``)."""
+    return report(spec).tau
 
 
 def p_invariants(spec):
-    """(P_U, P_V): tower gradings gr1(x_n) and gr2(x_0) of the realization.
-
-    Checked against the closed forms in terms of the phi tables plus the
-    total sign count.
-    """
-    grades = _gradings(spec)
-    pu = grades[-1][0]
-    pv = grades[0][1]
-    sgn_sum = sum(p.sign for p in spec.params)
-    table = phi(spec)
-    c1 = sum(mono_grading(Monomial(s, e))[0] * c for (s, e), c in table.entries)
-    c2 = sum(mono_grading(Monomial(s, e))[1] * c for (s, e), c in table.entries)
-    if pu != c1 + sgn_sum or -pv != c2 + sgn_sum:
-        raise VerificationError("tower-grading closed form fails on %s" % format_spec(spec))
-    return pu, pv
-
-
-def obstructions(spec):
-    """(lspace, seifert_pos, seifert_neg) flags from the j > 0 entries."""
-    items = [(e, c) for e, c in phi(spec).side_items(Side.U) if e[1] > 0]
-    lspace = any(c != 0 for _e, c in items)
-    seifert_neg = any(c > 0 for _e, c in items)
-    seifert_pos = any(c < 0 for _e, c in items)
-    return lspace, seifert_pos, seifert_neg
+    """(P_U, P_V): tower gradings gr1(x_n) and gr2(x_0) (``report(spec)``'s ``p_u``, ``p_v``)."""
+    rep = report(spec)
+    return rep.p_u, rep.p_v
 
 
 @dataclass(frozen=True)
@@ -175,34 +104,58 @@ class InvariantReport:
 
 
 def report(spec):
-    n, genus, unknot = bounds(spec)
-    lspace, spos, sneg = obstructions(spec)
-    pu, pv = p_invariants(spec)
-    eps_zero, eps_sign = epsilon(spec)
+    """Every invariant of a standard spec, read off one phi table and one grading pass.
+
+    tau is the U-table formula; for symmetric specs it must equal half of
+    gr1(x_0) - gr2(x_0) of the realized complex.  P_U and P_V must match their
+    closed forms in the phi tables plus the total sign count.  Either failure
+    raises ``VerificationError``; for asymmetric specs tau is still the
+    formula value (callers should treat it as flagged).  epsilon is zero iff
+    the spec is trivial or its first parameter b_1 has j > 0, else sgn(b_1).
+    N is the largest |i - j| over the U-side table.  Raises ``ValueError`` on
+    an odd-length (semistandard) spec.
+    """
+    _require_standard(spec)
+    table = phi(spec)
+    grades = _gradings(spec)
+    symmetric = is_symmetric(spec)
+    pu, pv = grades[-1][0], grades[0][1]
+    sgn_sum = sum(p.sign for p in spec.params)
+    c1 = c2 = 0
+    for (s, e), c in table.entries:
+        g1, g2 = mono_grading(Monomial(s, e))
+        c1 += g1 * c
+        c2 += g2 * c
+    if pu != c1 + sgn_sum or -pv != c2 + sgn_sum:
+        raise VerificationError("tower-grading closed form fails on %s" % format_spec(spec))
+    u_items = table.side_items(Side.U)
+    value = sum((e[0] - e[1]) * c for e, c in u_items)
+    if symmetric:
+        closed = (grades[0][0] - grades[0][1]) // 2
+        if value != closed:
+            raise VerificationError(
+                "tau mismatch on %s: table %d vs gradings %d" % (format_spec(spec), value, closed)
+            )
+    n = max((abs(e[0] - e[1]) for e, _c in u_items), default=0)
+    obstructing = [c for e, c in u_items if e[1] > 0]  # phi keeps nonzero counts only
+    first = spec.params[0] if spec.params else None
+    eps_zero = first is None or first.exp[1] > 0
     return InvariantReport(
-        phi=phi(spec),
-        tau=tau(spec),
+        phi=table,
+        tau=value,
         epsilon_zero=eps_zero,
-        epsilon_sign=eps_sign,
+        epsilon_sign=0 if eps_zero else first.sign,
         big_n=n,
-        genus_lb=genus,
+        genus_lb=Fraction(n, 2),
         genus_lb_ceil=-(-n // 2),
-        unknotting_lb=unknot,
+        unknotting_lb=n,
         p_u=pu,
         p_v=pv,
-        symmetric=is_symmetric(spec),
-        lspace_obstruction=lspace,
-        seifert_pos_obstruction=spos,
-        seifert_neg_obstruction=sneg,
+        symmetric=symmetric,
+        lspace_obstruction=bool(obstructing),
+        seifert_pos_obstruction=any(c < 0 for c in obstructing),
+        seifert_neg_obstruction=any(c > 0 for c in obstructing),
     )
-
-
-def _phi_add(a, b):
-    counts = {}
-    for table in (a, b):
-        for key, c in table.entries:
-            counts[key] = counts.get(key, 0) + c
-    return _phi_entries(counts)
 
 
 def additivity_check(a, b, shift_map=None):
@@ -214,12 +167,13 @@ def additivity_check(a, b, shift_map=None):
     """
     product = tensor(realize(a), realize(b))
     spec_ab = standard_representative(product)[0]
-    if phi(spec_ab).entries != _phi_add(phi(a), phi(b)):
+    ra, rb, rab = report(a), report(b), report(spec_ab)
+    total = dict(ra.phi.entries)
+    for key, c in rb.phi.entries:
+        total[key] = total.get(key, 0) + c
+    if dict(rab.phi.entries) != {key: c for key, c in total.items() if c}:
         return False
-    pu_a, pv_a = p_invariants(a)
-    pu_b, pv_b = p_invariants(b)
-    pu_ab, pv_ab = p_invariants(spec_ab)
-    if pu_ab != pu_a + pu_b or pv_ab != pv_a + pv_b:
+    if rab.p_u != ra.p_u + rb.p_u or rab.p_v != ra.p_v + rb.p_v:
         return False
     if shift_map is not None:
         m_u = shift_map if shift_map.side is Side.U else None

@@ -75,6 +75,15 @@ def _next_grading(gr, p):
     return (gr[0] + p.sign * (1 + g1), gr[1] + p.sign * (1 + g2))
 
 
+def _require_standard(spec):
+    """Raise ``ValueError`` unless the spec has even length, i.e. is a standard complex."""
+    if len(spec.params) % 2:
+        raise ValueError(
+            "spec has an odd number of parameters (%d): a semistandard search "
+            "prefix, not a standard complex" % len(spec.params)
+        )
+
+
 def make_spec(ring, params):
     """Build and check the spec of a parameter sequence of any length."""
     return StandardSpec(ring, tuple(params))

@@ -71,6 +71,12 @@ def random_spec(rng, ring=RingId.X, max_pairs=1, n_pairs=None):
     return make_spec(ring, params)
 
 
+def gradings_tau(spec):
+    """Half of gr1(x_0) - gr2(x_0) of the realized spec: tau on a symmetric spec."""
+    g = realize(spec).gr(0)
+    return (g[0] - g[1]) // 2
+
+
 def param_grading(p):
     """Bigrading of a signed parameter: its monomial's, negated for an inverse."""
     g1, g2 = mono_grading(Monomial(p.side, p.exp))

@@ -25,6 +25,7 @@ from gridring import (
     quotient_homology,
     realize,
     reduce,
+    report,
     standard_representative,
     standardize,
     tensor,
@@ -32,11 +33,10 @@ from gridring import (
     validate_fuv,
 )
 from gridring.complexes import fuv_image
-from gridring.invariants import obstructions, tau_from_gradings
 from gridring.ring import elem_mul, in_region, lattice_key
 from gridring.standard import make_spec
 
-from conftest import POOL_TEXTS, random_spec, scramble
+from conftest import POOL_TEXTS, gradings_tau, random_spec, scramble
 from corpus import acyclic_pair, direct_sum
 
 
@@ -137,7 +137,7 @@ def test_criterion_6_tau_consistency():
         for spec in specs + zhou_specs + [cable_spec]:
             table = phi(spec)
             total = sum((e[0] - e[1]) * c for e, c in table.side_items(Side.U))
-            assert total == tau_from_gradings(spec)
+            assert total == gradings_tau(spec)
         for spec in zhou_specs + [cable_spec]:
             table = phi(spec)
             assert sum((e[0] - e[1]) * c for e, c in table.side_items(Side.U)) == -1
@@ -203,7 +203,10 @@ def test_criterion_7_invariant_suite():
         # obstruction flags of the surgery family
         for n in (2, 3, 4, 5):
             spec = parse_spec("C(-U[%d,%d], +V[%d,%d])" % (n, n - 1, n, n - 1))
-            assert obstructions(spec) == (True, True, False)
+            rep = report(spec)
+            assert (
+                rep.lspace_obstruction, rep.seifert_pos_obstruction, rep.seifert_neg_obstruction
+            ) == (True, True, False)
 
         # promotion consistency on j = 0 specs
         for _ in range(6):
@@ -215,11 +218,9 @@ def test_criterion_7_invariant_suite():
 
 def test_criterion_8_bounds():
     with _Timer("criterion 8 (genus and unknotting bounds)", 5.0):
-        from gridring import bounds
-
         for n in (2, 3, 4, 5):
             spec = parse_spec("C(-U[%d,%d], +V[%d,%d])" % (n, n - 1, n, n - 1))
-            big_n, genus_lb, unknot_lb = bounds(spec)
-            assert big_n == 1
-            assert genus_lb == Fraction(1, 2)
-            assert unknot_lb == 1
+            rep = report(spec)
+            assert rep.big_n == 1
+            assert rep.genus_lb == Fraction(1, 2)
+            assert rep.unknotting_lb == 1

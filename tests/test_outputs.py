@@ -9,8 +9,14 @@ One sha256 per input, over what the library and the CLI emit:
   under its own name in a fresh working directory.
 
 ``tests/data/corpus_digests.json`` holds the digests; a change that alters
-any output changes one of them.  Regenerate it, only for an intended change
-of output, with ``PYTHONPATH=src:bench python tests/test_outputs.py``.
+any output changes one of them.
+
+``tests/data/report_digests.json`` holds one sha256 per spec of the
+``dump_json`` of its invariant report: the expected specs of batch-small
+seeds 1-3, the conftest pool, and 40 seeded random specs over each ring.
+
+Regenerate both files, only for an intended change of output, with
+``PYTHONPATH=src:bench python tests/test_outputs.py``.
 """
 
 import contextlib
@@ -19,12 +25,15 @@ import io
 import json
 import os
 import pathlib
+import random
 import tempfile
 
+from conftest import POOL_TEXTS, random_spec
 from corpus import inputs
-from gridring import cli, io_json, standard_representative
+from gridring import RingId, cli, io_json, parse_spec, report, standard_representative
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "corpus_digests.json"
+REPORTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
 SEEDS = (1, 2, 3)
 
 
@@ -66,6 +75,23 @@ def corpus_digests():
     return dict([*_library_records(), *_document_records()])
 
 
+def _report_specs():
+    for seed in SEEDS:
+        for case in inputs("batch-small", seed):
+            if case.expect[0] == "spec":
+                yield "%s@%d" % (case.id, seed), case.expect[1]
+    for text in POOL_TEXTS:
+        yield "pool/%s" % text, parse_spec(text)
+    for ring in (RingId.X, RingId.R):
+        rng = random.Random("reports:%s" % ring.value)
+        for k in range(40):
+            yield "random-%s/%d" % (ring.value, k), random_spec(rng, ring=ring, max_pairs=3)
+
+
+def report_digests():
+    return {key: _sha(io_json.dump_json(report(spec).to_json())) for key, spec in _report_specs()}
+
+
 def test_corpus_outputs_unchanged():
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = corpus_digests()
@@ -75,5 +101,15 @@ def test_corpus_outputs_unchanged():
     assert changed == []
 
 
+def test_invariant_reports_unchanged():
+    want = json.loads(REPORTS.read_text(encoding="utf-8"))
+    got = report_digests()
+    assert len(want) == 543
+    assert sorted(got) == sorted(want)
+    changed = [key for key in want if got[key] != want[key]]
+    assert changed == []
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(corpus_digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for path, digests in ((DIGESTS, corpus_digests()), (REPORTS, report_digests())):
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
