@@ -23,18 +23,22 @@ certificate checks then fail with VerificationError instead of returning a
 wrong spec.
 
 Every system of one standardization maps into the same complex.  Its
-generators are bucketed by grading, and the unknowns and chain-map terms
-of a source generator depend only on that generator's grading, so they are
-laid out once per grading: which entries are non-zero, the bits of their
-monomials, and per side the mask each equation receives.  Adding a
-generator then XORs one shifted mask per equation.  Accepted parameters are
-never revisited, so one source system grows with the search: accepting a
-parameter eliminates the equations it completes, once, and each probe
-reduces only its own few rows against them.  Only the probe that stops the
-search is back-substituted into a solution.  The free-variables-zero
-solution depends only on the row space and the numbering, not on the order
-in which rows are eliminated, so every map equals the one a from-scratch
-solve returns.
+gradings are indexed once, and the unknowns and chain-map terms of a source
+generator depend only on that generator's grading, so they are laid out
+once per grading: which entries are non-zero, the bits of their monomials,
+and per side the mask each equation receives, that side built when first
+read.  Adding a generator then copies one shifted mask per equation.
+Accepted parameters are never revisited, so one source system grows with
+the search: the equations an accepted parameter completes join an
+eliminated block, and the last generator's equations, the tail, are
+reduced against it once per step.  The probe that stops the search is that
+reduction, and a positive candidate, whose arrow leaves the tail as it is,
+reduces only its own rows against it; a negative candidate's arrow adds
+terms to the tail, so it reduces the tail and its rows against the block.
+Only the probe that stops the search is back-substituted into a solution.
+The free-variables-zero solution depends only on the row space and the
+numbering, not on the order in which rows are eliminated, so every map
+equals the one a from-scratch solve returns.
 """
 
 from __future__ import annotations
@@ -146,17 +150,32 @@ def extant_coefficients(C):
 
 
 def _extant(C, pb_u, pb_v):
+    """``extant_coefficients`` from the paired bases, in integer arithmetic.
+
+    The side element moving a y of grading g_y into the grading g_0 has the
+    exponent (g_y - g_0)/2, its components swapped on the V side; it is kept
+    when it is the origin (the unit) or a valid side exponent of the ring.
+    """
     gen_grades = {C.gr(i) for i in range(C.n_gens())}
-    bases = _BASES[C.ring]
+    over_r = C.ring is RingId.R
     sides = {}
     for pb in (pb_u, pb_v):
+        on_v = pb.side is Side.V
+        moves = {}  # per y grading, the exponents moving a generator's grading onto it
         coeffs = set()
         # pairs sharing y's grading and the order give the same coefficients
         for gy, (a, b) in {(pb.gradings[y], order.exp) for (y, _z, order) in pb.pairs}:
-            for g0 in gen_grades:
-                for m in bases[(g0[0] - gy[0], g0[1] - gy[1])][0]:
-                    if m.side is Side.ONE or m.side is pb.side:
-                        coeffs.add((a + m.exp[0], b + m.exp[1]))
+            exps = moves.get(gy)
+            if exps is None:
+                exps = moves[gy] = []
+                for h1, h2 in gen_grades:
+                    d1, d2 = gy[0] - h1, gy[1] - h2
+                    if (d1 | d2) & 1:
+                        continue
+                    i, j = (d2 >> 1, d1 >> 1) if on_v else (d1 >> 1, d2 >> 1)
+                    if (j > 0 and not over_r) or (j == 0 and i >= 0):
+                        exps.append((i, j))
+            coeffs.update((a + i, b + j) for i, j in exps)
         sides[pb.side] = frozenset(coeffs)
     return ExtantSet(sides[Side.U], sides[Side.V])
 
@@ -185,45 +204,51 @@ class _BasisTable(dict):
 _BASES = {ring: _BasisTable(ring) for ring in RingId}
 
 
+# a side's index t: entry t of a ``_BASES`` entry and of ``_Target.out``
+_T = {Side.U: 1, Side.V: 2}
+
+
 class _Layout:
     """The unknowns of a source generator of grading G, with bits counted from its first.
 
     ``slots`` lists, in ascending j, each target generator j whose entry
     bigrading G - gr(j) has a non-empty monomial basis, as (j, bit of the
     entry's first unknown, ``_BASES`` entry); ``n`` counts the unknowns.
-    ``eqs[s][k]`` masks the unknowns f[i,j]·m whose terms f[i,j]·m·d_tgt[j,k]
-    fall into equation (i, s, k).
+    ``eqs(t)[k]`` masks the unknowns f[i,j]·m whose terms f[i,j]·m·d_tgt[j,k]
+    on side t fall into equation (i, t, k).  Each side is built when it is
+    first read: a probe's x_k skips one side, so it builds the other only.
     """
 
-    __slots__ = ("n", "slots", "eqs")
+    __slots__ = ("n", "slots", "_out", "_eqs")
 
     def __init__(self, target, G):
         g1, g2 = G
         bases = _BASES[target.ring]
-        found = []
-        for (h1, h2), js in target.by_grade.items():
-            entry = bases[(g1 - h1, g2 - h2)]
-            if entry[0]:
-                found += [(j, entry) for j in js]
-        found.sort()  # back into ascending j, so the numbering does not change
-        self.slots = []
-        out_u, out_v = target.out[Side.U], target.out[Side.V]
-        eqs_u, eqs_v = {}, {}
+        entries = [bases[(g1 - h1, g2 - h2)] for h1, h2 in target.grades]
+        slots = []
         bit = 0
-        for j, entry in found:
-            self.slots.append((j, bit, entry))
-            basis, u, v = entry
-            if u:
-                mask = u << bit
-                for k in out_u[j]:
-                    eqs_u[k] = eqs_u.get(k, 0) ^ mask
-            if v:
-                mask = v << bit
-                for k in out_v[j]:
-                    eqs_v[k] = eqs_v.get(k, 0) ^ mask
-            bit += len(basis)
+        for j, g in enumerate(target.grade_of):
+            entry = entries[g]
+            if entry[0]:
+                slots.append((j, bit, entry))
+                bit += len(entry[0])
+        self.slots = slots
         self.n = bit
-        self.eqs = {Side.U: eqs_u, Side.V: eqs_v}
+        self._out = target.out
+        self._eqs = [None, None, None]
+
+    def eqs(self, t):
+        """The masks of side t's equations, per target generator k."""
+        eqs = self._eqs[t]
+        if eqs is None:
+            eqs = self._eqs[t] = {}
+            out = self._out[t]
+            for j, bit, entry in self.slots:
+                if entry[t]:
+                    mask = entry[t] << bit
+                    for k in out[j]:
+                        eqs[k] = eqs.get(k, 0) ^ mask
+        return eqs
 
     def locality(self, w):
         """The mask of the unknowns f[i,j]·1 whose j lies on the functional ``w``."""
@@ -237,17 +262,18 @@ class _Layout:
 class _Target:
     """The tables every system into one target complex reads, built once.
 
-    ``out[side]`` is the target's ``side_rows`` table; ``by_grade`` buckets
-    the target's generators by grading.  ``layout(G)`` is the ``_Layout`` of
-    a source generator of (shifted) grading G, memoized per grading.
+    ``out[t]`` is the target's ``side_rows`` table of side t (1: U, 2: V).
+    ``grades`` lists the target's distinct gradings and ``grade_of[j]`` is
+    the index of generator j's.  ``layout(G)`` is the ``_Layout`` of a source
+    generator of (shifted) grading G, memoized per grading.
     """
 
     def __init__(self, C):
         self.ring = C.ring
-        self.out = {side: side_rows(C, side) for side in (Side.U, Side.V)}
-        self.by_grade = {}
-        for j in range(C.n_gens()):
-            self.by_grade.setdefault(C.gr(j), []).append(j)
+        self.out = (None, side_rows(C, Side.U), side_rows(C, Side.V))
+        index = {}
+        self.grade_of = [index.setdefault(C.gr(j), len(index)) for j in range(C.n_gens())]
+        self.grades = list(index)
         self._layouts = {}
 
     def layout(self, G):
@@ -257,45 +283,42 @@ class _Target:
         return got
 
 
-def _add_unknowns(i, G, target, rows, slots, nbits, w=0, skip=None):
+def _add_unknowns(i, G, target, rows, slots, nbits, w=0, skip=0):
     """Number source generator i's unknowns from bit ``nbits`` on and add their terms.
 
     ``G`` is the generator's shifted grading.  The unknowns are numbered by
     target generator, then by monomial in ``grading_basis`` order, and
     ``slots[i]`` receives (first bit, layout).  The terms f[i,j]·d_tgt[j,k]
-    go into the equations (i, side, k), each equation's mask XORed in once
-    from the layout.  An equation needs no exponent in its key: between
-    homogeneous complexes all its terms have the grading G_i - gr(k) -
-    (1, 1), and a side's monomials differ in grading.  The source arrows'
-    terms are added by ``_add_arrow``.  ``skip`` omits one (generator, side)
-    chain condition (short maps).  Returns the next free bit and the
-    locality mask: the unknowns f[i,j]·1 whose j lies on the target tower
-    functional ``w``.
+    go into the equations (i, t, k) of side t, each equation's mask read
+    once from the layout; no equation of i may be in ``rows`` yet.  An
+    equation needs no exponent in its key: between homogeneous complexes
+    all its terms have the grading G_i - gr(k) - (1, 1), and a side's
+    monomials differ in grading.  The source arrows' terms are added by
+    ``_add_arrow``.  ``skip``, a side index, omits i's chain condition on
+    that side (short maps).  Returns the next free bit and the locality
+    mask: the unknowns f[i,j]·1 whose j lies on the target tower functional
+    ``w``.
     """
     lay = target.layout(G)
     slots[i] = (nbits, lay)
-    for side, eqs in lay.eqs.items():
-        if skip != (i, side):
-            sv = side.value
-            for k, mask in eqs.items():
-                key = (i, sv, k)
-                rows[key] = rows.get(key, 0) ^ (mask << nbits)
+    for t in (1, 2):
+        if t != skip:
+            rows.update({(i, t, k): mask << nbits for k, mask in lay.eqs(t).items()})
     return nbits + lay.n, (lay.locality(w) << nbits) if w else 0
 
 
-def _add_arrow(a, side, slot, rows):
-    """Add a source arrow a -> b's terms d_src[a,b]·f[b,j] to the equations (a, side, j).
+def _add_arrow(a, t, slot, rows):
+    """Add a source arrow a -> b's terms d_src[a,b]·f[b,j] to the equations (a, t, j).
 
-    ``slot`` is b's ``(first bit, layout)``.  The terms are the unknowns of
-    f[b,j] that a factor on ``side`` multiplies, the unit and that side's
-    monomials; the arrow's exponent does not enter the keys.
+    ``slot`` is b's ``(first bit, layout)`` and t the index of the arrow's
+    side.  The terms are the unknowns of f[b,j] that a factor on that side
+    multiplies, the unit and that side's monomials; the arrow's exponent
+    does not enter the keys.
     """
     first, lay = slot
-    sv = side.value
-    t = 1 if side is Side.U else 2
     for j, bit, entry in lay.slots:
         if entry[t]:
-            key = (a, sv, j)
+            key = (a, t, j)
             rows[key] = rows.get(key, 0) ^ (entry[t] << (first + bit))
 
 
@@ -349,18 +372,20 @@ def _solve_map(src, target, gr2shift, src_mask, tgt_w, skip=None):
     slots = {}
     loc = 0
     nbits = 0
+    skip_i, skip_t = (skip[0], _T[skip[1]]) if skip else (-1, 0)
     for i in range(src.n_gens()):
         g1, g2 = src.gr(i)
         w = tgt_w if (src_mask >> i) & 1 else 0
-        nbits, bits = _add_unknowns(i, (g1, g2 + gr2shift), target, rows, slots, nbits, w, skip)
+        t = skip_t if i == skip_i else 0
+        nbits, bits = _add_unknowns(i, (g1, g2 + gr2shift), target, rows, slots, nbits, w, t)
         loc ^= bits
     for (a, b), e in src.diff.items():
         slot = slots[b]
         if not slot[1].n:
             continue  # b has no unknowns, so the arrow adds no terms
-        for side, part in ((Side.U, e.u), (Side.V, e.v)):
-            if part and skip != (a, side):
-                _add_arrow(a, side, slot, rows)
+        for t, part in ((1, e.u), (2, e.v)):
+            if part and (a != skip_i or t != skip_t):
+                _add_arrow(a, t, slot, rows)
     sol = _gf2.solve(list(rows.values()) + [loc], [0] * len(rows) + [1])
     if sol is None:
         return None
@@ -386,6 +411,11 @@ class _Search:
     keyed by x_0..x_{k-2}, and the locality row (it touches only x_0), are
     complete and eliminated into ``block``.  The equations keyed by x_{k-1}
     are the ``tail``: a negative p_k still adds terms to them.
+
+    The stopping probe and a positive candidate leave the tail as it is, so
+    its reduction against the block is shared: ``reduced`` computes it once
+    per step.  No pivots handed out by a probe, nor the block, are extended
+    in place afterwards.
     """
 
     def __init__(self, target, w, tgr):
@@ -396,10 +426,12 @@ class _Search:
         self.tail = {}
         self.nbits, loc = _add_unknowns(0, self.G, target, self.tail, self.slots, 0, w)
         self.block = _gf2.eliminate([loc], [1])
+        self._reduced = (0, None)  # (step, the tail's reduction at that step)
 
-    def _add(self, p, rows, slots, skip=None):
+    def _add(self, p, rows, slots, skip=0):
         """Add x_k under parameter p: its unknowns and the arrow between x_{k-1} and x_k.
 
+        ``skip`` is the side index of x_k's omitted condition, if any.
         Returns x_k's grading and the next free bit.
         """
         k = len(self.params) + 1
@@ -408,34 +440,59 @@ class _Search:
         # a negative p is the arrow x_{k-1} -> x_k, a positive one x_k ->
         # x_{k-1}; a short map's skipped condition lies on the other side
         if p.sign < 0:
-            _add_arrow(k - 1, p.side, slots[k], rows)
+            _add_arrow(k - 1, _T[p.side], slots[k], rows)
         else:
-            _add_arrow(k, p.side, self.slots[k - 1], rows)
+            _add_arrow(k, _T[p.side], self.slots[k - 1], rows)
         return G, nbits
+
+    def reduced(self):
+        """The tail eliminated against a copy of the block, once per step; None if inconsistent."""
+        k = len(self.params) + 1
+        if self._reduced[0] != k:
+            rows = list(self.tail.values())
+            self._reduced = (k, _gf2.eliminate(rows, [0] * len(rows), dict(self.block)))
+        return self._reduced[1]
 
     def probe(self, p):
         """The echelon pivots for candidate ``p`` (None: stop, a full map), or None.
 
-        A parameter adds x_k's rows, under a short map's conditions, to a
-        copy of the tail; one ``_gf2.eliminate`` reduces them against a copy
-        of the block.  None means infeasible; ``_gf2.back_substitute`` turns
-        the pivots into the map's solution.
+        The stopping probe is the tail's shared reduction (``reduced``).  A
+        positive p adds x_k's rows, under a short map's conditions, and
+        eliminates only them against a copy of that reduction.  A negative
+        p's arrow adds x_k's unknowns to the tail's equations, so it adds
+        its rows to a copy of the tail and eliminates them all against a
+        copy of the block.  None means infeasible; ``_gf2.back_substitute``
+        turns the pivots into the map's solution.
         """
         if self.block is None:
             return None
-        rows = dict(self.tail)
-        if p is not None:
-            self._add(p, rows, {}, _short_skip(len(self.params) + 1))
-        return _gf2.eliminate(list(rows.values()), [0] * len(rows), dict(self.block))
+        if p is None or p.sign > 0:
+            base = self.reduced()
+            if p is None or base is None:
+                return base
+            rows = {}
+        else:
+            base, rows = self.block, dict(self.tail)
+        self._add(p, rows, {}, _T[_short_skip(len(self.params) + 1)[1]])
+        return _gf2.eliminate(list(rows.values()), [0] * len(rows), dict(base))
 
     def accept(self, p):
-        """Fix p as the next parameter: eliminate the equations of x_{k-1} it completes."""
+        """Fix p as the next parameter: the equations of x_{k-1} are complete and join the block.
+
+        Under a positive p they are the tail as it stands, and the block
+        becomes the tail's shared reduction; a negative p adds its arrow's
+        terms to them first, and they are eliminated here.
+        """
         k = len(self.params) + 1
-        rows = self.tail
+        rows = {} if p.sign > 0 else self.tail
         self.G, self.nbits = self._add(p, rows, self.slots)
-        done = [mask for key, mask in rows.items() if key[0] == k - 1]
-        self.tail = {key: mask for key, mask in rows.items() if key[0] == k}
-        self.block = _gf2.eliminate(done, [0] * len(done), self.block)
+        if p.sign > 0:
+            self.block = self.reduced()
+        else:
+            done = [mask for key, mask in rows.items() if key[0] == k - 1]
+            rows = {key: mask for key, mask in rows.items() if key[0] == k}
+            self.block = _gf2.eliminate(done, [0] * len(done), dict(self.block))
+        self.tail = rows
         self.params.append(p)
 
 
@@ -565,11 +622,12 @@ def standardize(C, trace=None):
     broke monotonicity raises VerificationError rather than return a wrong
     spec.  The target's tables are built once and its layouts once per
     source grading (``_Target``), one system grows with the search
-    (``_Search``), and each side's candidate list is sorted once.  A probe
-    only eliminates; the stopping probe alone is back-substituted, into the
-    forward certificate, and only the returned spec is realized.  The
-    paired bases and the target each read C's side exponents where they
-    use them.  ``trace``, when given, receives one ``(step, parameter or
+    (``_Search``), each step reduces its tail once for the stopping and
+    positive probes, and each side's candidate list is sorted once.  A
+    probe only eliminates; the stopping probe alone is back-substituted,
+    into the forward certificate, and only the returned spec is realized.
+    The paired bases and the target each read C's side exponents where
+    they use them.  ``trace``, when given, receives one ``(step, parameter or
     None, feasible)`` tuple per probe, in probe order.
     """
     _require_valid(C)

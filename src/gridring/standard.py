@@ -167,8 +167,13 @@ def reverse_spec(spec):
 
 
 def is_symmetric(spec):
-    """Whether the sequence equals its side-swapped, sign-flipped reversal."""
-    return reverse_spec(spec) == spec
+    """Whether the sequence equals its side-swapped, sign-flipped reversal (``reverse_spec``).
+
+    A position fixes its parameter's side, so only exponents and signs are
+    compared.
+    """
+    params = spec.params
+    return all(p.exp == q.exp and p.sign == -q.sign for p, q in zip(params, reversed(params)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The exponent windows, ``direct_sum``, ``acyclic_pair`` and ``pad`` come from
 the benchmark corpus.  The ``reference_elem_*`` functions are the
 ``Monomial``-based ring tests and a set-based product, kept here so that the
 reference checks share no arithmetic with ``gridring.ring``'s exponent
-kernels.  ``random_spec`` and ``scramble`` stay here: the
+kernels, and ``reference_extant`` is the extant pool read off the ring's
+monomials, against ``localeq._extant``'s integer form.  ``random_spec``
+and ``scramble`` stay here: the
 corpus's ``random_spec`` takes a parameter count and its ``scramble`` also
 shuffles the generators, so they would draw other test inputs.
 """
@@ -118,6 +120,28 @@ def reference_elem_mul(a, b):
         frozenset(x for p, x in out if p == "U"),
         frozenset(x for p, x in out if p == "V"),
     )
+
+
+def reference_extant(C, pb_u, pb_v):
+    """The extant pool of a normalized complex, by walking the ring's monomials.
+
+    For each pair of a paired basis, with y of grading g_y and order
+    (a, b), and each generator grading g_0, every monomial of
+    ``grading_basis(g_0 - g_y)`` that is the unit or on the basis's side
+    adds (a, b) plus its exponent.  Returns the U-side and V-side sets.
+    """
+    gen_grades = {C.gr(i) for i in range(C.n_gens())}
+    sides = {}
+    for pb in (pb_u, pb_v):
+        coeffs = set()
+        for y, _z, order in pb.pairs:
+            (gy1, gy2), (a, b) = pb.gradings[y], order.exp
+            for g1, g2 in gen_grades:
+                for m in grading_basis(C.ring, (g1 - gy1, g2 - gy2)):
+                    if m.side is Side.ONE or m.side is pb.side:
+                        coeffs.add((a + m.exp[0], b + m.exp[1]))
+        sides[pb.side] = frozenset(coeffs)
+    return sides[Side.U], sides[Side.V]
 
 
 def same_complex(C1, C2):

@@ -31,10 +31,11 @@ from gridring import (
     tensor,
 )
 from gridring import _gf2
-from gridring.complexes import normalize, paired_basis, tower_functional
+from gridring.complexes import _knotlike_bases, normalize, paired_basis, tower_functional
 from gridring.localeq import (
     VerificationError,
     _Search,
+    _T,
     _Target,
     _descending,
     _matrix,
@@ -45,8 +46,8 @@ from gridring.localeq import (
 from gridring.ring import ZERO, elem_from_mono, elem_monomials, grading_basis, u_mono
 from gridring.standard import make_spec
 
-from conftest import random_spec, scramble, wide_product
-from corpus import acyclic_pair, direct_sum, pad
+from conftest import reference_extant, random_spec, scramble, wide_product
+from corpus import acyclic_pair, direct_sum, inputs, pad
 
 
 def _search_input(which):
@@ -174,7 +175,7 @@ def _linear_scan(C):
     raise AssertionError("no stop within the splitting bound")
 
 
-def _check_steps_against_scratch(C):
+def _check_steps_against_scratch(C, rng=None):
     """Walk the greedy extraction, comparing every candidate's probe with two scratch solves.
 
     ``_solve_map`` solves the whole system from scratch into a fresh
@@ -182,7 +183,11 @@ def _check_steps_against_scratch(C):
     equations; the two must agree entry by entry.  A feasible probe's
     pivots, back-substituted and read through the search's slot table and
     the candidate's own, must give the same map.  Each step then accepts its
-    first feasible candidate.  Returns the number of candidates compared.
+    first feasible candidate in descending order.  Every feasible probe's
+    pivots are kept and checked again after that: no later probe of the
+    step, nor the accept, may extend them in place.  With ``rng`` each step
+    probes its candidates in a shuffled order, so positive candidates also
+    follow the stopping probe.  Returns the number of candidates compared.
     """
     ext = extant_coefficients(C)
     w, _mask, tgr = tower_functional(paired_basis(C, Side.V))
@@ -191,8 +196,12 @@ def _check_steps_against_scratch(C):
     for k in range(1, 2 * C.n_gens() + 2):
         side = Side.U if k % 2 else Side.V
         params = search.params
-        feasible = []
-        for p in _descending(side, ext.for_side(side), stop=k % 2 == 1):
+        cands = _descending(side, ext.for_side(side), stop=k % 2 == 1)
+        order = list(cands)
+        if rng is not None:
+            rng.shuffle(order)
+        kept, feasible = [], []
+        for p in order:
             if p is None:
                 spec, kind = make_spec(C.ring, params), "full"
             else:
@@ -211,26 +220,47 @@ def _check_steps_against_scratch(C):
                 if p is not None:
                     search._add(p, {}, slots)
                 assert _matrix(_gf2.back_substitute(got), slots) == ref, (spec, kind)
+                kept.append((got, slots, ref))
                 feasible.append(p)
-        if feasible[0] is None:
+        first = min(feasible, key=cands.index)
+        if first is not None:
+            search.accept(first)
+        for got, slots, ref in kept:
+            assert _matrix(_gf2.back_substitute(got), slots) == ref, (k, ref)
+        if first is None:
             return n_probes
-        search.accept(feasible[0])
     raise AssertionError("no stop within the splitting bound")
 
 
-def _count_gf2(monkeypatch):
-    """Record the ``_gf2`` calls made by ``localeq``: per name, (arguments, result)."""
+def _record_search(monkeypatch):
+    """Record a standardization's ``_gf2`` calls and the search steps that make them.
+
+    Returns (calls, events).  ``calls[name]`` lists each ``localeq`` call of
+    ``_gf2.name`` as (arguments, result).  ``events`` lists one dict per call
+    of ``_Search.reduced``, ``probe`` and ``accept``, in order of entry: its
+    ``name``, ``step``, parameter ``p``, the ``block`` and a copy of the
+    ``tail`` on entry, ``rows``: for a probe or accept of a parameter the
+    table ``_Search._add`` makes, under the call's skipped condition, of a
+    copy of the tail (a negative p) or of an empty one (a positive p), the
+    ``eliminates`` it made itself (not those of a nested ``reduced``), its
+    result ``got`` and the block ``after`` it.  An eliminate is recorded as
+    (rows, rhs, pivots, a copy of the pivots on entry, result).
+    """
     import types
 
     import gridring.localeq
 
     names = ("solve", "eliminate", "back_substitute")
     calls = {name: [] for name in names}
+    stack = []
 
     def recording(name):
         def call(*args):
+            before = dict(args[2]) if name == "eliminate" and len(args) > 2 else None
             got = getattr(_gf2, name)(*args)
             calls[name].append((args, got))
+            if name == "eliminate" and stack:
+                stack[-1]["eliminates"].append((*args, before, got))
             return got
 
         return call
@@ -240,10 +270,78 @@ def _count_gf2(monkeypatch):
         "_gf2",
         types.SimpleNamespace(**{name: recording(name) for name in names}),
     )
-    return calls
+    events = []
+
+    def wrapping(name):
+        original = getattr(_Search, name)
+
+        def method(self, *args):
+            k = len(self.params) + 1
+            p = args[0] if args else None
+            event = {"name": name, "step": k, "p": p, "block": self.block, "tail": dict(self.tail)}
+            if p is not None:
+                rows = dict(self.tail) if p.sign < 0 else {}
+                skip = _T[_short_skip(k)[1]] if name == "probe" else 0
+                self._add(p, rows, {}, skip)
+                event["rows"] = rows
+            event["eliminates"] = []
+            events.append(event)
+            stack.append(event)
+            try:
+                event["got"] = original(self, *args)
+            finally:
+                stack.pop()
+            event["after"] = self.block
+            return event["got"]
+
+        return method
+
+    for name in ("reduced", "probe", "accept"):
+        monkeypatch.setattr(_Search, name, wrapping(name))
+    return calls, events
 
 
 class TestExtant:
+    def test_extant_matches_reference(self):
+        # the integer form of the pool against the monomial walk: on the
+        # seed 1-3 inputs of every workload, and on random products over
+        # both rings and wide products, padded and scrambled
+        from gridring import io_json, shift_gradings, validate
+        from gridring.localeq import _extant
+
+        complexes = []
+        for workload in ("search-long", "wide-trivial", "batch-small"):
+            for seed in (1, 2, 3):
+                for case in inputs(workload, seed):
+                    if case.complex is not None:
+                        complexes.append(case.complex)
+                        continue
+                    try:
+                        complexes.append(io_json.document_to_complex(case.doc)[0])
+                    except ValueError:
+                        pass  # a document the workload expects to be rejected
+        rng = random.Random(67)
+        for ring in (RingId.R, RingId.X):
+            for _ in range(12):
+                A, B = (realize(random_spec(rng, ring, max_pairs=2)) for _ in range(2))
+                C = tensor(A, dual(B))
+                complexes.append(scramble(pad(C, rng, 3), rng, n_ops=C.n_gens()))
+        complexes += [wide_product(rng, pad_pairs=(2, 4))[1] for _ in range(2)]
+        compared = {RingId.R: 0, RingId.X: 0}
+        for C in complexes:
+            if validate(C):
+                continue
+            C = reduce(C)
+            pb_u, pb_v, shift = _knotlike_bases(C)
+            if shift is None:
+                continue
+            C = shift_gradings(C, shift)
+            pb_u, pb_v = paired_basis(C, Side.U), paired_basis(C, Side.V)
+            ext = _extant(C, pb_u, pb_v)
+            assert (ext.u_coeffs, ext.v_coeffs) == reference_extant(C, pb_u, pb_v)
+            compared[C.ring] += 1
+        assert compared[RingId.R] >= 10 and compared[RingId.X] > 100
+
     def test_zhou_spec_contains_arrow(self):
         ext = extant_coefficients(realize(parse_spec("C(-U[2,1], +V[2,1])")))
         assert (2, 1) in ext.u_coeffs
@@ -466,6 +564,16 @@ class TestStandardize:
         n_probes = sum(_check_steps_against_scratch(C) for C in corpus)
         assert n_probes > 20 * len(corpus)
 
+    def test_probe_pivots_not_extended_by_later_probes(self, pool):
+        # the stopping probe hands out the step's shared reduction of the
+        # tail, and every positive probe eliminates against it; in shuffled
+        # order positive probes also follow the stopping one, and every
+        # feasible probe's pivots must still give its map when the step ends
+        rng = random.Random(61)
+        corpus = [_search_input("cable"), _search_input("zhou3")] + _scrambled_products(pool)[:4]
+        n_probes = sum(_check_steps_against_scratch(C, rng) for C in corpus)
+        assert n_probes > 20 * len(corpus)
+
     def test_backward_map_matches_reference(self, pool):
         # the backward map's source is the input, with arrows on both sides
         # into one generator and several source generators per grading
@@ -552,6 +660,7 @@ class TestStandardize:
         import gridring.localeq
 
         built = []
+        sides = []
         original = gridring.localeq._Layout
 
         class Recording(original):
@@ -560,6 +669,11 @@ class TestStandardize:
             def __init__(self, target, G):
                 built.append((target, G))
                 super().__init__(target, G)
+
+            def eqs(self, t):
+                if self._eqs[t] is None:
+                    sides.append((id(self), t))
+                return super().eqs(t)
 
         looked = []
         layout = gridring.localeq._Target.layout
@@ -577,40 +691,83 @@ class TestStandardize:
         assert len({id(target) for target, _G in built}) == 2
         # later lookups find the layout built before
         assert len(looked) > len(keys)
+        # each side of a layout is built at most once, and only when read: a
+        # probe's x_k skips one side
+        assert len(sides) == len(set(sides)) < 2 * len(keys)
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_one_eliminate_per_trial_plus_one_back_substitution(self, which, monkeypatch):
-        # each trial is one elimination of its own rows against a copy of the
-        # block; only the stopping trial is back-substituted, into the
-        # forward certificate, and the backward map is the one solve
+        # the tail is reduced against a copy of the block at most once per
+        # step, by the first stopping or positive probe; the stopping probe
+        # returns that reduction, and each positive probe eliminates only its
+        # own rows against a copy of it.  A negative probe eliminates the
+        # tail, which its arrow changes, and its rows against a copy of the
+        # block.  Only the stopping probe is back-substituted, into the
+        # forward certificate, and the backward map is the one solve.
         C = _search_input(which)
-        calls = _count_gf2(monkeypatch)
+        calls, events = _record_search(monkeypatch)
         trace = []
         spec, fwd, _back = standardize(C, trace=trace)
-        (init, block), *rest = calls["eliminate"]
-        assert len(init) == 2
-        probes = [(args, got) for args, got in rest if args[2] is not block]
-        assert len(probes) == len(trace)
-        assert [got is not None for _args, got in probes] == [ok for _k, _p, ok in trace]
+        probes = [e for e in events if e["name"] == "probe"]
+        assert [(e["step"], e["p"], e["got"] is not None) for e in probes] == trace
+        reductions = {}
+        for e in events:
+            if e["name"] == "reduced" and e["eliminates"]:
+                assert e["step"] not in reductions
+                ((rows, rhs, pivots, before, got),) = e["eliminates"]
+                assert rows == list(e["tail"].values()) and not any(rhs)
+                assert before == e["block"] and pivots is not e["block"]
+                reductions[e["step"]] = got
+        n_own = 0
+        for e in probes:
+            p, k = e["p"], e["step"]
+            if p is None or (p.sign > 0 and reductions[k] is None):
+                assert e["eliminates"] == [] and e["got"] is reductions[k]
+                continue
+            ((rows, rhs, pivots, before, got),) = e["eliminates"]
+            assert rows == list(e["rows"].values()) and not any(rhs) and got is e["got"]
+            base = reductions[k] if p.sign > 0 else e["block"]
+            assert before == base and pivots is not base
+            n_own += p.sign > 0
+        assert n_own > 0
         assert len(calls["solve"]) == 1
         ((args, _sol),) = calls["back_substitute"]
-        stops = [got for (_args, got), (_k, p, ok) in zip(probes, trace) if p is None and ok]
-        assert len(args) == 1 and args[0] is stops[-1]
+        stops = [e["got"] for e in probes if e["p"] is None and e["got"] is not None]
+        assert len(args) == 1 and args[0] is stops[-1] is reductions[max(reductions)]
         w = tower_functional(paired_basis(C, Side.V))[0]
         assert fwd.matrix == reference_solve_map(realize(spec), C, fwd.gr2shift, 1, w)
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_prefix_block_once_per_step(self, which, monkeypatch):
-        # the block is built once and extended once per accepted parameter;
-        # every probe works on a copy, so it never grows the block
-        calls = _count_gf2(monkeypatch)
+        # the block is built once and extended once per accepted parameter:
+        # a positive one leaves the tail complete as it is, so the step's
+        # reduction of the tail becomes the block with no elimination; a
+        # negative one adds its arrow's terms to the tail, which is then
+        # eliminated against a copy of the block.  Every probe works on a
+        # copy, and no block is changed once built.
+        calls, events = _record_search(monkeypatch)
         trace = []
         standardize(_search_input(which), trace=trace)
-        (_init, block), *rest = calls["eliminate"]
-        extends = [got for args, got in rest if args[2] is block]
-        assert 1 + len(extends) == len({k for k, _p, _ok in trace}) > 1
-        assert all(got is block for got in extends)
-        assert len(rest) == len(extends) + len(trace)
+        (_init, block), *_rest = calls["eliminate"]
+        blocks = [(block, dict(block))]
+        accepts = [e for e in events if e["name"] == "accept"]
+        assert 1 + len(accepts) == len({k for k, _p, _ok in trace}) > 1
+        assert {e["p"].sign for e in accepts} == {1, -1}
+        reductions = {
+            e["step"]: e["got"] for e in events if e["name"] == "reduced" and e["eliminates"]
+        }
+        for e in accepts:
+            assert e["block"] is blocks[-1][0]
+            if e["p"].sign > 0:
+                assert e["eliminates"] == [] and e["after"] is reductions[e["step"]]
+            else:
+                ((rows, _rhs, pivots, before, got),) = e["eliminates"]
+                assert rows == [m for key, m in e["rows"].items() if key[0] == e["step"] - 1]
+                assert before == e["block"] and pivots is not e["block"] and got is e["after"]
+            blocks.append((e["after"], dict(e["after"])))
+        for e in events:
+            assert all(pivots is not e["block"] for _r, _b, pivots, _bf, _g in e["eliminates"])
+        assert all(b == copy for b, copy in blocks)
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_realize_at_most_twice(self, which, monkeypatch):
