@@ -192,7 +192,7 @@ def load_document(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON in %s: %s" % (path, exc))

@@ -287,18 +287,45 @@ def elem_grading(e):
     return grs.pop()
 
 
+class _GradingTable(dict):
+    """The homogeneous elements of one ring, memoized per bigrading for the whole process.
+
+    A bigrading holds the scalar 1 alone, or at most one U-side and one
+    V-side monomial: the basis, ordered scalar, U side, V side, the
+    monomials kept by ``monomial_ok``.  ``table[gr]`` is ``(n, u, v, elems)``:
+    ``n`` counts the basis, ``u`` and ``v`` mask the basis monomials that a
+    U-side or a V-side factor multiplies (the unit is in both), and
+    ``elems[bits]`` is the sum of the basis monomials selected by ``bits``,
+    so ``elems[-1]`` is the sum of the whole basis.
+    """
+
+    def __init__(self, ring):
+        super().__init__()
+        self.ring = ring
+
+    def __missing__(self, gr):
+        g1, g2 = gr
+        if gr == (0, 0):
+            basis = [MONO_ONE]
+        elif g1 % 2 or g2 % 2:
+            basis = []
+        else:
+            ue, ve = (-g1 // 2, -g2 // 2), (-g2 // 2, -g1 // 2)
+            basis = [Monomial(Side.U, ue), Monomial(Side.V, ve)]
+            basis = [m for m in basis if monomial_ok(self.ring, m)]
+        elems = [ZERO]
+        for m in basis:
+            e = elem_from_mono(m)
+            elems += [x + e for x in elems]
+        u = sum(1 << t for t, m in enumerate(basis) if m.side is not Side.V)
+        v = sum(1 << t for t, m in enumerate(basis) if m.side is not Side.U)
+        got = self[gr] = (len(basis), u, v, tuple(elems))
+        return got
+
+
+_TABLES = {ring: _GradingTable(ring) for ring in RingId}
+
+
 def grading_basis(ring, gr):
-    """The F2 basis of the ring in one bigrading (zero, one or two monomials)."""
-    g1, g2 = gr
-    if (g1, g2) == (0, 0):
-        return [MONO_ONE]
-    if g1 % 2 or g2 % 2:
-        return []
-    out = []
-    ue = (-g1 // 2, -g2 // 2)
-    if monomial_ok(ring, Monomial(Side.U, ue)):
-        out.append(Monomial(Side.U, ue))
-    ve = (-g2 // 2, -g1 // 2)
-    if monomial_ok(ring, Monomial(Side.V, ve)):
-        out.append(Monomial(Side.V, ve))
-    return out
+    """The F2 basis of the ring in one bigrading (zero, one or two monomials), as a new list."""
+    return elem_monomials(_TABLES[ring][gr][3][-1])

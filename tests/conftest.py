@@ -4,8 +4,10 @@ The exponent windows, ``direct_sum``, ``acyclic_pair`` and ``pad`` come from
 the benchmark corpus.  The ``reference_elem_*`` functions are the
 ``Monomial``-based ring tests and a set-based product, kept here so that the
 reference checks share no arithmetic with ``gridring.ring``'s exponent
-kernels, and ``reference_extant`` is the extant pool read off the ring's
-monomials, against ``localeq._extant``'s integer form.  ``random_spec``
+kernels, ``reference_grading_basis`` is the basis of one bigrading
+monomial by monomial, against ``ring``'s grading table, and
+``reference_extant`` is the extant pool read off the ring's monomials,
+against ``localeq._extant``'s integer form.  ``random_spec``
 and ``scramble`` stay here: the
 corpus's ``random_spec`` takes a parameter count and its ``scramble`` also
 shuffles the generators, so they would draw other test inputs.
@@ -29,6 +31,7 @@ from gridring import (
     validate,
 )
 from gridring.ring import (
+    MONO_ONE,
     Monomial,
     RingElem,
     elem_from_mono,
@@ -122,13 +125,35 @@ def reference_elem_mul(a, b):
     )
 
 
+def reference_grading_basis(ring, gr):
+    """The F2 basis of the ring in one bigrading, monomial by monomial through ``monomial_ok``.
+
+    The scalar alone in (0, 0), nothing in an odd grading, else the U-side
+    monomial before the V-side one, each kept if it is valid.
+    """
+    g1, g2 = gr
+    if (g1, g2) == (0, 0):
+        return [MONO_ONE]
+    if g1 % 2 or g2 % 2:
+        return []
+    out = []
+    ue = (-g1 // 2, -g2 // 2)
+    if monomial_ok(ring, Monomial(Side.U, ue)):
+        out.append(Monomial(Side.U, ue))
+    ve = (-g2 // 2, -g1 // 2)
+    if monomial_ok(ring, Monomial(Side.V, ve)):
+        out.append(Monomial(Side.V, ve))
+    return out
+
+
 def reference_extant(C, pb_u, pb_v):
     """The extant pool of a normalized complex, by walking the ring's monomials.
 
     For each pair of a paired basis, with y of grading g_y and order
     (a, b), and each generator grading g_0, every monomial of
-    ``grading_basis(g_0 - g_y)`` that is the unit or on the basis's side
-    adds (a, b) plus its exponent.  Returns the U-side and V-side sets.
+    ``reference_grading_basis(g_0 - g_y)`` that is the unit or on the
+    basis's side adds (a, b) plus its exponent.  Returns the U-side and
+    V-side sets.
     """
     gen_grades = {C.gr(i) for i in range(C.n_gens())}
     sides = {}
@@ -137,7 +162,7 @@ def reference_extant(C, pb_u, pb_v):
         for y, _z, order in pb.pairs:
             (gy1, gy2), (a, b) = pb.gradings[y], order.exp
             for g1, g2 in gen_grades:
-                for m in grading_basis(C.ring, (g1 - gy1, g2 - gy2)):
+                for m in reference_grading_basis(C.ring, (g1 - gy1, g2 - gy2)):
                     if m.side is Side.ONE or m.side is pb.side:
                         coeffs.add((a + m.exp[0], b + m.exp[1]))
         sides[pb.side] = frozenset(coeffs)

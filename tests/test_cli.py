@@ -251,6 +251,15 @@ class TestCli:
         code, _, err = invoke(capsys, "validate", str(path))
         assert code == 1 and err
 
+    def test_non_utf8_document_error(self, capsys, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe")
+        for command in ("validate", "standardize"):
+            code, out, err = invoke(capsys, command, str(path))
+            assert code == 1 and not out
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(path) in err
+
     def test_schema_mismatch_exit_code(self, capsys, tmp_path):
         doc = complex_to_document(example_zhou(2))
         doc["schemaVersion"] = 99

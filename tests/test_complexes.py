@@ -936,6 +936,27 @@ class TestValidateAgainstReference:
         for C in realized + [tensor(A, B) for A in realized for B in realized] + VALID_BASES:
             assert _same_validation(C) == []
 
+    def test_valid_entries_not_classified(self, pool, monkeypatch):
+        # a valid entry passes on the grading table's subset tests alone;
+        # only a failing one is classified by elem_ok and elem_grading
+        import gridring.complexes
+
+        calls = []
+        for name in ("elem_ok", "elem_grading"):
+            def spy(*args, _name=name, _original=getattr(gridring.complexes, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(gridring.complexes, name, spy)
+        realized = [realize(spec) for spec in pool]
+        valid = realized + [tensor(A, B) for A in realized for B in realized] + VALID_BASES
+        valid.append(wide_product(random.Random(3))[1])
+        for C in valid:
+            assert validate(C) == []
+        assert calls == []
+        bad = validate(MUTATIONS["off-region"](VALID_BASES[0], random.Random(1)))
+        assert bad and calls[0] == "elem_ok"
+
     def test_mutations_cover_every_violation(self):
         rng = random.Random(67)
         seen = set()

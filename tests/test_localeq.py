@@ -43,10 +43,16 @@ from gridring.localeq import (
     _solve_map,
     _tower_coefficient,
 )
-from gridring.ring import ZERO, elem_from_mono, elem_monomials, grading_basis, u_mono
+from gridring.ring import ZERO, elem_from_mono, elem_monomials, in_region, param_key, u_mono
 from gridring.standard import make_spec
 
-from conftest import reference_extant, random_spec, scramble, wide_product
+from conftest import (
+    reference_extant,
+    reference_grading_basis,
+    random_spec,
+    scramble,
+    wide_product,
+)
 from corpus import acyclic_pair, direct_sum, inputs, pad
 
 
@@ -86,12 +92,13 @@ def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     """A gr1-preserving chain map as a matrix dict, or None: the exponent-keyed reference.
 
     The same unknowns as ``localeq._solve_map``, numbered the same way
-    (source generator, target generator, monomial in ``grading_basis``
-    order), but every term is added one unknown at a time into an equation
-    keyed by its coefficient exponent too, and every slot is found by
-    scanning all target generators.  It reads both differentials itself
-    (``_side_terms``) and shares no table with the library, so a feasible
-    system must give the library's map entry by entry.
+    (source generator, target generator, monomial in grading-basis order,
+    read by ``reference_grading_basis``), but every term is added one
+    unknown at a time into an equation keyed by its coefficient exponent
+    too, and every slot is found by scanning all target generators.  It
+    reads both differentials itself (``_side_terms``) and shares no table
+    with the library, so a feasible system must give the library's map
+    entry by entry.
     """
     out = {side: _side_terms(tgt, side) for side in (Side.U, Side.V)}
     src_in = {side: _side_terms(src, side, into=True) for side in (Side.U, Side.V)}
@@ -102,7 +109,7 @@ def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
         w = tgt_w if (src_mask >> i) & 1 else 0
         for j in range(tgt.n_gens()):
             h1, h2 = tgt.gr(j)
-            basis = grading_basis(tgt.ring, (g1 - h1, g2 - h2))
+            basis = reference_grading_basis(tgt.ring, (g1 - h1, g2 - h2))
             if not basis:
                 continue
             slot = slots[(i, j)] = []
@@ -140,6 +147,11 @@ def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     return matrix
 
 
+def _descending_params(side, exps, stop):
+    """``_descending``'s candidates on one side as signed parameters, the stop as None."""
+    return [c and SignedParam(side, *c) for c in _descending(exps, stop)]
+
+
 def _fresh_map(spec, C, w, tgr, kind):
     """The (short) local map from a realized spec into C, solved on its own, or None."""
     src = realize(spec)
@@ -159,7 +171,7 @@ def _linear_scan(C):
     steps = []
     for k in range(1, 2 * C.n_gens() + 2):
         side = Side.U if k % 2 else Side.V
-        cands = _descending(side, ext.for_side(side), stop=k % 2 == 1)
+        cands = _descending_params(side, ext.for_side(side), stop=k % 2 == 1)
         pattern = []
         for p in cands:
             if p is None:
@@ -196,7 +208,7 @@ def _check_steps_against_scratch(C, rng=None):
     for k in range(1, 2 * C.n_gens() + 2):
         side = Side.U if k % 2 else Side.V
         params = search.params
-        cands = _descending(side, ext.for_side(side), stop=k % 2 == 1)
+        cands = _descending_params(side, ext.for_side(side), stop=k % 2 == 1)
         order = list(cands)
         if rng is not None:
             rng.shuffle(order)
@@ -543,6 +555,29 @@ class TestStandardize:
             assert None not in [p for p, _ok in trials] or k % 2 == 1
             for p, ok in trials:
                 assert ok == pattern[cands.index(p)]
+
+    def test_descending_is_the_param_key_sort(self, pool):
+        # one lattice_key sort of the exponents orders both signs: the
+        # negatives mirror the positives below the stop
+        def by_param_key(side, exps, stop):
+            cands = [SignedParam(side, sgn, exp) for exp in exps for sgn in (1, -1)]
+            return sorted(cands + [None] * stop, key=param_key, reverse=True)
+
+        sets = []
+        for spec in pool:
+            ext = extant_coefficients(realize(spec))
+            sets += [ext.u_coeffs, ext.v_coeffs]
+        rng = random.Random(71)
+        grid = [(i, j) for i in range(-6, 13) for j in range(5) if in_region((i, j))]
+        for ring in RingId:
+            window = [x for x in grid if x != (0, 0) and (ring is RingId.X or x[1] == 0)]
+            for _ in range(200):
+                sets.append(rng.sample(window, rng.randint(0, min(len(window), 40))))
+        assert sum(1 for exps in sets if len(exps) > 5) > 250
+        for exps in sets:
+            for side in (Side.U, Side.V):
+                for stop in (False, True):
+                    assert _descending_params(side, exps, stop) == by_param_key(side, exps, stop)
 
     def test_feasibility_is_monotone(self, pool):
         # the bisection relies on feasibility along each step's descending

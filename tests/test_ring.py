@@ -19,6 +19,7 @@ from gridring import (
     v_mono,
 )
 from gridring.ring import (
+    _TABLES,
     ONE_ELEM,
     RingElem,
     ZERO,
@@ -32,7 +33,12 @@ from gridring.ring import (
 )
 from gridring.standard import StandardSpec
 
-from conftest import reference_elem_grading, reference_elem_mul, reference_elem_ok
+from conftest import (
+    reference_elem_grading,
+    reference_elem_mul,
+    reference_elem_ok,
+    reference_grading_basis,
+)
 
 WINDOW = [
     (i, j)
@@ -381,3 +387,32 @@ class TestGradingBasis:
                     assert len(basis) <= 1
                 for m in basis:
                     assert monomial_ok(RingId.R, m) or m is MONO_ONE
+
+
+class TestGradingTable:
+    """Each entry of ``ring._TABLES`` against ``reference_grading_basis``."""
+
+    # odd, mixed-parity and out-of-region gradings included
+    GRADINGS = [(g1, g2) for g1 in range(-9, 8) for g2 in range(-9, 8)]
+
+    def test_entries_match_reference(self):
+        for ring in RingId:
+            for gr in self.GRADINGS:
+                basis = reference_grading_basis(ring, gr)
+                n, u, v, elems = _TABLES[ring][gr]
+                assert n == len(basis), (ring, gr)
+                assert u == sum(1 << t for t, m in enumerate(basis) if m.side is not Side.V)
+                assert v == sum(1 << t for t, m in enumerate(basis) if m.side is not Side.U)
+                assert len(elems) == 1 << n
+                for bits in range(1 << n):
+                    want = ZERO
+                    for t, m in enumerate(basis):
+                        if (bits >> t) & 1:
+                            want = want + elem_from_mono(m)
+                    assert elems[bits] == want, (ring, gr, bits)
+                assert grading_basis(ring, gr) == basis, (ring, gr)
+
+    def test_grading_basis_is_a_fresh_list(self):
+        got = grading_basis(RingId.X, (-2, -2))
+        got.append(MONO_ONE)
+        assert grading_basis(RingId.X, (-2, -2)) == [u_mono(1, 1), v_mono(1, 1)]
