@@ -25,6 +25,7 @@ from .ring import (
     elem_mul,
     elem_ok,
     lattice_key,
+    mono_grading,
 )
 
 
@@ -335,11 +336,15 @@ class PairedBasis:
     side-differential is the pairs alone: each pair (y, z, order) satisfies
     d_side(y) = order * z, and unpaired indices are side-cycles generating
     the nontorsion part.
+
+    The basis stores no gradings; the complex owns them.  A homogeneous
+    change of basis moves no grading, so element i has grading ``C.gr(i)``;
+    for a pair's z that is ``gr(y) - (1, 1) - mono_grading(order)``, since
+    d_side(y) = order * z has degree (-1, -1).
     """
 
     side: Side
     basis: tuple  # residue bitmasks, one per new basis element
-    gradings: tuple
     pairs: tuple  # (y_index, z_index, Monomial)
     unpaired: tuple
 
@@ -395,9 +400,10 @@ def paired_basis(C, side):
     that exponent.
 
     Only the change of basis mod the maximal ideals is kept, as one residue
-    bitmask per basis element.  This is exact: a coefficient with a nonzero
-    exponent lies in a maximal ideal, so only the unit multiples of a row
-    (exponent (0, 0)) reach the residues.
+    bitmask per basis element, and no grading (see ``PairedBasis``).  The
+    residues are exact: a coefficient with a nonzero exponent lies in a
+    maximal ideal, so only the unit multiples of a row (exponent (0, 0))
+    reach the residues.
 
     Exponents are handled as integer pairs throughout: the divisibility
     test (the quotient must lie in the exponent region) and the slot update
@@ -423,10 +429,8 @@ def paired_basis(C, side):
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     basis = [1 << i for i in range(m)]
-    grades = [C.gr(i) for i in range(m)]
     paired = [False] * m
     pairs = []
-    on_u = side is Side.U
     while heap:
         _key, p, q, mu = pop(heap)
         prow = rows[p]
@@ -449,12 +453,6 @@ def paired_basis(C, side):
                 lam.append((r, l0, l1))
         # Replace basis element q by (1/mu) d_side(g_p).
         basis[q] = newrow
-        g1, g2 = grades[p]
-        # mu's grading is (-2 m0, -2 m1) on side U, (-2 m1, -2 m0) on side V
-        if on_u:
-            grades[q] = (g1 - 1 + 2 * m0, g2 - 1 + 2 * m1)
-        else:
-            grades[q] = (g1 - 1 + 2 * m1, g2 - 1 + 2 * m0)
         for i in sorted(cols[q]):
             if i == q:
                 continue
@@ -508,19 +506,19 @@ def paired_basis(C, side):
     return PairedBasis(
         side=side,
         basis=tuple(basis),
-        gradings=tuple(grades),
         pairs=tuple(pairs),
         unpaired=tuple(i for i in range(m) if not paired[i]),
     )
 
 
 def tower_functional(pb):
-    """The tower of a paired basis: (functional mask, element mask, grading).
+    """The tower of a paired basis: (functional mask, element mask).
 
     Applying the functional mask (popcount parity of the AND) to the
     scalar-coordinate vector of an element gives the coefficient of the
     unpaired tower generator in the paired basis; the element mask is that
-    generator's residue row and the grading its bigrading.
+    generator's residue row.  The tower's bigrading is its generator's,
+    ``C.gr(pb.unpaired[0])``.
     """
     if len(pb.unpaired) != 1:
         raise NotKnotlikeError(
@@ -530,7 +528,7 @@ def tower_functional(pb):
     w = _gf2.solve_unit(pb.basis, t)
     if w is None:
         raise ValueError("paired-basis change matrix is singular mod the maximal ideals")
-    return w, pb.basis[t], pb.gradings[t]
+    return w, pb.basis[t]
 
 
 @dataclass(frozen=True)
@@ -545,12 +543,14 @@ def quotient_homology(C, side):
     """Tower and torsion data of the homology after killing the other side.
 
     For side U the surviving grading is gr2 (inverting the U-side generator
-    collapses gr1), and symmetrically for side V.
+    collapses gr1), and symmetrically for side V.  A tower has its
+    generator's grading, and a torsion pair's z has y's lowered by (1, 1)
+    and by the order's grading.
     """
     pb = paired_basis(C, side)
     keep = 1 if side is Side.U else 0
-    towers = tuple(pb.gradings[t][keep] for t in pb.unpaired)
-    torsion = [(order, pb.gradings[z][keep]) for (_y, z, order) in pb.pairs]
+    towers = tuple(C.gr(t)[keep] for t in pb.unpaired)
+    torsion = [(o, C.gr(y)[keep] - 1 - mono_grading(o)[keep]) for y, _z, o in pb.pairs]
     # Descending in <!, ties in ascending shift.
     torsion.sort(key=lambda t: (lattice_key(t[0].exp), -t[1]), reverse=True)
     return QuotientHomology(side, len(pb.unpaired), towers, tuple(torsion))
@@ -565,7 +565,7 @@ def _knotlike_bases(C):
     pb_u, pb_v = paired_basis(C, Side.U), paired_basis(C, Side.V)
     if len(pb_u.unpaired) != 1 or len(pb_v.unpaired) != 1:
         return pb_u, pb_v, None
-    shift = (pb_v.gradings[pb_v.unpaired[0]][0], pb_u.gradings[pb_u.unpaired[0]][1])
+    shift = (C.gr(pb_v.unpaired[0])[0], C.gr(pb_u.unpaired[0])[1])
     if (shift[0] - shift[1]) % 2:
         raise NotKnotlikeError("tower gradings have mixed parity; complex is malformed")
     return pb_u, pb_v, shift

@@ -194,7 +194,7 @@ def load_document(path):
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise DocumentError("invalid JSON in %s: %s" % (path, exc))
     except RecursionError:
         raise DocumentError("invalid JSON in %s: nested too deeply" % path)

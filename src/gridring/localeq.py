@@ -43,7 +43,7 @@ equals the one a from-scratch solve returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import _gf2
 from .complexes import (
@@ -151,11 +151,12 @@ def extant_coefficients(C):
 def _extant(C, pb_u, pb_v):
     """``extant_coefficients`` from the paired bases, in integer arithmetic.
 
-    The side element moving a y of grading g_y into the grading g_0 has the
-    exponent (g_y - g_0)/2, its components swapped on the V side; it is kept
-    when it is the origin (the unit) or a valid side exponent of the ring.
-    This stays integer arithmetic: reading the ring's grading table here
-    instead measured about 1.5x slower.
+    A pair's y keeps its generator's grading g_y = ``C.gr(y)``, since a
+    paired basis stores no gradings.  The side element moving y into the
+    grading g_0 has the exponent (g_y - g_0)/2, its components swapped on
+    the V side; it is kept when it is the origin (the unit) or a valid side
+    exponent of the ring.  This stays integer arithmetic: reading the ring's
+    grading table here instead measured about 1.5x slower.
     """
     gen_grades = {C.gr(i) for i in range(C.n_gens())}
     over_r = C.ring is RingId.R
@@ -165,7 +166,7 @@ def _extant(C, pb_u, pb_v):
         moves = {}  # per y grading, the exponents moving a generator's grading onto it
         coeffs = set()
         # pairs sharing y's grading and the order give the same coefficients
-        for gy, (a, b) in {(pb.gradings[y], order.exp) for (y, _z, order) in pb.pairs}:
+        for gy, (a, b) in {(C.gr(y), order.exp) for (y, _z, order) in pb.pairs}:
             exps = moves.get(gy)
             if exps is None:
                 exps = moves[gy] = []
@@ -475,10 +476,10 @@ def find_local_map(spec, target, kind="full"):
     _pb_u, pb_v = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
-    w, _elem_mask, tgr = tower_functional(pb_v)
+    w, _elem_mask = tower_functional(pb_v)
     src = realize(spec)
     # the source tower is x_0
-    shift = tgr[1] - src.gr(0)[1]
+    shift = target.gr(pb_v.unpaired[0])[1] - src.gr(0)[1]
     skip = _short_skip(len(spec.params)) if kind == "short" else None
     matrix = _solve_map(src, _Target(target), shift, 1, w, skip=skip)
     if matrix is None:
@@ -549,7 +550,7 @@ def check_certificate(src, tgt, cert, src_mask=1):
                     "chain condition fails at generator %d on side %s" % (i, side.value)
                 )
     try:
-        w, _em, _gr = tower_functional(paired_basis(tgt, Side.V))
+        w, _em = tower_functional(paired_basis(tgt, Side.V))
     except (NotKnotlikeError, ValueError) as exc:
         out.append("target tower not available: %s" % exc)
         return out
@@ -609,7 +610,8 @@ def standardize(C, trace=None):
 def _standardize(C, pb_u, pb_v, trace=None):
     """``standardize`` on a complex known to pass its checks, with its paired bases."""
     ext = _extant(C, pb_u, pb_v)
-    w_tgt, elem_mask, tgr = tower_functional(pb_v)
+    w_tgt, elem_mask = tower_functional(pb_v)
+    tgr = C.gr(pb_v.unpaired[0])
     search = _Search(_Target(C), w_tgt, tgr)
     # side U takes the odd steps, so it carries the stop
     lists = {
@@ -672,15 +674,9 @@ def standard_representative(C):
     pb_u, pb_v, shift = _knotlike_bases(C)
     if shift is None:
         raise NotKnotlikeError("complex is not knotlike")
-    C = shift_gradings(C, shift)
-    # a grading shift moves no pivot, pair, basis row, matrix entry or
-    # side exponent, only gradings
-    s1, s2 = shift
-    pb_u, pb_v = (
-        replace(pb, gradings=tuple((g1 - s1, g2 - s2) for g1, g2 in pb.gradings))
-        for pb in (pb_u, pb_v)
-    )
-    spec, fwd, back = _standardize(C, pb_u, pb_v)
+    # a grading shift moves no pivot, pair, basis row or side exponent, and
+    # a paired basis stores no gradings, so the bases serve the shifted complex
+    spec, fwd, back = _standardize(shift_gradings(C, shift), pb_u, pb_v)
     return spec, fwd, back, shift
 
 

@@ -253,7 +253,11 @@ def parse_spec(text, ring=RingId.X):
         m = _PARAM_RE.match(tok)
         if not m:
             raise ValueError("bad spec parameter %d: %s" % (k, _brief(tok)))
+        try:
+            exp = (int(m.group(3)), int(m.group(4)))
+        except ValueError:  # an exponent over the interpreter's integer digit limit
+            raise ValueError("bad spec parameter %d: %s" % (k, _brief(tok))) from None
         sign = 1 if m.group(1) == "+" else -1
         side = Side.U if m.group(2) == "U" else Side.V
-        out.append(SignedParam(side, sign, (int(m.group(3)), int(m.group(4)))))
+        out.append(SignedParam(side, sign, exp))
     return make_spec(ring, out)

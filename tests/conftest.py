@@ -7,10 +7,11 @@ reference checks share no arithmetic with ``gridring.ring``'s exponent
 kernels, ``reference_grading_basis`` is the basis of one bigrading
 monomial by monomial, against ``ring``'s grading table, and
 ``reference_extant`` is the extant pool read off the ring's monomials,
-against ``localeq._extant``'s integer form.  ``random_spec``
-and ``scramble`` stay here: the
-corpus's ``random_spec`` takes a parameter count and its ``scramble`` also
-shuffles the generators, so they would draw other test inputs.
+against ``localeq._extant``'s integer form.  ``paired_gradings`` derives
+a paired basis's gradings from the complex, which owns them.
+``random_spec`` and ``scramble`` stay here: the corpus's ``random_spec``
+takes a parameter count and its ``scramble`` also shuffles the
+generators, so they would draw other test inputs.
 """
 
 import random
@@ -160,13 +161,29 @@ def reference_extant(C, pb_u, pb_v):
     for pb in (pb_u, pb_v):
         coeffs = set()
         for y, _z, order in pb.pairs:
-            (gy1, gy2), (a, b) = pb.gradings[y], order.exp
+            (gy1, gy2), (a, b) = C.gr(y), order.exp
             for g1, g2 in gen_grades:
                 for m in reference_grading_basis(C.ring, (g1 - gy1, g2 - gy2)):
                     if m.side is Side.ONE or m.side is pb.side:
                         coeffs.add((a + m.exp[0], b + m.exp[1]))
         sides[pb.side] = frozenset(coeffs)
     return sides[Side.U], sides[Side.V]
+
+
+def paired_gradings(C, pb):
+    """The bigrading of each element of a paired basis of C.
+
+    Element i keeps generator i's grading, except a pair's z, read off y
+    and the order: d_side(y) = order * z lowers y's grading by (1, 1), so
+    z's grading is that minus the order's.  On a valid complex this is
+    gr(z) again; the random side matrices of ``test_errors_match`` have
+    arbitrary gradings, where it is not.
+    """
+    grades = [C.gr(i) for i in range(C.n_gens())]
+    for y, z, order in pb.pairs:
+        (g1, g2), (m1, m2) = C.gr(y), mono_grading(order)
+        grades[z] = (g1 - 1 - m1, g2 - 1 - m2)
+    return tuple(grades)
 
 
 def same_complex(C1, C2):

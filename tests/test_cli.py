@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -259,6 +260,27 @@ class TestCli:
             assert code == 1 and not out
             assert err.startswith("error: ") and err.count("\n") == 1
             assert str(path) in err
+
+    def test_integer_over_digit_limit_document_error(self, capsys, tmp_path):
+        # an odd first grading: where int() has no digit limit, the document
+        # still fails, on mixed parity
+        doc = complex_to_document(base_change(example_zhou(2)))
+        doc["generators"][0]["gr"] = ["BIG", 0]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "1" * 5000), encoding="utf-8")
+        for command in ("validate", "standardize"):
+            code, out, err = invoke(capsys, command, str(path))
+            assert code == 1 and not out
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(path) in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit"
+    )
+    def test_integer_over_digit_limit_spec_error(self, capsys):
+        code, out, err = invoke(capsys, "invariants", "C(-U[%s,0], +V[1,0])" % ("1" * 5000))
+        assert code == 1 and not out
+        assert err.startswith("error: bad spec parameter 1: ") and err.count("\n") == 1
 
     def test_schema_mismatch_exit_code(self, capsys, tmp_path):
         doc = complex_to_document(example_zhou(2))

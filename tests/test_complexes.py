@@ -27,6 +27,7 @@ from gridring import (
 )
 from gridring.complexes import (
     NotKnotlikeError,
+    QuotientHomology,
     fuv_image,
     shift_gradings,
     side_rows,
@@ -51,6 +52,7 @@ from gridring import _gf2, io_json
 from gridring.localeq import _compose
 
 from conftest import (
+    paired_gradings,
     param_grading,
     random_spec,
     reference_elem_grading,
@@ -584,7 +586,7 @@ class TestPairedBasis:
             m = C.n_gens()
             for side in (Side.U, Side.V):
                 pb = reference_paired_basis(C, side)
-                _same_paired_basis(paired_basis(C, side), pb)
+                _same_paired_basis(C, paired_basis(C, side), pb)
                 d_side = {}
                 for (i, j), e in C.diff.items():
                     part = _side_part(e, side)
@@ -616,14 +618,15 @@ def _residues(rows):
     return tuple(sum(1 << j for j, e in enumerate(row) if e.scalar) for row in rows)
 
 
-def _same_paired_basis(got, want):
-    """``got`` from paired_basis, ``want`` from the full-row reference.
+def _same_paired_basis(C, got, want):
+    """``got`` from paired_basis, ``want`` from the full-row reference, both of C.
 
-    The residual side-differential is the pairs' orders alone.
+    The residual side-differential is the pairs' orders alone, and the
+    reference's gradings are those C and ``got``'s pairs give.
     """
     assert got.side is want.side
     assert got.basis == _residues(want.basis)
-    assert got.gradings == want.gradings
+    assert paired_gradings(C, got) == want.gradings
     assert {(y, z): order.exp for y, z, order in got.pairs} == want.matrix
     assert got.pairs == want.pairs
     assert got.unpaired == want.unpaired
@@ -640,7 +643,7 @@ def _same_reduction(C):
 
 def _same_bases(R):
     for side in (Side.U, Side.V):
-        _same_paired_basis(paired_basis(R, side), reference_paired_basis(R, side))
+        _same_paired_basis(R, paired_basis(R, side), reference_paired_basis(R, side))
 
 
 def _outcome(fn, C, side):
@@ -685,15 +688,7 @@ class TestAgainstReference:
                 _same_bases(_same_reduction(tensor(A, B)))
 
     def test_scrambled_padded_products(self, pool):
-        rng = random.Random(43)
-        for k in range(30):
-            C = tensor(realize(rng.choice(pool)), realize(rng.choice(pool)))
-            if k % 3 == 0:
-                C = tensor(C, dual(realize(rng.choice(pool[:9]))))
-            # enough padding and mixing that units share rows and columns
-            # and one cancellation's fill-in meets another's
-            mixed = scramble(pad(C, rng, rng.randint(3, 8)), rng, n_ops=4 * C.n_gens())
-            mixed = shuffle_generators(mixed, rng)
+        for mixed, rng in _scrambled_padded_products(pool):
             assert not is_reduced(mixed)
             R = _same_reduction(mixed)
             _same_bases(R)
@@ -710,18 +705,52 @@ class TestAgainstReference:
                 got = _outcome(paired_basis, C, side)
                 want = _outcome(reference_paired_basis, C, side)
                 if isinstance(want, ReferenceBasis):
-                    _same_paired_basis(got, want)
+                    _same_paired_basis(C, got, want)
                     seen.add("ok")
                 else:
                     assert got == want
                     seen.add(want.split(" ")[1])
         assert seen >= {"ok", "pivot", "conflicting", "column"}
 
+    def test_quotient_homology(self, pool):
+        # towers and torsion as read off the reference's stored gradings
+        realized = [realize(spec) for spec in pool]
+        cases = realized + [tensor(A, B) for A in realized for B in realized]
+        for mixed, rng in _scrambled_padded_products(pool):
+            R = reduce(mixed)
+            cases += [R, scramble(R, rng, n_ops=R.n_gens())]
+        for C in cases:
+            for side in (Side.U, Side.V):
+                assert quotient_homology(C, side) == _reference_quotient_homology(C, side)
+
     @pytest.mark.slow
     def test_wide_product(self):
         _s, C = wide_product(random.Random(53))
         assert C.n_gens() >= 265
         _same_bases(_same_reduction(C))
+
+
+def _scrambled_padded_products(pool):
+    """Thirty unreduced products, padded and scrambled, each with the rng that drew it."""
+    rng = random.Random(43)
+    for k in range(30):
+        C = tensor(realize(rng.choice(pool)), realize(rng.choice(pool)))
+        if k % 3 == 0:
+            C = tensor(C, dual(realize(rng.choice(pool[:9]))))
+        # enough padding and mixing that units share rows and columns
+        # and one cancellation's fill-in meets another's
+        mixed = scramble(pad(C, rng, rng.randint(3, 8)), rng, n_ops=4 * C.n_gens())
+        yield shuffle_generators(mixed, rng), rng
+
+
+def _reference_quotient_homology(C, side):
+    """``quotient_homology`` read off ``reference_paired_basis``'s gradings."""
+    pb = reference_paired_basis(C, side)
+    keep = 1 if side is Side.U else 0
+    towers = tuple(pb.gradings[t][keep] for t in pb.unpaired)
+    torsion = [(order, pb.gradings[z][keep]) for _y, z, order in pb.pairs]
+    torsion.sort(key=lambda t: (lattice_key(t[0].exp), -t[1]), reverse=True)
+    return QuotientHomology(side, len(pb.unpaired), towers, tuple(torsion))
 
 
 # valid complexes to mutate: standard complexes over X and R, a product, the

@@ -166,7 +166,9 @@ def _linear_scan(C):
     feasibility of each); a step accepts its first feasible candidate.
     """
     ext = extant_coefficients(C)
-    w, _mask, tgr = tower_functional(paired_basis(C, Side.V))
+    pb_v = paired_basis(C, Side.V)
+    w, _mask = tower_functional(pb_v)
+    tgr = C.gr(pb_v.unpaired[0])
     params = []
     steps = []
     for k in range(1, 2 * C.n_gens() + 2):
@@ -202,7 +204,9 @@ def _check_steps_against_scratch(C, rng=None):
     follow the stopping probe.  Returns the number of candidates compared.
     """
     ext = extant_coefficients(C)
-    w, _mask, tgr = tower_functional(paired_basis(C, Side.V))
+    pb_v = paired_basis(C, Side.V)
+    w, _mask = tower_functional(pb_v)
+    tgr = C.gr(pb_v.unpaired[0])
     search = _Search(_Target(C), w, tgr)
     n_probes = 0
     for k in range(1, 2 * C.n_gens() + 2):
@@ -616,7 +620,7 @@ class TestStandardize:
         for C in corpus:
             spec, fwd, back = standardize(C)
             std = realize(spec)
-            w, mask, _gr = tower_functional(paired_basis(C, Side.V))
+            w, mask = tower_functional(paired_basis(C, Side.V))
             assert fwd.matrix == reference_solve_map(std, C, fwd.gr2shift, 1, w)
             want = reference_solve_map(C, std, back.gr2shift, mask, 1)
             assert _solve_map(C, _Target(std), back.gr2shift, mask, 1) == want == back.matrix
@@ -630,7 +634,7 @@ class TestStandardize:
         for C in corpus:
             spec, _fwd, back = standardize(C)
             std = realize(spec)
-            _w, mask, _gr = tower_functional(paired_basis(C, Side.V))
+            _w, mask = tower_functional(paired_basis(C, Side.V))
             target = _Target(std)
             for skip in itertools.product(range(C.n_gens()), (Side.U, Side.V)):
                 got = _solve_map(C, target, back.gr2shift, mask, 1, skip)
@@ -647,7 +651,9 @@ class TestStandardize:
         targets = [realize(parse_spec("C(0)"))] + [realize(spec) for spec in pool[1:5]]
         n_maps = n_feasible = 0
         for C in _scrambled_products(pool)[:6]:
-            w, mask, tgr = tower_functional(paired_basis(C, Side.V))
+            pb_v = paired_basis(C, Side.V)
+            w, mask = tower_functional(pb_v)
+            tgr = C.gr(pb_v.unpaired[0])
             padded = scramble(pad(C, rng, 3), rng, n_ops=2 * C.n_gens())
             for src in (C, padded):
                 for std in targets:
@@ -906,7 +912,7 @@ class TestStandardize:
         X = base_change(example_zhou(3))
         spec, fwd, back = standardize(X)
         assert check_certificate(realize(spec), X, fwd) == []
-        _w, mask, _g = tower_functional(paired_basis(X, Side.V))
+        _w, mask = tower_functional(paired_basis(X, Side.V))
         assert check_certificate(X, realize(spec), back, src_mask=mask) == []
 
     def test_left_locality_flag(self):
@@ -917,15 +923,15 @@ class TestStandardize:
         S = realize(spec)
         assert check_certificate(S, X, fwd) == []
         assert _u_tower_coefficient(S, X, fwd) == 1
-        _w, mask, _g = tower_functional(paired_basis(X, Side.V))
+        _w, mask = tower_functional(paired_basis(X, Side.V))
         assert check_certificate(X, S, back, src_mask=mask) == []
         assert _u_tower_coefficient(X, S, back) == 1
 
 
 def _u_tower_coefficient(src, tgt, cert):
     """Coefficient of the target's U-side tower in the image of the source's."""
-    w_u, _em, _g = tower_functional(paired_basis(tgt, Side.U))
-    _w, src_u_mask, _gs = tower_functional(paired_basis(src, Side.U))
+    w_u, _em = tower_functional(paired_basis(tgt, Side.U))
+    _w, src_u_mask = tower_functional(paired_basis(src, Side.U))
     return _tower_coefficient(cert.matrix, src_u_mask, w_u)
 
 

@@ -123,16 +123,13 @@ PARITY_SHIFTS = st.tuples(st.integers(-6, 6), st.integers(-3, 3)).map(
 @settings(max_examples=100, deadline=None)
 @given(C=knotlike_complexes(), shift=PARITY_SHIFTS)
 def test_grading_shift_only_offsets_paired_bases(C, shift):
-    # standard_representative hands the unshifted complex's bases, offset,
-    # to the search on the shifted one
+    # standard_representative hands the unshifted complex's bases to the
+    # search on the shifted one; a paired basis stores no gradings, so
+    # every field must be equal
     s1, s2 = shift
     moved = shift_gradings(C, shift)
     for side in (Side.U, Side.V):
-        got, want = paired_basis(moved, side), paired_basis(C, side)
-        assert got.basis == want.basis
-        assert got.pairs == want.pairs
-        assert got.unpaired == want.unpaired
-        assert got.gradings == tuple((g1 - s1, g2 - s2) for g1, g2 in want.gradings)
+        assert vars(paired_basis(moved, side)) == vars(paired_basis(C, side))
     t1, t2 = _knotlike_bases(C)[2]
     assert _knotlike_bases(moved)[2] == (t1 - s1, t2 - s2)
 
