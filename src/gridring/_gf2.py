@@ -1,7 +1,5 @@
 """Small GF(2) linear algebra on int bitmasks."""
 
-from __future__ import annotations
-
 
 def eliminate(rows, rhs, pivots=None):
     """The echelon pivots of an affine system, or None when it is inconsistent.

@@ -6,8 +6,6 @@ sequences in the text form ``C(-U[2,1], +V[2,1])``.  Exit codes: 0 success,
 failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 
@@ -80,9 +78,18 @@ def _emit(args, payload, text):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_document(C, dy=0):
-    """Print the document of C, which is JSON with or without --json."""
-    sys.stdout.write(io_json.dump_json(io_json.complex_to_document(C, dy)))
+def _emit_document(what, C, dy=0):
+    """Print the document of C, which is JSON with or without --json.
+
+    ``what`` names the document in the ``DocumentError`` raised when it
+    cannot be written, e.g. a grading over the interpreter's integer digit
+    limit; nothing is printed then.
+    """
+    try:
+        text = io_json.dump_json(io_json.complex_to_document(C, dy))
+    except ValueError as exc:
+        raise DocumentError("cannot write %s: %s" % (what, exc)) from None
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -98,11 +105,12 @@ def cmd_validate(args):
 
 def cmd_reduce(args):
     C, dy = _load_complex(args.file, base="S")
-    return _emit_document(reduce(C), dy)
+    return _emit_document("the reduction of %s" % args.file, reduce(C), dy)
 
 
 def cmd_basechange(args):
-    return _emit_document(*_load_complex(args.file, base="FUV"))
+    C, dy = _load_complex(args.file, base="FUV")
+    return _emit_document("the base change of %s" % args.file, C, dy)
 
 
 def cmd_standardize(args):
@@ -122,12 +130,13 @@ def cmd_standardize(args):
 def cmd_tensor(args):
     A, dya = _load_complex(args.a, base="S")
     B, dyb = _load_complex(args.b, base="S")
-    return _emit_document(tensor(A, B), dya + dyb)
+    what = "the tensor product of %s and %s" % (args.a, args.b)
+    return _emit_document(what, tensor(A, B), dya + dyb)
 
 
 def cmd_dual(args):
     C, dy = _load_complex(args.file, base="S")
-    return _emit_document(dual(C), -dy)
+    return _emit_document("the dual of %s" % args.file, dual(C), -dy)
 
 
 def cmd_compare(args):
@@ -176,10 +185,11 @@ def cmd_example(args):
         C = examples.example_zhou(args.n)
     else:
         C = examples.example_cable()
+    what = "example %s" % args.which
     if args.emit == "fuv":
-        return _emit_document(C)
+        return _emit_document(what, C)
     if args.emit == "x":
-        return _emit_document(base_change(C))
+        return _emit_document(what, base_change(C))
     spec = standard_representative(base_change(C))[0]
     _emit(
         args,

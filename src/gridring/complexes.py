@@ -6,11 +6,8 @@ sparse differential matrix of ring elements.  The differential has degree
 F2[U,V] appear only as inputs to the base change into ring X.
 """
 
-from __future__ import annotations
-
 import functools
 import heapq
-from dataclasses import dataclass, field
 
 from . import _gf2
 from .ring import (
@@ -19,7 +16,10 @@ from .ring import (
     Side,
     ZERO,
     Monomial,
+    _Record,
     _TABLES,
+    _brief,
+    _set,
     elem_from_side_exp,
     elem_grading,
     elem_mul,
@@ -41,12 +41,15 @@ class InvalidComplexError(ValueError):
         self.violations = violations
 
 
-class _Generators:
+class _Generators(_Record):
     """The generator accessors of both complex types.
 
     ``generators`` is a tuple of ``(name, (g1, g2))``.  The differential is
     a dict, so neither type is hashable.
     """
+
+    __slots__ = ()
+    __hash__ = None
 
     def n_gens(self):
         return len(self.generators)
@@ -58,21 +61,23 @@ class _Generators:
         return self.generators[i][1]
 
 
-@dataclass(frozen=True)
 class FreeComplex(_Generators):
-    ring: RingId
-    generators: tuple  # of (name, (g1, g2))
-    diff: dict = field(default_factory=dict)  # (from, to) -> nonzero RingElem
-    __hash__ = None
+    __slots__ = ("ring", "generators", "diff")
+
+    def __init__(self, ring, generators, diff=None):
+        _set(self, "ring", ring)
+        _set(self, "generators", generators)  # of (name, (g1, g2))
+        _set(self, "diff", {} if diff is None else diff)  # (from, to) -> nonzero RingElem
 
 
-@dataclass(frozen=True)
 class FUVComplex(_Generators):
     """A complex over F2[U,V]; entries are sets of (a, b) meaning U^a V^b."""
 
-    generators: tuple
-    diff: dict = field(default_factory=dict)  # (from, to) -> frozenset of (a, b)
-    __hash__ = None
+    __slots__ = ("generators", "diff")
+
+    def __init__(self, generators, diff=None):
+        _set(self, "generators", generators)
+        _set(self, "diff", {} if diff is None else diff)  # (from, to) -> frozenset of (a, b)
 
 
 def validate(C):
@@ -86,7 +91,9 @@ def validate(C):
     inhomogeneous, or else of another grading.  Once every entry passes,
     d^2 is computed on the entries' part bits (``_square_defects``).
     ``check_certificate`` keeps the ``RingElem`` product ``_compose``, an
-    arithmetic independent of this one.
+    arithmetic independent of this one.  The gradings and entries a
+    violation prints are cut to 80 characters (``ring._brief``), so each
+    stays one short line.
     """
     out = []
     names = [nm for nm, _gr in C.generators]
@@ -94,7 +101,7 @@ def validate(C):
         out.append("generator names are not unique")
     for nm, (g1, g2) in C.generators:
         if (g1 - g2) % 2:
-            out.append("generator %s has gradings of mixed parity %s" % (nm, (g1, g2)))
+            out.append("generator %s has gradings of mixed parity %s" % (nm, _brief((g1, g2))))
     n = C.n_gens()
     grs = [gr for _nm, gr in C.generators]
     table = _TABLES[C.ring]
@@ -114,16 +121,20 @@ def validate(C):
             parts.append(s | (2 if u else 0) | (4 if v else 0))
             continue
         if not elem_ok(C.ring, e):
-            out.append("entry (%s, %s) = %r is not in ring %s" % (C.name(i), C.name(j), e, C.ring.value))
+            out.append(
+                "entry (%s, %s) = %s is not in ring %s"
+                % (C.name(i), C.name(j), _brief(e), C.ring.value)
+            )
             continue
         try:
             gr = elem_grading(e)
         except ValueError:
-            out.append("entry (%s, %s) = %r is inhomogeneous" % (C.name(i), C.name(j), e))
+            out.append("entry (%s, %s) = %s is inhomogeneous" % (C.name(i), C.name(j), _brief(e)))
             continue
         # a homogeneous entry in the ring lies in the basis of its own grading
         out.append(
-            "entry (%s, %s) has grading %s, expected %s" % (C.name(i), C.name(j), gr, want)
+            "entry (%s, %s) has grading %s, expected %s"
+            % (C.name(i), C.name(j), _brief(gr), _brief(want))
         )
     if not out:
         for (i, k), e in _square_defects(C, parts):
@@ -326,8 +337,7 @@ def dual(C):
     return FreeComplex(C.ring, gens, diff)
 
 
-@dataclass(frozen=True, eq=False)
-class PairedBasis:
+class PairedBasis(_Record):
     """A homogeneous basis splitting one side-differential into pairs.
 
     ``basis[i]`` is the i-th new basis element reduced mod the maximal
@@ -343,10 +353,15 @@ class PairedBasis:
     d_side(y) = order * z has degree (-1, -1).
     """
 
-    side: Side
-    basis: tuple  # residue bitmasks, one per new basis element
-    pairs: tuple  # (y_index, z_index, Monomial)
-    unpaired: tuple
+    __slots__ = ("side", "basis", "pairs", "unpaired")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, side, basis, pairs, unpaired):
+        _set(self, "side", side)
+        _set(self, "basis", basis)  # residue bitmasks, one per new basis element
+        _set(self, "pairs", pairs)  # (y_index, z_index, Monomial)
+        _set(self, "unpaired", unpaired)
 
 
 def side_rows(C, side):
@@ -531,12 +546,14 @@ def tower_functional(pb):
     return w, pb.basis[t]
 
 
-@dataclass(frozen=True)
-class QuotientHomology:
-    side: Side
-    tower_count: int
-    tower_gradings: tuple
-    torsion: tuple  # of (Monomial, shift)
+class QuotientHomology(_Record):
+    __slots__ = ("side", "tower_count", "tower_gradings", "torsion")
+
+    def __init__(self, side, tower_count, tower_gradings, torsion):
+        _set(self, "side", side)
+        _set(self, "tower_count", tower_count)
+        _set(self, "tower_gradings", tower_gradings)
+        _set(self, "torsion", torsion)  # of (Monomial, shift)
 
 
 def quotient_homology(C, side):

@@ -1,7 +1,5 @@
 """Built-in example complexes over F2[U,V]."""
 
-from __future__ import annotations
-
 from .complexes import FUVComplex
 
 

@@ -9,22 +9,19 @@ gradings P_U/P_V, and the ambient manifold obstructions derived from the
 entries with j > 0.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .complexes import tensor
 from .localeq import VerificationError, standard_representative
-from .ring import Monomial, Side, mono_grading
+from .ring import Monomial, Side, _Record, _set, mono_grading
 from .standard import _gradings, _require_standard, format_spec, is_symmetric, realize, shift_spec
 
 
-@dataclass(frozen=True)
-class PhiTable:
+class PhiTable(_Record):
     """Signed parameter counts, keyed by (side, exponent pair)."""
 
-    entries: tuple  # sorted ((side, exp), count) with nonzero count
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        _set(self, "entries", entries)  # sorted ((side, exp), count) with nonzero count
 
     def count(self, side, exp):
         for (s, e), c in self.entries:
@@ -64,22 +61,34 @@ def p_invariants(spec):
     return rep.p_u, rep.p_v
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    phi: PhiTable
-    tau: int
-    epsilon_zero: bool
-    epsilon_sign: int
-    big_n: int
-    genus_lb: Fraction
-    genus_lb_ceil: int
-    unknotting_lb: int
-    p_u: int
-    p_v: int
-    symmetric: bool
-    lspace_obstruction: bool
-    seifert_pos_obstruction: bool
-    seifert_neg_obstruction: bool
+class InvariantReport(_Record):
+    """Every invariant of a standard spec; ``genus_lb`` is a ``fractions.Fraction``."""
+
+    __slots__ = (
+        "phi", "tau", "epsilon_zero", "epsilon_sign", "big_n", "genus_lb", "genus_lb_ceil",
+        "unknotting_lb", "p_u", "p_v", "symmetric", "lspace_obstruction",
+        "seifert_pos_obstruction", "seifert_neg_obstruction",
+    )
+
+    def __init__(
+        self, phi, tau, epsilon_zero, epsilon_sign, big_n, genus_lb, genus_lb_ceil,
+        unknotting_lb, p_u, p_v, symmetric, lspace_obstruction,
+        seifert_pos_obstruction, seifert_neg_obstruction,
+    ):
+        _set(self, "phi", phi)
+        _set(self, "tau", tau)
+        _set(self, "epsilon_zero", epsilon_zero)
+        _set(self, "epsilon_sign", epsilon_sign)
+        _set(self, "big_n", big_n)
+        _set(self, "genus_lb", genus_lb)
+        _set(self, "genus_lb_ceil", genus_lb_ceil)
+        _set(self, "unknotting_lb", unknotting_lb)
+        _set(self, "p_u", p_u)
+        _set(self, "p_v", p_v)
+        _set(self, "symmetric", symmetric)
+        _set(self, "lspace_obstruction", lspace_obstruction)
+        _set(self, "seifert_pos_obstruction", seifert_pos_obstruction)
+        _set(self, "seifert_neg_obstruction", seifert_neg_obstruction)
 
     def to_json(self):
         return {
@@ -115,6 +124,8 @@ def report(spec):
     N is the largest |i - j| over the U-side table.  Raises ``ValueError`` on
     an odd-length (semistandard) spec.
     """
+    from fractions import Fraction  # imported here: only a report needs it
+
     _require_standard(spec)
     table = phi(spec)
     grades = _gradings(spec)

@@ -7,13 +7,11 @@ dY, named graded generators, and the sparse differential with explicit
 monomial records, one record per (from, to) pair.
 """
 
-from __future__ import annotations
-
 import json
 
 from .complexes import FreeComplex, FUVComplex, fuv_image
-from .ring import RingElem, RingId, SignedParam
-from .standard import _brief, _expected_side, make_spec
+from .ring import RingElem, RingId, SignedParam, _brief
+from .standard import _expected_side, make_spec
 
 SCHEMA_VERSION = 1
 

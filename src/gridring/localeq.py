@@ -41,10 +41,6 @@ numbering, not on the order in which rows are eliminated, so every map
 equals the one a from-scratch solve returns.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from . import _gf2
 from .complexes import (
     InvalidComplexError,
@@ -62,7 +58,9 @@ from .ring import (
     Side,
     SignedParam,
     ZERO,
+    _Record,
     _TABLES,
+    _set,
     elem_grading,
     elem_monomials,
     elem_mul,
@@ -84,15 +82,19 @@ class VerificationError(RuntimeError):
     """An internally computed certificate failed its independent check."""
 
 
-@dataclass(frozen=True, eq=False)
-class LocalMapCert:
+class LocalMapCert(_Record):
     """A grading-shifted module map witnessing one local-order inequality."""
 
-    source: str
-    target: str
-    gr2shift: int
-    matrix: dict  # (source index, target index) -> RingElem
-    kind: str  # "full" | "short"
+    __slots__ = ("source", "target", "gr2shift", "matrix", "kind")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, source, target, gr2shift, matrix, kind):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "gr2shift", gr2shift)
+        _set(self, "matrix", matrix)  # (source index, target index) -> RingElem
+        _set(self, "kind", kind)  # "full" | "short"
 
     def to_json(self):
         entries = [
@@ -108,10 +110,12 @@ class LocalMapCert:
         }
 
 
-@dataclass(frozen=True)
-class ExtantSet:
-    u_coeffs: frozenset  # of exponent pairs
-    v_coeffs: frozenset
+class ExtantSet(_Record):
+    __slots__ = ("u_coeffs", "v_coeffs")
+
+    def __init__(self, u_coeffs, v_coeffs):
+        _set(self, "u_coeffs", u_coeffs)  # frozenset of exponent pairs
+        _set(self, "v_coeffs", v_coeffs)
 
     def for_side(self, side):
         return self.u_coeffs if side is Side.U else self.v_coeffs

@@ -22,12 +22,56 @@ signed parameters with the neutral 1 (``None``) in its own band between the
 negatives and the positives; consumers sort or take a max by the key.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 LESS, EQUAL, GREATER = -1, 0, 1
+
+_set = object.__setattr__  # how a record's ``__init__`` sets its fields
+
+
+class _Record:
+    """Base of the package's immutable records, whose fields are their ``__slots__``.
+
+    Records compare equal, and hash, by their fields' values (``_fields``,
+    a tuple unless there is one field); a record of another class is never
+    equal.  The default repr is ``Name(field=value, ...)``.  Assigning or
+    deleting an attribute raises ``AttributeError``; each record's
+    ``__init__`` sets its fields with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__dict__.get("__slots__")
+        if names:
+            cls._fields = property(attrgetter(*names))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            self.__class__.__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of an immutable record" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of an immutable record" % name)
+
+
+def _brief(value):
+    """``repr(value)`` cut to 80 characters, so an error stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 class RingId(Enum):
@@ -47,12 +91,14 @@ def in_region(exp):
     return j > 0 or (j == 0 and i >= 0)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Record):
     """A homogeneous monomial of one side of a grid ring, or the scalar 1."""
 
-    side: Side
-    exp: tuple = (0, 0)
+    __slots__ = ("side", "exp")
+
+    def __init__(self, side, exp=(0, 0)):
+        _set(self, "side", side)
+        _set(self, "exp", exp)
 
     def __repr__(self):
         return mono_text(self)
@@ -95,8 +141,7 @@ def mono_text(m):
     return "%s[%d,%d]" % (m.side.value, m.exp[0], m.exp[1])
 
 
-@dataclass(frozen=True)
-class SignedParam:
+class SignedParam(_Record):
     """A nontrivial homogeneous monomial of one side, or its inverse.
 
     ``sign=+1`` denotes the monomial itself, ``sign=-1`` its formal inverse.
@@ -104,9 +149,12 @@ class SignedParam:
     ``None`` as a sentinel.
     """
 
-    side: Side
-    sign: int
-    exp: tuple
+    __slots__ = ("side", "sign", "exp")
+
+    def __init__(self, side, sign, exp):
+        _set(self, "side", side)
+        _set(self, "sign", sign)
+        _set(self, "exp", exp)
 
     def __repr__(self):
         return param_text(self)
@@ -163,13 +211,18 @@ def param_key(p):
     return lattice_key((p.sign * p.exp[0], p.sign * p.exp[1]))
 
 
-@dataclass(frozen=True)
-class RingElem:
+_EMPTY = frozenset()
+
+
+class RingElem(_Record):
     """An F2 combination: scalar part plus sets of U- and V-side exponents."""
 
-    scalar: int = 0
-    u: frozenset = frozenset()
-    v: frozenset = frozenset()
+    __slots__ = ("scalar", "u", "v")
+
+    def __init__(self, scalar=0, u=_EMPTY, v=_EMPTY):
+        _set(self, "scalar", scalar)
+        _set(self, "u", u)
+        _set(self, "v", v)
 
     def __bool__(self):
         return bool(self.scalar or self.u or self.v)

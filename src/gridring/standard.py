@@ -9,10 +9,7 @@ One spec type holds both lengths: an odd-length sequence (semistandard) is
 used as a search prefix and is not knotlike.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from itertools import zip_longest
 
 from .complexes import FreeComplex
@@ -21,6 +18,9 @@ from .ring import (
     RingId,
     Side,
     SignedParam,
+    _Record,
+    _brief,
+    _set,
     elem_from_mono,
     lattice_key,
     mono_grading,
@@ -31,37 +31,30 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class StandardSpec:
+class StandardSpec(_Record):
     """A parameter sequence over a ring, checked when it is built.
 
     Each parameter must lie on the side of its position and be valid in the
-    ring; otherwise construction (also by ``dataclasses.replace``) raises
-    ``ValueError``.
+    ring; otherwise construction raises ``ValueError``.
     """
 
-    ring: RingId
-    params: tuple  # of SignedParam; odd length for a semistandard prefix
+    __slots__ = ("ring", "params")
 
-    def __post_init__(self):
-        for k, p in enumerate(self.params, start=1):
+    def __init__(self, ring, params):
+        _set(self, "ring", ring)
+        _set(self, "params", params)  # of SignedParam; odd length for a semistandard prefix
+        for k, p in enumerate(params, start=1):
             if p.side is not _expected_side(k):
                 raise ValueError(
                     "parameter %d must lie on side %s" % (k, _expected_side(k).value)
                 )
-            if not param_ok(self.ring, p):
+            if not param_ok(ring, p):
                 raise ValueError(
-                    "parameter %d is invalid in ring %s: %s" % (k, self.ring.value, _brief(p))
+                    "parameter %d is invalid in ring %s: %s" % (k, ring.value, _brief(p))
                 )
 
     def __repr__(self):
         return format_spec(self)
-
-
-def _brief(value):
-    """``repr(value)`` cut to 80 characters, so an error stays one short line."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _expected_side(k):
@@ -176,8 +169,7 @@ def is_symmetric(spec):
     return all(p.exp == q.exp and p.sign == -q.sign for p, q in zip(params, reversed(params)))
 
 
-@dataclass(frozen=True)
-class ShiftMap:
+class ShiftMap(_Record):
     """Threshold-multiplier shift on one side's parameters.
 
     Positive parameters <=! the threshold are multiplied by ``mult``; the
@@ -185,9 +177,12 @@ class ShiftMap:
     The threshold may be a positive or negative SignedParam or None (= 1).
     """
 
-    side: Side
-    threshold: object  # SignedParam | None
-    mult: Monomial
+    __slots__ = ("side", "threshold", "mult")
+
+    def __init__(self, side, threshold, mult):
+        _set(self, "side", side)
+        _set(self, "threshold", threshold)  # SignedParam | None
+        _set(self, "mult", mult)  # Monomial
 
     def apply(self, p):
         if p.side is not self.side:

@@ -15,6 +15,7 @@ generators, so they would draw other test inputs.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -58,6 +59,20 @@ POOL_TEXTS = [
     "C(-U[2,1], +V[1,0], -U[1,0], +V[2,1])",
     "C(-U[3,2], +V[3,2])",
 ]
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift the interpreter's integer digit limit for one test, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

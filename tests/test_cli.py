@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -274,6 +275,45 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert str(path) in err
 
+    def test_long_values_error_stays_short(self, capsys, tmp_path, no_int_digit_limit):
+        # with no digit limit the 5000-digit odd grading reads, and every
+        # violation cuts it to 80 characters; so is an entry's exponent
+        doc = complex_to_document(base_change(example_zhou(2)))
+        doc["generators"][0]["gr"] = ["BIG", 0]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "1" * 5000), encoding="utf-8")
+        cut = "mixed parity (%s..." % ("1" * 76)
+        code, out, err = invoke(capsys, "standardize", str(path))
+        assert code == 1 and not out
+        assert err.startswith("error: %s: " % path) and err.count("\n") == 1
+        assert cut in err and len(err) < 1000
+        code, out, err = invoke(capsys, "validate", str(path))
+        assert code == 1 and not err
+        assert cut in out and max(map(len, out.splitlines())) < 200
+        doc = complex_to_document(base_change(example_zhou(2)))
+        doc["differential"][0]["coeff"] = [{"part": "U", "e": ["BIG", 0]}]
+        path.write_text(json.dumps(doc).replace('"BIG"', "-" + "1" * 4000), encoding="utf-8")
+        code, out, err = invoke(capsys, "standardize", str(path))
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and "is not in ring X" in err and len(err) < 1000
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit"
+    )
+    def test_tensor_over_digit_limit_names_result(self, capsys, tmp_path):
+        # each grading has 4300 digits, within the limit; their sum has 4301
+        nines = "9" * 4300
+        doc = {"schemaVersion": 1, "ring": "X", "generators": [{"name": "x", "gr": [0, 0]}]}
+        text = json.dumps(doc).replace("[0, 0]", "[%s, %s]" % (nines, nines))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(text, encoding="utf-8")
+        b.write_text(text, encoding="utf-8")
+        assert invoke(capsys, "dual", str(a))[0] == 0
+        code, out, err = invoke(capsys, "tensor", str(a), str(b))
+        assert code == 1 and not out
+        assert err.startswith("error: cannot write the tensor product of %s and %s: " % (a, b))
+        assert err.count("\n") == 1
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit"
     )
@@ -516,6 +556,23 @@ def test_invariants_json_known_answer(capsys, name):
     code, out, err = invoke(capsys, "--json", "invariants", GOLDEN_SPECS[name])
     assert code == 0, err
     assert out == (DATA / ("invariants_%s.json" % name)).read_text(encoding="utf-8")
+
+
+# modules the command line needs on no path: records are plain classes, and
+# only an invariant report imports fractions
+COLD_IMPORT_ABSENT = ("dataclasses", "inspect", "fractions", "typing")
+
+
+def test_cold_import_leaves_out_heavy_modules():
+    # -S: no site hooks, so only gridring's own imports load modules
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import sys; sys.path.insert(0, %r); import gridring.cli; print(%s)" % (
+        str(src),
+        "sorted(m for m in %r if m in sys.modules)" % (COLD_IMPORT_ABSENT,),
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 FUZZ_DOCUMENTS = [

@@ -397,6 +397,30 @@ class TestValidate:
     def test_fuv_verdicts(self, C, ok):
         assert (validate_fuv(C) == []) is ok
 
+    def test_long_values_cut_in_violations(self, no_int_digit_limit):
+        # a short grading or entry prints whole; a 5001-digit one is cut to
+        # 80 characters
+        big = 10**5000
+        C = FreeComplex(RingId.X, (("a", (1, 0)), ("b", (big + 1, 0))), {})
+        assert validate(C) == [
+            "generator a has gradings of mixed parity (1, 0)",
+            "generator b has gradings of mixed parity (1%s..." % ("0" * 75),
+        ]
+        u1 = elem_from_mono(u_mono(1, 0))
+        C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (2 * big, 0))), {(1, 0): u1})
+        assert validate(C) == ["entry (b, a) has grading (-2, 0), expected (1%s..." % ("9" * 75)]
+        C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (3, 1))), {(1, 0): u1})
+        assert validate(C) == ["entry (b, a) has grading (-2, 0), expected (2, 0)"]
+        gens = (("a", (0, 0)), ("b", (-1, -1)))
+        far = RingElem(0, frozenset([(-big, 0)]))
+        C = FreeComplex(RingId.X, gens, {(0, 1): far})
+        assert validate(C) == ["entry (a, b) = U[-1%s... is not in ring X" % ("0" * 73)]
+        C = FreeComplex(RingId.X, gens, {(0, 1): far + u1})
+        assert validate(C) == ["entry (a, b) = U[-1%s... is not in ring X" % ("0" * 73)]
+        far = RingElem(0, frozenset([(big, 0), (1, 0)]))
+        C = FreeComplex(RingId.X, gens, {(0, 1): far})
+        assert validate(C) == ["entry (a, b) = U[1,0]+U[1%s... is inhomogeneous" % ("0" * 67)]
+
     def test_d_squared_detected(self):
         gens = (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2)))
         diff = {(0, 1): ONE_ELEM, (1, 2): ONE_ELEM}

@@ -33,6 +33,7 @@ from gridring import (
 from gridring import _gf2
 from gridring.complexes import _knotlike_bases, normalize, paired_basis, tower_functional
 from gridring.localeq import (
+    LocalMapCert,
     VerificationError,
     _Search,
     _T,
@@ -412,18 +413,16 @@ class TestFindLocalMap:
         tgt = realize(parse_spec("C(-U[3,2], +V[3,2])"))
         cert = find_local_map(spec, tgt, "full")
         assert cert is not None
-        from dataclasses import replace
         from gridring.ring import ZERO, elem_from_mono, u_mono
 
         broken = dict(cert.matrix)
         broken[(0, 0)] = ZERO  # drop the tower hit
-        bad = replace(cert, matrix={k: v for k, v in broken.items() if v})
+        matrix = {k: v for k, v in broken.items() if v}
+        bad = LocalMapCert(cert.source, cert.target, cert.gr2shift, matrix, cert.kind)
         assert check_certificate(realize(spec), tgt, bad) != []
 
     def test_checker_reports_bad_entries(self):
         # an entry out of range or inhomogeneous is a violation, not an exception
-        from dataclasses import replace
-
         X = normalize(reduce(base_change(example_cable())))
         spec, fwd, _back = standardize(X)
         S = realize(spec)
@@ -435,7 +434,8 @@ class TestFindLocalMap:
             ((0, 0), u1 + elem_from_mono(u_mono(2, 0)), "entry (0, 0) is inhomogeneous"),
         ]
         for key, e, message in cases:
-            bad = check_certificate(S, X, replace(fwd, matrix={**fwd.matrix, key: e}))
+            cert = LocalMapCert(fwd.source, fwd.target, fwd.gr2shift, {**fwd.matrix, key: e}, fwd.kind)
+            bad = check_certificate(S, X, cert)
             assert message in bad
             if "range" in message:
                 # the chain and locality checks would index the missing generator
@@ -444,8 +444,6 @@ class TestFindLocalMap:
     def test_short_certificates_check(self):
         # the checker drops the same chain condition as the solver: (n, U)
         # after an even prefix of n parameters, (n, V) after an odd one
-        from dataclasses import replace
-
         target = normalize(reduce(base_change(example_cable())))
         cable = parse_spec("C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])")
         for n in range(len(cable.params) + 1):
@@ -454,7 +452,8 @@ class TestFindLocalMap:
             assert cert is not None
             assert check_certificate(realize(prefix), target, cert) == []
             if n % 2 == 0:
-                full = check_certificate(realize(prefix), target, replace(cert, kind="full"))
+                as_full = LocalMapCert(cert.source, cert.target, cert.gr2shift, cert.matrix, "full")
+                full = check_certificate(realize(prefix), target, as_full)
                 assert set(full) == {"chain condition fails at generator %d on side U" % n}
 
     def test_short_weaker_than_full(self):

@@ -416,3 +416,57 @@ class TestGradingTable:
         got = grading_basis(RingId.X, (-2, -2))
         got.append(MONO_ONE)
         assert grading_basis(RingId.X, (-2, -2)) == [u_mono(1, 1), v_mono(1, 1)]
+
+
+class TestRecords:
+    """The records are immutable ``__slots__`` classes with value equality."""
+
+    def _records(self):
+        p = SignedParam(Side.U, -1, (2, 1))
+        e = RingElem(1, frozenset([(1, 0)]), frozenset([(2, 1)]))
+        spec = StandardSpec(RingId.X, (p, SignedParam(Side.V, 1, (2, 1))))
+        return [(p, "sign", 1), (e, "scalar", 0), (e, "u", frozenset()), (spec, "params", ())]
+
+    def test_assigning_a_field_raises(self):
+        for record, name, value in self._records():
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.other = value
+            assert getattr(record, name) == before
+
+    def test_value_equality_and_hash(self):
+        for (record, _n, _v), (twin, _m, _w) in zip(self._records(), self._records()):
+            assert twin is not record and twin == record and not twin != record
+            assert hash(twin) == hash(record)
+            assert not hasattr(record, "__dict__")
+        # records of different classes are never equal, even with equal fields
+        assert u_mono(1, 0) != SignedParam(Side.U, 1, (1, 0))
+        assert RingElem() == ZERO and RingElem(scalar=1) == ONE_ELEM
+        assert RingElem(0, frozenset([(1, 0)])) != RingElem(0, frozenset(), frozenset([(1, 0)]))
+        assert {u_mono(1, 0), u_mono(1, 0), v_mono(1, 0)} == {u_mono(1, 0), v_mono(1, 0)}
+
+    def test_repr_names_fields(self):
+        from gridring.localeq import ExtantSet
+
+        assert repr(ExtantSet(frozenset(), frozenset([(1, 0)]))) == (
+            "ExtantSet(u_coeffs=frozenset(), v_coeffs=frozenset({(1, 0)}))"
+        )
+        assert repr(SignedParam(Side.V, 1, (2, 1))) == "+V[2,1]"
+
+    def test_complexes_unhashable_and_identity_records(self):
+        from gridring.complexes import FreeComplex, paired_basis
+        from gridring.standard import realize
+
+        C = realize(self._records()[-1][0])
+        with pytest.raises(TypeError):
+            hash(C)
+        assert FreeComplex(C.ring, C.generators, dict(C.diff)) == C
+        empty = FreeComplex(RingId.X, ())
+        assert empty.diff == {} and empty.diff is not FreeComplex(RingId.X, ()).diff
+        # a paired basis, like a certificate, is equal only to itself
+        a, b = paired_basis(C, Side.U), paired_basis(C, Side.U)
+        assert a == a and a != b and len({a, b}) == 2

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -27,8 +26,9 @@ from gridring import (
     shift_spec,
     validate,
 )
-from gridring.ring import elem_from_mono, u_mono, v_mono
-from gridring.standard import ShiftMap, StandardSpec, _gradings, make_spec
+from gridring import io_json
+from gridring.ring import elem_from_mono, param_text, u_mono, v_mono
+from gridring.standard import ShiftMap, StandardSpec, _expected_side, _gradings, make_spec
 
 from conftest import param_grading, random_spec, same_complex
 
@@ -111,13 +111,23 @@ class TestRealize:
 
 
 def _builders(ring, params):
-    """The three ways to build a spec: directly, by make_spec and by replace."""
+    """The ways to build a spec: directly, by make_spec, by parse_spec and from a document.
+
+    A document gives each parameter the side of its position, so it builds
+    only parameters that lie there; ``document_to_spec`` raises a
+    ``DocumentError`` (a ``ValueError``) with the spec's message.
+    """
     params = tuple(params)
-    return [
+    text = "C(%s)" % ", ".join(param_text(p) for p in params)
+    builders = [
         lambda: StandardSpec(ring, params),
         lambda: make_spec(ring, params),
-        lambda: replace(StandardSpec(RingId.X, ()), ring=ring, params=params),
+        lambda: parse_spec(text, ring),
     ]
+    if all(p.side is _expected_side(k) for k, p in enumerate(params, start=1)):
+        doc = {"ring": ring.value, "params": [{"sign": p.sign, "e": list(p.exp)} for p in params]}
+        builders.append(lambda: io_json.document_to_spec(doc))
+    return builders
 
 
 def _rejected(ring, params, message):
