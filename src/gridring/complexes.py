@@ -19,7 +19,6 @@ from .ring import (
     _Record,
     _TABLES,
     _brief,
-    _set,
     elem_from_side_exp,
     elem_grading,
     elem_mul,
@@ -62,22 +61,27 @@ class _Generators(_Record):
 
 
 class FreeComplex(_Generators):
+    """A complex over a grid ring; ``diff`` maps (from, to) to a nonzero ``RingElem``.
+
+    An omitted ``diff`` is a fresh ``{}``.
+    """
+
     __slots__ = ("ring", "generators", "diff")
 
     def __init__(self, ring, generators, diff=None):
-        _set(self, "ring", ring)
-        _set(self, "generators", generators)  # of (name, (g1, g2))
-        _set(self, "diff", {} if diff is None else diff)  # (from, to) -> nonzero RingElem
+        super().__init__(ring, generators, {} if diff is None else diff)
 
 
 class FUVComplex(_Generators):
-    """A complex over F2[U,V]; entries are sets of (a, b) meaning U^a V^b."""
+    """A complex over F2[U,V]; ``diff`` maps (from, to) to a frozenset of (a, b), meaning U^a V^b.
+
+    An omitted ``diff`` is a fresh ``{}``.
+    """
 
     __slots__ = ("generators", "diff")
 
     def __init__(self, generators, diff=None):
-        _set(self, "generators", generators)
-        _set(self, "diff", {} if diff is None else diff)  # (from, to) -> frozenset of (a, b)
+        super().__init__(generators, {} if diff is None else diff)
 
 
 def validate(C):
@@ -86,12 +90,13 @@ def validate(C):
     A valid entry is a nonzero sum of basis monomials of its expected
     grading, so each entry is checked with one lookup in the ring's grading
     table (``ring._TABLES``) and three subset tests against the sum of that
-    grading's basis.  Only an entry that fails is classified, through
-    ``elem_ok`` and then ``elem_grading``: it is not in the ring, or
-    inhomogeneous, or else of another grading.  Once every entry passes,
+    grading's basis, the scalar being 0 or 1.  Only an entry that fails is
+    classified, by its scalar and then through ``elem_ok`` and
+    ``elem_grading``: its scalar is not 0 or 1, or it is not in the ring,
+    or inhomogeneous, or else of another grading.  Once every entry passes,
     d^2 is computed on the entries' part bits (``_square_defects``).
     ``check_certificate`` keeps the ``RingElem`` product ``_compose``, an
-    arithmetic independent of this one.  The gradings and entries a
+    arithmetic independent of this one.  The keys, gradings and entries a
     violation prints are cut to 80 characters (``ring._brief``), so each
     stays one short line.
     """
@@ -108,7 +113,7 @@ def validate(C):
     parts = []
     for (i, j), e in C.diff.items():
         if not (0 <= i < n and 0 <= j < n):
-            out.append("differential entry (%d, %d) out of range" % (i, j))
+            out.append("differential entry %s out of range" % _brief((i, j)))
             continue
         s, u, v = e.scalar, e.u, e.v
         if not (s or u or v):
@@ -117,8 +122,13 @@ def validate(C):
         (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
         want = (gi1 - gj1 - 1, gi2 - gj2 - 1)
         full = table[want][3][-1]
-        if s <= full.scalar and u <= full.u and v <= full.v:
+        if 0 <= s <= full.scalar and u <= full.u and v <= full.v:
             parts.append(s | (2 if u else 0) | (4 if v else 0))
+            continue
+        if s not in (0, 1):
+            out.append(
+                "entry (%s, %s) has scalar %s, not 0 or 1" % (C.name(i), C.name(j), _brief(s))
+            )
             continue
         if not elem_ok(C.ring, e):
             out.append(
@@ -138,7 +148,7 @@ def validate(C):
         )
     if not out:
         for (i, k), e in _square_defects(C, parts):
-            out.append("d^2 is nonzero: (%s -> %s) = %r" % (C.name(i), C.name(k), e))
+            out.append("d^2 is nonzero: (%s -> %s) = %s" % (C.name(i), C.name(k), _brief(e)))
     return out
 
 
@@ -351,17 +361,14 @@ class PairedBasis(_Record):
     change of basis moves no grading, so element i has grading ``C.gr(i)``;
     for a pair's z that is ``gr(y) - (1, 1) - mono_grading(order)``, since
     d_side(y) = order * z has degree (-1, -1).
+
+    Fields: ``side``; ``basis``, the residue bitmasks, one per new basis
+    element; ``pairs``, of ``(y_index, z_index, Monomial)``; ``unpaired``.
     """
 
     __slots__ = ("side", "basis", "pairs", "unpaired")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, side, basis, pairs, unpaired):
-        _set(self, "side", side)
-        _set(self, "basis", basis)  # residue bitmasks, one per new basis element
-        _set(self, "pairs", pairs)  # (y_index, z_index, Monomial)
-        _set(self, "unpaired", unpaired)
 
 
 def side_rows(C, side):
@@ -518,12 +525,8 @@ def paired_basis(C, side):
             raise ValueError("column of a paired generator did not clear; d^2 != 0?")
         pairs.append((p, q, Monomial(side, mu)))
         paired[p] = paired[q] = True
-    return PairedBasis(
-        side=side,
-        basis=tuple(basis),
-        pairs=tuple(pairs),
-        unpaired=tuple(i for i in range(m) if not paired[i]),
-    )
+    unpaired = tuple(i for i in range(m) if not paired[i])
+    return PairedBasis(side, tuple(basis), tuple(pairs), unpaired)
 
 
 def tower_functional(pb):
@@ -547,13 +550,9 @@ def tower_functional(pb):
 
 
 class QuotientHomology(_Record):
-    __slots__ = ("side", "tower_count", "tower_gradings", "torsion")
+    """One side's tower and torsion data; ``torsion`` is a tuple of ``(Monomial, shift)``."""
 
-    def __init__(self, side, tower_count, tower_gradings, torsion):
-        _set(self, "side", side)
-        _set(self, "tower_count", tower_count)
-        _set(self, "tower_gradings", tower_gradings)
-        _set(self, "torsion", torsion)  # of (Monomial, shift)
+    __slots__ = ("side", "tower_count", "tower_gradings", "torsion")
 
 
 def quotient_homology(C, side):

@@ -11,17 +11,17 @@ entries with j > 0.
 
 from .complexes import tensor
 from .localeq import VerificationError, standard_representative
-from .ring import Monomial, Side, _Record, _set, mono_grading
+from .ring import Monomial, Side, _Record, mono_grading
 from .standard import _gradings, _require_standard, format_spec, is_symmetric, realize, shift_spec
 
 
 class PhiTable(_Record):
-    """Signed parameter counts, keyed by (side, exponent pair)."""
+    """Signed parameter counts, keyed by (side, exponent pair).
+
+    ``entries`` is a sorted tuple of ``((side, exp), count)`` with nonzero count.
+    """
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        _set(self, "entries", entries)  # sorted ((side, exp), count) with nonzero count
 
     def count(self, side, exp):
         for (s, e), c in self.entries:
@@ -69,26 +69,6 @@ class InvariantReport(_Record):
         "unknotting_lb", "p_u", "p_v", "symmetric", "lspace_obstruction",
         "seifert_pos_obstruction", "seifert_neg_obstruction",
     )
-
-    def __init__(
-        self, phi, tau, epsilon_zero, epsilon_sign, big_n, genus_lb, genus_lb_ceil,
-        unknotting_lb, p_u, p_v, symmetric, lspace_obstruction,
-        seifert_pos_obstruction, seifert_neg_obstruction,
-    ):
-        _set(self, "phi", phi)
-        _set(self, "tau", tau)
-        _set(self, "epsilon_zero", epsilon_zero)
-        _set(self, "epsilon_sign", epsilon_sign)
-        _set(self, "big_n", big_n)
-        _set(self, "genus_lb", genus_lb)
-        _set(self, "genus_lb_ceil", genus_lb_ceil)
-        _set(self, "unknotting_lb", unknotting_lb)
-        _set(self, "p_u", p_u)
-        _set(self, "p_v", p_v)
-        _set(self, "symmetric", symmetric)
-        _set(self, "lspace_obstruction", lspace_obstruction)
-        _set(self, "seifert_pos_obstruction", seifert_pos_obstruction)
-        _set(self, "seifert_neg_obstruction", seifert_neg_obstruction)
 
     def to_json(self):
         return {

@@ -60,7 +60,6 @@ from .ring import (
     ZERO,
     _Record,
     _TABLES,
-    _set,
     elem_grading,
     elem_monomials,
     elem_mul,
@@ -83,18 +82,15 @@ class VerificationError(RuntimeError):
 
 
 class LocalMapCert(_Record):
-    """A grading-shifted module map witnessing one local-order inequality."""
+    """A grading-shifted module map witnessing one local-order inequality.
+
+    ``matrix`` maps (source index, target index) to a ``RingElem``, and
+    ``kind`` is ``"full"`` or ``"short"``.
+    """
 
     __slots__ = ("source", "target", "gr2shift", "matrix", "kind")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, source, target, gr2shift, matrix, kind):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "gr2shift", gr2shift)
-        _set(self, "matrix", matrix)  # (source index, target index) -> RingElem
-        _set(self, "kind", kind)  # "full" | "short"
 
     def to_json(self):
         entries = [
@@ -111,11 +107,9 @@ class LocalMapCert(_Record):
 
 
 class ExtantSet(_Record):
-    __slots__ = ("u_coeffs", "v_coeffs")
+    """Each side's extant coefficients, as a frozenset of exponent pairs."""
 
-    def __init__(self, u_coeffs, v_coeffs):
-        _set(self, "u_coeffs", u_coeffs)  # frozenset of exponent pairs
-        _set(self, "v_coeffs", v_coeffs)
+    __slots__ = ("u_coeffs", "v_coeffs")
 
     def for_side(self, side):
         return self.u_coeffs if side is Side.U else self.v_coeffs

@@ -33,11 +33,21 @@ _set = object.__setattr__  # how a record's ``__init__`` sets its fields
 class _Record:
     """Base of the package's immutable records, whose fields are their ``__slots__``.
 
+    The shared ``__init__`` takes the fields positionally or by keyword, in
+    ``__slots__`` order, and raises ``TypeError`` naming the class and the
+    field on too many arguments, a missing field, a field given twice or an
+    unknown keyword.  Six records write their own ``__init__``.
+    ``RingElem``, ``Monomial`` and ``SignedParam`` set their fields with
+    ``object.__setattr__``: they are built in the inner loops, where the
+    shared one measured 5-11% slower per small standardization.
+    ``FreeComplex`` and ``FUVComplex``, which give a fresh ``{}`` when
+    ``diff`` is omitted, and ``StandardSpec``, which checks its parameters,
+    pass their fields on to the shared one.
+
     Records compare equal, and hash, by their fields' values (``_fields``,
     a tuple unless there is one field); a record of another class is never
     equal.  The default repr is ``Name(field=value, ...)``.  Assigning or
-    deleting an attribute raises ``AttributeError``; each record's
-    ``__init__`` sets its fields with ``object.__setattr__``.
+    deleting an attribute raises ``AttributeError``.
     """
 
     __slots__ = ()
@@ -46,6 +56,21 @@ class _Record:
         names = cls.__dict__.get("__slots__")
         if names:
             cls._fields = property(attrgetter(*names))
+
+    def __init__(self, *args, **kwargs):
+        names, cls = self.__slots__, type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError("%s takes %d fields %s, not %d" % (cls, len(names), names, len(args)))
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError("%s is missing field %r" % (cls, name))
+            _set(self, name, kwargs.pop(name))
+        if kwargs:  # an unknown keyword, or a positional field given again
+            name = next(iter(kwargs))
+            why = "repeats field" if name in names else "has no field"
+            raise TypeError("%s %s %r" % (cls, why, name))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -69,8 +94,26 @@ class _Record:
 
 
 def _brief(value):
-    """``repr(value)`` cut to 80 characters, so an error stays one short line."""
-    text = repr(value)
+    """``repr(value)`` cut to 80 characters, so an error stays one short line.
+
+    It never raises.  Where ``repr`` fails on an int past Python's digit
+    limit for string conversion, that int prints as ``<N digits>``, its
+    digit count, and each record or container holding it is taken apart: a
+    record prints as ``Name(field, ...)``, a tuple as ``(item, ...)`` and
+    another container as ``Name(item, ...)``, each part through ``_brief``.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            k = (abs(value).bit_length() - 1) * 30103 // 100000  # 10**k <= |value|
+            while 10**k <= abs(value):
+                k += 1
+            return "%s<%d digits>" % ("-" if value < 0 else "", k)
+        record = isinstance(value, _Record)
+        items = [getattr(value, f) for f in value.__slots__] if record else value
+        name = "" if isinstance(value, tuple) else value.__class__.__qualname__
+        text = "%s(%s)" % (name, ", ".join(map(_brief, items)))
     return text if len(text) <= 80 else text[:77] + "..."
 
 

@@ -20,7 +20,6 @@ from .ring import (
     SignedParam,
     _Record,
     _brief,
-    _set,
     elem_from_mono,
     lattice_key,
     mono_grading,
@@ -34,15 +33,16 @@ from .ring import (
 class StandardSpec(_Record):
     """A parameter sequence over a ring, checked when it is built.
 
-    Each parameter must lie on the side of its position and be valid in the
-    ring; otherwise construction raises ``ValueError``.
+    ``params`` is a tuple of ``SignedParam``, of odd length for a
+    semistandard prefix.  Each parameter must lie on the side of its
+    position and be valid in the ring; otherwise construction raises
+    ``ValueError``.
     """
 
     __slots__ = ("ring", "params")
 
     def __init__(self, ring, params):
-        _set(self, "ring", ring)
-        _set(self, "params", params)  # of SignedParam; odd length for a semistandard prefix
+        super().__init__(ring, params)
         for k, p in enumerate(params, start=1):
             if p.side is not _expected_side(k):
                 raise ValueError(
@@ -174,15 +174,11 @@ class ShiftMap(_Record):
 
     Positive parameters <=! the threshold are multiplied by ``mult``; the
     rest are fixed.  Inverses shift so that the map commutes with inversion.
-    The threshold may be a positive or negative SignedParam or None (= 1).
+    The threshold may be a positive or negative SignedParam or None (= 1),
+    and ``mult`` is a Monomial.
     """
 
     __slots__ = ("side", "threshold", "mult")
-
-    def __init__(self, side, threshold, mult):
-        _set(self, "side", side)
-        _set(self, "threshold", threshold)  # SignedParam | None
-        _set(self, "mult", mult)  # Monomial
 
     def apply(self, p):
         if p.side is not self.side:

@@ -61,18 +61,34 @@ POOL_TEXTS = [
 ]
 
 
+def _int_digit_limit(limit):
+    """Hold the interpreter's integer digit limit at ``limit`` while the caller yields."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @pytest.fixture
 def no_int_digit_limit():
     """Lift the interpreter's integer digit limit for one test, where it has one."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+    yield from _int_digit_limit(0)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Set the interpreter's integer digit limit to its default, 4300, for one test.
+
+    Skips the test where the interpreter has no such limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int() has no digit limit")
+    yield from _int_digit_limit(4300)
 
 
 @pytest.fixture(scope="session")

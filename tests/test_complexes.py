@@ -26,6 +26,7 @@ from gridring import (
     validate_fuv,
 )
 from gridring.complexes import (
+    InvalidComplexError,
     NotKnotlikeError,
     QuotientHomology,
     fuv_image,
@@ -49,7 +50,7 @@ from gridring.ring import (
     v_mono,
 )
 from gridring import _gf2, io_json
-from gridring.localeq import _compose
+from gridring.localeq import _compose, standard_representative
 
 from conftest import (
     paired_gradings,
@@ -420,6 +421,45 @@ class TestValidate:
         far = RingElem(0, frozenset([(big, 0), (1, 0)]))
         C = FreeComplex(RingId.X, gens, {(0, 1): far})
         assert validate(C) == ["entry (a, b) = U[1,0]+U[1%s... is inhomogeneous" % ("0" * 67)]
+
+    def test_values_past_the_digit_limit_print_as_digit_counts(self, int_digit_limit):
+        # repr of these values raises ValueError; validate prints digit counts
+        big = 10**5000
+        bad = validate(FreeComplex(RingId.X, (("a", (big + 1, 0)),)))
+        assert bad == ["generator a has gradings of mixed parity (<5001 digits>, 0)"]
+        assert len(bad) == 1 and len(bad[0]) <= 80
+        gens = (("a", (0, 0)), ("b", (-1, -1)))
+        C = FreeComplex(RingId.X, gens, {(0, 1): RingElem(0, frozenset([(big, -1)]))})
+        assert validate(C) == [
+            "entry (a, b) = RingElem(0, frozenset((<5001 digits>, -1)), frozenset()) is not in ring X"
+        ]
+        C = FreeComplex(RingId.X, gens, {(-big, 0): ONE_ELEM})
+        assert validate(C) == ["differential entry (-<5001 digits>, 0) out of range"]
+        # valid entries U^big twice over: d^2 is U^(2 big)
+        gens = (("a", (0, 0)), ("b", (2 * big - 1, -1)), ("c", (4 * big - 2, -2)))
+        ub = RingElem(0, frozenset([(big, 0)]))
+        C = FreeComplex(RingId.X, gens, {(0, 1): ub, (1, 2): ub})
+        assert validate(C) == [
+            "d^2 is nonzero: (a -> c) = RingElem(0, frozenset((<5001 digits>, 0)), frozenset())"
+        ]
+
+    def test_scalar_is_zero_or_one(self):
+        # a degree-(1, 1) arrow may carry the scalar 1 only
+        gens = (("a", (0, 0)), ("b", (-1, -1)))
+        assert validate(FreeComplex(RingId.X, gens, {(0, 1): ONE_ELEM})) == []
+        for scalar in (-1, 2, 3):
+            C = FreeComplex(RingId.X, gens, {(0, 1): RingElem(scalar=scalar)})
+            assert validate(C) == ["entry (a, b) has scalar %d, not 0 or 1" % scalar]
+            with pytest.raises(InvalidComplexError, match="has scalar"):
+                standard_representative(C)
+        # a bad scalar beside a side part, and on an arrow of another degree
+        e = RingElem(-1, frozenset([(1, 0)]))
+        assert validate(FreeComplex(RingId.X, gens, {(0, 1): e})) == [
+            "entry (a, b) has scalar -1, not 0 or 1"
+        ]
+        gens = (("a", (0, 0)), ("b", (1, 1)))
+        C = FreeComplex(RingId.X, gens, {(0, 1): RingElem(scalar=-1)})
+        assert validate(C) == ["entry (a, b) has scalar -1, not 0 or 1"]
 
     def test_d_squared_detected(self):
         gens = (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2)))

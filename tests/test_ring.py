@@ -470,3 +470,109 @@ class TestRecords:
         # a paired basis, like a certificate, is equal only to itself
         a, b = paired_basis(C, Side.U), paired_basis(C, Side.U)
         assert a == a and a != b and len({a, b}) == 2
+
+
+def _record_classes():
+    """Every concrete record class, found through ``_Record.__subclasses__()``."""
+    import gridring.cli  # noqa: F401 -- imports every module that defines a record
+    from gridring.ring import _Record
+
+    found, todo = set(), [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return {cls for cls in found if cls.__dict__.get("__slots__")}
+
+
+def _cold_records():
+    """One of each record that builds through the shared constructor."""
+    from gridring.complexes import PairedBasis, QuotientHomology
+    from gridring.invariants import PhiTable, report
+    from gridring.localeq import ExtantSet, LocalMapCert
+    from gridring.standard import ShiftMap, make_spec
+
+    p = SignedParam(Side.U, 1, (1, 0))
+    rep = report(make_spec(RingId.X, [p, SignedParam(Side.V, -1, (1, 0))]))
+    return [
+        PairedBasis(Side.U, (1, 2), ((0, 1, u_mono(1, 0)),), (2,)),
+        QuotientHomology(Side.V, 1, (0,), ((v_mono(1, 0), -1),)),
+        rep.phi,
+        rep,
+        LocalMapCert("C(0)", "complex", 0, {(0, 0): ONE_ELEM}, "full"),
+        ExtantSet(frozenset([(1, 0)]), frozenset()),
+        ShiftMap(Side.U, p, u_mono(0, 1)),
+    ]
+
+
+class TestSharedConstructor:
+    """Records without their own ``__init__`` take their fields by position or keyword."""
+
+    OWN_INIT = {"RingElem", "Monomial", "SignedParam", "FreeComplex", "FUVComplex", "StandardSpec"}
+
+    def test_only_six_records_write_their_own_init(self):
+        classes = _record_classes()
+        assert len(classes) == 13
+        own = {cls.__name__ for cls in classes if "__init__" in cls.__dict__}
+        assert own == self.OWN_INIT
+        cold = {type(rec) for rec in _cold_records()}
+        assert cold == {cls for cls in classes if cls.__name__ not in self.OWN_INIT}
+
+    def test_keyword_equals_positional(self):
+        for rec in _cold_records():
+            cls, names = type(rec), rec.__slots__
+            values = [getattr(rec, name) for name in names]
+            by_position = cls(*values)
+            by_keyword = cls(**dict(zip(names, values)))
+            mixed = cls(*values[:1], **dict(zip(names[1:], values[1:])))
+            for built in (by_position, by_keyword, mixed):
+                assert type(built) is cls
+                assert [getattr(built, name) for name in names] == values
+                assert repr(built) == repr(rec)
+                # field equality, except for the two records equal only to themselves
+                assert (built == rec) is (cls.__name__ not in ("PairedBasis", "LocalMapCert"))
+
+    def test_bad_arguments_raise_type_error(self):
+        from gridring.localeq import ExtantSet
+        from gridring.standard import ShiftMap
+
+        u, v = frozenset([(1, 0)]), frozenset()
+        cases = [
+            (lambda: ExtantSet(u, v, v), r"ExtantSet takes 2 fields \('u_coeffs', 'v_coeffs'\), not 3"),
+            (lambda: ExtantSet(u), r"ExtantSet is missing field 'v_coeffs'"),
+            (lambda: ExtantSet(v_coeffs=v), r"ExtantSet is missing field 'u_coeffs'"),
+            (lambda: ExtantSet(u, v, u_coeffs=u), r"ExtantSet repeats field 'u_coeffs'"),
+            (lambda: ExtantSet(u, v, w_coeffs=u), r"ExtantSet has no field 'w_coeffs'"),
+            (lambda: ShiftMap(Side.U, None, mult=u_mono(1, 0), side=Side.U), r"ShiftMap repeats field 'side'"),
+        ]
+        for build, message in cases:
+            with pytest.raises(TypeError, match="^%s$" % message):
+                build()
+
+
+class TestBrief:
+    """``_brief`` never raises: an int past the digit limit prints as its digit count."""
+
+    pytestmark = pytest.mark.usefixtures("int_digit_limit")
+
+    def test_digit_counts_at_powers_of_ten(self):
+        from gridring.ring import _brief
+
+        for digits in (4301, 4302, 5000, 9999, 30103, 30104):
+            for n in (10 ** (digits - 1), 10**digits - 1, 10 ** (digits - 1) + 7):
+                assert _brief(n) == "<%d digits>" % digits
+                assert _brief(-n) == "-<%d digits>" % digits
+
+    def test_containers_and_records(self):
+        from gridring.ring import _brief
+
+        big = 10**5000
+        assert _brief((big + 1, 0)) == "(<5001 digits>, 0)"
+        assert _brief([1, -big]) == "list(1, -<5001 digits>)"
+        assert _brief(SignedParam(Side.U, 1, (big, 0))) == "SignedParam(<Side.U: 'U'>, 1, (<5001 digits>, 0))"
+        e = RingElem(0, frozenset([(big, -1)]))
+        assert _brief(e) == "RingElem(0, frozenset((<5001 digits>, -1)), frozenset())"
+        # values within the limit print as repr does, cut to 80 characters
+        assert _brief((1, 0)) == "(1, 0)" and _brief(SignedParam(Side.V, 1, (2, 1))) == "+V[2,1]"
+        assert _brief(tuple(range(100))) == repr(tuple(range(100)))[:77] + "..."
+        assert len(_brief([big] * 50)) == 80
