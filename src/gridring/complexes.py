@@ -95,10 +95,10 @@ def validate(C):
     ``elem_grading``: its scalar is not 0 or 1, or it is not in the ring,
     or inhomogeneous, or else of another grading.  Once every entry passes,
     d^2 is computed on the entries' part bits (``_square_defects``).
-    ``check_certificate`` keeps the ``RingElem`` product ``_compose``, an
-    arithmetic independent of this one.  The keys, gradings and entries a
-    violation prints are cut to 80 characters (``ring._brief``), so each
-    stays one short line.
+    ``check_certificate`` forms its chain defect with its own product on
+    exponent pairs (``localeq._chain_defect``), an arithmetic independent
+    of this one.  The keys, gradings and entries a violation prints are cut
+    to 80 characters (``ring._brief``), so each stays one short line.
     """
     out = []
     names = [nm for nm, _gr in C.generators]
@@ -153,7 +153,7 @@ def validate(C):
 
 
 def _square_defects(C, parts):
-    """The nonzero entries of d^2, as ``((i, k), RingElem)`` in ``_compose``'s order.
+    """The nonzero entries of d^2, as ``((i, k), RingElem)`` in the order of their first product.
 
     ``parts[t]`` holds the part bits of the t-th entry of ``C.diff`` (1:
     scalar, 2: U side, 4: V side), every entry valid, so a scalar entry has
@@ -162,8 +162,11 @@ def _square_defects(C, parts):
     product is its part bits: the other factor's when one factor is the
     scalar, else the side bits both factors share.  One parity is kept per
     (i, k), and zero products are skipped, so the keys come in the order of
-    their first nonzero product, as in ``_compose``; each nonzero parity is
-    read back as an element of the grading table.
+    their first nonzero product, entry d[i,j] by entry and then along row j
+    (the order of the tests' reference product); each nonzero parity is
+    read back as an element of the grading table.  The certificate
+    checker's chain defect (``localeq._chain_defect``) keeps whole
+    exponent sets instead, and reads no table.
     """
     out_of = [[] for _ in range(C.n_gens())]
     for (j, k), b in zip(C.diff, parts):

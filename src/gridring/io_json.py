@@ -94,8 +94,8 @@ def document_to_complex(doc):
         raise DocumentError("document must be a JSON object")
     if doc.get("schemaVersion") != SCHEMA_VERSION:
         raise DocumentError(
-            "unsupported schemaVersion %r (expected %d)"
-            % (doc.get("schemaVersion"), SCHEMA_VERSION)
+            "unsupported schemaVersion %s (expected %d)"
+            % (_brief(doc.get("schemaVersion")), SCHEMA_VERSION)
         )
     ring = doc.get("ring")
     if ring not in ("R", "X"):

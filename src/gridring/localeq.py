@@ -57,12 +57,10 @@ from .ring import (
     RingId,
     Side,
     SignedParam,
-    ZERO,
     _Record,
     _TABLES,
     elem_grading,
     elem_monomials,
-    elem_mul,
     elem_ok,
     lattice_key,
     mono_text,
@@ -485,31 +483,80 @@ def find_local_map(spec, target, kind="full"):
     return LocalMapCert(format_spec(spec), "target", shift, matrix, kind)
 
 
-def _compose(da, db):
-    """Matrix product of two sparse RingElem differentials."""
-    from_b = {}
-    for (j, k), e in db.items():
-        from_b.setdefault(j, []).append((k, e))
-    out = {}
-    for (i, j), e1 in da.items():
-        for k, e2 in from_b.get(j, ()):
-            p = elem_mul(e1, e2)
-            if p:
-                out[(i, k)] = out.get((i, k), ZERO) + p
-    return {key: e for key, e in out.items() if e}
+def _defect_products(f, d_src, d_tgt):
+    """The term products ``(i, k, a, b)`` of f∘d_tgt and of d_src∘f.
+
+    The map's entries are grouped by target and by source generator, so each
+    differential is read once, entry by entry.
+    """
+    cols, rows = {}, {}
+    for (i, j), e in f.items():
+        cols.setdefault(j, []).append((i, e))
+        rows.setdefault(i, []).append((j, e))
+    for (j, k), b in d_tgt.items():
+        for i, a in cols.get(j, ()):
+            yield i, k, a, b
+    for (i, j), a in d_src.items():
+        for k, b in rows.get(j, ()):
+            yield i, k, a, b
 
 
-def check_certificate(src, tgt, cert, src_mask=1):
+def _chain_defect(f, d_src, d_tgt):
+    """The terms of the chain defect f∘d_tgt + d_src∘f, as a set of ``(i, k, side, x, y)``.
+
+    ``side`` is 0 for the scalar, whose exponent reads (0, 0), 1 for a
+    U-side exponent (x, y) and 2 for a V-side one.  Each product is formed on
+    the entries' exponent pairs: a scalar factor passes the other factor's
+    terms, two terms on one side add their exponents, and opposite sides
+    vanish.  Every term is listed, and those listed an odd number of times
+    are the defect's; no ``RingElem`` is built and no grading table is
+    read.  A scalar counts as a bit, set when it is nonzero.
+    """
+    found = []
+    put = found.append
+    for i, k, a, b in _defect_products(f, d_src, d_tgt):
+        if a.scalar:
+            if b.scalar:
+                put((i, k, 0, 0, 0))
+            for x, y in b.u:
+                put((i, k, 1, x, y))
+            for x, y in b.v:
+                put((i, k, 2, x, y))
+        if b.scalar:
+            for x, y in a.u:
+                put((i, k, 1, x, y))
+            for x, y in a.v:
+                put((i, k, 2, x, y))
+        for x, y in a.u:
+            for z, w in b.u:
+                put((i, k, 1, x + z, y + w))
+        for x, y in a.v:
+            for z, w in b.v:
+                put((i, k, 2, x + z, y + w))
+    odd = set()
+    for t in found:
+        if t in odd:
+            odd.remove(t)
+        else:
+            odd.add(t)
+    return odd
+
+
+def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     """Independent verification of a certificate; returns violation strings.
 
     Checks the entries' ring membership, homogeneity and gradings, the
     chain-map identities (minus the dropped condition for short
-    certificates) by direct matrix algebra, and locality against a freshly
-    computed paired basis of the target.  Entries out of range are reported
-    alone, since every other check indexes their generators.  The solver
-    builds its entries from the ring's grading table, so this check reads
-    none of it: ``elem_ok``, ``elem_grading`` and ``_compose`` work on the
-    entries' exponents.
+    certificates) by direct matrix algebra, and locality against the tower
+    functional ``tgt_w`` of the target, computed from a fresh paired basis
+    of the target when it is None.  ``standardize``'s forward check passes
+    the functional its search solved against: a paired basis is
+    deterministic, so a second one of the same complex adds no
+    independence.  Entries out of range are reported alone, since every
+    other check indexes their generators.  The solver builds its entries
+    from the ring's grading table, so this check reads none of it:
+    ``elem_ok``, ``elem_grading`` and the chain defect's product
+    (``_chain_defect``) work on the entries' exponents.
     """
     n_src, n_tgt = src.n_gens(), tgt.n_gens()
     out = [
@@ -535,24 +582,25 @@ def check_certificate(src, tgt, cert, src_mask=1):
         want = (src.gr(i)[0] - tgt.gr(j)[0], src.gr(i)[1] + s - tgt.gr(j)[1])
         if gr != want:
             out.append("entry (%d, %d) has grading %s, expected %s" % (i, j, gr, want))
-    delta = _compose(cert.matrix, tgt.diff)
-    for key, e in _compose(src.diff, cert.matrix).items():
-        delta[key] = delta.get(key, ZERO) + e
     skip = _short_skip(src.n_gens() - 1) if cert.kind == "short" else None
-    for (i, k), e in sorted(delta.items()):
-        if e.scalar:
+    parts = {}  # per (i, k), the defect's part bits: 1 scalar, 2 U side, 4 V side
+    for i, k, side, _x, _y in _chain_defect(cert.matrix, src.diff, tgt.diff):
+        parts[(i, k)] = parts.get((i, k), 0) | (1 << side)
+    for (i, k), bits in sorted(parts.items()):
+        if bits & 1:
             out.append("chain defect has a unit part at (%d, %d)" % (i, k))
-        for side, part in ((Side.U, e.u), (Side.V, e.v)):
-            if part and skip != (i, side):
+        for side, bit in ((Side.U, 2), (Side.V, 4)):
+            if bits & bit and skip != (i, side):
                 out.append(
                     "chain condition fails at generator %d on side %s" % (i, side.value)
                 )
-    try:
-        w, _em = tower_functional(paired_basis(tgt, Side.V))
-    except (NotKnotlikeError, ValueError) as exc:
-        out.append("target tower not available: %s" % exc)
-        return out
-    if _tower_coefficient(cert.matrix, src_mask, w) != 1:
+    if tgt_w is None:
+        try:
+            tgt_w, _em = tower_functional(paired_basis(tgt, Side.V))
+        except (NotKnotlikeError, ValueError) as exc:
+            out.append("target tower not available: %s" % exc)
+            return out
+    if _tower_coefficient(cert.matrix, src_mask, tgt_w) != 1:
         out.append("image of the source tower misses the target tower")
     return out
 
@@ -598,7 +646,9 @@ def standardize(C, trace=None):
     probe only eliminates; the stopping probe alone is back-substituted,
     into the forward certificate, and only the returned spec is realized.
     The paired bases and the target each read C's side exponents where
-    they use them.  ``trace``, when given, receives one ``(step, parameter or
+    they use them, and the forward check reads the tower functional the
+    search solved against, so C's paired bases are built once per side.
+    ``trace``, when given, receives one ``(step, parameter or
     None, feasible)`` tuple per probe, in probe order.
     """
     _require_valid(C)
@@ -650,7 +700,7 @@ def _standardize(C, pb_u, pb_v, trace=None):
     if matrix is None:
         raise VerificationError("no local map back to the standard representative")
     back = LocalMapCert("complex", format_spec(spec), -shift, matrix, "full")
-    bad = check_certificate(std, C, fwd)
+    bad = check_certificate(std, C, fwd, tgt_w=w_tgt)
     if bad:
         raise VerificationError("forward certificate failed: " + "; ".join(bad))
     bad = check_certificate(C, std, back, src_mask=elem_mask)

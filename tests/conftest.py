@@ -4,11 +4,13 @@ The exponent windows, ``direct_sum``, ``acyclic_pair`` and ``pad`` come from
 the benchmark corpus.  The ``reference_elem_*`` functions are the
 ``Monomial``-based ring tests and a set-based product, kept here so that the
 reference checks share no arithmetic with ``gridring.ring``'s exponent
-kernels, ``reference_grading_basis`` is the basis of one bigrading
-monomial by monomial, against ``ring``'s grading table, and
-``reference_extant`` is the extant pool read off the ring's monomials,
-against ``localeq._extant``'s integer form.  ``paired_gradings`` derives
-a paired basis's gradings from the complex, which owns them.
+kernels, ``reference_compose`` is the ``RingElem`` matrix product, against
+the certificate checker's exponent-pair kernel, ``reference_grading_basis``
+is the basis of one bigrading monomial by monomial, against ``ring``'s
+grading table, and ``reference_extant`` is the extant pool read off the
+ring's monomials, against ``localeq._extant``'s integer form.
+``paired_gradings`` derives a paired basis's gradings from the complex,
+which owns them.
 ``random_spec`` and ``scramble`` stay here: the corpus's ``random_spec``
 takes a parameter count and its ``scramble`` also shuffles the
 generators, so they would draw other test inputs.
@@ -35,6 +37,7 @@ from gridring import (
 from gridring.ring import (
     MONO_ONE,
     Monomial,
+    ZERO,
     RingElem,
     elem_from_mono,
     elem_monomials,
@@ -155,6 +158,25 @@ def reference_elem_mul(a, b):
         frozenset(x for p, x in out if p == "U"),
         frozenset(x for p, x in out if p == "V"),
     )
+
+
+def reference_compose(da, db):
+    """Matrix product of two sparse ``RingElem`` differentials, entry by ``elem_mul``.
+
+    The ``localeq._compose`` the certificate checker used before its
+    exponent-pair kernel (``localeq._chain_defect``): the keys come in the
+    order of their first nonzero product, and zero sums are dropped.
+    """
+    from_b = {}
+    for (j, k), e in db.items():
+        from_b.setdefault(j, []).append((k, e))
+    out = {}
+    for (i, j), e1 in da.items():
+        for k, e2 in from_b.get(j, ()):
+            p = elem_mul(e1, e2)
+            if p:
+                out[(i, k)] = out.get((i, k), ZERO) + p
+    return {key: e for key, e in out.items() if e}
 
 
 def reference_grading_basis(ring, gr):

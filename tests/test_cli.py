@@ -117,6 +117,12 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             document_to_complex(doc)
 
+    def test_schema_version_past_the_digit_limit(self, int_digit_limit):
+        # the version prints as its digit count, so the error is a DocumentError
+        with pytest.raises(DocumentError) as info:
+            document_to_complex({"schemaVersion": 10**5000})
+        assert str(info.value) == "unsupported schemaVersion <5001 digits> (expected 1)"
+
     @pytest.mark.parametrize("base, first, second", REPEATED_ENTRIES)
     def test_repeated_entry_rejected(self, base, first, second):
         # a second record for one entry neither replaces nor adds to the first

@@ -50,12 +50,13 @@ from gridring.ring import (
     v_mono,
 )
 from gridring import _gf2, io_json
-from gridring.localeq import _compose, standard_representative
+from gridring.localeq import standard_representative
 
 from conftest import (
     paired_gradings,
     param_grading,
     random_spec,
+    reference_compose,
     reference_elem_grading,
     reference_elem_ok,
     same_complex,
@@ -73,8 +74,8 @@ def reference_validate(C):
     membership and gradings through the ``Monomial``-based
     ``reference_elem_ok`` and ``reference_elem_grading`` on ``RingElem``
     entries, and d^2 through the ``RingElem`` product
-    ``_compose``.  The current one must return the same list, content and
-    order.
+    ``reference_compose``.  The current one must return the same list,
+    content and order.
     """
     out = []
     names = [nm for nm, _gr in C.generators]
@@ -106,7 +107,7 @@ def reference_validate(C):
                 % (C.name(i), C.name(j), gr, want)
             )
     if not out:
-        sq = _compose(C.diff, C.diff)
+        sq = reference_compose(C.diff, C.diff)
         for (i, k), e in sq.items():
             out.append("d^2 is nonzero: (%s -> %s) = %r" % (C.name(i), C.name(k), e))
     return out

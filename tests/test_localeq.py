@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridring import (
     EQUAL,
@@ -38,23 +39,33 @@ from gridring.localeq import (
     _Search,
     _T,
     _Target,
+    _chain_defect,
     _descending,
     _matrix,
     _short_skip,
     _solve_map,
     _tower_coefficient,
 )
-from gridring.ring import ZERO, elem_from_mono, elem_monomials, in_region, param_key, u_mono
+from gridring.ring import (
+    ZERO,
+    RingElem,
+    elem_from_mono,
+    elem_monomials,
+    in_region,
+    param_key,
+    u_mono,
+)
 from gridring.standard import make_spec
 
 from conftest import (
+    reference_compose,
     reference_extant,
     reference_grading_basis,
     random_spec,
     scramble,
     wide_product,
 )
-from corpus import acyclic_pair, direct_sum, inputs, pad
+from corpus import WINDOW_R, WINDOW_X, acyclic_pair, direct_sum, inputs, pad
 
 
 def _search_input(which):
@@ -501,6 +512,106 @@ class TestFindLocalMap:
         assert lex_compare(a, c) == LESS
 
 
+@st.composite
+def _defect_inputs(draw):
+    """A map f and differentials d_src, d_tgt: sparse, unvalidated, over X or R.
+
+    Entries have up to three monomials per side from a small exponent
+    window, so products of different entries often share a term and cancel.
+    """
+    window = draw(st.sampled_from([WINDOW_X, WINDOW_R]))
+    exps = st.frozensets(st.sampled_from(window), max_size=3)
+    entry = st.builds(RingElem, st.integers(0, 1), exps, exps)
+    n_src, n_tgt = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def matrix(n, m):
+        keys = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+        return draw(st.dictionaries(keys, entry, max_size=3 * max(n, m)))
+
+    return matrix(n_src, n_tgt), matrix(n_src, n_src), matrix(n_tgt, n_tgt)
+
+
+def _defect_parts(terms):
+    """The kernel's terms per key (i, k) as (scalar bit, U set, V set)."""
+    parts = {}
+    for i, k, side, x, y in terms:
+        scalar, u, v = parts.get((i, k), (0, frozenset(), frozenset()))
+        if side == 0:
+            scalar ^= 1
+        elif side == 1:
+            u ^= {(x, y)}
+        else:
+            v ^= {(x, y)}
+        parts[(i, k)] = (scalar, u, v)
+    return parts
+
+
+def _recorded_checks(monkeypatch, workload, seed):
+    """The ``check_certificate`` calls of standardizing a workload's library inputs.
+
+    Each is (arguments, keyword arguments), as ``_standardize`` made it.
+    """
+    import gridring.localeq
+
+    calls = []
+    original = gridring.localeq.check_certificate
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gridring.localeq, "check_certificate", recording)
+    for case in inputs(workload, seed):
+        if case.complex is not None:
+            standard_representative(case.complex)
+    monkeypatch.undo()
+    return calls
+
+
+class TestCertificateCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_defect_inputs())
+    def test_chain_defect_matches_reference_product(self, case):
+        # per key, the kernel's scalar bit and side sets are the RingElem sum
+        f, d_src, d_tgt = case
+        want = reference_compose(f, d_tgt)
+        for key, e in reference_compose(d_src, f).items():
+            want[key] = want.get(key, ZERO) + e
+        want = {key: (e.scalar, e.u, e.v) for key, e in want.items() if e}
+        assert _defect_parts(_chain_defect(f, d_src, d_tgt)) == want
+        # d∘d + d∘d cancels term by term
+        assert _chain_defect(d_tgt, d_tgt, d_tgt) == set()
+
+    @pytest.mark.parametrize("workload", ["search-long", "wide-trivial"])
+    def test_given_tower_matches_fresh_basis(self, workload, monkeypatch):
+        # the forward check passes the search's tower; on every certificate,
+        # and on each with an entry dropped, the checker's verdict is the one
+        # a fresh paired basis of the target gives
+        for seed in (1, 2, 3):
+            calls = _recorded_checks(monkeypatch, workload, seed)
+            forward = [kwargs for _args, kwargs in calls if "tgt_w" in kwargs]
+            assert len(forward) == len(calls) // 2 > 0
+            for (src, tgt, cert, *_rest), kwargs in calls:
+                w = tower_functional(paired_basis(tgt, Side.V))[0]
+                assert kwargs.get("tgt_w", w) == w
+                src_mask = kwargs.get("src_mask", 1)
+                assert check_certificate(src, tgt, cert, **kwargs) == []
+                assert check_certificate(src, tgt, cert, src_mask, tgt_w=w) == []
+                for key in sorted(cert.matrix)[:3]:
+                    matrix = {k: e for k, e in cert.matrix.items() if k != key}
+                    bad = LocalMapCert(cert.source, cert.target, cert.gr2shift, matrix, cert.kind)
+                    got = check_certificate(src, tgt, bad, src_mask, tgt_w=w)
+                    assert got == check_certificate(src, tgt, bad, src_mask) != []
+
+    def test_zero_tower_misses(self):
+        # a functional of 0 is a given tower, not a missing one
+        X = normalize(reduce(base_change(example_cable())))
+        spec, fwd, _back = standardize(X)
+        assert check_certificate(realize(spec), X, fwd, tgt_w=0) == [
+            "image of the source tower misses the target tower"
+        ]
+
+
 class TestStandardize:
     def test_round_trip(self, pool):
         for spec in pool:
@@ -833,10 +944,11 @@ class TestStandardize:
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):
         # side rows are read where they are used: the input's by its two
-        # paired bases, once per side by the target of every trial, and on V
-        # by the forward check's fresh basis; the standard representative's
-        # once per side by the backward target and on V by the backward
-        # check.  The backward solve reads the input's arrows from C.diff.
+        # paired bases and once per side by the target of every trial (the
+        # forward check reuses the search's tower, so it builds no basis);
+        # the standard representative's once per side by the backward target
+        # and on V by the backward check.  The backward solve reads the
+        # input's arrows from C.diff.
         import gridring.complexes
         import gridring.localeq
 
@@ -855,15 +967,15 @@ class TestStandardize:
         assert len(trace) > 3
         others = {id(D) for D, _s in built if D is not C}
         assert len(others) == 1  # the standard representative
-        for side, of_input, of_std in ((Side.U, 2, 1), (Side.V, 3, 2)):
+        for side, of_input, of_std in ((Side.U, 2, 1), (Side.V, 2, 2)):
             assert sum(1 for D, s in built if D is C and s is side) == of_input
             assert sum(1 for D, s in built if D is not C and s is side) == of_std
 
     def test_paired_bases_computed_once(self, monkeypatch):
         # per call: both sides of the reduced input once (2), handed shifted
         # to the extant pool and the tower, and one fresh target basis for
-        # each certificate check (2); the standard representative's tower is
-        # x_0 in closed form
+        # the backward check (1): the forward check reuses the search's
+        # tower; the standard representative's tower is x_0 in closed form
         import gridring.complexes
         import gridring.localeq
 
@@ -879,7 +991,7 @@ class TestStandardize:
             monkeypatch.setattr(module, "paired_basis", counting)
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
-        assert calls == [Side.U, Side.V, Side.V, Side.V]
+        assert calls == [Side.U, Side.V, Side.V]
 
     def test_validated_once(self, monkeypatch):
         # reduce is a homotopy equivalence, so its output needs no second check
