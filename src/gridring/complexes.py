@@ -11,7 +11,7 @@ import heapq
 
 from . import _gf2
 from .ring import (
-    ONE_ELEM,
+    RingElem,
     RingId,
     Side,
     ZERO,
@@ -19,7 +19,6 @@ from .ring import (
     _Record,
     _TABLES,
     _brief,
-    elem_from_side_exp,
     elem_grading,
     elem_mul,
     elem_ok,
@@ -75,13 +74,10 @@ class FreeComplex(_Generators):
 class FUVComplex(_Generators):
     """A complex over F2[U,V]; ``diff`` maps (from, to) to a frozenset of (a, b), meaning U^a V^b.
 
-    An omitted ``diff`` is a fresh ``{}``.
+    It builds through the shared record constructor, so ``diff`` is required.
     """
 
     __slots__ = ("generators", "diff")
-
-    def __init__(self, generators, diff=None):
-        super().__init__(generators, {} if diff is None else diff)
 
 
 def validate(C):
@@ -90,15 +86,18 @@ def validate(C):
     A valid entry is a nonzero sum of basis monomials of its expected
     grading, so each entry is checked with one lookup in the ring's grading
     table (``ring._TABLES``) and three subset tests against the sum of that
-    grading's basis, the scalar being 0 or 1.  Only an entry that fails is
-    classified, by its scalar and then through ``elem_ok`` and
-    ``elem_grading``: its scalar is not 0 or 1, or it is not in the ring,
-    or inhomogeneous, or else of another grading.  Once every entry passes,
-    d^2 is computed on the entries' part bits (``_square_defects``).
-    ``check_certificate`` forms its chain defect with its own product on
-    exponent pairs (``localeq._chain_defect``), an arithmetic independent
-    of this one.  The keys, gradings and entries a violation prints are cut
-    to 80 characters (``ring._brief``), so each stays one short line.
+    grading's basis, the scalar being the int 0 or 1.  A bool scalar is the
+    int it subclasses, since every use of a scalar (XOR, AND, truth) treats
+    True as 1; a float or any other non-int is a violation.  Only an entry
+    that fails is classified, by its scalar and then through ``elem_ok``
+    and ``elem_grading``: its scalar is not the int 0 or 1, or it is not in
+    the ring, or inhomogeneous, or else of another grading.  Once every
+    entry passes, d^2 is computed on the entries' part bits
+    (``_square_defects``).  ``check_certificate`` forms its chain defect
+    with its own product on exponent pairs (``localeq._chain_defect``), an
+    arithmetic independent of this one.  The keys, gradings and entries a
+    violation prints are cut to 80 characters (``ring._brief``), so each
+    stays one short line.
     """
     out = []
     names = [nm for nm, _gr in C.generators]
@@ -122,10 +121,10 @@ def validate(C):
         (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
         want = (gi1 - gj1 - 1, gi2 - gj2 - 1)
         full = table[want][3][-1]
-        if 0 <= s <= full.scalar and u <= full.u and v <= full.v:
+        if isinstance(s, int) and 0 <= s <= full.scalar and u <= full.u and v <= full.v:
             parts.append(s | (2 if u else 0) | (4 if v else 0))
             continue
-        if s not in (0, 1):
+        if s not in (0, 1) or not isinstance(s, int):
             out.append(
                 "entry (%s, %s) has scalar %s, not 0 or 1" % (C.name(i), C.name(j), _brief(s))
             )
@@ -192,15 +191,12 @@ def validate_fuv(C):
     """Structural checks of an F2[U,V] complex; returns violation strings.
 
     Base change into X is an injective ring map that preserves gradings, so
-    the checks of ``validate`` on the image give the same verdicts; only an
-    empty entry, which the base change drops, is checked here.
+    ``validate`` of the image gives the same verdicts.  The image keeps an
+    empty entry as a zero entry (``base_change`` drops it), which
+    ``validate`` reports as a stored zero entry among the other violations.
     """
-    out = [
-        "stored zero entry at (%s, %s)" % (C.name(i), C.name(j))
-        for (i, j), exps in C.diff.items()
-        if not exps
-    ]
-    return out or validate(base_change(C))
+    diff = {key: fuv_image(exps) for key, exps in C.diff.items()}
+    return validate(FreeComplex(RingId.X, tuple(C.generators), diff))
 
 
 def is_reduced(C):
@@ -214,28 +210,28 @@ def shift_gradings(C, shift):
     return FreeComplex(C.ring, gens, dict(C.diff))
 
 
-def fuv_image(a, b):
-    """Image in X of the monomial U^a V^b."""
-    if (a, b) == (0, 0):
-        return ONE_ELEM
-    return elem_from_side_exp(Side.U, (a, b)) + elem_from_side_exp(Side.V, (b, a))
+def fuv_image(exps):
+    """Image in X of the F2[U,V] element whose monomials U^a V^b are the pairs (a, b) of ``exps``.
+
+    The base change sends U to the U-side generator plus the V-side element
+    of the same grading, V symmetrically.  Cross-side products vanish, so
+    U^a V^b goes to the U-side monomial (a, b) plus the V-side monomial
+    (b, a), and U^0 V^0 to the scalar 1.  Distinct monomials have disjoint
+    images, so the image is read off ``exps`` directly: the scalar is 1 when
+    (0, 0) is in ``exps``, the U side is the other pairs and the V side the
+    same pairs swapped.  This is the one place the rule is written:
+    ``base_change``, ``validate_fuv`` and the FUV document reader call it.
+    """
+    u = frozenset(exps) - {(0, 0)}
+    return RingElem(1 if (0, 0) in exps else 0, u, frozenset([(b, a) for a, b in u]))
 
 
 def base_change(C):
-    """Extension of scalars from F2[U,V] into ring X.
+    """Extension of scalars from F2[U,V] into ring X, entry by entry through ``fuv_image``.
 
-    U goes to the sum of the U-side generator and the V-side element of the
-    same grading; V symmetrically.  Since cross-side products vanish, the
-    image of U^a V^b is the U-side monomial (a, b) plus the V-side monomial
-    (b, a), each dropped at exponent (0, 0) in favour of the scalar.
+    An empty entry, whose image is zero, is dropped.
     """
-    diff = {}
-    for (i, j), exps in C.diff.items():
-        acc = ZERO
-        for (a, b) in exps:
-            acc = acc + fuv_image(a, b)
-        if acc:
-            diff[(i, j)] = acc
+    diff = {key: fuv_image(exps) for key, exps in C.diff.items() if exps}
     return FreeComplex(RingId.X, tuple(C.generators), diff)
 
 

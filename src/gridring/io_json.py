@@ -86,9 +86,10 @@ def _endpoint(rec, key, index, pos):
 def document_to_complex(doc):
     """Parse a document; returns (complex, dY).
 
-    A base-FUV document comes back over X: each record U^a V^b adds its
-    image ``fuv_image(a, b)`` to the entry, so the result is the base
-    change of the F2[U,V] complex the records describe.
+    A base-FUV document comes back over X, as the base change of the
+    F2[U,V] complex its records describe: an entry's records U^a V^b are
+    XORed into one set of pairs (a, b), so a repeated monomial cancels, and
+    the entry is that set's image ``fuv_image``.
     """
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -130,7 +131,7 @@ def document_to_complex(doc):
             )
         seen.add((i, j))
         scalar = 0
-        u = set()
+        u = set()  # the U-side exponents, or an FUV entry's monomials (a, b)
         v = set()
         for c, m in enumerate(_records(rec, "coeff")):
             if base == "FUV":
@@ -140,10 +141,7 @@ def document_to_complex(doc):
                         "bad FUV monomial record differential[%d].coeff[%d]: %s"
                         % (pos, c, _brief(m))
                     )
-                image = fuv_image(a, b)
-                scalar ^= image.scalar
-                u ^= image.u
-                v ^= image.v
+                u.symmetric_difference_update([(a, b)])
             else:
                 part = m.get("part")
                 if part == "K":
@@ -154,7 +152,7 @@ def document_to_complex(doc):
                     raise DocumentError(
                         "bad monomial record differential[%d].coeff[%d]: %s" % (pos, c, _brief(m))
                     )
-        e = RingElem(scalar, frozenset(u), frozenset(v))
+        e = fuv_image(u) if base == "FUV" else RingElem(scalar, frozenset(u), frozenset(v))
         if e:
             diff[(i, j)] = e
     return FreeComplex(RingId(ring), tuple(gens), diff), dy

@@ -180,8 +180,8 @@ def test_criterion_7_invariant_suite():
         # base change is multiplicative on 200 random monomial pairs
         for _ in range(200):
             a1, b1, a2, b2 = (rng.randint(0, 4) for _ in range(4))
-            assert fuv_image(a1 + a2, b1 + b2) == elem_mul(
-                fuv_image(a1, b1), fuv_image(a2, b2)
+            assert fuv_image({(a1 + a2, b1 + b2)}) == elem_mul(
+                fuv_image({(a1, b1)}), fuv_image({(a2, b2)})
             )
 
         # duality is an involution

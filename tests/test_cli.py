@@ -22,6 +22,7 @@ from gridring import (
     validate_fuv,
 )
 from gridring.cli import run
+from gridring.complexes import fuv_image
 from gridring.io_json import (
     DocumentError,
     complex_to_document,
@@ -30,6 +31,7 @@ from gridring.io_json import (
     dump_json,
     spec_to_document,
 )
+from gridring.ring import ONE_ELEM
 
 from conftest import same_complex
 
@@ -105,6 +107,21 @@ class TestDocuments:
         back, dy = document_to_complex(doc)
         assert dy == 0
         assert back == base_change(C)
+
+    def test_fuv_records_are_xored(self):
+        # an entry's records U^a V^b are XORed into one set before its image
+        # is taken: a monomial given twice cancels, and the entry then drops
+        doc = complex_to_document(example_zhou(2))
+        rec = doc["differential"][0]
+        key = (0, 2)  # x0 -> y
+        rec["coeff"] = [{"U": 1, "V": 0}, {"U": 1, "V": 0}]
+        assert document_to_complex(doc)[0].diff == {(1, 2): fuv_image({(2, 1)})}
+        rec["coeff"] = [{"U": 0, "V": 0}]
+        assert document_to_complex(doc)[0].diff[key] == ONE_ELEM
+        rec["coeff"] = [{"U": 1, "V": 0}, {"U": 0, "V": 0}, {"U": 1, "V": 0}]
+        assert document_to_complex(doc)[0].diff[key] == ONE_ELEM
+        rec["coeff"] = [{"U": 1, "V": 0}] * 3
+        assert document_to_complex(doc)[0].diff[key] == fuv_image({(1, 0)})
 
     def test_round_trip_x(self):
         C = base_change(example_zhou(2))
@@ -377,6 +394,20 @@ class TestCli:
         bad = validate(document_to_complex(doc)[0])
         assert len(bad) == 2
         code, out, err = invoke(capsys, *[a.format(path) for a in argv])
+        assert code == 1 and not out
+        assert err == "error: %s: %s\n" % (path, "; ".join(bad))
+
+    @pytest.mark.parametrize("command, base", [("reduce", "S"), ("basechange", "FUV")])
+    def test_invalid_document_error_of_a_loaded_complex(self, capsys, tmp_path, command, base):
+        # the commands that emit a complex validate it on loading
+        C = example_cable()
+        doc = complex_to_document(base_change(C) if base == "S" else C)
+        doc["generators"][0]["gr"] = [3, -1]
+        path = tmp_path / "cable_bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        bad = validate(document_to_complex(doc)[0])
+        assert len(bad) == 2
+        code, out, err = invoke(capsys, command, str(path))
         assert code == 1 and not out
         assert err == "error: %s: %s\n" % (path, "; ".join(bad))
 

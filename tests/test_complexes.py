@@ -39,7 +39,6 @@ from gridring.ring import (
     RingElem,
     ZERO,
     elem_from_mono,
-    elem_from_side_exp,
     elem_monomials,
     elem_mul,
     grading_basis,
@@ -188,6 +187,11 @@ class ReferenceBasis:
     unpaired: tuple
 
 
+def _side_coeff(side, exp):
+    """Ring element for a side exponent, with (0, 0) meaning the scalar 1."""
+    return ONE_ELEM if exp == (0, 0) else elem_from_mono(Monomial(side, exp))
+
+
 def reference_paired_basis(C, side):
     """Change of basis putting the side-differential into paired form.
 
@@ -240,7 +244,7 @@ def reference_paired_basis(C, side):
         # Replace basis element q by (1/mu) d_side(g_p).
         newrow = [ZERO] * m
         for r, lexp in lam.items():
-            coeff = elem_from_side_exp(side, lexp)
+            coeff = _side_coeff(side, lexp)
             for t in range(m):
                 if basis[r][t]:
                     newrow[t] = newrow[t] + elem_mul(coeff, basis[r][t])
@@ -263,7 +267,7 @@ def reference_paired_basis(C, side):
             if i == p or D[i][q] is None:
                 continue
             lam2 = sub(D[i][q], mu)
-            coeff = elem_from_side_exp(side, lam2)
+            coeff = _side_coeff(side, lam2)
             for t in range(m):
                 if basis[p][t]:
                     basis[i][t] = basis[i][t] + elem_mul(coeff, basis[p][t])
@@ -445,22 +449,41 @@ class TestValidate:
         ]
 
     def test_scalar_is_zero_or_one(self):
-        # a degree-(1, 1) arrow may carry the scalar 1 only
+        # a degree-(1, 1) arrow may carry the scalar 1 only, as an int: a
+        # float is a violation even when it equals 0 or 1
         gens = (("a", (0, 0)), ("b", (-1, -1)))
         assert validate(FreeComplex(RingId.X, gens, {(0, 1): ONE_ELEM})) == []
-        for scalar in (-1, 2, 3):
+        for scalar in (-1, 2, 3, 1.0, 0.5, "1"):
             C = FreeComplex(RingId.X, gens, {(0, 1): RingElem(scalar=scalar)})
-            assert validate(C) == ["entry (a, b) has scalar %d, not 0 or 1" % scalar]
+            assert validate(C) == ["entry (a, b) has scalar %r, not 0 or 1" % scalar]
             with pytest.raises(InvalidComplexError, match="has scalar"):
                 standard_representative(C)
         # a bad scalar beside a side part, and on an arrow of another degree
-        e = RingElem(-1, frozenset([(1, 0)]))
-        assert validate(FreeComplex(RingId.X, gens, {(0, 1): e})) == [
-            "entry (a, b) has scalar -1, not 0 or 1"
-        ]
+        for scalar in (-1, 0.0):
+            e = RingElem(scalar, frozenset([(1, 0)]))
+            assert validate(FreeComplex(RingId.X, gens, {(0, 1): e})) == [
+                "entry (a, b) has scalar %r, not 0 or 1" % scalar
+            ]
         gens = (("a", (0, 0)), ("b", (1, 1)))
         C = FreeComplex(RingId.X, gens, {(0, 1): RingElem(scalar=-1)})
         assert validate(C) == ["entry (a, b) has scalar -1, not 0 or 1"]
+
+    def test_bool_scalar_is_its_int(self):
+        # True is 1 in validation, d^2, reduction and the search
+        gens = (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2)))
+        for unit in (1, True):
+            diff = {(0, 1): RingElem(scalar=unit), (1, 2): RingElem(scalar=unit)}
+            assert validate(FreeComplex(RingId.X, gens, diff)) == ["d^2 is nonzero: (a -> c) = 1"]
+        X = base_change(example_cable())
+        n = X.n_gens()
+        gens = X.generators + (("p", (0, 0)), ("q", (-1, -1)))
+        spec, fwd, back, shift = standard_representative(X)
+        want = (spec, fwd.to_json(), back.to_json(), shift)
+        for unit in (1, True):
+            C = FreeComplex(RingId.X, gens, {**X.diff, (n, n + 1): RingElem(scalar=unit)})
+            assert validate(C) == []
+            spec, fwd, back, shift = standard_representative(C)
+            assert (spec, fwd.to_json(), back.to_json(), shift) == want
 
     def test_d_squared_detected(self):
         gens = (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2)))
@@ -472,22 +495,32 @@ class TestValidate:
 class TestBaseChange:
     def test_u1v2(self):
         # U V^2 becomes the U-side (1,2) plus the V-side (2,1)
-        assert fuv_image(1, 2) == elem_from_mono(u_mono(1, 2)) + elem_from_mono(v_mono(2, 1))
+        assert fuv_image({(1, 2)}) == elem_from_mono(u_mono(1, 2)) + elem_from_mono(v_mono(2, 1))
 
     def test_pure_power(self):
-        assert fuv_image(3, 0) == elem_from_mono(u_mono(3, 0)) + elem_from_mono(v_mono(0, 3))
+        assert fuv_image({(3, 0)}) == elem_from_mono(u_mono(3, 0)) + elem_from_mono(v_mono(0, 3))
 
     def test_unital(self):
-        assert fuv_image(0, 0) == ONE_ELEM
+        assert fuv_image({(0, 0)}) == ONE_ELEM
 
     def test_multiplicative(self):
         rng = random.Random(3)
         for _ in range(200):
             a1, b1 = rng.randint(0, 4), rng.randint(0, 4)
             a2, b2 = rng.randint(0, 4), rng.randint(0, 4)
-            lhs = fuv_image(a1 + a2, b1 + b2)
-            rhs = elem_mul(fuv_image(a1, b1), fuv_image(a2, b2))
+            lhs = fuv_image({(a1 + a2, b1 + b2)})
+            rhs = elem_mul(fuv_image({(a1, b1)}), fuv_image({(a2, b2)}))
             assert lhs == rhs
+
+    @settings(max_examples=200, deadline=None)
+    @given(exps=st.frozensets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8))
+    def test_image_of_a_set_is_the_sum_of_its_monomials(self, exps):
+        # distinct monomials have disjoint images, so no sum is formed
+        acc = ZERO
+        for m in exps:
+            acc = acc + fuv_image({m})
+        assert fuv_image(exps) == acc
+        assert fuv_image(set(exps)) == acc
 
     def test_gradings_unchanged(self):
         z = example_zhou(3)

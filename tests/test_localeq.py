@@ -9,6 +9,7 @@ from gridring import (
     EQUAL,
     GREATER,
     LESS,
+    FreeComplex,
     RingId,
     Side,
     SignedParam,
@@ -47,6 +48,7 @@ from gridring.localeq import (
     _tower_coefficient,
 )
 from gridring.ring import (
+    ONE_ELEM,
     ZERO,
     RingElem,
     elem_from_mono,
@@ -433,7 +435,8 @@ class TestFindLocalMap:
         assert check_certificate(realize(spec), tgt, bad) != []
 
     def test_checker_reports_bad_entries(self):
-        # an entry out of range or inhomogeneous is a violation, not an exception
+        # an entry out of range, zero, outside the ring, inhomogeneous or of
+        # another grading is a violation, not an exception
         X = normalize(reduce(base_change(example_cable())))
         spec, fwd, _back = standardize(X)
         S = realize(spec)
@@ -443,6 +446,9 @@ class TestFindLocalMap:
             ((0, 99), u1, "entry (0, 99) out of range"),
             ((-1, 0), u1, "entry (-1, 0) out of range"),
             ((0, 0), u1 + elem_from_mono(u_mono(2, 0)), "entry (0, 0) is inhomogeneous"),
+            ((0, 0), ZERO, "stored zero entry at (0, 0)"),
+            ((0, 0), elem_from_mono(u_mono(-1, 0)), "entry (0, 0) not in the ring"),
+            ((0, 0), u1, "entry (0, 0) has grading (-2, 0), expected (-3, 1)"),
         ]
         for key, e, message in cases:
             cert = LocalMapCert(fwd.source, fwd.target, fwd.gr2shift, {**fwd.matrix, key: e}, fwd.kind)
@@ -603,6 +609,18 @@ class TestCertificateCheck:
                     got = check_certificate(src, tgt, bad, src_mask, tgt_w=w)
                     assert got == check_certificate(src, tgt, bad, src_mask) != []
 
+    def test_unit_defect_and_missing_tower(self):
+        # C(0) mapped by the unit onto an unreduced acyclic pair: the chain
+        # defect has a unit part, and the pair has no paired basis to give
+        # a tower
+        src = realize(parse_spec("C(0)"))
+        tgt = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (-1, -1))), {(0, 1): ONE_ELEM})
+        cert = LocalMapCert("C(0)", "pair", 0, {(0, 0): ONE_ELEM}, "full")
+        assert check_certificate(src, tgt, cert) == [
+            "chain defect has a unit part at (0, 1)",
+            "target tower not available: paired_basis needs a reduced complex",
+        ]
+
     def test_zero_tower_misses(self):
         # a functional of 0 is a given tower, not a missing one
         X = normalize(reduce(base_change(example_cable())))
@@ -612,7 +630,61 @@ class TestCertificateCheck:
         ]
 
 
+def _all_feasible(monkeypatch):
+    # every probe succeeds, and accepting a parameter only records it
+    monkeypatch.setattr(_Search, "probe", lambda self, p: {})
+    monkeypatch.setattr(_Search, "accept", lambda self, p: self.params.append(p))
+
+
+def _none_feasible(monkeypatch):
+    monkeypatch.setattr(_Search, "probe", lambda self, p: None)
+
+
+def _no_map_back(monkeypatch):
+    import gridring.localeq
+
+    monkeypatch.setattr(gridring.localeq, "_solve_map", lambda *args, **kwargs: None)
+
+
+def _backward_check_fails(monkeypatch):
+    # the forward check (each odd call) runs; the backward one reports a violation
+    import gridring.localeq
+
+    real, calls = gridring.localeq.check_certificate, []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs) if len(calls) % 2 else ["forced violation"]
+
+    monkeypatch.setattr(gridring.localeq, "check_certificate", second_fails)
+
+
+# a breakage of one step of the search and the VerificationError it must raise
+GUARDS = [
+    pytest.param(_all_feasible, "standardization exceeded the splitting bound", id="bound"),
+    pytest.param(_none_feasible, "no feasible parameter at step 1", id="infeasible"),
+    pytest.param(_no_map_back, "no local map back to the standard representative", id="no-map-back"),
+    pytest.param(_backward_check_fails, "backward certificate failed: forced violation", id="backward"),
+]
+
+
 class TestStandardize:
+    @pytest.mark.parametrize("breakage, message", GUARDS)
+    def test_guards_raise_and_cli_exits_3(self, breakage, message, monkeypatch, capsys, tmp_path):
+        from gridring.cli import run
+        from gridring.io_json import complex_to_document, dump_json
+
+        path = tmp_path / "cable.json"
+        path.write_text(dump_json(complex_to_document(example_cable())), encoding="utf-8")
+        breakage(monkeypatch)
+        with pytest.raises(VerificationError) as info:
+            standardize(normalize(reduce(base_change(example_cable()))))
+        assert str(info.value) == message
+        assert run(["standardize", str(path)]) == 3
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err == "internal verification failure: %s\n" % message
+
     def test_round_trip(self, pool):
         for spec in pool:
             got, fwd, back = standardize(realize(spec))

@@ -17,10 +17,14 @@ seeds 1-3, the conftest pool, and 40 seeded random specs over each ring.
 
 Regenerate both files, only for an intended change of output, with
 ``PYTHONPATH=src:bench python tests/test_outputs.py``.
+
+The benchmark's tracer (``bench/tracing.py``) looks up the library's entry
+points by name, so every name it traces must exist.
 """
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -31,6 +35,8 @@ import tempfile
 from conftest import POOL_TEXTS, random_spec
 from corpus import inputs
 from gridring import RingId, cli, io_json, parse_spec, report, standard_representative
+from gridring.localeq import LocalMapCert
+from tracing import TRACED
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "corpus_digests.json"
 REPORTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
@@ -108,6 +114,15 @@ def test_invariant_reports_unchanged():
     assert sorted(got) == sorted(want)
     changed = [key for key in want if got[key] != want[key]]
     assert changed == []
+
+
+def test_traced_names_exist():
+    # a removed or renamed entry point would break every --trace 1 run
+    for module, names in TRACED.items():
+        mod = importlib.import_module("gridring." + module)
+        missing = [name for name in names if not callable(getattr(mod, name, None))]
+        assert missing == [], "gridring.%s lacks %s" % (module, missing)
+    assert callable(getattr(LocalMapCert, "to_json", None))
 
 
 if __name__ == "__main__":
