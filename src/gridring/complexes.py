@@ -83,29 +83,39 @@ class FUVComplex(_Generators):
 def validate(C):
     """Structural checks; returns a list of violation strings (empty = ok).
 
-    A valid entry is a nonzero sum of basis monomials of its expected
-    grading, so each entry is checked with one lookup in the ring's grading
-    table (``ring._TABLES``) and three subset tests against the sum of that
-    grading's basis, the scalar being the int 0 or 1.  A bool scalar is the
-    int it subclasses, since every use of a scalar (XOR, AND, truth) treats
-    True as 1; a float or any other non-int is a violation.  Only an entry
-    that fails is classified, by its scalar and then through ``elem_ok``
-    and ``elem_grading``: its scalar is not the int 0 or 1, or it is not in
-    the ring, or inhomogeneous, or else of another grading.  Once every
-    entry passes, d^2 is computed on the entries' part bits
-    (``_square_defects``).  ``check_certificate`` forms its chain defect
-    with its own product on exponent pairs (``localeq._chain_defect``), an
-    arithmetic independent of this one.  The keys, gradings and entries a
-    violation prints are cut to 80 characters (``ring._brief``), so each
-    stays one short line.
+    Each generator's gradings must be a pair (tuple or list) of ints, a
+    bool being the int it subclasses; when one is not, the entries, which
+    read two gradings each, are not checked.  Each entry must be a
+    ``RingElem``.  A valid entry is a nonzero sum of basis monomials of its
+    expected grading, so each entry is checked with one lookup in the
+    ring's grading table (``ring._TABLES``) and three subset tests against
+    the sum of that grading's basis, the scalar being the int 0 or 1.  A
+    bool scalar is the int it subclasses, since every use of a scalar (XOR,
+    AND, truth) treats True as 1; a float or any other non-int is a
+    violation.  Only an entry that fails is classified, by its scalar and
+    then through ``elem_ok`` and ``elem_grading``: its scalar is not the
+    int 0 or 1, or it is not in the ring, or inhomogeneous, or else of
+    another grading.  Once every entry passes, d^2 is computed on the
+    entries' part bits (``_square_defects``), by the product
+    ``_part_products`` that ``localeq.check_certificate`` also forms its
+    chain defect with.  The keys, gradings and entries a violation prints
+    are cut to 80 characters (``ring._brief``), so each stays one short
+    line.
     """
     out = []
     names = [nm for nm, _gr in C.generators]
     if len(set(names)) != len(names):
         out.append("generator names are not unique")
-    for nm, (g1, g2) in C.generators:
-        if (g1 - g2) % 2:
+    paired = True
+    for nm, gr in C.generators:
+        g1, g2 = gr if isinstance(gr, (tuple, list)) and len(gr) == 2 else (None, None)
+        if not (isinstance(g1, int) and isinstance(g2, int)):
+            out.append("generator %s has gradings %s, not a pair of ints" % (nm, _brief(gr)))
+            paired = False
+        elif (g1 - g2) % 2:
             out.append("generator %s has gradings of mixed parity %s" % (nm, _brief((g1, g2))))
+    if not paired:
+        return out
     n = C.n_gens()
     grs = [gr for _nm, gr in C.generators]
     table = _TABLES[C.ring]
@@ -113,6 +123,9 @@ def validate(C):
     for (i, j), e in C.diff.items():
         if not (0 <= i < n and 0 <= j < n):
             out.append("differential entry %s out of range" % _brief((i, j)))
+            continue
+        if not isinstance(e, RingElem):
+            out.append("entry (%s, %s) = %s is not a RingElem" % (C.name(i), C.name(j), _brief(e)))
             continue
         s, u, v = e.scalar, e.u, e.v
         if not (s or u or v):
@@ -151,31 +164,48 @@ def validate(C):
     return out
 
 
-def _square_defects(C, parts):
-    """The nonzero entries of d^2, as ``((i, k), RingElem)`` in the order of their first product.
+def _part_bits(e):
+    """The part bits of an entry: 1 for a nonzero scalar, 2 for a U side, 4 for a V side.
 
-    ``parts[t]`` holds the part bits of the t-th entry of ``C.diff`` (1:
-    scalar, 2: U side, 4: V side), every entry valid, so a scalar entry has
-    no side part.  The products d[i,j]·d[j,k] all lie in the grading
-    gr(i) - gr(k) - (2, 2), which has at most one monomial per part, so a
-    product is its part bits: the other factor's when one factor is the
-    scalar, else the side bits both factors share.  One parity is kept per
-    (i, k), and zero products are skipped, so the keys come in the order of
-    their first nonzero product, entry d[i,j] by entry and then along row j
-    (the order of the tests' reference product); each nonzero parity is
-    read back as an element of the grading table.  The certificate
-    checker's chain defect (``localeq._chain_defect``) keeps whole
-    exponent sets instead, and reads no table.
+    ``validate`` writes the same bits inline, on its hot path.
     """
-    out_of = [[] for _ in range(C.n_gens())]
-    for (j, k), b in zip(C.diff, parts):
-        out_of[j].append((k, b))
-    parity = {}
-    for (i, j), b1 in zip(C.diff, parts):
-        for k, b2 in out_of[j]:
+    return (1 if e.scalar else 0) | (2 if e.u else 0) | (4 if e.v else 0)
+
+
+def _part_products(left, right, parity):
+    """XOR the part bits of each product left[i,j]·right[j,k] into ``parity[(i, k)]``; returns it.
+
+    Each factor is an ``((i, j), bits)`` pair, the bits those of a valid
+    entry (1: scalar, 2: U side, 4: V side), so a scalar entry has no side
+    part.  Every product into one (i, k) lies in one grading, which has at
+    most one monomial per part, so a product is its part bits: the other
+    factor's when one factor is the scalar, else the side bits both factors
+    share.  Zero products are skipped, so the keys come in the order of
+    their first nonzero product, ``left`` entry by entry and then along
+    ``right``'s row j; a key whose products cancel keeps a parity of 0.
+    This is the one product behind d^2 (``_square_defects``) and the
+    certificate checker's chain defect (``localeq.check_certificate``).
+    """
+    out_of = {}
+    for (j, k), b in right:
+        out_of.setdefault(j, []).append((k, b))
+    for (i, j), b1 in left:
+        for k, b2 in out_of.get(j, ()):
             b = b2 if b1 == 1 else b1 if b2 == 1 else b1 & b2
             if b:
                 parity[(i, k)] = parity.get((i, k), 0) ^ b
+    return parity
+
+
+def _square_defects(C, parts):
+    """The nonzero entries of d^2, as ``((i, k), RingElem)`` in the order of their first product.
+
+    ``parts[t]`` holds the part bits of the t-th entry of ``C.diff``, every
+    entry valid, and ``_part_products`` forms d∘d on them (the order of the
+    tests' reference product).  Each nonzero parity is read back as an
+    element of the grading gr(i) - gr(k) - (2, 2) in the grading table.
+    """
+    parity = _part_products(zip(C.diff, parts), zip(C.diff, parts), {})
     table = _TABLES[C.ring]
     out = []
     for (i, k), b in parity.items():

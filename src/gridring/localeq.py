@@ -46,6 +46,8 @@ from .complexes import (
     InvalidComplexError,
     NotKnotlikeError,
     _knotlike_bases,
+    _part_bits,
+    _part_products,
     paired_basis,
     reduce,
     shift_gradings,
@@ -483,65 +485,6 @@ def find_local_map(spec, target, kind="full"):
     return LocalMapCert(format_spec(spec), "target", shift, matrix, kind)
 
 
-def _defect_products(f, d_src, d_tgt):
-    """The term products ``(i, k, a, b)`` of f∘d_tgt and of d_src∘f.
-
-    The map's entries are grouped by target and by source generator, so each
-    differential is read once, entry by entry.
-    """
-    cols, rows = {}, {}
-    for (i, j), e in f.items():
-        cols.setdefault(j, []).append((i, e))
-        rows.setdefault(i, []).append((j, e))
-    for (j, k), b in d_tgt.items():
-        for i, a in cols.get(j, ()):
-            yield i, k, a, b
-    for (i, j), a in d_src.items():
-        for k, b in rows.get(j, ()):
-            yield i, k, a, b
-
-
-def _chain_defect(f, d_src, d_tgt):
-    """The terms of the chain defect f∘d_tgt + d_src∘f, as a set of ``(i, k, side, x, y)``.
-
-    ``side`` is 0 for the scalar, whose exponent reads (0, 0), 1 for a
-    U-side exponent (x, y) and 2 for a V-side one.  Each product is formed on
-    the entries' exponent pairs: a scalar factor passes the other factor's
-    terms, two terms on one side add their exponents, and opposite sides
-    vanish.  Every term is listed, and those listed an odd number of times
-    are the defect's; no ``RingElem`` is built and no grading table is
-    read.  A scalar counts as a bit, set when it is nonzero.
-    """
-    found = []
-    put = found.append
-    for i, k, a, b in _defect_products(f, d_src, d_tgt):
-        if a.scalar:
-            if b.scalar:
-                put((i, k, 0, 0, 0))
-            for x, y in b.u:
-                put((i, k, 1, x, y))
-            for x, y in b.v:
-                put((i, k, 2, x, y))
-        if b.scalar:
-            for x, y in a.u:
-                put((i, k, 1, x, y))
-            for x, y in a.v:
-                put((i, k, 2, x, y))
-        for x, y in a.u:
-            for z, w in b.u:
-                put((i, k, 1, x + z, y + w))
-        for x, y in a.v:
-            for z, w in b.v:
-                put((i, k, 2, x + z, y + w))
-    odd = set()
-    for t in found:
-        if t in odd:
-            odd.remove(t)
-        else:
-            odd.add(t)
-    return odd
-
-
 def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     """Independent verification of a certificate; returns violation strings.
 
@@ -553,10 +496,17 @@ def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     the functional its search solved against: a paired basis is
     deterministic, so a second one of the same complex adds no
     independence.  Entries out of range are reported alone, since every
-    other check indexes their generators.  The solver builds its entries
-    from the ring's grading table, so this check reads none of it:
-    ``elem_ok``, ``elem_grading`` and the chain defect's product
-    (``_chain_defect``) work on the entries' exponents.
+    other check indexes their generators.
+
+    ``src`` and ``tgt`` must pass ``validate`` (``_standardize`` validates
+    its input, and a realized spec is valid by construction).  The chain
+    defect is formed only when every entry passes, as ``validate`` forms
+    d^2: on valid entries the part-bit product ``complexes._part_products``
+    is exact, and it is the one ``validate`` uses for d^2.  That sharing
+    keeps the independence that matters, from the code that produced the
+    certificate: the solver builds its entries from the ring's grading
+    table and ``_gf2``, and this check reads neither; ``elem_ok`` and
+    ``elem_grading`` work on the entries' exponents.
     """
     n_src, n_tgt = src.n_gens(), tgt.n_gens()
     out = [
@@ -583,10 +533,14 @@ def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
         if gr != want:
             out.append("entry (%d, %d) has grading %s, expected %s" % (i, j, gr, want))
     skip = _short_skip(src.n_gens() - 1) if cert.kind == "short" else None
-    parts = {}  # per (i, k), the defect's part bits: 1 scalar, 2 U side, 4 V side
-    for i, k, side, _x, _y in _chain_defect(cert.matrix, src.diff, tgt.diff):
-        parts[(i, k)] = parts.get((i, k), 0) | (1 << side)
-    for (i, k), bits in sorted(parts.items()):
+    parity = {}  # per (i, k), the defect's part bits: 1 scalar, 2 U side, 4 V side
+    if not out:
+        f = [(key, _part_bits(e)) for key, e in cert.matrix.items()]
+        rows, cols = {i for i, _j in cert.matrix}, {j for _i, j in cert.matrix}
+        d_src = [(key, _part_bits(e)) for key, e in src.diff.items() if key[1] in rows]
+        d_tgt = [(key, _part_bits(e)) for key, e in tgt.diff.items() if key[0] in cols]
+        parity = _part_products(d_src, f, _part_products(f, d_tgt, {}))
+    for (i, k), bits in sorted(parity.items()):
         if bits & 1:
             out.append("chain defect has a unit part at (%d, %d)" % (i, k))
         for side, bit in ((Side.U, 2), (Side.V, 4)):

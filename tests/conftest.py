@@ -5,7 +5,8 @@ the benchmark corpus.  The ``reference_elem_*`` functions are the
 ``Monomial``-based ring tests and a set-based product, kept here so that the
 reference checks share no arithmetic with ``gridring.ring``'s exponent
 kernels, ``reference_compose`` is the ``RingElem`` matrix product, against
-the certificate checker's exponent-pair kernel, ``reference_grading_basis``
+the part-bit product behind d^2 and the certificate checker's chain defect
+(``complexes._part_products``), ``reference_grading_basis``
 is the basis of one bigrading monomial by monomial, against ``ring``'s
 grading table, and ``reference_extant`` is the extant pool read off the
 ring's monomials, against ``localeq._extant``'s integer form.
@@ -163,9 +164,10 @@ def reference_elem_mul(a, b):
 def reference_compose(da, db):
     """Matrix product of two sparse ``RingElem`` differentials, entry by ``elem_mul``.
 
-    The ``localeq._compose`` the certificate checker used before its
-    exponent-pair kernel (``localeq._chain_defect``): the keys come in the
-    order of their first nonzero product, and zero sums are dropped.
+    The ``localeq._compose`` the certificate checker used before it formed
+    its chain defect on part bits (``complexes._part_products``, which d^2
+    shares): the keys come in the order of their first nonzero product, and
+    zero sums are dropped.
     """
     from_b = {}
     for (j, k), e in db.items():

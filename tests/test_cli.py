@@ -434,6 +434,14 @@ class TestCli:
         assert code == 1
         assert out == (DATA / "validate_cable_bad.json").read_text(encoding="utf-8")
 
+    def test_validate_d_squared_golden(self, capsys):
+        # x -> y -> z by units and a -> b -> c by U[1,0]+V[0,1]: d^2 has a
+        # unit entry and one with both side parts, in the order of their
+        # first products
+        code, out, _err = invoke(capsys, "--json", "validate", str(DATA / "d2_nonzero.json"))
+        assert code == 1
+        assert out == (DATA / "validate_d2_nonzero.json").read_text(encoding="utf-8")
+
     def test_verification_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         import gridring.localeq
 

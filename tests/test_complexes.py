@@ -38,6 +38,7 @@ from gridring.ring import (
     ONE_ELEM,
     RingElem,
     ZERO,
+    _brief,
     elem_from_mono,
     elem_monomials,
     elem_mul,
@@ -484,6 +485,35 @@ class TestValidate:
             assert validate(C) == []
             spec, fwd, back, shift = standard_representative(C)
             assert (spec, fwd.to_json(), back.to_json(), shift) == want
+
+    def test_gradings_are_pairs_of_ints(self):
+        # a library caller's grading that is not a pair of ints is one
+        # violation, and the entries, which read two gradings each, are not
+        # checked; a bool is the int it subclasses, and a list pair is a pair
+        u1 = elem_from_mono(u_mono(1, 0))
+        for gr in [(0.5, 0.5), ("0", "0"), (0, 0, 0), (0,), 0, None, "ab", (1.0, 1)]:
+            C = FreeComplex(RingId.X, (("a", gr), ("b", (0, 0))), {(0, 5): u1})
+            assert validate(C) == ["generator a has gradings %r, not a pair of ints" % (gr,)]
+            with pytest.raises(InvalidComplexError, match="not a pair of ints"):
+                standard_representative(C)
+        long = tuple(range(40))
+        assert validate(FreeComplex(RingId.X, (("a", long),))) == [
+            "generator a has gradings %s..., not a pair of ints" % repr(long)[:77]
+        ]
+        assert validate(FreeComplex(RingId.X, (("a", (True, True)), ("b", [0, 0])))) == []
+        assert validate(FreeComplex(RingId.X, (("a", (True, False)),))) == [
+            "generator a has gradings of mixed parity (True, False)"
+        ]
+
+    def test_entries_are_ring_elements(self):
+        # an entry that is not a RingElem is one violation, and d^2 is not formed
+        gens = (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2)))
+        for e in ["1", 1, None, Monomial(Side.ONE, (0, 0)), "x" * 200]:
+            C = FreeComplex(RingId.X, gens, {(0, 1): e, (1, 2): ONE_ELEM})
+            assert validate(C) == ["entry (a, b) = %s is not a RingElem" % _brief(e)]
+            with pytest.raises(InvalidComplexError, match="is not a RingElem"):
+                standard_representative(C)
+        assert len(_brief("x" * 200)) == 80
 
     def test_d_squared_detected(self):
         gens = (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2)))

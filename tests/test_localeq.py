@@ -31,16 +31,22 @@ from gridring import (
     standard_representative,
     standardize,
     tensor,
+    validate,
 )
 from gridring import _gf2
-from gridring.complexes import _knotlike_bases, normalize, paired_basis, tower_functional
+from gridring.complexes import (
+    _knotlike_bases,
+    _part_products,
+    normalize,
+    paired_basis,
+    tower_functional,
+)
 from gridring.localeq import (
     LocalMapCert,
     VerificationError,
     _Search,
     _T,
     _Target,
-    _chain_defect,
     _descending,
     _matrix,
     _short_skip,
@@ -48,9 +54,9 @@ from gridring.localeq import (
     _tower_coefficient,
 )
 from gridring.ring import (
+    _TABLES,
     ONE_ELEM,
     ZERO,
-    RingElem,
     elem_from_mono,
     elem_monomials,
     in_region,
@@ -67,7 +73,7 @@ from conftest import (
     scramble,
     wide_product,
 )
-from corpus import WINDOW_R, WINDOW_X, acyclic_pair, direct_sum, inputs, pad
+from corpus import acyclic_pair, direct_sum, inputs, pad
 
 
 def _search_input(which):
@@ -457,6 +463,19 @@ class TestFindLocalMap:
             if "range" in message:
                 # the chain and locality checks would index the missing generator
                 assert bad == [message]
+        # a bad entry where dropping the entry breaks the chain condition: the
+        # chain defect is formed only on valid entries, so only the entry is
+        # reported
+        dropped = {k: e for k, e in fwd.matrix.items() if k != (2, 2)}
+        cert = LocalMapCert(fwd.source, fwd.target, fwd.gr2shift, dropped, fwd.kind)
+        assert "chain condition fails at generator 2 on side U" in check_certificate(S, X, cert)
+        for e, message in [
+            (ZERO, "stored zero entry at (2, 2)"),
+            (elem_from_mono(u_mono(-1, 0)), "entry (2, 2) not in the ring"),
+        ]:
+            matrix = {**dropped, (2, 2): e}
+            cert = LocalMapCert(fwd.source, fwd.target, fwd.gr2shift, matrix, fwd.kind)
+            assert check_certificate(S, X, cert) == [message]
 
     def test_short_certificates_check(self):
         # the checker drops the same chain condition as the solver: (n, U)
@@ -519,37 +538,58 @@ class TestFindLocalMap:
 
 
 @st.composite
-def _defect_inputs(draw):
-    """A map f and differentials d_src, d_tgt: sparse, unvalidated, over X or R.
+def _chain_map_inputs(draw):
+    """Valid complexes ``src`` and ``tgt`` over X or R, and a map f of valid entries.
 
-    Entries have up to three monomials per side from a small exponent
-    window, so products of different entries often share a term and cancel.
+    Each complex is a realized random spec, maybe tensored with another,
+    padded with acyclic pairs (whose unit entries give the defects a scalar
+    part) and scrambled.  The gr2 shift gives some entry a nonzero grading, and
+    each entry f[i, j] is a random element of its grading, read from the
+    ring's grading table, so few maps are chain maps and the defects take
+    every part.
     """
-    window = draw(st.sampled_from([WINDOW_X, WINDOW_R]))
-    exps = st.frozensets(st.sampled_from(window), max_size=3)
-    entry = st.builds(RingElem, st.integers(0, 1), exps, exps)
-    n_src, n_tgt = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ring = draw(st.sampled_from([RingId.X, RingId.R]))
+    rng = draw(st.randoms(use_true_random=False))
 
-    def matrix(n, m):
-        keys = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
-        return draw(st.dictionaries(keys, entry, max_size=3 * max(n, m)))
+    def complex_():
+        C = realize(random_spec(rng, ring, max_pairs=2))
+        if draw(st.booleans()):
+            C = tensor(C, realize(random_spec(rng, ring)))
+        if draw(st.booleans()):
+            C = pad(C, rng, draw(st.integers(1, 2)))
+        if draw(st.booleans()):
+            C = scramble(C, rng, n_ops=C.n_gens())
+        return C
 
-    return matrix(n_src, n_tgt), matrix(n_src, n_src), matrix(n_tgt, n_tgt)
+    src, tgt = complex_(), complex_()
+    table = _TABLES[ring]
+    # the gr2 shifts that give some entry a grading with a nonzero element,
+    # or, half the time, the grading (0, 0) of the unit
+    pairs = [(s, t) for _a, s in src.generators for _b, t in tgt.generators]
+    shifts = {
+        c - s2 + t2 for (s1, s2), (t1, t2) in pairs for c in range(-6, 7) if table[(s1 - t1, c)][0]
+    }
+    units = {t2 - s2 for (s1, s2), (t1, t2) in pairs if s1 == t1}
+    if units and draw(st.booleans()):
+        shifts = units
+    shift = draw(st.sampled_from(sorted(shifts))) if shifts else 0
+    f = {}
+    for i in range(src.n_gens()):
+        for j in range(tgt.n_gens()):
+            (s1, s2), (t1, t2) = src.gr(i), tgt.gr(j)
+            elems = table[(s1 - t1, s2 + shift - t2)][3]
+            e = elems[rng.randrange(len(elems))]
+            if e:
+                f[(i, j)] = e
+    return src, tgt, shift, f
 
 
-def _defect_parts(terms):
-    """The kernel's terms per key (i, k) as (scalar bit, U set, V set)."""
-    parts = {}
-    for i, k, side, x, y in terms:
-        scalar, u, v = parts.get((i, k), (0, frozenset(), frozenset()))
-        if side == 0:
-            scalar ^= 1
-        elif side == 1:
-            u ^= {(x, y)}
-        else:
-            v ^= {(x, y)}
-        parts[(i, k)] = (scalar, u, v)
-    return parts
+def _bits(matrix):
+    """Each entry of a matrix as ``((i, j), part bits)``: 1 scalar, 2 U side, 4 V side."""
+    return [
+        (key, sum(bit for bit, part in ((1, e.scalar), (2, e.u), (4, e.v)) if part))
+        for key, e in matrix.items()
+    ]
 
 
 def _recorded_checks(monkeypatch, workload, seed):
@@ -575,18 +615,37 @@ def _recorded_checks(monkeypatch, workload, seed):
 
 
 class TestCertificateCheck:
-    @settings(max_examples=300, deadline=None)
-    @given(case=_defect_inputs())
-    def test_chain_defect_matches_reference_product(self, case):
-        # per key, the kernel's scalar bit and side sets are the RingElem sum
-        f, d_src, d_tgt = case
-        want = reference_compose(f, d_tgt)
-        for key, e in reference_compose(d_src, f).items():
+    @settings(max_examples=150, deadline=None)
+    @given(case=_chain_map_inputs())
+    def test_part_products_match_reference_product(self, case):
+        # on valid entries the part-bit product is exact: the nonzero
+        # parities of f∘d_tgt + d_src∘f are the part bits of the RingElem sum
+        src, tgt, shift, f = case
+        want = reference_compose(f, tgt.diff)
+        for key, e in reference_compose(src.diff, f).items():
             want[key] = want.get(key, ZERO) + e
-        want = {key: (e.scalar, e.u, e.v) for key, e in want.items() if e}
-        assert _defect_parts(_chain_defect(f, d_src, d_tgt)) == want
-        # d∘d + d∘d cancels term by term
-        assert _chain_defect(d_tgt, d_tgt, d_tgt) == set()
+        want = dict(_bits({key: e for key, e in want.items() if e}))
+        tail = _part_products(_bits(f), _bits(tgt.diff), {})
+        got = _part_products(_bits(src.diff), _bits(f), tail)
+        assert {key: b for key, b in got.items() if b} == want
+        # d∘d of a valid complex leaves nothing
+        assert not any(_part_products(_bits(src.diff), _bits(src.diff), {}).values())
+        # the checker reads the chain defect off the same product
+        lines = [
+            line
+            for line in check_certificate(src, tgt, LocalMapCert("src", "tgt", shift, f, "full"))
+            if line.startswith("chain")
+        ]
+        expected = []
+        for (i, k), b in sorted(want.items()):
+            if b & 1:
+                expected.append("chain defect has a unit part at (%d, %d)" % (i, k))
+            expected += [
+                "chain condition fails at generator %d on side %s" % (i, side)
+                for side, bit in (("U", 2), ("V", 4))
+                if b & bit
+            ]
+        assert lines == expected
 
     @pytest.mark.parametrize("workload", ["search-long", "wide-trivial"])
     def test_given_tower_matches_fresh_basis(self, workload, monkeypatch):
@@ -608,6 +667,27 @@ class TestCertificateCheck:
                     bad = LocalMapCert(cert.source, cert.target, cert.gr2shift, matrix, cert.kind)
                     got = check_certificate(src, tgt, bad, src_mask, tgt_w=w)
                     assert got == check_certificate(src, tgt, bad, src_mask) != []
+
+    @pytest.mark.parametrize("workload", ["search-long", "wide-trivial"])
+    def test_checker_reads_no_grading_table(self, workload, monkeypatch):
+        # the solver builds its entries from the grading table; the checker
+        # verifies them without reading it
+        import sys
+
+        class Unreadable:
+            # no other method: iteration and ``in`` fall back on __getitem__
+            def __getitem__(self, key):
+                raise AssertionError("the grading table was read")
+
+        calls = _recorded_checks(monkeypatch, workload, 1)
+        modules = [m for name, m in sys.modules.items() if name.startswith("gridring")]
+        for module in modules:
+            if hasattr(module, "_TABLES"):
+                monkeypatch.setattr(module, "_TABLES", Unreadable())
+        with pytest.raises(AssertionError, match="grading table was read"):
+            validate(calls[0][0][0])
+        for args, kwargs in calls:
+            assert check_certificate(*args, **kwargs) == []
 
     def test_unit_defect_and_missing_tower(self):
         # C(0) mapped by the unit onto an unreduced acyclic pair: the chain
