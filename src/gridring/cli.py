@@ -2,8 +2,9 @@
 
 Subcommands operate on complex documents (JSON files) and on parameter
 sequences in the text form ``C(-U[2,1], +V[2,1])``.  Exit codes: 0 success,
-1 parse or validation error, 2 not knotlike, 3 internal verification
-failure.
+1 parse or validation error or out of memory, 2 not knotlike, 3 internal
+verification failure, 130 interrupted (Ctrl-C).  Each of these prints one
+line to stderr and no traceback.
 """
 
 import argparse
@@ -258,14 +259,17 @@ def run(argv):
     try:
         return args.func(args)
     except (DocumentError, ValueError) as exc:
-        if isinstance(exc, NotKnotlikeError):
-            sys.stderr.write("not knotlike: %s\n" % exc)
-            return EXIT_NOT_KNOTLIKE
         sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INVALID
+        return EXIT_NOT_KNOTLIKE if isinstance(exc, NotKnotlikeError) else EXIT_INVALID
     except VerificationError as exc:
         sys.stderr.write("internal verification failure: %s\n" % exc)
         return EXIT_VERIFICATION
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_INVALID
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return 130  # 128 + SIGINT, as a shell reports an interrupted command
 
 
 def main():

@@ -8,6 +8,7 @@ F2[U,V] appear only as inputs to the base change into ring X.
 
 import functools
 import heapq
+from operator import index
 
 from . import _gf2
 from .ring import (
@@ -83,90 +84,128 @@ class FUVComplex(_Generators):
 def validate(C):
     """Structural checks; returns a list of violation strings (empty = ok).
 
-    Each generator's gradings must be a pair (tuple or list) of ints, a
-    bool being the int it subclasses; when one is not, the entries, which
-    read two gradings each, are not checked.  Each entry must be a
-    ``RingElem``.  A valid entry is a nonzero sum of basis monomials of its
-    expected grading, so each entry is checked with one lookup in the
-    ring's grading table (``ring._TABLES``) and three subset tests against
-    the sum of that grading's basis, the scalar being the int 0 or 1.  A
-    bool scalar is the int it subclasses, since every use of a scalar (XOR,
-    AND, truth) treats True as 1; a float or any other non-int is a
-    violation.  Only an entry that fails is classified, by its scalar and
-    then through ``elem_ok`` and ``elem_grading``: its scalar is not the
-    int 0 or 1, or it is not in the ring, or inhomogeneous, or else of
-    another grading.  Once every entry passes, d^2 is computed on the
-    entries' part bits (``_square_defects``), by the product
-    ``_part_products`` that ``localeq.check_certificate`` also forms its
-    chain defect with.  The keys, gradings and entries a violation prints
-    are cut to 80 characters (``ring._brief``), so each stays one short
-    line.
+    Each generator record must be a pair of a str name and gradings, and
+    the gradings a pair (tuple or list) of ints, a bool being the int it
+    subclasses; when a record or a grading is not, the entries, which read
+    two gradings each, are not checked.  Each differential key must be a
+    pair of ints in range (``_key_ok``).  A valid entry is a nonzero
+    ``RingElem`` that is a sum of basis monomials of its expected grading,
+    so each entry is checked with one lookup in the ring's grading table
+    (``ring._TABLES``) and three subset tests against the sum of that
+    grading's basis, the scalar being the int 0 or 1.  An entry that fails
+    them gets its violation from ``_entry_fault``, the rule
+    ``localeq.check_certificate`` also applies.  Once every entry passes,
+    d^2 is computed on the entries' part bits (``_square_defects``), by the
+    product ``_part_products`` that the checker also forms its chain defect
+    with.  The keys, gradings and entries a violation prints are cut to 80
+    characters (``ring._brief``), so each stays one short line.
     """
     out = []
-    names = [nm for nm, _gr in C.generators]
-    if len(set(names)) != len(names):
-        out.append("generator names are not unique")
+    names = []
     paired = True
-    for nm, gr in C.generators:
+    for rec in C.generators:
+        try:
+            nm, gr = rec
+        except (TypeError, ValueError):
+            nm = None
+        if not isinstance(nm, str):
+            out.append("generator record %s is not a (str name, gradings) pair" % _brief(rec))
+            paired = False
+            continue
+        names.append(nm)
         g1, g2 = gr if isinstance(gr, (tuple, list)) and len(gr) == 2 else (None, None)
         if not (isinstance(g1, int) and isinstance(g2, int)):
             out.append("generator %s has gradings %s, not a pair of ints" % (nm, _brief(gr)))
             paired = False
         elif (g1 - g2) % 2:
             out.append("generator %s has gradings of mixed parity %s" % (nm, _brief((g1, g2))))
+    if len(set(names)) != len(names):
+        out.insert(0, "generator names are not unique")
     if not paired:
         return out
     n = C.n_gens()
     grs = [gr for _nm, gr in C.generators]
     table = _TABLES[C.ring]
     parts = []
-    for (i, j), e in C.diff.items():
-        if not (0 <= i < n and 0 <= j < n):
-            out.append("differential entry %s out of range" % _brief((i, j)))
-            continue
-        if not isinstance(e, RingElem):
-            out.append("entry (%s, %s) = %s is not a RingElem" % (C.name(i), C.name(j), _brief(e)))
-            continue
-        s, u, v = e.scalar, e.u, e.v
-        if not (s or u or v):
-            out.append("stored zero entry at (%s, %s)" % (C.name(i), C.name(j)))
-            continue
-        (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
-        want = (gi1 - gj1 - 1, gi2 - gj2 - 1)
-        full = table[want][3][-1]
-        if isinstance(s, int) and 0 <= s <= full.scalar and u <= full.u and v <= full.v:
-            parts.append(s | (2 if u else 0) | (4 if v else 0))
-            continue
-        if s not in (0, 1) or not isinstance(s, int):
-            out.append(
-                "entry (%s, %s) has scalar %s, not 0 or 1" % (C.name(i), C.name(j), _brief(s))
-            )
-            continue
-        if not elem_ok(C.ring, e):
-            out.append(
-                "entry (%s, %s) = %s is not in ring %s"
-                % (C.name(i), C.name(j), _brief(e), C.ring.value)
-            )
-            continue
+    for key, e in C.diff.items():
+        # _key_ok written out: a call per entry would cost the valid path
         try:
-            gr = elem_grading(e)
-        except ValueError:
-            out.append("entry (%s, %s) = %s is inhomogeneous" % (C.name(i), C.name(j), _brief(e)))
+            i, j = key
+            (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
+        except (TypeError, ValueError, IndexError):
+            i = -1
+        if not (0 <= i < n and 0 <= j < n):
+            out.append("differential entry %s out of range" % _brief(key))
             continue
-        # a homogeneous entry in the ring lies in the basis of its own grading
-        out.append(
-            "entry (%s, %s) has grading %s, expected %s"
-            % (C.name(i), C.name(j), _brief(gr), _brief(want))
-        )
+        want = (gi1 - gj1 - 1, gi2 - gj2 - 1)
+        if isinstance(e, RingElem):
+            s, u, v = e.scalar, e.u, e.v
+            full = table[want][3][-1]
+            if (s or u or v) and isinstance(s, int) and 0 <= s <= full.scalar \
+                    and u <= full.u and v <= full.v:
+                parts.append(s | (2 if u else 0) | (4 if v else 0))
+                continue
+        # an entry that fails the table's tests is never valid
+        out.append(_entry_fault(C.ring, e, want, C.name(i), C.name(j)))
     if not out:
         for (i, k), e in _square_defects(C, parts):
             out.append("d^2 is nonzero: (%s -> %s) = %s" % (C.name(i), C.name(k), _brief(e)))
     return out
 
 
-def _part_bits(e):
-    """The part bits of an entry: 1 for a nonzero scalar, 2 for a U side, 4 for a V side.
+def _key_ok(key, n_rows, n_cols):
+    """True if a matrix key is a pair (i, j) of ints with 0 <= i < n_rows and 0 <= j < n_cols.
 
+    An int is what a list takes as an index: a bool is the int it
+    subclasses, and a float is not an int.  ``localeq.check_certificate``
+    calls it on a certificate's keys.  ``validate`` applies it written out
+    (unpack the key, index the gradings, test the range): one call per
+    entry made ``validate`` 4-17% slower on the benchmark's inputs.
+    """
+    try:
+        i, j = key
+        return 0 <= index(i) < n_rows and 0 <= index(j) < n_cols
+    except (TypeError, ValueError):
+        return False
+
+
+def _entry_fault(ring, e, want, a, b):
+    """The violation of a matrix entry ``e`` of expected grading ``want``, or None if it is valid.
+
+    ``a`` and ``b`` label the entry (generator names in ``validate``,
+    indices in ``localeq.check_certificate``).  The first rule ``e``
+    breaks is reported: it must be a ``RingElem``, nonzero, with a scalar
+    that is the int 0 or 1 (a bool is the int it subclasses), its
+    monomials in the ring, homogeneous, and of grading ``want``.  It reads
+    only the entry's scalar and exponents, through ``elem_ok`` and
+    ``elem_grading``, and no grading table: a homogeneous entry in the ring
+    lies in the basis of its own grading.  This is the one copy of the
+    entry rule; ``validate`` calls it for each entry its table tests
+    reject, and the certificate checker for every entry.
+    """
+    if not isinstance(e, RingElem):
+        return "entry (%s, %s) = %s is not a RingElem" % (a, b, _brief(e))
+    s = e.scalar
+    if not (s or e.u or e.v):
+        return "stored zero entry at (%s, %s)" % (a, b)
+    if s not in (0, 1) or not isinstance(s, int):
+        return "entry (%s, %s) has scalar %s, not 0 or 1" % (a, b, _brief(s))
+    if not elem_ok(ring, e):
+        return "entry (%s, %s) = %s is not in ring %s" % (a, b, _brief(e), ring.value)
+    try:
+        gr = elem_grading(e)
+    except ValueError:
+        return "entry (%s, %s) = %s is inhomogeneous" % (a, b, _brief(e))
+    if gr != want:
+        return "entry (%s, %s) has grading %s, expected %s" % (a, b, _brief(gr), _brief(want))
+    return None
+
+
+def _part_bits(e):
+    """The part bits of a valid entry: 1 for a nonzero scalar, 2 for a U side, 4 for a V side.
+
+    The certificate checker lists a map's and both differentials' entries
+    with it once ``_entry_fault`` has passed every entry of the map;
     ``validate`` writes the same bits inline, on its hot path.
     """
     return (1 if e.scalar else 0) | (2 if e.u else 0) | (4 if e.v else 0)
@@ -616,6 +655,21 @@ def _knotlike_bases(C):
     return pb_u, pb_v, shift
 
 
+def _require_knotlike(C, what="complex"):
+    """``_knotlike_bases`` of a knotlike complex; raises NotKnotlikeError naming both tower counts.
+
+    ``what`` names the complex in the message, e.g. ``complex is not
+    knotlike: 2 towers on side U, 2 on side V``.
+    """
+    pb_u, pb_v, shift = _knotlike_bases(C)
+    if shift is None:
+        raise NotKnotlikeError(
+            "%s is not knotlike: %d towers on side U, %d on side V"
+            % (what, len(pb_u.unpaired), len(pb_v.unpaired))
+        )
+    return pb_u, pb_v, shift
+
+
 def is_knotlike(C):
     """Single-tower test on both sides, plus the normalizing grading shift.
 
@@ -627,9 +681,7 @@ def is_knotlike(C):
 
 def normalize(C):
     """Apply the unique knotlike normalization shift."""
-    ok, shift = is_knotlike(C)
-    if not ok:
-        raise NotKnotlikeError("complex is not knotlike")
+    shift = _require_knotlike(C)[2]
     if shift == (0, 0):
         return C
     return shift_gradings(C, shift)

@@ -45,9 +45,11 @@ from . import _gf2
 from .complexes import (
     InvalidComplexError,
     NotKnotlikeError,
-    _knotlike_bases,
+    _entry_fault,
+    _key_ok,
     _part_bits,
     _part_products,
+    _require_knotlike,
     paired_basis,
     reduce,
     shift_gradings,
@@ -61,9 +63,8 @@ from .ring import (
     SignedParam,
     _Record,
     _TABLES,
-    elem_grading,
+    _brief,
     elem_monomials,
-    elem_ok,
     lattice_key,
     mono_text,
 )
@@ -124,9 +125,7 @@ def _require_valid(C):
 
 def _require_normalized(C, what):
     """Both paired bases (U side, V side) of a knotlike, normalized complex."""
-    pb_u, pb_v, shift = _knotlike_bases(C)
-    if shift is None:
-        raise NotKnotlikeError("%s must be knotlike" % what)
+    pb_u, pb_v, shift = _require_knotlike(C, what)
     if shift != (0, 0):
         raise ValueError("%s must be normalized; apply the knotlike shift %s first" % (what, shift))
     return pb_u, pb_v
@@ -486,60 +485,56 @@ def find_local_map(spec, target, kind="full"):
 
 
 def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
-    """Independent verification of a certificate; returns violation strings.
+    """Independent verification of a certificate; returns violation strings, never raises.
 
-    Checks the entries' ring membership, homogeneity and gradings, the
-    chain-map identities (minus the dropped condition for short
-    certificates) by direct matrix algebra, and locality against the tower
+    Each key must be a pair of generator indices in range
+    (``complexes._key_ok``); a key that is not is reported alone, since
+    every other check indexes its generators.  Each entry must then pass
+    ``validate``'s entry rule (``complexes._entry_fault``) at its expected
+    grading: a nonzero ``RingElem`` whose scalar is the int 0 or 1, in the
+    ring, homogeneous and of that grading.  The entry violations are
+    reported alone too, as ``validate`` forms d^2 only on valid entries:
+    the chain-map identities (minus the dropped condition for short
+    certificates) and locality read the entries' parts.  The chain defect
+    is formed by direct matrix algebra, with the part-bit product
+    ``complexes._part_products`` that ``validate`` uses for d^2, which is
+    exact on valid entries.  Locality is checked against the tower
     functional ``tgt_w`` of the target, computed from a fresh paired basis
     of the target when it is None.  ``standardize``'s forward check passes
     the functional its search solved against: a paired basis is
     deterministic, so a second one of the same complex adds no
-    independence.  Entries out of range are reported alone, since every
-    other check indexes their generators.
+    independence.
 
     ``src`` and ``tgt`` must pass ``validate`` (``_standardize`` validates
-    its input, and a realized spec is valid by construction).  The chain
-    defect is formed only when every entry passes, as ``validate`` forms
-    d^2: on valid entries the part-bit product ``complexes._part_products``
-    is exact, and it is the one ``validate`` uses for d^2.  That sharing
-    keeps the independence that matters, from the code that produced the
-    certificate: the solver builds its entries from the ring's grading
-    table and ``_gf2``, and this check reads neither; ``elem_ok`` and
-    ``elem_grading`` work on the entries' exponents.
+    its input, and a realized spec is valid by construction).  The checker
+    stays independent of the code that produced the certificate: the
+    solver builds its entries from the ring's grading table and ``_gf2``,
+    and this check reads neither; the entry rule works on the entries'
+    scalars and exponents.
     """
     n_src, n_tgt = src.n_gens(), tgt.n_gens()
     out = [
-        "entry (%d, %d) out of range" % (i, j)
-        for i, j in cert.matrix
-        if not (0 <= i < n_src and 0 <= j < n_tgt)
+        "entry %s out of range" % _brief(key)
+        for key in cert.matrix
+        if not _key_ok(key, n_src, n_tgt)
     ]
     if out:
         return out
     s = cert.gr2shift
     for (i, j), e in cert.matrix.items():
-        if not e:
-            out.append("stored zero entry at (%d, %d)" % (i, j))
-            continue
-        if not elem_ok(tgt.ring, e):
-            out.append("entry (%d, %d) not in the ring" % (i, j))
-            continue
-        try:
-            gr = elem_grading(e)
-        except ValueError:
-            out.append("entry (%d, %d) is inhomogeneous" % (i, j))
-            continue
         want = (src.gr(i)[0] - tgt.gr(j)[0], src.gr(i)[1] + s - tgt.gr(j)[1])
-        if gr != want:
-            out.append("entry (%d, %d) has grading %s, expected %s" % (i, j, gr, want))
+        fault = _entry_fault(tgt.ring, e, want, i, j)
+        if fault:
+            out.append(fault)
+    if out:
+        return out
     skip = _short_skip(src.n_gens() - 1) if cert.kind == "short" else None
-    parity = {}  # per (i, k), the defect's part bits: 1 scalar, 2 U side, 4 V side
-    if not out:
-        f = [(key, _part_bits(e)) for key, e in cert.matrix.items()]
-        rows, cols = {i for i, _j in cert.matrix}, {j for _i, j in cert.matrix}
-        d_src = [(key, _part_bits(e)) for key, e in src.diff.items() if key[1] in rows]
-        d_tgt = [(key, _part_bits(e)) for key, e in tgt.diff.items() if key[0] in cols]
-        parity = _part_products(d_src, f, _part_products(f, d_tgt, {}))
+    f = [(key, _part_bits(e)) for key, e in cert.matrix.items()]
+    rows, cols = {i for i, _j in cert.matrix}, {j for _i, j in cert.matrix}
+    d_src = [(key, _part_bits(e)) for key, e in src.diff.items() if key[1] in rows]
+    d_tgt = [(key, _part_bits(e)) for key, e in tgt.diff.items() if key[0] in cols]
+    # per (i, k), the defect's part bits: 1 scalar, 2 U side, 4 V side
+    parity = _part_products(d_src, f, _part_products(f, d_tgt, {}))
     for (i, k), bits in sorted(parity.items()):
         if bits & 1:
             out.append("chain defect has a unit part at (%d, %d)" % (i, k))
@@ -673,9 +668,7 @@ def standard_representative(C):
     """
     _require_valid(C)
     C = reduce(C)
-    pb_u, pb_v, shift = _knotlike_bases(C)
-    if shift is None:
-        raise NotKnotlikeError("complex is not knotlike")
+    pb_u, pb_v, shift = _require_knotlike(C)
     # a grading shift moves no pivot, pair, basis row or side exponent, and
     # a paired basis stores no gradings, so the bases serve the shifted complex
     spec, fwd, back = _standardize(shift_gradings(C, shift), pb_u, pb_v)

@@ -468,8 +468,26 @@ class TestCli:
         }
         path = tmp_path / "two.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = invoke(capsys, "standardize", str(path))
-        assert code == 2
+        code, out, err = invoke(capsys, "standardize", str(path))
+        assert code == 2 and not out
+        # one line naming both sides' tower counts
+        assert err == "error: complex is not knotlike: 2 towers on side U, 2 on side V\n"
+
+    @pytest.mark.parametrize(
+        "exc, code, line",
+        [(KeyboardInterrupt, 130, "interrupted\n"), (MemoryError, 1, "error: out of memory\n")],
+        ids=["KeyboardInterrupt", "MemoryError"],
+    )
+    def test_interrupt_and_out_of_memory(self, capsys, tmp_path, monkeypatch, exc, code, line):
+        # a raise from inside the command, never a real exhaustion of memory
+        import gridring.cli
+
+        def boom(*args):
+            raise exc
+
+        fuv = self.emit_file(capsys, tmp_path, "z2.json", "example", "zhou", "--n", "2")
+        monkeypatch.setattr(gridring.cli, "standard_representative", boom)
+        assert invoke(capsys, "standardize", str(fuv)) == (code, "", line)
 
     def test_zhou_needs_n(self, capsys):
         code, _, err = invoke(capsys, "example", "zhou")

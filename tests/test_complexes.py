@@ -515,6 +515,32 @@ class TestValidate:
                 standard_representative(C)
         assert len(_brief("x" * 200)) == 80
 
+    def test_malformed_records_and_keys_are_violations(self):
+        # a generator record that is not a (str name, gradings) pair, and a
+        # differential key that is not a pair of ints in range, are each one
+        # violation, never an exception
+        assert validate(FreeComplex(RingId.X, ("a",))) == [
+            "generator record 'a' is not a (str name, gradings) pair"
+        ]
+        for rec in [("a",), ("a", (0, 0), 1), 5, None, (1, (0, 0)), (("a",), (0, 0))]:
+            C = FreeComplex(RingId.X, (("b", (0, 0)), rec), {(0, 1): ONE_ELEM})
+            assert validate(C) == ["generator record %s is not a (str name, gradings) pair" % _brief(rec)]
+            with pytest.raises(InvalidComplexError, match="generator record"):
+                standard_representative(C)
+        C = FreeComplex(RingId.X, (("b", (0, 0)), ("b", (1, 1)), 5))
+        assert validate(C) == [
+            "generator names are not unique",
+            "generator record 5 is not a (str name, gradings) pair",
+        ]
+        gens = (("a", (0, 0)), ("b", (-1, -1)))
+        for key in [0, (0, 1.0), (1.0, 0), (0,), (0, 1, 2), ("a", "b"), "ab", (0, 2), (-1, 0)]:
+            C = FreeComplex(RingId.X, gens, {key: ONE_ELEM, (0, 1): ONE_ELEM})
+            assert validate(C) == ["differential entry %s out of range" % _brief(key)]
+            with pytest.raises(InvalidComplexError, match="out of range"):
+                standard_representative(C)
+        # a bool is the int it subclasses
+        assert validate(FreeComplex(RingId.X, gens, {(False, True): ONE_ELEM})) == []
+
     def test_d_squared_detected(self):
         gens = (("a", (0, 0)), ("b", (-1, -1)), ("c", (-2, -2)))
         diff = {(0, 1): ONE_ELEM, (1, 2): ONE_ELEM}

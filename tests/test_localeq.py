@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -57,6 +59,8 @@ from gridring.ring import (
     _TABLES,
     ONE_ELEM,
     ZERO,
+    RingElem,
+    _brief,
     elem_from_mono,
     elem_monomials,
     in_region,
@@ -66,6 +70,7 @@ from gridring.ring import (
 from gridring.standard import make_spec
 
 from conftest import (
+    POOL_TEXTS,
     reference_compose,
     reference_extant,
     reference_grading_basis,
@@ -398,6 +403,27 @@ class TestExtant:
         with pytest.raises(ValueError):
             extant_coefficients(C)
 
+    def test_not_knotlike_message_names_both_tower_counts(self):
+        # every "not one tower per side" error gives the same message
+        from gridring import NotKnotlikeError, is_knotlike
+
+        two = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (0, 0))), {})
+        paired = FreeComplex(
+            RingId.X, (("a", (0, 0)), ("b", (-1, 1))), {(1, 0): elem_from_mono(u_mono(1, 0))}
+        )
+        for C, counts in [
+            (two, "2 towers on side U, 2 on side V"),
+            (paired, "0 towers on side U, 2 on side V"),
+        ]:
+            assert is_knotlike(C) == (False, None)
+            for call in (normalize, standard_representative, standardize, extant_coefficients):
+                with pytest.raises(NotKnotlikeError) as info:
+                    call(C)
+                assert str(info.value) == "complex is not knotlike: " + counts
+            with pytest.raises(NotKnotlikeError) as info:
+                find_local_map(parse_spec("C(0)"), C)
+            assert str(info.value) == "target is not knotlike: " + counts
+
     def test_invalid_complex_rejected(self):
         # like standardize and find_local_map, validate before pairing
         from gridring import FreeComplex, InvalidComplexError
@@ -451,9 +477,13 @@ class TestFindLocalMap:
             ((99, 0), u1, "entry (99, 0) out of range"),
             ((0, 99), u1, "entry (0, 99) out of range"),
             ((-1, 0), u1, "entry (-1, 0) out of range"),
-            ((0, 0), u1 + elem_from_mono(u_mono(2, 0)), "entry (0, 0) is inhomogeneous"),
+            (
+                (0, 0),
+                u1 + elem_from_mono(u_mono(2, 0)),
+                "entry (0, 0) = U[1,0]+U[2,0] is inhomogeneous",
+            ),
             ((0, 0), ZERO, "stored zero entry at (0, 0)"),
-            ((0, 0), elem_from_mono(u_mono(-1, 0)), "entry (0, 0) not in the ring"),
+            ((0, 0), elem_from_mono(u_mono(-1, 0)), "entry (0, 0) = U[-1,0] is not in ring X"),
             ((0, 0), u1, "entry (0, 0) has grading (-2, 0), expected (-3, 1)"),
         ]
         for key, e, message in cases:
@@ -471,7 +501,7 @@ class TestFindLocalMap:
         assert "chain condition fails at generator 2 on side U" in check_certificate(S, X, cert)
         for e, message in [
             (ZERO, "stored zero entry at (2, 2)"),
-            (elem_from_mono(u_mono(-1, 0)), "entry (2, 2) not in the ring"),
+            (elem_from_mono(u_mono(-1, 0)), "entry (2, 2) = U[-1,0] is not in ring X"),
         ]:
             matrix = {**dropped, (2, 2): e}
             cert = LocalMapCert(fwd.source, fwd.target, fwd.gr2shift, matrix, fwd.kind)
@@ -592,6 +622,75 @@ def _bits(matrix):
     ]
 
 
+@functools.cache
+def _pool_certificates():
+    """``(src, tgt, cert)`` for every full and short local map between the pool's specs.
+
+    The pool's specs are over X; four random specs over R join them.  Each
+    certificate has an entry and passes ``check_certificate``.
+    """
+    specs = [parse_spec(text) for text in POOL_TEXTS]
+    specs += [random_spec(random.Random(k), RingId.R, n_pairs=1 + k % 2) for k in range(4)]
+    out = []
+    for a in specs:
+        for b in specs:
+            if a.ring is b.ring:
+                for kind in ("full", "short"):
+                    cert = find_local_map(a, realize(b), kind)
+                    if cert is not None and cert.matrix:
+                        out.append((realize(a), realize(b), cert))
+    return out
+
+
+def _with_matrix(cert, matrix):
+    return LocalMapCert(cert.source, cert.target, cert.gr2shift, matrix, cert.kind)
+
+
+# scalars: ints of any size, floats, bools and a str
+_SCALARS = st.one_of(
+    st.integers(),
+    st.sampled_from([0, 1, -1, 2, 3, 10**5000, 1.0, 0.0, 0.5, True, False, "1"]),
+)
+# exponents in and out of the region, several per side
+_SIDES = st.frozensets(st.tuples(st.integers(-3, 3), st.integers(-2, 3)), max_size=3)
+
+
+def _entries(ring, want):
+    """Values for a matrix entry of grading ``want``: valid ones, arbitrary ones and non-elements."""
+    basis = reference_grading_basis(ring, want)
+    valid = st.lists(st.sampled_from(basis), min_size=1, unique=True) if basis else st.nothing()
+    return st.one_of(
+        valid.map(lambda ms: functools.reduce(operator.add, map(elem_from_mono, ms))),
+        st.builds(RingElem, _SCALARS, _SIDES, _SIDES),
+        st.sampled_from(["U[1,0]", 1, None, (0, 0)]),
+    )
+
+
+# keys: non-pairs, floats, strs and ints out of range
+_KEYS = st.one_of(
+    st.integers(-2, 12),
+    st.tuples(st.integers(-2, 12), st.integers(-2, 12)),
+    st.tuples(st.integers(0, 6), st.floats()),
+    st.tuples(st.floats(), st.integers(0, 6)),
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+    st.tuples(st.booleans(), st.booleans()),
+    st.tuples(st.integers(0, 6)),
+    st.tuples(st.text(max_size=2), st.integers(0, 6)),
+    st.sampled_from([(), "ab", (10**5000, 0)]),
+)
+
+
+def _pair_of_ints_in(key, n_rows, n_cols):
+    """The key rule, written out for the tests: a pair of ints (a bool is one), both in range."""
+    return (
+        isinstance(key, tuple)
+        and len(key) == 2
+        and all(isinstance(x, int) for x in key)
+        and 0 <= key[0] < n_rows
+        and 0 <= key[1] < n_cols
+    )
+
+
 def _recorded_checks(monkeypatch, workload, seed):
     """The ``check_certificate`` calls of standardizing a workload's library inputs.
 
@@ -688,6 +787,72 @@ class TestCertificateCheck:
             validate(calls[0][0][0])
         for args, kwargs in calls:
             assert check_certificate(*args, **kwargs) == []
+
+    def test_checker_rejects_what_validate_rejects(self):
+        # a scalar other than the int 0 or 1, an entry that is not a
+        # RingElem, and a key that is not a pair of ints in range are each
+        # one violation, never an exception
+        X = normalize(reduce(base_change(example_cable())))
+        spec, fwd, _back = standardize(X)
+        S = realize(spec)
+        dropped = {k: e for k, e in fwd.matrix.items() if k != (2, 2)}
+        for e, message in [
+            (RingElem(scalar=3), "entry (2, 2) has scalar 3, not 0 or 1"),
+            (RingElem(scalar=1.0), "entry (2, 2) has scalar 1.0, not 0 or 1"),
+            (RingElem(scalar=-1), "entry (2, 2) has scalar -1, not 0 or 1"),
+            ("U[1,0]", "entry (2, 2) = 'U[1,0]' is not a RingElem"),
+        ]:
+            for matrix in ({**fwd.matrix, (2, 2): e}, {**dropped, (2, 2): e}):
+                assert check_certificate(S, X, _with_matrix(fwd, matrix)) == [message]
+        free = next(j for j in range(X.n_gens()) if (0, j) not in fwd.matrix)
+        for key in [0, (0, float(free)), (0,), (0, 1, 2), ("0", 0)]:
+            matrix = {**fwd.matrix, key: fwd.matrix[(2, 2)]}
+            assert check_certificate(S, X, _with_matrix(fwd, matrix)) == [
+                "entry %s out of range" % _brief(key)
+            ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_checker_applies_validates_entry_rule(self, data):
+        # one entry of a valid certificate replaced by an arbitrary value: the
+        # checker returns strings, and lists an entry violation exactly when
+        # validate rejects the value as a differential entry of that grading
+        src, tgt, cert = data.draw(st.sampled_from(_pool_certificates()))
+        i = data.draw(st.integers(0, src.n_gens() - 1))
+        j = data.draw(st.integers(0, tgt.n_gens() - 1))
+        want = (src.gr(i)[0] - tgt.gr(j)[0], src.gr(i)[1] + cert.gr2shift - tgt.gr(j)[1])
+        assert (want[0] - want[1]) % 2 == 0
+        e = data.draw(_entries(tgt.ring, want))
+        got = check_certificate(src, tgt, _with_matrix(cert, {**cert.matrix, (i, j): e}))
+        assert isinstance(got, list) and all(isinstance(line, str) for line in got)
+        # an entry A -> B of a complex has grading gr(A) - gr(B) - (1, 1)
+        gens = (("A", (0, 0)), ("B", (-want[0] - 1, -want[1] - 1)))
+        rejected = validate(FreeComplex(tgt.ring, gens, {(0, 1): e}))
+        if rejected:
+            # entry violations are reported alone
+            assert got == [line.replace("(A, B)", "(%d, %d)" % (i, j)) for line in rejected]
+        else:
+            assert not [line for line in got if "entry" in line]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_checker_and_validate_share_the_key_rule(self, data):
+        # a key that is not a pair of ints in range is reported alone by the
+        # checker, and as out of range by validate
+        src, tgt, cert = data.draw(st.sampled_from(_pool_certificates()))
+        key = data.draw(_KEYS)
+        matrix = {**cert.matrix, key: ONE_ELEM}
+        got = check_certificate(src, tgt, _with_matrix(cert, matrix))
+        bad = [k for k in matrix if not _pair_of_ints_in(k, src.n_gens(), tgt.n_gens())]
+        if bad:
+            assert got == ["entry %s out of range" % _brief(k) for k in bad]
+        else:
+            assert isinstance(got, list) and not [line for line in got if "range" in line]
+        n = tgt.n_gens()
+        diff = {**tgt.diff, key: ONE_ELEM}
+        lines = [line for line in validate(FreeComplex(tgt.ring, tgt.generators, diff)) if "range" in line]
+        bad = [k for k in diff if not _pair_of_ints_in(k, n, n)]
+        assert lines == ["differential entry %s out of range" % _brief(k) for k in bad]
 
     def test_unit_defect_and_missing_tower(self):
         # C(0) mapped by the unit onto an unreduced acyclic pair: the chain
