@@ -92,7 +92,8 @@ def validate(C):
     ``RingElem`` that is a sum of basis monomials of its expected grading,
     so each entry is checked with one lookup in the ring's grading table
     (``ring._TABLES``) and three subset tests against the sum of that
-    grading's basis, the scalar being the int 0 or 1.  An entry that fails
+    grading's basis, the scalar being the int 0 or 1, both side parts
+    frozensets and each exponent a pair of ints.  An entry that fails
     them gets its violation from ``_entry_fault``, the rule
     ``localeq.check_certificate`` also applies.  Once every entry passes,
     d^2 is computed on the entries' part bits (``_square_defects``), by the
@@ -142,9 +143,15 @@ def validate(C):
             s, u, v = e.scalar, e.u, e.v
             full = table[want][3][-1]
             if (s or u or v) and isinstance(s, int) and 0 <= s <= full.scalar \
-                    and u <= full.u and v <= full.v:
-                parts.append(s | (2 if u else 0) | (4 if v else 0))
-                continue
+                    and type(u) is frozenset is type(v) and u <= full.u and v <= full.v:
+                # each part holds at most one exponent, equal to a pair of
+                # ints; the entry rule rejects a float equal to an int
+                (a, b), = u or ((0, 0),)
+                (c, d), = v or ((0, 0),)
+                if isinstance(a, int) and isinstance(b, int) \
+                        and isinstance(c, int) and isinstance(d, int):
+                    parts.append(s | (2 if u else 0) | (4 if v else 0))
+                    continue
         # an entry that fails the table's tests is never valid
         out.append(_entry_fault(C.ring, e, want, C.name(i), C.name(j)))
     if not out:
@@ -175,12 +182,13 @@ def _entry_fault(ring, e, want, a, b):
     ``a`` and ``b`` label the entry (generator names in ``validate``,
     indices in ``localeq.check_certificate``).  The first rule ``e``
     breaks is reported: it must be a ``RingElem``, nonzero, with a scalar
-    that is the int 0 or 1 (a bool is the int it subclasses), its
-    monomials in the ring, homogeneous, and of grading ``want``.  It reads
-    only the entry's scalar and exponents, through ``elem_ok`` and
-    ``elem_grading``, and no grading table: a homogeneous entry in the ring
-    lies in the basis of its own grading.  This is the one copy of the
-    entry rule; ``validate`` calls it for each entry its table tests
+    that is the int 0 or 1 (a bool is the int it subclasses), side parts
+    that are frozensets (a record hashes by its fields), its exponents
+    side exponents of the ring (``ring._exps_ok``), homogeneous, and of
+    grading ``want``.  It reads only the entry's scalar and exponents,
+    through ``elem_ok`` and ``elem_grading``, and no grading table: a
+    homogeneous entry in the ring lies in the basis of its own grading.
+    This is the one copy of the entry rule; ``validate`` calls it for each entry its table tests
     reject, and the certificate checker for every entry.
     """
     if not isinstance(e, RingElem):
@@ -190,6 +198,10 @@ def _entry_fault(ring, e, want, a, b):
         return "stored zero entry at (%s, %s)" % (a, b)
     if s not in (0, 1) or not isinstance(s, int):
         return "entry (%s, %s) has scalar %s, not 0 or 1" % (a, b, _brief(s))
+    for part in (e.u, e.v):
+        if type(part) is not frozenset:
+            return "entry (%s, %s) has side part %s, not a frozenset of exponents" % (
+                a, b, _brief(part))
     if not elem_ok(ring, e):
         return "entry (%s, %s) = %s is not in ring %s" % (a, b, _brief(e), ring.value)
     try:

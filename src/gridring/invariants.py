@@ -11,7 +11,7 @@ entries with j > 0.
 
 from .complexes import tensor
 from .localeq import VerificationError, standard_representative
-from .ring import Monomial, Side, _Record, mono_grading
+from .ring import Side, _Record, _grading
 from .standard import _gradings, _require_standard, format_spec, is_symmetric, realize, shift_spec
 
 
@@ -114,7 +114,7 @@ def report(spec):
     sgn_sum = sum(p.sign for p in spec.params)
     c1 = c2 = 0
     for (s, e), c in table.entries:
-        g1, g2 = mono_grading(Monomial(s, e))
+        g1, g2 = _grading(s, e)
         c1 += g1 * c
         c2 += g2 * c
     if pu != c1 + sgn_sum or -pv != c2 + sgn_sum:

@@ -36,7 +36,24 @@ reduction, and a positive candidate, whose arrow leaves the tail as it is,
 reduces only its own rows against it; a negative candidate's arrow adds
 terms to the tail, so it reduces the tail and its rows against the block.
 Only the probe that stops the search is back-substituted into a solution.
-The free-variables-zero solution depends only on the row space and the
+Accepting a positive parameter turns the step's reduction into the next
+block; accepting a negative one eliminates the completed equations into a
+copy of the block.
+
+An equation is keyed by source generator, side and target generator alone:
+between homogeneous complexes all its terms share one grading, and with it
+one monomial.  A source arrow a -> b adds the unknowns of b's entries to
+a's equations, so an arrow into a generator without unknowns adds nothing
+and is skipped (58% of the backward map's arrows on the seed-1
+wide-trivial benchmark inputs, whose standard representative is one
+generator; 15% on search-long).
+
+Unknowns are numbered row-major: by source generator, then target
+generator, then the monomials of the entry's bigrading in
+``grading_basis`` order.  Generators are added in order, each candidate's
+x_k after the accepted prefix, and each layout lists its target generators
+in ascending order, so every system keeps that numbering.  The
+free-variables-zero solution depends only on the row space and the
 numbering, not on the order in which rows are eliminated, so every map
 equals the one a from-scratch solve returns.
 """

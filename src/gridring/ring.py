@@ -36,13 +36,15 @@ class _Record:
     The shared ``__init__`` takes the fields positionally or by keyword, in
     ``__slots__`` order, and raises ``TypeError`` naming the class and the
     field on too many arguments, a missing field, a field given twice or an
-    unknown keyword.  Five records write their own ``__init__``.
-    ``RingElem``, ``Monomial`` and ``SignedParam`` set their fields with
+    unknown keyword.  Four records write their own ``__init__``.
+    ``RingElem`` and ``Monomial`` set their fields with
     ``object.__setattr__``: they are built in the inner loops, where the
-    shared one measured 5-11% slower per small standardization.
-    ``FreeComplex``, which gives a fresh ``{}`` when ``diff`` is omitted,
-    and ``StandardSpec``, which checks its parameters, pass their fields on
-    to the shared one.
+    shared one measured 5-11% slower per small standardization (with
+    ``Monomial`` on it, search-long ``latency_p50_s`` was slower in 5 of 6
+    paired runs).  ``SignedParam``, built once per probe, takes the shared
+    one.  ``FreeComplex``, which gives a fresh ``{}`` when ``diff`` is
+    omitted, and ``StandardSpec``, which checks its parameters, pass their
+    fields on to the shared one.
 
     Records compare equal, and hash, by their fields' values (``_fields``,
     a tuple unless there is one field); a record of another class is never
@@ -96,23 +98,28 @@ class _Record:
 def _brief(value):
     """``repr(value)`` cut to 80 characters, so an error stays one short line.
 
-    It never raises.  Where ``repr`` fails on an int past Python's digit
-    limit for string conversion, that int prints as ``<N digits>``, its
-    digit count, and each record or container holding it is taken apart: a
-    record prints as ``Name(field, ...)``, a tuple as ``(item, ...)`` and
-    another container as ``Name(item, ...)``, each part through ``_brief``.
+    It never raises.  Where ``repr`` fails, with ``ValueError`` on an int
+    past Python's digit limit for string conversion or with ``TypeError``
+    (a ``RingElem`` whose side part is not a set of exponents), the value
+    is taken apart: such an int prints as ``<N digits>``, its digit count,
+    a record as ``Name(field, ...)``, a tuple as ``(item, ...)`` and
+    another container as ``Name(item, ...)``, each part through ``_brief``,
+    and anything else as ``<Name>``.
     """
     try:
         text = repr(value)
-    except ValueError:
+    except (TypeError, ValueError):
         if isinstance(value, int):
             k = (abs(value).bit_length() - 1) * 30103 // 100000  # 10**k <= |value|
             while 10**k <= abs(value):
                 k += 1
             return "%s<%d digits>" % ("-" if value < 0 else "", k)
-        record = isinstance(value, _Record)
-        items = [getattr(value, f) for f in value.__slots__] if record else value
         name = "" if isinstance(value, tuple) else value.__class__.__qualname__
+        try:
+            record = isinstance(value, _Record)
+            items = [getattr(value, f) for f in value.__slots__] if record else list(value)
+        except TypeError:
+            return "<%s>" % name
         text = "%s(%s)" % (name, ", ".join(map(_brief, items)))
     return text if len(text) <= 80 else text[:77] + "..."
 
@@ -128,10 +135,58 @@ class Side(Enum):
     V = "V"
 
 
-def in_region(exp):
-    """True if exp lies in the valid exponent region, origin included."""
+def _exps_ok(ring, exps):
+    """True if every exponent in ``exps`` is a side exponent of ``ring``; never raises.
+
+    A side exponent is a tuple (i, j) of two ints, a bool being the int it
+    subclasses, in the region off the origin: j > 0 (ring X only), or
+    j == 0 < i.  Anything else, a float, a str, a 3-tuple, a frozenset or
+    ``exps`` itself not iterable, gives False.  This is the one membership
+    rule: ``in_region``, ``monomial_ok``, ``elem_ok``, ``param_ok`` and the
+    grading tables call it.  Two copies stay written out where a call per
+    pair measured slower: ``localeq._extant``'s region test (380 to 640 us
+    per search-long input) and ``complexes.paired_basis``'s divisibility
+    tests.  ``complexes.validate`` passes a valid entry on the grading
+    table's subset tests and a type test of each exponent, which together
+    agree with this rule.
+    """
+    over_r = ring is RingId.R
+    try:
+        for exp in exps:
+            i, j = exp
+            if not (isinstance(exp, tuple) and isinstance(i, int) and isinstance(j, int)) \
+                    or j < 0 or (j == 0 and i <= 0) or (over_r and j):
+                return False
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _grading(side, exp):
+    """The bigrading of a side monomial (i, j): (-2i, -2j) on side U, (-2j, -2i) on side V."""
     i, j = exp
-    return j > 0 or (j == 0 and i >= 0)
+    return (-2 * i, -2 * j) if side is Side.U else (-2 * j, -2 * i)
+
+
+def _exp_text(exp):
+    """``[i,j]`` for a pair of ints (a bool prints as its int), else the exponent as given.
+
+    So ``(1, 0)`` prints as ``[1,0]``, ``(1.5, 0)`` as ``[(1.5, 0)]`` and
+    ``"ab"`` as ``['ab']``.
+    """
+    if isinstance(exp, tuple) and len(exp) == 2 and isinstance(exp[0], int) \
+            and isinstance(exp[1], int):
+        return "[%d,%d]" % exp
+    return "[%r]" % (exp,)
+
+
+def in_region(exp):
+    """True if exp lies in the valid exponent region, origin included.
+
+    That is, exp equals the origin (0, 0) or is a side exponent of ring X
+    (``_exps_ok``).
+    """
+    return exp == (0, 0) or _exps_ok(RingId.X, [exp])
 
 
 class Monomial(_Record):
@@ -162,26 +217,15 @@ def monomial_ok(ring, m):
     """Validity of a monomial in the given ring."""
     if m.side is Side.ONE:
         return m.exp == (0, 0)
-    if m.exp == (0, 0) or not in_region(m.exp):
-        return False
-    if ring is RingId.R and m.exp[1] != 0:
-        return False
-    return True
+    return _exps_ok(ring, [m.exp])
 
 
 def mono_grading(m):
-    if m.side is Side.ONE:
-        return (0, 0)
-    i, j = m.exp
-    if m.side is Side.U:
-        return (-2 * i, -2 * j)
-    return (-2 * j, -2 * i)
+    return (0, 0) if m.side is Side.ONE else _grading(m.side, m.exp)
 
 
 def mono_text(m):
-    if m.side is Side.ONE:
-        return "1"
-    return "%s[%d,%d]" % (m.side.value, m.exp[0], m.exp[1])
+    return "1" if m.side is Side.ONE else m.side.value + _exp_text(m.exp)
 
 
 class SignedParam(_Record):
@@ -194,25 +238,16 @@ class SignedParam(_Record):
 
     __slots__ = ("side", "sign", "exp")
 
-    def __init__(self, side, sign, exp):
-        _set(self, "side", side)
-        _set(self, "sign", sign)
-        _set(self, "exp", exp)
-
     def __repr__(self):
         return param_text(self)
 
 
 def param_ok(ring, p):
-    return (
-        p.side in (Side.U, Side.V)
-        and p.sign in (1, -1)
-        and monomial_ok(ring, Monomial(p.side, p.exp))
-    )
+    return p.side in (Side.U, Side.V) and p.sign in (1, -1) and _exps_ok(ring, [p.exp])
 
 
 def param_text(p):
-    return "%s%s[%d,%d]" % ("+" if p.sign > 0 else "-", p.side.value, p.exp[0], p.exp[1])
+    return ("+" if p.sign > 0 else "-") + p.side.value + _exp_text(p.exp)
 
 
 def param_flip(p):
@@ -339,17 +374,12 @@ def elem_monomials(e):
 
 
 def elem_ok(ring, e):
-    """True if every side monomial of ``e`` is valid in ``ring`` (see ``monomial_ok``).
+    """True if every exponent of both side parts of ``e`` is a side exponent of ``ring``.
 
-    Reads the exponents directly: a side exponent (i, j) must lie in the
-    region off the origin, and on the x-axis in ring R.
+    One ``_exps_ok`` call per part, with no generator: a prototype with a
+    generator here measured about 1 us slower per call.
     """
-    over_r = ring is RingId.R
-    for part in (e.u, e.v):
-        for i, j in part:
-            if j < 0 or (j == 0 and i <= 0) or (over_r and j):
-                return False
-    return True
+    return _exps_ok(ring, e.u) and _exps_ok(ring, e.v)
 
 
 def elem_grading(e):
@@ -375,11 +405,11 @@ class _GradingTable(dict):
 
     A bigrading holds the scalar 1 alone, or at most one U-side and one
     V-side monomial: the basis, ordered scalar, U side, V side, the
-    monomials kept by ``monomial_ok``.  ``table[gr]`` is ``(n, u, v, elems)``:
-    ``n`` counts the basis, ``u`` and ``v`` mask the basis monomials that a
-    U-side or a V-side factor multiplies (the unit is in both), and
-    ``elems[bits]`` is the sum of the basis monomials selected by ``bits``,
-    so ``elems[-1]`` is the sum of the whole basis.
+    monomials whose exponents ``_exps_ok`` keeps.  ``table[gr]`` is
+    ``(n, u, v, elems)``: ``n`` counts the basis, ``u`` and ``v`` mask the
+    basis monomials that a U-side or a V-side factor multiplies (the unit
+    is in both), and ``elems[bits]`` is the sum of the basis monomials
+    selected by ``bits``, so ``elems[-1]`` is the sum of the whole basis.
     """
 
     def __init__(self, ring):
@@ -394,8 +424,8 @@ class _GradingTable(dict):
             basis = []
         else:
             ue, ve = (-g1 // 2, -g2 // 2), (-g2 // 2, -g1 // 2)
-            basis = [Monomial(Side.U, ue), Monomial(Side.V, ve)]
-            basis = [m for m in basis if monomial_ok(self.ring, m)]
+            pairs = ((Side.U, ue), (Side.V, ve))
+            basis = [Monomial(side, x) for side, x in pairs if _exps_ok(self.ring, [x])]
         elems = [ZERO]
         for m in basis:
             e = elem_from_mono(m)

@@ -14,15 +14,14 @@ from itertools import zip_longest
 
 from .complexes import FreeComplex
 from .ring import (
-    Monomial,
+    RingElem,
     RingId,
     Side,
     SignedParam,
     _Record,
     _brief,
-    elem_from_mono,
+    _grading,
     lattice_key,
-    mono_grading,
     param_flip,
     param_key,
     param_ok,
@@ -64,7 +63,7 @@ def _expected_side(k):
 
 def _next_grading(gr, p):
     """The grading of x_k, from the grading ``gr`` of x_{k-1} and the parameter p_k."""
-    g1, g2 = mono_grading(Monomial(p.side, p.exp))
+    g1, g2 = _grading(p.side, p.exp)
     return (gr[0] + p.sign * (1 + g1), gr[1] + p.sign * (1 + g2))
 
 
@@ -102,7 +101,8 @@ def realize(spec):
     diff = {}
     for k, p in enumerate(spec.params, start=1):
         arrow = (k - 1, k) if p.sign < 0 else (k, k - 1)
-        diff[arrow] = elem_from_mono(Monomial(p.side, p.exp))
+        part = frozenset([p.exp])
+        diff[arrow] = RingElem(u=part) if p.side is Side.U else RingElem(v=part)
     gens = tuple(("x%d" % i, g) for i, g in enumerate(_gradings(spec)))
     return FreeComplex(spec.ring, gens, diff)
 

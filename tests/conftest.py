@@ -1,17 +1,20 @@
 """Fixtures and input builders shared by the tests.
 
 The exponent windows, ``direct_sum``, ``acyclic_pair`` and ``pad`` come from
-the benchmark corpus.  The ``reference_elem_*`` functions are the
-``Monomial``-based ring tests and a set-based product, kept here so that the
-reference checks share no arithmetic with ``gridring.ring``'s exponent
-kernels, ``reference_compose`` is the ``RingElem`` matrix product, against
+the benchmark corpus.  ``reference_side_ok`` is the side-exponent
+membership rule written out, against ``ring._exps_ok``.  The
+``reference_elem_*`` functions are the ``Monomial``-based ring tests and a
+set-based product, kept here so that the reference checks share no
+arithmetic with ``gridring.ring``'s exponent kernels.
+``reference_compose`` is the ``RingElem`` matrix product, against
 the part-bit product behind d^2 and the certificate checker's chain defect
 (``complexes._part_products``), ``reference_grading_basis``
 is the basis of one bigrading monomial by monomial, against ``ring``'s
 grading table, and ``reference_extant`` is the extant pool read off the
 ring's monomials, against ``localeq._extant``'s integer form.
 ``paired_gradings`` derives a paired basis's gradings from the complex,
-which owns them.
+which owns them.  ``retyped`` gives an element's exponents as floats or
+bools, which the membership rule rejects or accepts.
 ``random_spec`` and ``scramble`` stay here: the corpus's ``random_spec``
 takes a parameter count and its ``scramble`` also shuffles the
 generators, so they would draw other test inputs.
@@ -44,7 +47,6 @@ from gridring.ring import (
     elem_monomials,
     elem_mul,
     mono_grading,
-    monomial_ok,
 )
 from gridring.standard import make_spec
 
@@ -124,9 +126,21 @@ def param_grading(p):
     return (p.sign * g1, p.sign * g2)
 
 
+def reference_side_ok(ring, exp):
+    """Whether the int pair ``exp`` is a side exponent of ``ring``, the rule written out.
+
+    The region (Z x Z>=0) - (Z<0 x {0}) without the origin; ring R keeps
+    only its x-axis.
+    """
+    i, j = exp
+    if (i, j) == (0, 0) or j < 0 or (j == 0 and i < 0):
+        return False
+    return ring is RingId.X or j == 0
+
+
 def reference_elem_ok(ring, e):
-    """Ring membership through ``monomial_ok`` on each side monomial of ``e``."""
-    return all(monomial_ok(ring, m) for m in elem_monomials(e) if m.side is not Side.ONE)
+    """Ring membership through ``reference_side_ok`` on each side monomial of ``e``."""
+    return all(reference_side_ok(ring, m.exp) for m in elem_monomials(e) if m.side is not Side.ONE)
 
 
 def reference_elem_grading(e):
@@ -137,6 +151,20 @@ def reference_elem_grading(e):
     if len(grs) > 1:
         raise ValueError("element is not homogeneous: %r" % (e,))
     return grs.pop()
+
+
+def retyped(e, kind):
+    """``e`` with each exponent component turned into ``kind``; a bool replaces only 0 and 1.
+
+    A float exponent equals its int one but is not a side exponent; a bool
+    one is its int.
+    """
+    def part(exps):
+        return frozenset(
+            tuple(kind(x) if kind is float or x in (0, 1) else x for x in exp) for exp in exps
+        )
+
+    return RingElem(e.scalar, part(e.u), part(e.v))
 
 
 def reference_elem_mul(a, b):
@@ -182,7 +210,7 @@ def reference_compose(da, db):
 
 
 def reference_grading_basis(ring, gr):
-    """The F2 basis of the ring in one bigrading, monomial by monomial through ``monomial_ok``.
+    """The F2 basis of the ring in one bigrading, monomial by monomial (``reference_side_ok``).
 
     The scalar alone in (0, 0), nothing in an odd grading, else the U-side
     monomial before the V-side one, each kept if it is valid.
@@ -194,10 +222,10 @@ def reference_grading_basis(ring, gr):
         return []
     out = []
     ue = (-g1 // 2, -g2 // 2)
-    if monomial_ok(ring, Monomial(Side.U, ue)):
+    if reference_side_ok(ring, ue):
         out.append(Monomial(Side.U, ue))
     ve = (-g2 // 2, -g1 // 2)
-    if monomial_ok(ring, Monomial(Side.V, ve)):
+    if reference_side_ok(ring, ve):
         out.append(Monomial(Side.V, ve))
     return out
 

@@ -34,6 +34,7 @@ from gridring.complexes import (
     side_rows,
 )
 from gridring.ring import (
+    MONO_ONE,
     Monomial,
     ONE_ELEM,
     RingElem,
@@ -50,7 +51,7 @@ from gridring.ring import (
     v_mono,
 )
 from gridring import _gf2, io_json
-from gridring.localeq import standard_representative
+from gridring.localeq import VerificationError, standard_representative
 
 from conftest import (
     paired_gradings,
@@ -59,6 +60,7 @@ from conftest import (
     reference_compose,
     reference_elem_grading,
     reference_elem_ok,
+    retyped,
     same_complex,
     scramble,
     shuffle_generators,
@@ -344,6 +346,69 @@ class TestSideRows:
         assert side_rows(C, Side.V) == [{1: (1, 0)}, {}]
 
 
+# anything a library caller may pass: ints of any size, floats, bools, None and strs
+_ANYTHING = st.one_of(
+    st.integers(), st.integers(-3, 3), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=3), st.just(5000).map(lambda k: 10**k + 1),
+)
+_EXPS = st.one_of(
+    st.tuples(st.integers(-2, 3), st.integers(-1, 3)),
+    st.tuples(_ANYTHING, _ANYTHING),
+    st.tuples(_ANYTHING, _ANYTHING, _ANYTHING),
+    _ANYTHING,
+)
+_PARTS = st.one_of(
+    st.frozensets(_EXPS, max_size=2),
+    st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2),
+    _ANYTHING,
+)
+_GRADINGS = st.one_of(
+    st.tuples(_ANYTHING, _ANYTHING),
+    st.lists(st.integers(-4, 4), max_size=3),
+    _ANYTHING,
+)
+
+
+@st.composite
+def _any_complex(draw):
+    """A ``FreeComplex`` of up to 6 generators, well formed or not.
+
+    Each record, grading, key and entry is well formed or arbitrary.  A
+    well-formed entry between well-formed gradings is a sum of basis
+    monomials of the arrow's grading (the scalar 1 where that grading has
+    none), now and then with float or bool exponents, so ``validate``
+    passes some complexes and the rest of the pipeline is reached.  Names
+    run to 104 characters.
+    """
+    ring = draw(st.sampled_from(RingId))
+    n = draw(st.integers(0, 6))
+    gens, grs = [], []
+    for k in range(n):
+        g1 = draw(st.integers(-4, 4))
+        grs.append((g1, g1 + 2 * draw(st.integers(-2, 2))))
+        if draw(st.integers(0, 9)):
+            gens.append(("x%d:%s" % (k, draw(st.text(max_size=100))), grs[-1]))
+        else:
+            bad = st.one_of(st.tuples(st.text(max_size=3), _GRADINGS), st.tuples(st.text()), _ANYTHING)
+            gens.append(draw(bad))
+    diff = {}
+    for _ in range(draw(st.integers(0, 8))):
+        if n and draw(st.integers(0, 19)):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            want = (grs[i][0] - grs[j][0] - 1, grs[i][1] - grs[j][1] - 1)
+            basis = grading_basis(ring, want) or [MONO_ONE]
+            e = ZERO
+            for m in draw(st.lists(st.sampled_from(basis), min_size=1, unique=True)):
+                e = e + elem_from_mono(m)
+            kind = draw(st.sampled_from([None, None, float, bool]))
+            diff[(i, j)] = retyped(e, kind) if kind else e
+        else:
+            keys = st.tuples(st.integers(-1, 6), st.integers(-1, 6)) | st.tuples(_ANYTHING, _ANYTHING)
+            elems = st.builds(RingElem, st.integers(0, 1) | _ANYTHING, _PARTS, _PARTS)
+            diff[draw(keys | _ANYTHING)] = draw(elems | _ANYTHING)
+    return FreeComplex(ring, tuple(gens), diff)
+
+
 class TestValidate:
     def test_realized_specs_validate(self, pool):
         for spec in pool:
@@ -514,6 +579,49 @@ class TestValidate:
             with pytest.raises(InvalidComplexError, match="is not a RingElem"):
                 standard_representative(C)
         assert len(_brief("x" * 200)) == 80
+
+    def test_side_parts_are_frozensets_of_int_pairs(self):
+        # a side part that is not a frozenset, or an exponent that is not a
+        # pair of ints, is one violation that shows it as given; a bool
+        # exponent is its int
+        gens = (("a", (0, 0)), ("b", (1, -1)), ("c", (0, -2)))
+        cases = [
+            (RingElem(0, frozenset({(1, 0, 0)})), "entry (a, b) = U[(1, 0, 0)] is not in ring X"),
+            (RingElem(0, 5), "entry (a, b) has side part 5, not a frozenset of exponents"),
+            (RingElem(0, frozenset({"ab"})), "entry (a, b) = U['ab'] is not in ring X"),
+            (RingElem(0, frozenset({(1.0, 0)})), "entry (a, b) = U[(1.0, 0)] is not in ring X"),
+            (RingElem(0, frozenset(), {(0, 1)}),
+             "entry (a, b) has side part {(0, 1)}, not a frozenset of exponents"),
+            (RingElem(0, frozenset(), frozenset([(0, 1.0)])), "entry (a, b) = V[(0, 1.0)] is not in ring X"),
+        ]
+        for e, message in cases:
+            C = FreeComplex(RingId.X, gens, {(0, 1): e, (1, 2): ONE_ELEM})
+            assert validate(C) == [message]
+            with pytest.raises(InvalidComplexError, match="side part|is not in ring"):
+                standard_representative(C)
+        for e in [RingElem(0, frozenset({(True, 0)})), RingElem(0, frozenset(), frozenset([(False, True)]))]:
+            assert validate(FreeComplex(RingId.X, gens[:2], {(0, 1): e})) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(C=_any_complex())
+    def test_arbitrary_complexes(self, C):
+        # any records, keys, scalars, side parts and exponents: validate
+        # returns short strings and never raises, and standard_representative
+        # raises only the package's errors for an invalid or unknotlike
+        # complex; a violation prints a generator's name whole
+        bad = validate(C)
+        assert isinstance(bad, list) and all(isinstance(line, str) for line in bad)
+        longest = max((len(rec[0]) for rec in C.generators if isinstance(rec, tuple) and rec
+                       and isinstance(rec[0], str)), default=0)
+        assert all(len(line) <= 250 + 2 * longest for line in bad), bad
+        try:
+            standard_representative(C)
+        except InvalidComplexError as exc:
+            assert bad and exc.violations == bad
+        except (NotKnotlikeError, ValueError, VerificationError):
+            assert not bad
+        else:
+            assert not bad
 
     def test_malformed_records_and_keys_are_violations(self):
         # a generator record that is not a (str name, gradings) pair, and a

@@ -75,6 +75,7 @@ from conftest import (
     reference_extant,
     reference_grading_basis,
     random_spec,
+    retyped,
     scramble,
     wide_product,
 )
@@ -651,16 +652,35 @@ _SCALARS = st.one_of(
     st.integers(),
     st.sampled_from([0, 1, -1, 2, 3, 10**5000, 1.0, 0.0, 0.5, True, False, "1"]),
 )
-# exponents in and out of the region, several per side
-_SIDES = st.frozensets(st.tuples(st.integers(-3, 3), st.integers(-2, 3)), max_size=3)
+# exponents in and out of the region, and ones that are not a pair of ints:
+# floats equal to ints, bools, strs, 3-tuples and ints past the digit limit
+_EXPS = st.one_of(
+    st.tuples(st.integers(-3, 3), st.integers(-2, 3)),
+    st.tuples(st.integers(-3, 3).map(float), st.integers(-2, 3)),
+    st.tuples(st.integers(-3, 3), st.integers(-2, 3).map(float)),
+    st.tuples(st.booleans(), st.booleans()),
+    st.sampled_from([(1.5, 1), (1, 0, 0), (1,), "ab", "a", 5, ("1", 0)]),
+    st.tuples(st.just(5000).map(lambda k: 10**k), st.integers(-1, 1)),
+)
+# several exponents per side, and side parts that are not frozensets
+_SIDES = st.one_of(
+    st.frozensets(_EXPS, max_size=3),
+    st.sampled_from([5, None, "ab", set(), {(1, 0)}, [(1, 0)], ((1, 0),), frozenset]),
+)
 
 
 def _entries(ring, want):
-    """Values for a matrix entry of grading ``want``: valid ones, arbitrary ones and non-elements."""
+    """Values for a matrix entry of grading ``want``: valid ones, arbitrary ones and non-elements.
+
+    A valid element also comes with float exponents, which equal its ints,
+    and with bools for its exponents' 0s and 1s.
+    """
     basis = reference_grading_basis(ring, want)
     valid = st.lists(st.sampled_from(basis), min_size=1, unique=True) if basis else st.nothing()
+    valid = valid.map(lambda ms: functools.reduce(operator.add, map(elem_from_mono, ms)))
     return st.one_of(
-        valid.map(lambda ms: functools.reduce(operator.add, map(elem_from_mono, ms))),
+        valid,
+        st.tuples(valid, st.sampled_from([float, bool])).map(lambda t: retyped(*t)),
         st.builds(RingElem, _SCALARS, _SIDES, _SIDES),
         st.sampled_from(["U[1,0]", 1, None, (0, 0)]),
     )
@@ -800,6 +820,11 @@ class TestCertificateCheck:
             (RingElem(scalar=3), "entry (2, 2) has scalar 3, not 0 or 1"),
             (RingElem(scalar=1.0), "entry (2, 2) has scalar 1.0, not 0 or 1"),
             (RingElem(scalar=-1), "entry (2, 2) has scalar -1, not 0 or 1"),
+            # a malformed exponent or side part, shown as given
+            (RingElem(0, frozenset({(1, 0, 0)})), "entry (2, 2) = U[(1, 0, 0)] is not in ring X"),
+            (RingElem(0, 5), "entry (2, 2) has side part 5, not a frozenset of exponents"),
+            (RingElem(0, frozenset({"ab"})), "entry (2, 2) = U['ab'] is not in ring X"),
+            (RingElem(0, frozenset({(1.0, 0)})), "entry (2, 2) = U[(1.0, 0)] is not in ring X"),
             ("U[1,0]", "entry (2, 2) = 'U[1,0]' is not a RingElem"),
         ]:
             for matrix in ({**fwd.matrix, (2, 2): e}, {**dropped, (2, 2): e}):

@@ -21,6 +21,8 @@ from gridring import (
 from gridring.ring import (
     _TABLES,
     ONE_ELEM,
+    Monomial,
+    _exps_ok,
     RingElem,
     ZERO,
     elem_from_mono,
@@ -28,8 +30,11 @@ from gridring.ring import (
     in_region,
     lattice_key,
     mono_grading,
+    mono_text,
     monomial_ok,
     param_key,
+    param_ok,
+    param_text,
 )
 from gridring.standard import StandardSpec
 
@@ -38,6 +43,7 @@ from conftest import (
     reference_elem_mul,
     reference_elem_ok,
     reference_grading_basis,
+    reference_side_ok,
 )
 
 WINDOW = [
@@ -335,6 +341,43 @@ class TestExponentKernels:
                     n += 1
         assert n == 2 * len(parts) ** 2
 
+    def test_exps_ok_is_the_written_out_rule(self):
+        # the one membership rule against reference_side_ok on every int
+        # pair of the window, alone and through each of its callers
+        grid = [(i, j) for i in range(-4, 5) for j in range(-4, 5)]
+        for ring in RingId:
+            for exp in grid:
+                want = reference_side_ok(ring, exp)
+                assert _exps_ok(ring, [exp]) is want, (ring, exp)
+                assert monomial_ok(ring, u_mono(*exp)) is want
+                assert elem_ok(ring, RingElem(0, frozenset(), frozenset([exp]))) is want
+                assert param_ok(ring, SignedParam(Side.V, -1, exp)) is want
+            assert _exps_ok(ring, grid) is False and _exps_ok(ring, []) is True
+        assert [in_region(exp) for exp in grid] == [
+            exp == (0, 0) or reference_side_ok(RingId.X, exp) for exp in grid
+        ]
+
+    def test_exps_ok_on_malformed_exponents(self):
+        # False, never an exception, for anything but a pair of ints; a
+        # bool counts as its int
+        bad = [(1.0, 0), (1, 0.0), (1.5, 1), (0, 1.0), "ab", "a", (1, 0, 0), (1,), (), 5,
+               None, ("1", 0), (1, None), frozenset([1, 2]), (float("nan"), 1)]
+        for ring in RingId:
+            for exp in bad:
+                for exps in ([exp], [(1, 0), exp]):
+                    assert _exps_ok(ring, exps) is False, (ring, exps)
+                assert monomial_ok(ring, Monomial(Side.U, exp)) is False
+                assert param_ok(ring, SignedParam(Side.U, 1, exp)) is False
+            for exps in (5, None, 1.5, [5], ["ab"]):
+                assert _exps_ok(ring, exps) is False
+            assert _exps_ok(ring, [(True, 0), (True, False), (2, False)]) is True
+            assert _exps_ok(ring, [(False, False)]) is _exps_ok(ring, [(-1, False)]) is False
+            assert _exps_ok(ring, "ab") is False and _exps_ok(ring, {(1, 0): 0}) is True
+        assert _exps_ok(RingId.X, [(True, True), (-3, True)]) is True
+        assert _exps_ok(RingId.R, [(True, True)]) is False
+        assert [in_region(exp) for exp in [(0.5, 0), (1.0, 0), "ab", (0, 0, 0), 5]] == [False] * 5
+        assert in_region((False, False)) and in_region((0, True))
+
     def test_mul_against_set_product(self):
         rng = random.Random(13)
         small = [p for p in WINDOW if abs(p[0]) <= 2 and abs(p[1]) <= 2]
@@ -456,6 +499,17 @@ class TestRecords:
             "ExtantSet(u_coeffs=frozenset(), v_coeffs=frozenset({(1, 0)}))"
         )
         assert repr(SignedParam(Side.V, 1, (2, 1))) == "+V[2,1]"
+        # mono_text and param_text share one exponent formatter: an int pair
+        # (a bool is its int) prints as [i,j], any other exponent as given
+        for i in range(-4, 5):
+            for j in range(-4, 5):
+                assert mono_text(u_mono(i, j)) == "U[%d,%d]" % (i, j)
+                assert param_text(SignedParam(Side.V, -1, (i, j))) == "-V[%d,%d]" % (i, j)
+        assert mono_text(MONO_ONE) == "1" and mono_text(u_mono(True, False)) == "U[1,0]"
+        assert mono_text(Monomial(Side.U, (1, 0, 0))) == "U[(1, 0, 0)]"
+        assert mono_text(v_mono(1.5, 1)) == "V[(1.5, 1)]"
+        assert param_text(SignedParam(Side.U, 1, (1.0, 0))) == "+U[(1.0, 0)]"
+        assert param_text(SignedParam(Side.U, -1, "ab")) == "-U['ab']"
 
     def test_complexes_unhashable_and_identity_records(self):
         from gridring.complexes import FreeComplex, paired_basis
@@ -503,15 +557,16 @@ def _cold_records():
         LocalMapCert("C(0)", "complex", 0, {(0, 0): ONE_ELEM}, "full"),
         ExtantSet(frozenset([(1, 0)]), frozenset()),
         ShiftMap(Side.U, p, u_mono(0, 1)),
+        p,
     ]
 
 
 class TestSharedConstructor:
     """Records without their own ``__init__`` take their fields by position or keyword."""
 
-    OWN_INIT = {"RingElem", "Monomial", "SignedParam", "FreeComplex", "StandardSpec"}
+    OWN_INIT = {"RingElem", "Monomial", "FreeComplex", "StandardSpec"}
 
-    def test_only_five_records_write_their_own_init(self):
+    def test_only_four_records_write_their_own_init(self):
         classes = _record_classes()
         assert len(classes) == 13
         own = {cls.__name__ for cls in classes if "__init__" in cls.__dict__}
@@ -580,3 +635,22 @@ class TestBrief:
         assert _brief((1, 0)) == "(1, 0)" and _brief(SignedParam(Side.V, 1, (2, 1))) == "+V[2,1]"
         assert _brief(tuple(range(100))) == repr(tuple(range(100)))[:77] + "..."
         assert len(_brief([big] * 50)) == 80
+
+    def test_reprs_that_raise_type_error(self):
+        from gridring.ring import _brief
+
+        # a side part that is not a set of exponents: RingElem's repr sorts it
+        assert _brief(RingElem(0, 5)) == "RingElem(0, 5, frozenset())"
+        mixed = _brief(RingElem(1, frozenset(["ab", (1, 0)])))
+        assert mixed.startswith("RingElem(1, frozenset({") and mixed.endswith("}), frozenset())")
+        # a malformed exponent prints as given
+        assert _brief(SignedParam(Side.U, 1, "ab")) == "+U['ab']"
+        assert _brief(RingElem(0, frozenset(["ab"]))) == "U['ab']"
+
+        class Opaque:
+            def __repr__(self):
+                raise TypeError("no repr")
+
+        name = Opaque.__qualname__
+        assert _brief(Opaque()) == "<%s>" % name
+        assert _brief([1, Opaque()]) == "list(1, <%s>)" % name

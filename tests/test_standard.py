@@ -157,6 +157,16 @@ class TestConstruction:
         params = [self.VALID[0], bad]
         _rejected(RingId.X, params, "parameter 2 is invalid in ring X: %r" % (bad,))
 
+    def test_exponent_not_a_pair_of_ints(self):
+        # a float equal to an int, a 3-tuple or a str is not an exponent: a
+        # ValueError, never a TypeError or a spec printed as another one
+        for exp in [(1.5, 0), (1.0, 0), (1, 0, 0), "ab"]:
+            bad = SignedParam(Side.U, 1, exp)
+            message = "parameter 1 is invalid in ring X: %r" % (bad,)
+            for build in (StandardSpec, make_spec):
+                with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                    build(RingId.X, (bad, SignedParam(Side.V, -1, (1, 0))))
+
     def test_nonzero_j_over_r(self):
         bad = SignedParam(Side.U, -1, (1, 1))
         params = [bad, SignedParam(Side.V, 1, (1, 0))]
