@@ -79,6 +79,16 @@ def _emit(args, payload, text):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_spec(args, spec, text=None, **fields):
+    """Print a spec: its document and text form plus ``fields`` as JSON, else ``text``.
+
+    ``text`` defaults to the spec's text form.
+    """
+    payload = {"spec": io_json.spec_to_document(spec), "specText": format_spec(spec), **fields}
+    _emit(args, payload, payload["specText"] if text is None else text)
+    return EXIT_OK
+
+
 def _emit_document(what, C, dy=0):
     """Print the document of C, which is JSON with or without --json.
 
@@ -116,16 +126,10 @@ def cmd_basechange(args):
 
 def cmd_standardize(args):
     spec, fwd, back, applied = _standard_document(args.file)
-    payload = {
-        "spec": io_json.spec_to_document(spec),
-        "specText": format_spec(spec),
-        "appliedShift": list(applied),
-        "verified": True,
-        "forward": fwd.to_json(),
-        "backward": back.to_json(),
-    }
-    _emit(args, payload, format_spec(spec))
-    return EXIT_OK
+    return _emit_spec(
+        args, spec, appliedShift=list(applied), verified=True,
+        forward=fwd.to_json(), backward=back.to_json(),
+    )
 
 
 def cmd_tensor(args):
@@ -173,10 +177,7 @@ def _report_text(spec, rep):
 def cmd_invariants(args):
     spec = _load_spec_arg(args.target)
     rep = report(spec)
-    payload = {"spec": io_json.spec_to_document(spec), "specText": format_spec(spec)}
-    payload.update(rep.to_json())
-    _emit(args, payload, _report_text(spec, rep))
-    return EXIT_OK
+    return _emit_spec(args, spec, _report_text(spec, rep), **rep.to_json())
 
 
 def cmd_example(args):
@@ -192,12 +193,23 @@ def cmd_example(args):
     if args.emit == "x":
         return _emit_document(what, base_change(C))
     spec = standard_representative(base_change(C))[0]
-    _emit(
-        args,
-        {"spec": io_json.spec_to_document(spec), "specText": format_spec(spec)},
-        format_spec(spec),
-    )
-    return EXIT_OK
+    return _emit_spec(args, spec)
+
+
+# one row per subcommand: name, help, positionals (``dest`` or
+# ``dest:METAVAR``) and handler; example's options are added in build_parser
+_COMMANDS = (
+    ("validate", "check a complex document", ("file",), cmd_validate),
+    ("reduce", "cancel unit entries of a base-S document", ("file",), cmd_reduce),
+    ("basechange", "extend scalars of a base-FUV document into X", ("file",), cmd_basechange),
+    ("standardize", "compute the standard representative", ("file",), cmd_standardize),
+    ("tensor", "tensor product of two base-S documents", ("a", "b"), cmd_tensor),
+    ("dual", "dual of a base-S document", ("file",), cmd_dual),
+    ("compare", "order two complexes or specs", ("a", "b"), cmd_compare),
+    ("invariants", "invariant report for a file or C(...) literal", ("target:FILE|SPEC",),
+     cmd_invariants),
+    ("example", "built-in example complexes", (), cmd_example),
+)
 
 
 def build_parser():
@@ -207,46 +219,16 @@ def build_parser():
     )
     ap.add_argument("--json", action="store_true", help="emit a single JSON object")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a complex document")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("reduce", help="cancel unit entries of a base-S document")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("basechange", help="extend scalars of a base-FUV document into X")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_basechange)
-
-    p = sub.add_parser("standardize", help="compute the standard representative")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_standardize)
-
-    p = sub.add_parser("tensor", help="tensor product of two base-S documents")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("dual", help="dual of a base-S document")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("compare", help="order two complexes or specs")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("invariants", help="invariant report for a file or C(...) literal")
-    p.add_argument("target", metavar="FILE|SPEC")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("example", help="built-in example complexes")
+    for name, text, positionals, func in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for arg in positionals:
+            dest, _, metavar = arg.partition(":")
+            p.add_argument(dest, metavar=metavar or None)
+        p.set_defaults(func=func)
+    p = sub.choices["example"]
     p.add_argument("which", choices=["zhou", "cable"])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--emit", choices=["fuv", "x", "spec"], default="fuv")
-    p.set_defaults(func=cmd_example)
     return ap
 
 

@@ -161,7 +161,8 @@ def document_to_complex(doc):
 def spec_to_document(spec):
     return {
         "ring": spec.ring.value,
-        "params": [{"sign": p.sign, "e": list(p.exp)} for p in spec.params],
+        # plain ints: a bool sign or exponent is written as the int it is
+        "params": [{"sign": int(p.sign), "e": [int(i) for i in p.exp]} for p in spec.params],
     }
 
 

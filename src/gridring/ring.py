@@ -243,7 +243,13 @@ class SignedParam(_Record):
 
 
 def param_ok(ring, p):
-    return p.side in (Side.U, Side.V) and p.sign in (1, -1) and _exps_ok(ring, [p.exp])
+    """True if p lies on side U or V with a sign of 1 or -1 and a side exponent of ``ring``.
+
+    The sign must be an int, a bool being the int it subclasses, as
+    ``_exps_ok`` asks of exponents: ``1.0`` or ``"+"`` is not a sign.
+    """
+    return p.side in (Side.U, Side.V) and isinstance(p.sign, int) and p.sign in (1, -1) \
+        and _exps_ok(ring, [p.exp])
 
 
 def param_text(p):

@@ -216,6 +216,9 @@ def format_spec(spec):
 
 
 _PARAM_RE = re.compile(r"^\s*([+-])([UV])\[(-?\d+),(-?\d+)\]\s*$")
+# a comma between parameters: every comma but one with an int on each side
+# and "]" after the second, the comma inside an exponent's brackets
+_SPLIT_RE = re.compile(r"(?<!\d),|,(?!-?\d+\])")
 
 
 def parse_spec(text, ring=RingId.X):
@@ -226,21 +229,8 @@ def parse_spec(text, ring=RingId.X):
     inner = text[2:-1].strip()
     if inner in ("", "0"):
         return StandardSpec(ring, ())
-    # exponents contain commas: re-join split pieces until brackets balance
-    joined, buf, depth = [], [], 0
-    for piece in inner.split(","):
-        buf.append(piece)
-        depth += piece.count("[") - piece.count("]")
-        if depth == 0:
-            joined.append(",".join(buf))
-            buf = []
-    if buf:
-        raise ValueError(
-            "unbalanced brackets in spec parameter %d: %s"
-            % (len(joined) + 1, _brief(",".join(buf)))
-        )
     out = []
-    for k, tok in enumerate(joined, start=1):
+    for k, tok in enumerate(_SPLIT_RE.split(inner), start=1):
         m = _PARAM_RE.match(tok)
         if not m:
             raise ValueError("bad spec parameter %d: %s" % (k, _brief(tok)))

@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridring import (
     EQUAL,
@@ -27,7 +28,7 @@ from gridring import (
     validate,
 )
 from gridring import io_json
-from gridring.ring import elem_from_mono, param_text, u_mono, v_mono
+from gridring.ring import _brief, elem_from_mono, param_text, u_mono, v_mono
 from gridring.standard import ShiftMap, StandardSpec, _expected_side, _gradings, make_spec
 
 from conftest import param_grading, random_spec, same_complex
@@ -166,6 +167,27 @@ class TestConstruction:
             for build in (StandardSpec, make_spec):
                 with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                     build(RingId.X, (bad, SignedParam(Side.V, -1, (1, 0))))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 2, "+"])
+    def test_sign_not_an_int_one(self, sign):
+        # a sign obeys the exponents' int rule: 1.0 equals 1 but is no sign
+        bad = SignedParam(Side.U, sign, (1, 0))
+        message = "parameter 1 is invalid in ring X: %s" % _brief(bad)
+        for build in (StandardSpec, make_spec):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                build(RingId.X, (bad, SignedParam(Side.V, -1, (1, 0))))
+
+    def test_bool_sign_and_exponent_are_their_ints(self):
+        # a bool is the int it subclasses, and the document holds plain ints
+        spec = make_spec(
+            RingId.X, [SignedParam(Side.U, True, (True, 0)), SignedParam(Side.V, -1, (2, False))]
+        )
+        doc = io_json.spec_to_document(spec)
+        assert io_json.dump_json(doc) == io_json.dump_json(
+            {"ring": "X", "params": [{"sign": 1, "e": [1, 0]}, {"sign": -1, "e": [2, 0]}]}
+        )
+        assert io_json.document_to_spec(doc) == spec
+        assert format_spec(spec) == "C(+U[1,0], -V[2,0])"
 
     def test_nonzero_j_over_r(self):
         bad = SignedParam(Side.U, -1, (1, 1))
@@ -321,6 +343,12 @@ class TestPromoteAndText:
         for spec in pool:
             assert parse_spec(format_spec(spec)) == spec
 
+    @settings(max_examples=200, deadline=None)
+    @given(ring=st.sampled_from([RingId.X, RingId.R]), rng=st.randoms(use_true_random=False))
+    def test_random_text_round_trip(self, ring, rng):
+        spec = random_spec(rng, ring, max_pairs=3)
+        assert parse_spec(format_spec(spec), ring) == spec
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_spec("C(-U[1,0], +U[1,0])")  # wrong side at position 2
@@ -341,4 +369,19 @@ class TestPromoteAndText:
     )
     def test_parse_rejects_empty_parameter(self, text, k):
         with pytest.raises(ValueError, match=r"^bad spec parameter %d: '\s*'$" % k):
+            parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, k, tok",
+        [
+            ("C(-U[1,0)", 1, "-U[1"),
+            ("C(-U[1,0], +V[1,0)", 2, " +V[1"),
+            ("C(-U[1,[0], +V[1,0])", 1, "-U[1"),
+            ("C(-U[1,0],0])", 2, "0]"),
+        ],
+    )
+    def test_parse_names_the_parameter_with_bad_brackets(self, text, k, tok):
+        # an unclosed or stray bracket is a bad parameter like any other
+        message = "bad spec parameter %d: %r" % (k, tok)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             parse_spec(text)
