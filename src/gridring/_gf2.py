@@ -1,18 +1,24 @@
-"""Small GF(2) linear algebra on int bitmasks."""
+"""Small GF(2) linear algebra on int bitmasks.
+
+Each row pivots on its highest set bit, its highest-numbered unknown:
+``r.bit_length()`` finds it without building an int, and XORing a pivot
+row into a row clears that bit and leaves only lower ones, so the row
+shrinks as it is eliminated.
+"""
 
 
 def eliminate(rows, rhs, pivots=None):
     """The echelon pivots of an affine system, or None when it is inconsistent.
 
-    ``pivots`` maps a lowest set bit to its ``(row, b)``; one from an earlier
-    call is extended in place.  Each row is eliminated down to a new lowest
-    set bit, which becomes its pivot.  Hand the result to ``back_substitute``
-    for the solution.
+    ``pivots`` maps a highest set bit to its ``(row, b)``; one from an
+    earlier call is extended in place.  Each row is eliminated down to a new
+    highest set bit, which becomes its pivot.  Hand the result to
+    ``back_substitute`` for the solution.
     """
     pivots = {} if pivots is None else pivots
     for r, b in zip(rows, rhs):
         while r:
-            pc = (r & -r).bit_length() - 1
+            pc = r.bit_length() - 1
             pivot = pivots.get(pc)
             if pivot is None:
                 pivots[pc] = (r, b)
@@ -30,18 +36,22 @@ def solve(rows, rhs):
 
     Returns one solution as a bitmask (free variables zero), or None when
     the system is inconsistent.  The pivot set is the one of the reduced
-    row echelon form, which depends only on the row space, so the solution
-    does not depend on the order of the rows or on which of them were
-    eliminated beforehand.
+    row echelon form with each row led by its highest unknown, which
+    depends only on the row space, so the solution does not depend on the
+    order of the rows or on which of them were eliminated beforehand.
     """
     pivots = eliminate(rows, rhs)
     return None if pivots is None else back_substitute(pivots)
 
 
 def back_substitute(pivots):
-    """The free-variables-zero solution of a consistent system's echelon ``pivots``."""
+    """The free-variables-zero solution of a consistent system's echelon ``pivots``.
+
+    A pivot row's other bits are all lower than its pivot, so the pivots
+    are solved in ascending order.
+    """
     sol = 0
-    for pc in sorted(pivots, reverse=True):
+    for pc in sorted(pivots):
         r, b = pivots[pc]
         if (b ^ (r & sol).bit_count()) & 1:
             sol |= 1 << pc

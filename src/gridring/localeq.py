@@ -52,8 +52,9 @@ Unknowns are numbered row-major: by source generator, then target
 generator, then the monomials of the entry's bigrading in
 ``grading_basis`` order.  Generators are added in order, each candidate's
 x_k after the accepted prefix, and each layout lists its target generators
-in ascending order, so every system keeps that numbering.  The
-free-variables-zero solution depends only on the row space and the
+in ascending order, so every system keeps that numbering.  ``_gf2`` pivots
+each row on its highest-numbered unknown, and the free-variables-zero
+solution depends only on the row space, that pivot rule and the
 numbering, not on the order in which rows are eliminated, so every map
 equals the one a from-scratch solve returns.
 """

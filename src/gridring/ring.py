@@ -36,15 +36,16 @@ class _Record:
     The shared ``__init__`` takes the fields positionally or by keyword, in
     ``__slots__`` order, and raises ``TypeError`` naming the class and the
     field on too many arguments, a missing field, a field given twice or an
-    unknown keyword.  Four records write their own ``__init__``.
-    ``RingElem`` and ``Monomial`` set their fields with
-    ``object.__setattr__``: they are built in the inner loops, where the
+    unknown keyword.  Five records write their own ``__init__``.
+    ``RingElem``, ``Monomial`` and ``SignedParam`` set their fields with
+    ``object.__setattr__``: they are built on the hot path, where the
     shared one measured 5-11% slower per small standardization (with
     ``Monomial`` on it, search-long ``latency_p50_s`` was slower in 5 of 6
-    paired runs).  ``SignedParam``, built once per probe, takes the shared
-    one.  ``FreeComplex``, which gives a fresh ``{}`` when ``diff`` is
-    omitted, and ``StandardSpec``, which checks its parameters, pass their
-    fields on to the shared one.
+    paired runs) and about twice as slow per ``SignedParam``, built once
+    per probe.  ``FreeComplex``, which gives a fresh ``{}`` when ``diff``
+    is omitted, and ``StandardSpec``, which checks its parameters, pass
+    their fields on to the shared one.  The records left on it are built
+    off the hot path.
 
     Records compare equal, and hash, by their fields' values (``_fields``,
     a tuple unless there is one field); a record of another class is never
@@ -238,6 +239,11 @@ class SignedParam(_Record):
 
     __slots__ = ("side", "sign", "exp")
 
+    def __init__(self, side, sign, exp):
+        _set(self, "side", side)
+        _set(self, "sign", sign)
+        _set(self, "exp", exp)
+
     def __repr__(self):
         return param_text(self)
 
@@ -253,7 +259,17 @@ def param_ok(ring, p):
 
 
 def param_text(p):
-    return ("+" if p.sign > 0 else "-") + p.side.value + _exp_text(p.exp)
+    """``+`` or ``-`` for a sign of the int 1 or -1, else the sign as given, then the monomial.
+
+    A bool sign is its int; any other sign prints in parentheses, as
+    ``_exp_text`` prints an exponent that is not an int pair, so ``1.0``
+    gives ``(1.0)U[1,0]`` and never the text of a valid parameter.
+    """
+    if isinstance(p.sign, int) and p.sign in (1, -1):
+        sign = "+" if p.sign > 0 else "-"
+    else:
+        sign = "(%r)" % (p.sign,)
+    return sign + p.side.value + _exp_text(p.exp)
 
 
 def param_flip(p):

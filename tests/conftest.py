@@ -8,7 +8,9 @@ set-based product, kept here so that the reference checks share no
 arithmetic with ``gridring.ring``'s exponent kernels.
 ``reference_compose`` is the ``RingElem`` matrix product, against
 the part-bit product behind d^2 and the certificate checker's chain defect
-(``complexes._part_products``), ``reference_grading_basis``
+(``complexes._part_products``), ``reference_solve`` is Gauss-Jordan
+elimination over GF(2), against ``_gf2`` and the map oracle's solver,
+``reference_grading_basis``
 is the basis of one bigrading monomial by monomial, against ``ring``'s
 grading table, and ``reference_extant`` is the extant pool read off the
 ring's monomials, against ``localeq._extant``'s integer form.
@@ -207,6 +209,34 @@ def reference_compose(da, db):
             if p:
                 out[(i, k)] = out.get((i, k), ZERO) + p
     return {key: e for key, e in out.items() if e}
+
+
+def reference_solve(rows, rhs, lowest=False):
+    """Gauss-Jordan elimination over GF(2) keeping the reduced row echelon form throughout.
+
+    Rows are bitmasks of unknowns.  Each new row is reduced by the pivot
+    rows of the pivot columns it holds, takes its highest set bit as its
+    pivot (its lowest with ``lowest``, the rule the package's certificates
+    followed before) and clears that bit from the rows already kept.
+    Returns the solution with every free variable zero, or None when the
+    system is inconsistent.
+    """
+    kept, cols = {}, 0  # pivot column -> (row, b) in reduced row echelon form, and their mask
+    for r, b in zip(rows, rhs):
+        while r & cols:
+            pr, pb = kept[(r & cols).bit_length() - 1]
+            r ^= pr
+            b ^= pb
+        if r:
+            pc = (r & -r if lowest else r).bit_length() - 1
+            for c2, (r2, b2) in kept.items():
+                if (r2 >> pc) & 1:
+                    kept[c2] = (r2 ^ r, b2 ^ b)
+            kept[pc] = (r, b)
+            cols |= 1 << pc
+        elif b:
+            return None
+    return sum(1 << pc for pc, (_r, b) in kept.items() if b)
 
 
 def reference_grading_basis(ring, gr):

@@ -1,0 +1,63 @@
+"""One standardization of ``cable⊗K``, timed: the scale measurement of the solver.
+
+Builds the K-fold tensor power of the base-changed cable example
+(``examples.example_cable``, ``base_change``, ``tensor``: 5**K generators)
+and runs ``standard_representative`` on it once.  Prints its CPU time, the
+time and call count of ``_gf2.eliminate`` within it (the script wraps that
+function, so ``_gf2.solve`` and ``solve_unit`` are counted through it),
+the process's peak resident set size and the spec.  ``cable⊗5`` (3125
+generators) takes a few seconds and about 200 MB.
+
+Run from the repository root: ``python3 tests/scale.py K``.
+"""
+
+import pathlib
+import resource
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from gridring import _gf2, base_change, example_cable, format_spec, standard_representative, tensor
+
+
+def cable_power(k):
+    """The tensor product of ``k`` copies of the cable example over X."""
+    cable = base_change(example_cable())
+    out = cable
+    for _ in range(k - 1):
+        out = tensor(out, cable)
+    return out
+
+
+def main(argv):
+    if len(argv) != 1 or not argv[0].isdigit() or int(argv[0]) < 1:
+        sys.exit("usage: python3 tests/scale.py K   (K >= 1; cable^K has 5**K generators)")
+    k = int(argv[0])
+    C = cable_power(k)
+    eliminate, spent = _gf2.eliminate, [0, 0.0]
+
+    def timed(*args):
+        t = time.process_time()
+        try:
+            return eliminate(*args)
+        finally:
+            spent[0] += 1
+            spent[1] += time.process_time() - t
+
+    _gf2.eliminate = timed
+    try:
+        t = time.process_time()
+        spec = standard_representative(C)[0]
+        cpu = time.process_time() - t
+    finally:
+        _gf2.eliminate = eliminate
+    print("input cable^%d (%d generators)" % (k, C.n_gens()))
+    print("cpu_s %.3f" % cpu)
+    print("eliminate_s %.3f over %d calls" % (spent[1], spent[0]))
+    print("maxrss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
+    print("spec %s" % format_spec(spec))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

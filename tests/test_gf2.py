@@ -1,37 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridring import _gf2
 
-
-def reference_solve(rows, rhs):
-    """Gauss-Jordan elimination keeping the reduced row echelon form throughout.
-
-    The solver this package shipped before the echelon one; its
-    free-variables-zero solution is what the certificates in CLI output
-    contain, so the current solver must reproduce it bit for bit.
-    """
-    sys_rows = []  # (pivot_col, row, b) in reduced row echelon form
-    for r, b in zip(rows, rhs):
-        for pc, pr, pb in sys_rows:
-            if (r >> pc) & 1:
-                r ^= pr
-                b ^= pb
-        if r:
-            pc = (r & -r).bit_length() - 1
-            sys_rows = [
-                (c2, r2 ^ r, b2 ^ b) if (r2 >> pc) & 1 else (c2, r2, b2)
-                for (c2, r2, b2) in sys_rows
-            ]
-            sys_rows.append((pc, r, b))
-        elif b:
-            return None
-    sol = 0
-    for pc, _r, b in sys_rows:
-        if b:
-            sol |= 1 << pc
-    return sol
+from conftest import reference_solve
 
 
 def _random_system(rng, n_rows, n_vars, density):
@@ -57,6 +31,21 @@ def _rank_deficient(rng, n_rows, n_vars, rank):
                 r ^= v
         rows.append(r)
     return rows, [bin(r & x).count("1") & 1 for r in rows]
+
+
+def _mirror(x, width):
+    """``x`` with bit u moved to bit width - 1 - u."""
+    return int(format(x, "0%db" % width)[::-1], 2)
+
+
+@st.composite
+def _systems(draw):
+    """A random system: its width, rows (some repeated, so some systems are dependent) and rhs."""
+    width = draw(st.integers(1, 24))
+    basis = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=width + 2))
+    rows = draw(st.lists(st.sampled_from(basis), max_size=width + 4))
+    rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return width, rows, rhs
 
 
 def _cases():
@@ -89,6 +78,17 @@ class TestSolve:
             inconsistent += want is None
         # the corpus exercises both outcomes
         assert 0 < inconsistent < len(CASES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=_systems())
+    def test_highest_bit_is_mirrored_lowest_bit(self, system):
+        # pivoting on each row's highest bit is pivoting on its lowest bit
+        # with the unknowns numbered from the top: same feasibility, and the
+        # free-variables-zero solution of the mirrored rows mirrored back
+        width, rows, rhs = system
+        old = reference_solve([_mirror(r, width) for r in rows], rhs, lowest=True)
+        sol = _gf2.solve(rows, rhs)
+        assert sol == (None if old is None else _mirror(old, width))
 
     def test_solution_solves(self):
         for rows, rhs in CASES:
@@ -129,7 +129,7 @@ class TestSolve:
     def test_inconsistent_head(self):
         assert _gf2.eliminate([1, 1], [0, 1]) is None
         assert _gf2.eliminate([0], [1]) is None
-        assert _gf2.eliminate([0, 3], [0, 1]) == {0: (3, 1)}
+        assert _gf2.eliminate([0, 3], [0, 1]) == {1: (3, 1)}
 
     @pytest.mark.parametrize("n", [1, 3, 16, 90])
     def test_solve_unit_matches_reference(self, n):

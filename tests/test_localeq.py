@@ -74,6 +74,7 @@ from conftest import (
     reference_compose,
     reference_extant,
     reference_grading_basis,
+    reference_solve,
     random_spec,
     retyped,
     scramble,
@@ -122,9 +123,10 @@ def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
     read by ``reference_grading_basis``), but every term is added one
     unknown at a time into an equation keyed by its coefficient exponent
     too, and every slot is found by scanning all target generators.  It
-    reads both differentials itself (``_side_terms``) and shares no table
-    with the library, so a feasible system must give the library's map
-    entry by entry.
+    reads both differentials itself (``_side_terms``) and solves with
+    ``reference_solve``, so it shares no table and no solver code with the
+    library, and a feasible system must give the library's map entry by
+    entry.
     """
     out = {side: _side_terms(tgt, side) for side in (Side.U, Side.V)}
     src_in = {side: _side_terms(src, side, into=True) for side in (Side.U, Side.V)}
@@ -159,7 +161,7 @@ def reference_solve_map(src, tgt, gr2shift, src_mask, tgt_w, skip=None):
                         if skip != (i0, side):
                             key = (i0, side, j, (c + a, d + b))
                             rows[key] = rows.get(key, 0) ^ mask
-    sol = _gf2.solve(list(rows.values()) + [loc], [0] * len(rows) + [1])
+    sol = reference_solve(list(rows.values()) + [loc], [0] * len(rows) + [1])
     if sol is None:
         return None
     matrix = {}

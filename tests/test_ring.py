@@ -511,6 +511,14 @@ class TestRecords:
         assert param_text(SignedParam(Side.U, 1, (1.0, 0))) == "+U[(1.0, 0)]"
         assert param_text(SignedParam(Side.U, -1, "ab")) == "-U['ab']"
 
+    def test_param_text_prints_a_sign_that_is_not_an_int_one_as_given(self):
+        # a sign equal to 1 but not the int must not print as a valid parameter
+        assert param_text(SignedParam(Side.U, True, (1, 0))) == "+U[1,0]"
+        assert param_text(SignedParam(Side.U, 1.0, (1, 0))) == "(1.0)U[1,0]"
+        assert param_text(SignedParam(Side.V, -1.0, (2, 1))) == "(-1.0)V[2,1]"
+        assert param_text(SignedParam(Side.U, 2, (1, 0))) == "(2)U[1,0]"
+        assert param_text(SignedParam(Side.U, "+", (1.5, 0))) == "('+')U[(1.5, 0)]"
+
     def test_complexes_unhashable_and_identity_records(self):
         from gridring.complexes import FreeComplex, paired_basis
         from gridring.standard import realize
@@ -557,16 +565,15 @@ def _cold_records():
         LocalMapCert("C(0)", "complex", 0, {(0, 0): ONE_ELEM}, "full"),
         ExtantSet(frozenset([(1, 0)]), frozenset()),
         ShiftMap(Side.U, p, u_mono(0, 1)),
-        p,
     ]
 
 
 class TestSharedConstructor:
     """Records without their own ``__init__`` take their fields by position or keyword."""
 
-    OWN_INIT = {"RingElem", "Monomial", "FreeComplex", "StandardSpec"}
+    OWN_INIT = {"RingElem", "Monomial", "SignedParam", "FreeComplex", "StandardSpec"}
 
-    def test_only_four_records_write_their_own_init(self):
+    def test_records_that_write_their_own_init(self):
         classes = _record_classes()
         assert len(classes) == 13
         own = {cls.__name__ for cls in classes if "__init__" in cls.__dict__}
@@ -575,7 +582,8 @@ class TestSharedConstructor:
         assert cold == {cls for cls in classes if cls.__name__ not in self.OWN_INIT}
 
     def test_keyword_equals_positional(self):
-        for rec in _cold_records():
+        # SignedParam's own __init__ takes its fields by the same names
+        for rec in _cold_records() + [SignedParam(Side.U, 1, (1, 0))]:
             cls, names = type(rec), rec.__slots__
             values = [getattr(rec, name) for name in names]
             by_position = cls(*values)
