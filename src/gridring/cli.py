@@ -22,7 +22,7 @@ from .complexes import (
 )
 from .invariants import report
 from .localeq import VerificationError, standard_representative
-from .ring import EQUAL, LESS
+from .ring import EQUAL, LESS, RingId
 from .standard import _require_standard, format_spec, lex_compare, parse_spec
 from .io_json import DocumentError
 
@@ -63,10 +63,14 @@ def _standard_document(path):
     raise DocumentError("%s: %s" % (path, "; ".join(bad)))
 
 
-def _load_spec_arg(arg):
-    """A standard spec from either the C(...) literal form or a document path."""
-    if arg.strip().startswith("C("):
-        spec = parse_spec(arg)
+def _is_literal(arg):
+    return arg.strip().startswith("C(")
+
+
+def _load_spec_arg(arg, ring=RingId.X):
+    """A standard spec from either the C(...) literal form, over ``ring``, or a document path."""
+    if _is_literal(arg):
+        spec = parse_spec(arg, ring)
         _require_standard(spec)
         return spec
     return _standard_document(arg)[0]
@@ -145,8 +149,14 @@ def cmd_dual(args):
 
 
 def cmd_compare(args):
-    sa = _load_spec_arg(args.a)
-    sb = _load_spec_arg(args.b)
+    # a literal is read over the ring of the document it is compared with,
+    # and two literals over X
+    if _is_literal(args.a) and not _is_literal(args.b):
+        sb = _load_spec_arg(args.b)
+        sa = _load_spec_arg(args.a, sb.ring)
+    else:
+        sa = _load_spec_arg(args.a)
+        sb = _load_spec_arg(args.b, sa.ring)
     c = lex_compare(sa, sb)
     word = "equal" if c == EQUAL else ("less" if c == LESS else "greater")
     _emit(args, {"order": word, "a": format_spec(sa), "b": format_spec(sb)}, word)

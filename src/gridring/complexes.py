@@ -99,8 +99,12 @@ def validate(C):
     d^2 is computed on the entries' part bits (``_square_defects``), by the
     product ``_part_products`` that the checker also forms its chain defect
     with.  The keys, gradings and entries a violation prints are cut to 80
-    characters (``ring._brief``), so each stays one short line.
+    characters (``ring._brief``), so each stays one short line.  Anything
+    but a ``FreeComplex`` gets one violation naming its type.
     """
+    if not isinstance(C, FreeComplex):
+        hint = "; base_change turns it into one over X" if isinstance(C, FUVComplex) else ""
+        return ["expected a FreeComplex, got %s%s" % (type(C).__name__, hint)]
     out = []
     names = []
     paired = True

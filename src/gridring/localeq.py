@@ -29,16 +29,15 @@ once per grading: which entries are non-zero, the bits of their monomials,
 and per side the mask each equation receives, that side built when first
 read.  Adding a generator then copies one shifted mask per equation.
 Accepted parameters are never revisited, so one source system grows with
-the search: the equations an accepted parameter completes join an
-eliminated block, and the last generator's equations, the tail, are
-reduced against it once per step.  The probe that stops the search is that
-reduction, and a positive candidate, whose arrow leaves the tail as it is,
-reduces only its own rows against it; a negative candidate's arrow adds
-terms to the tail, so it reduces the tail and its rows against the block.
-Only the probe that stops the search is back-substituted into a solution.
-Accepting a positive parameter turns the step's reduction into the next
-block; accepting a negative one eliminates the completed equations into a
-copy of the block.
+the search.  p_k's arrow joins x_{k-1} and x_k on p_k's side, so it can
+change only x_{k-1}'s equations on that side, the tail; every other
+equation of the prefix is complete and eliminated into a block.  Each
+probe, the stop included, eliminates the tail, and a candidate's x_k rows
+on p_k's side with its arrow, against a copy of the block: that is the
+system of its map, and the condition a short map drops, x_k's on the next
+side, is the next tail.  Accepting a candidate therefore adopts its
+probe's pivots as the block and eliminates nothing.  Only the probe that
+stops the search is back-substituted into a solution.
 
 An equation is keyed by source generator, side and target generator alone:
 between homogeneous complexes all its terms share one grading, and with it
@@ -390,15 +389,18 @@ class _Search:
     the tower grading ``tgr`` and each later generator's grading derived
     from the previous one by ``_next_grading``, as ``realize`` does.  Their
     unknowns are numbered in that order, each generator's read from the
-    target's layout of its grading, and listed in ``slots``.  The equations
-    keyed by x_0..x_{k-2}, and the locality row (it touches only x_0), are
-    complete and eliminated into ``block``.  The equations keyed by x_{k-1}
-    are the ``tail``: a negative p_k still adds terms to them.
+    target's layout of its grading, and listed in ``slots``.  p_k's arrow
+    joins x_{k-1} and x_k on p_k's side, so it can change only x_{k-1}'s
+    equations on that side: they are the ``tail``.  Every other equation of
+    the prefix, and the locality row, is complete and eliminated into
+    ``block``.
 
-    The stopping probe and a positive candidate leave the tail as it is, so
-    its reduction against the block is shared: ``reduced`` computes it once
-    per step.  No pivots handed out by a probe, nor the block, are extended
-    in place afterwards.
+    Each probe, the stop included, is one elimination of the tail, plus a
+    candidate's rows, against a copy of the block; that system is the one
+    of its map, and the condition a short map skips is the next tail.
+    Accepting a candidate adopts its probe's pivots as the block.  No
+    pivots handed out by a probe, nor the block, are extended in place
+    afterwards.
     """
 
     def __init__(self, target, w, tgr):
@@ -407,75 +409,45 @@ class _Search:
         self.slots = {}
         self.G = (0, tgr[1])  # the grading of x_{k-1}
         self.tail = {}
-        self.nbits, loc = _add_unknowns(0, self.G, target, self.tail, self.slots, 0, w)
-        self.block = _gf2.eliminate([loc], [1])
-        self._reduced = (0, None)  # (step, the tail's reduction at that step)
-
-    def _add(self, p, rows, slots, skip=0):
-        """Add x_k under parameter p: its unknowns and the arrow between x_{k-1} and x_k.
-
-        ``skip`` is the side index of x_k's omitted condition, if any.
-        Returns x_k's grading and the next free bit.
-        """
-        k = len(self.params) + 1
-        G = _next_grading(self.G, p)
-        nbits, _loc = _add_unknowns(k, G, self.target, rows, slots, self.nbits, skip=skip)
-        # a negative p is the arrow x_{k-1} -> x_k, a positive one x_k ->
-        # x_{k-1}; a short map's skipped condition lies on the other side
-        if p.sign < 0:
-            _add_arrow(k - 1, _T[p.side], slots[k], rows)
-        else:
-            _add_arrow(k, _T[p.side], self.slots[k - 1], rows)
-        return G, nbits
-
-    def reduced(self):
-        """The tail eliminated against a copy of the block, once per step; None if inconsistent."""
-        k = len(self.params) + 1
-        if self._reduced[0] != k:
-            rows = list(self.tail.values())
-            self._reduced = (k, _gf2.eliminate(rows, [0] * len(rows), dict(self.block)))
-        return self._reduced[1]
+        # p_1 lies on side U, so x_0's V-side equations are complete; x_0's
+        # unknowns start at bit 0, so its layout's masks need no shift
+        self.nbits, loc = _add_unknowns(0, self.G, target, self.tail, self.slots, 0, w, _T[Side.V])
+        done = list(self.slots[0][1].eqs(_T[Side.V]).values())
+        self.block = _gf2.eliminate([loc] + done, [1] + [0] * len(done))
 
     def probe(self, p):
         """The echelon pivots for candidate ``p`` (None: stop, a full map), or None.
 
-        The stopping probe is the tail's shared reduction (``reduced``).  A
-        positive p adds x_k's rows, under a short map's conditions, and
-        eliminates only them against a copy of that reduction.  A negative
-        p's arrow adds x_k's unknowns to the tail's equations, so it adds
-        its rows to a copy of the tail and eliminates them all against a
-        copy of the block.  None means infeasible; ``_gf2.back_substitute``
-        turns the pivots into the map's solution.
+        The rows are the tail's and, for a candidate, x_k's rows on p's
+        side, under a short map's conditions, with p's arrow; they are
+        eliminated against a copy of the block.  None means infeasible;
+        ``_gf2.back_substitute`` turns the pivots into the map's solution.
         """
-        if self.block is None:
-            return None
-        if p is None or p.sign > 0:
-            base = self.reduced()
-            if p is None or base is None:
-                return base
-            rows = {}
-        else:
-            base, rows = self.block, dict(self.tail)
-        self._add(p, rows, {}, _T[_short_skip(len(self.params) + 1)[1]])
-        return _gf2.eliminate(list(rows.values()), [0] * len(rows), dict(base))
+        rows = dict(self.tail)
+        if p is not None:
+            k = len(self.params) + 1
+            slots = {}
+            G = _next_grading(self.G, p)
+            _add_unknowns(k, G, self.target, rows, slots, self.nbits, skip=_T[_short_skip(k)[1]])
+            # a negative p is the arrow x_{k-1} -> x_k, a positive one x_k -> x_{k-1}
+            if p.sign < 0:
+                _add_arrow(k - 1, _T[p.side], slots[k], rows)
+            else:
+                _add_arrow(k, _T[p.side], self.slots[k - 1], rows)
+        return _gf2.eliminate(list(rows.values()), [0] * len(rows), dict(self.block))
 
-    def accept(self, p):
-        """Fix p as the next parameter: the equations of x_{k-1} are complete and join the block.
+    def accept(self, p, pivots):
+        """Fix p as the next parameter; ``pivots``, its probe's, become the block.
 
-        Under a positive p they are the tail as it stands, and the block
-        becomes the tail's shared reduction; a negative p adds its arrow's
-        terms to them first, and they are eliminated here.
+        That probe's system holds every equation p completes, so nothing is
+        eliminated here: x_k's equations on the next side are the new tail.
         """
         k = len(self.params) + 1
-        rows = {} if p.sign > 0 else self.tail
-        self.G, self.nbits = self._add(p, rows, self.slots)
-        if p.sign > 0:
-            self.block = self.reduced()
-        else:
-            done = [mask for key, mask in rows.items() if key[0] == k - 1]
-            rows = {key: mask for key, mask in rows.items() if key[0] == k}
-            self.block = _gf2.eliminate(done, [0] * len(done), dict(self.block))
-        self.tail = rows
+        self.G = _next_grading(self.G, p)
+        self.tail, self.block = {}, pivots
+        self.nbits, _loc = _add_unknowns(
+            k, self.G, self.target, self.tail, self.slots, self.nbits, skip=_T[p.side]
+        )
         self.params.append(p)
 
 
@@ -608,10 +580,11 @@ def standardize(C, trace=None):
     broke monotonicity raises VerificationError rather than return a wrong
     spec.  The target's tables are built once and its layouts once per
     source grading (``_Target``), one system grows with the search
-    (``_Search``), each step reduces its tail once for the stopping and
-    positive probes, and each side's candidate list is sorted once.  A
-    probe only eliminates; the stopping probe alone is back-substituted,
-    into the forward certificate, and only the returned spec is realized.
+    (``_Search``), each probe is one elimination against a copy of the
+    block and an accept eliminates nothing, and each side's candidate list
+    is sorted once.  A probe only eliminates; the stopping probe alone is
+    back-substituted, into the forward certificate, and only the returned
+    spec is realized.
     The paired bases and the target each read C's side exponents where
     they use them, and the forward check reads the tower functional the
     search solved against, so C's paired bases are built once per side.
@@ -656,7 +629,7 @@ def _standardize(C, pb_u, pb_v, trace=None):
             raise VerificationError("no feasible parameter at step %d" % k)
         if cands[lo] is None:
             break
-        search.accept(SignedParam(side, *cands[lo]))
+        search.accept(SignedParam(side, *cands[lo]), found)
     spec = make_spec(C.ring, search.params)
     std = realize(spec)
     # a realized standard complex has its tower at x_0

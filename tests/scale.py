@@ -5,7 +5,10 @@ Builds the K-fold tensor power of the base-changed cable example
 and runs ``standard_representative`` on it once.  Prints its CPU time, the
 time and call count of ``_gf2.eliminate`` within it (the script wraps that
 function, so ``_gf2.solve`` and ``solve_unit`` are counted through it),
-the process's peak resident set size and the spec.  ``cable⊗5`` (3125
+the rows passed to those calls and the pivots they added, the process's
+peak resident set size and the spec.  The row and pivot counts are read
+from each call's arguments and result, so unlike the times they do not
+vary from machine to machine or run to run.  ``cable⊗5`` (3125
 generators) takes a few seconds and about 200 MB.
 
 Run from the repository root: ``python3 tests/scale.py K``.
@@ -35,15 +38,19 @@ def main(argv):
         sys.exit("usage: python3 tests/scale.py K   (K >= 1; cable^K has 5**K generators)")
     k = int(argv[0])
     C = cable_power(k)
-    eliminate, spent = _gf2.eliminate, [0, 0.0]
+    eliminate, spent = _gf2.eliminate, [0, 0.0, 0, 0]  # calls, seconds, rows, pivots added
 
-    def timed(*args):
+    def timed(rows, rhs, pivots=None):
+        before = len(pivots) if pivots else 0
         t = time.process_time()
         try:
-            return eliminate(*args)
+            got = eliminate(rows, rhs, pivots)
         finally:
             spent[0] += 1
             spent[1] += time.process_time() - t
+        spent[2] += len(rows)
+        spent[3] += len(got) - before if got is not None else 0
+        return got
 
     _gf2.eliminate = timed
     try:
@@ -55,6 +62,7 @@ def main(argv):
     print("input cable^%d (%d generators)" % (k, C.n_gens()))
     print("cpu_s %.3f" % cpu)
     print("eliminate_s %.3f over %d calls" % (spent[1], spent[0]))
+    print("eliminate_rows %d pivots_added %d" % (spent[2], spent[3]))
     print("maxrss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
     print("spec %s" % format_spec(spec))
 

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridring import (
+    RingId,
     base_change,
     example_cable,
     example_zhou,
     parse_spec,
+    realize,
     reduce,
     tensor,
     validate,
@@ -257,6 +259,27 @@ class TestCli:
         fuv = self.emit_file(capsys, tmp_path, "z2.json", "example", "zhou", "--n", "2")
         code, out, _ = invoke(capsys, "compare", str(fuv), "C(-U[3,2], +V[3,2])")
         assert code == 0 and out.strip() == "less"
+
+    @pytest.mark.parametrize("literal, want", [
+        ("C(-U[1,0], +V[1,0])", "equal"),
+        ("C(-U[2,0], +V[2,0])", "less"),
+        ("C(-U[1,0], +V[2,0])", "greater"),
+        ("C(0)", "less"),
+    ])
+    def test_compare_document_over_r_with_literal(self, capsys, tmp_path, literal, want):
+        # a literal is read over the ring of the document it is compared with
+        spec = parse_spec("C(-U[1,0], +V[1,0])", RingId.R)
+        path = tmp_path / "r.json"
+        path.write_text(dump_json(complex_to_document(realize(spec))), encoding="utf-8")
+        code, out, err = invoke(capsys, "compare", str(path), literal)
+        assert (code, out.strip(), err) == (0, want, "")
+        flipped = {"less": "greater", "greater": "less"}.get(want, want)
+        code, out, err = invoke(capsys, "compare", literal, str(path))
+        assert (code, out.strip(), err) == (0, flipped, "")
+        # a parameter of X outside R is an input error
+        code, out, err = invoke(capsys, "compare", "C(-U[1,1], +V[1,1])", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: parameter 1 is invalid in ring R: -U[1,1]\n"
 
     def test_tensor_dual_round_trip(self, capsys, tmp_path):
         fuv = self.emit_file(capsys, tmp_path, "z2.json", "example", "zhou", "--n", "2")

@@ -425,6 +425,35 @@ class TestValidate:
         assert validate(base_change(example_zhou(2))) == []
 
     @pytest.mark.parametrize(
+        "C, want",
+        [
+            pytest.param(
+                example_zhou(2),
+                "expected a FreeComplex, got FUVComplex; base_change turns it into one over X",
+                id="fuv",
+            ),
+            pytest.param(None, "expected a FreeComplex, got NoneType", id="none"),
+            pytest.param((), "expected a FreeComplex, got tuple", id="tuple"),
+        ],
+    )
+    def test_not_a_free_complex(self, C, want):
+        # one violation naming the type, so every validating entry point
+        # raises InvalidComplexError instead of an AttributeError
+        from gridring import extant_coefficients, find_local_map, standardize
+
+        assert validate(C) == [want]
+        spec = parse_spec("C(0)")
+        for call in (
+            standard_representative,
+            standardize,
+            extant_coefficients,
+            lambda C: find_local_map(spec, C),
+        ):
+            with pytest.raises(InvalidComplexError) as got:
+                call(C)
+            assert got.value.violations == [want]
+
+    @pytest.mark.parametrize(
         "C, ok",
         [
             pytest.param(FUVComplex((("a", (0, 0)), ("a", (0, 0))), {}), False, id="duplicate-names"),

@@ -49,6 +49,8 @@ from gridring.localeq import (
     _Search,
     _T,
     _Target,
+    _add_arrow,
+    _add_unknowns,
     _descending,
     _matrix,
     _short_skip,
@@ -67,7 +69,7 @@ from gridring.ring import (
     param_key,
     u_mono,
 )
-from gridring.standard import make_spec
+from gridring.standard import _expected_side, _next_grading, make_spec
 
 from conftest import (
     POOL_TEXTS,
@@ -217,19 +219,39 @@ def _linear_scan(C):
     raise AssertionError("no stop within the splitting bound")
 
 
+def _probe_system(search, p):
+    """The rows a probe of ``p`` eliminates, by key, and the slot table that numbers them.
+
+    The rows are the tail's and, for a candidate (``p`` not None), x_k's
+    rows on p's side, its condition on the next side dropped as a short
+    map's, with p's arrow between x_{k-1} and x_k; the slots are the
+    search's plus, for a candidate, x_k's.
+    """
+    rows, slots = dict(search.tail), dict(search.slots)
+    if p is not None:
+        k = len(search.params) + 1
+        G, skip = _next_grading(search.G, p), _T[_short_skip(k)[1]]
+        _add_unknowns(k, G, search.target, rows, slots, search.nbits, skip=skip)
+        # a negative p is the arrow x_{k-1} -> x_k, a positive one x_k -> x_{k-1}
+        a, b = (k - 1, k) if p.sign < 0 else (k, k - 1)
+        _add_arrow(a, _T[p.side], slots[b], rows)
+    return rows, slots
+
+
 def _check_steps_against_scratch(C, rng=None):
     """Walk the greedy extraction, comparing every candidate's probe with two scratch solves.
 
     ``_solve_map`` solves the whole system from scratch into a fresh
     ``_Target``, and ``reference_solve_map`` with the exponent-keyed
     equations; the two must agree entry by entry.  A feasible probe's
-    pivots, back-substituted and read through the search's slot table and
-    the candidate's own, must give the same map.  Each step then accepts its
-    first feasible candidate in descending order.  Every feasible probe's
-    pivots are kept and checked again after that: no later probe of the
-    step, nor the accept, may extend them in place.  With ``rng`` each step
-    probes its candidates in a shuffled order, so positive candidates also
-    follow the stopping probe.  Returns the number of candidates compared.
+    pivots, back-substituted and read through the slot table of
+    ``_probe_system``, must give the same map.  Each step then accepts its
+    first feasible candidate in descending order, with that candidate's
+    pivots.  Every feasible probe's pivots are kept and checked again after
+    each step and at the end: no later probe, nor an accept, nor the block
+    an accept adopts them as, may extend them in place.  With ``rng`` each
+    step probes its candidates in a shuffled order.  Returns the number of
+    candidates compared.
     """
     ext = extant_coefficients(C)
     pb_v = paired_basis(C, Side.V)
@@ -237,6 +259,7 @@ def _check_steps_against_scratch(C, rng=None):
     tgr = C.gr(pb_v.unpaired[0])
     search = _Search(_Target(C), w, tgr)
     n_probes = 0
+    kept = []
     for k in range(1, 2 * C.n_gens() + 2):
         side = Side.U if k % 2 else Side.V
         params = search.params
@@ -244,7 +267,7 @@ def _check_steps_against_scratch(C, rng=None):
         order = list(cands)
         if rng is not None:
             rng.shuffle(order)
-        kept, feasible = [], []
+        feasible = {}
         for p in order:
             if p is None:
                 spec, kind = make_spec(C.ring, params), "full"
@@ -260,15 +283,13 @@ def _check_steps_against_scratch(C, rng=None):
             assert (want is None) == (ref is None) == (got is None), (spec, kind)
             if want is not None:
                 assert want == ref, (spec, kind)
-                slots = dict(search.slots)
-                if p is not None:
-                    search._add(p, {}, slots)
+                _rows, slots = _probe_system(search, p)
                 assert _matrix(_gf2.back_substitute(got), slots) == ref, (spec, kind)
                 kept.append((got, slots, ref))
-                feasible.append(p)
+                feasible[p] = got
         first = min(feasible, key=cands.index)
         if first is not None:
-            search.accept(first)
+            search.accept(first, feasible[first])
         for got, slots, ref in kept:
             assert _matrix(_gf2.back_substitute(got), slots) == ref, (k, ref)
         if first is None:
@@ -281,14 +302,12 @@ def _record_search(monkeypatch):
 
     Returns (calls, events).  ``calls[name]`` lists each ``localeq`` call of
     ``_gf2.name`` as (arguments, result).  ``events`` lists one dict per call
-    of ``_Search.reduced``, ``probe`` and ``accept``, in order of entry: its
-    ``name``, ``step``, parameter ``p``, the ``block`` and a copy of the
-    ``tail`` on entry, ``rows``: for a probe or accept of a parameter the
-    table ``_Search._add`` makes, under the call's skipped condition, of a
-    copy of the tail (a negative p) or of an empty one (a positive p), the
-    ``eliminates`` it made itself (not those of a nested ``reduced``), its
-    result ``got`` and the block ``after`` it.  An eliminate is recorded as
-    (rows, rhs, pivots, a copy of the pivots on entry, result).
+    of ``_Search.probe`` and ``accept``, in order of entry: its ``name``,
+    ``step``, parameter ``p``, the ``pivots`` an accept is handed, the
+    ``block`` and a copy of the ``tail`` on entry, for a probe the ``rows``
+    of ``_probe_system``, the ``eliminates`` it made, its result ``got``, and
+    the ``block`` and a copy of the ``tail`` after it.  An eliminate is
+    recorded as (rows, rhs, pivots, a copy of the pivots on entry, result).
     """
     import types
 
@@ -319,28 +338,30 @@ def _record_search(monkeypatch):
     def wrapping(name):
         original = getattr(_Search, name)
 
-        def method(self, *args):
-            k = len(self.params) + 1
-            p = args[0] if args else None
-            event = {"name": name, "step": k, "p": p, "block": self.block, "tail": dict(self.tail)}
-            if p is not None:
-                rows = dict(self.tail) if p.sign < 0 else {}
-                skip = _T[_short_skip(k)[1]] if name == "probe" else 0
-                self._add(p, rows, {}, skip)
-                event["rows"] = rows
-            event["eliminates"] = []
+        def method(self, p, *pivots):
+            event = {
+                "name": name,
+                "step": len(self.params) + 1,
+                "p": p,
+                "pivots": pivots[0] if pivots else None,
+                "block": self.block,
+                "tail": dict(self.tail),
+                "eliminates": [],
+            }
+            if name == "probe":
+                event["rows"] = _probe_system(self, p)[0]
             events.append(event)
             stack.append(event)
             try:
-                event["got"] = original(self, *args)
+                event["got"] = original(self, p, *pivots)
             finally:
                 stack.pop()
-            event["after"] = self.block
+            event["after"], event["tail_after"] = self.block, dict(self.tail)
             return event["got"]
 
         return method
 
-    for name in ("reduced", "probe", "accept"):
+    for name in ("probe", "accept"):
         monkeypatch.setattr(_Search, name, wrapping(name))
     return calls, events
 
@@ -905,7 +926,7 @@ class TestCertificateCheck:
 def _all_feasible(monkeypatch):
     # every probe succeeds, and accepting a parameter only records it
     monkeypatch.setattr(_Search, "probe", lambda self, p: {})
-    monkeypatch.setattr(_Search, "accept", lambda self, p: self.params.append(p))
+    monkeypatch.setattr(_Search, "accept", lambda self, p, pivots: self.params.append(p))
 
 
 def _none_feasible(monkeypatch):
@@ -1058,10 +1079,10 @@ class TestStandardize:
         assert n_probes > 20 * len(corpus)
 
     def test_probe_pivots_not_extended_by_later_probes(self, pool):
-        # the stopping probe hands out the step's shared reduction of the
-        # tail, and every positive probe eliminates against it; in shuffled
-        # order positive probes also follow the stopping one, and every
-        # feasible probe's pivots must still give its map when the step ends
+        # every probe eliminates against a copy of the block, and an accept
+        # adopts its probe's pivots as the next block; in shuffled order,
+        # every feasible probe's pivots must still give its map when the
+        # step ends and when the search does
         rng = random.Random(61)
         corpus = [_search_input("cable"), _search_input("zhou3")] + _scrambled_products(pool)[:4]
         n_probes = sum(_check_steps_against_scratch(C, rng) for C in corpus)
@@ -1192,74 +1213,62 @@ class TestStandardize:
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_one_eliminate_per_trial_plus_one_back_substitution(self, which, monkeypatch):
-        # the tail is reduced against a copy of the block at most once per
-        # step, by the first stopping or positive probe; the stopping probe
-        # returns that reduction, and each positive probe eliminates only its
-        # own rows against a copy of it.  A negative probe eliminates the
-        # tail, which its arrow changes, and its rows against a copy of the
-        # block.  Only the stopping probe is back-substituted, into the
-        # forward certificate, and the backward map is the one solve.
+        # every probe, the stopping one included, eliminates the tail and the
+        # candidate's rows against a copy of the block, once.  Only the last
+        # stopping probe is back-substituted, into the forward certificate,
+        # and the backward map is the one solve.
         C = _search_input(which)
         calls, events = _record_search(monkeypatch)
         trace = []
         spec, fwd, _back = standardize(C, trace=trace)
         probes = [e for e in events if e["name"] == "probe"]
         assert [(e["step"], e["p"], e["got"] is not None) for e in probes] == trace
-        reductions = {}
-        for e in events:
-            if e["name"] == "reduced" and e["eliminates"]:
-                assert e["step"] not in reductions
-                ((rows, rhs, pivots, before, got),) = e["eliminates"]
-                assert rows == list(e["tail"].values()) and not any(rhs)
-                assert before == e["block"] and pivots is not e["block"]
-                reductions[e["step"]] = got
-        n_own = 0
+        assert {e["p"] is None for e in probes} == {True, False}
+        assert {e["p"].sign for e in probes if e["p"] is not None} == {1, -1}
+        assert any(e["tail"] for e in probes)
         for e in probes:
-            p, k = e["p"], e["step"]
-            if p is None or (p.sign > 0 and reductions[k] is None):
-                assert e["eliminates"] == [] and e["got"] is reductions[k]
-                continue
             ((rows, rhs, pivots, before, got),) = e["eliminates"]
             assert rows == list(e["rows"].values()) and not any(rhs) and got is e["got"]
-            base = reductions[k] if p.sign > 0 else e["block"]
-            assert before == base and pivots is not base
-            n_own += p.sign > 0
-        assert n_own > 0
+            assert before == e["block"] and pivots is not e["block"]
+            # the tail is x_{k-1}'s equations on p_k's side; a candidate adds
+            # x_k's on that side alone
+            k, t = e["step"], _T[_expected_side(e["step"])]
+            assert {key[:2] for key in e["tail"]} <= {(k - 1, t)}
+            assert {key[:2] for key in e["rows"]} <= {(k - 1, t), (k, t)}
         assert len(calls["solve"]) == 1
         ((args, _sol),) = calls["back_substitute"]
         stops = [e["got"] for e in probes if e["p"] is None and e["got"] is not None]
-        assert len(args) == 1 and args[0] is stops[-1] is reductions[max(reductions)]
+        assert len(args) == 1 and args[0] is stops[-1]
         w = tower_functional(paired_basis(C, Side.V))[0]
         assert fwd.matrix == reference_solve_map(realize(spec), C, fwd.gr2shift, 1, w)
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_prefix_block_once_per_step(self, which, monkeypatch):
-        # the block is built once and extended once per accepted parameter:
-        # a positive one leaves the tail complete as it is, so the step's
-        # reduction of the tail becomes the block with no elimination; a
-        # negative one adds its arrow's terms to the tail, which is then
-        # eliminated against a copy of the block.  Every probe works on a
-        # copy, and no block is changed once built.
+        # the block is eliminated once, from the locality row and x_0's
+        # V-side equations; each accepted parameter then adopts its probe's
+        # pivots as the block, eliminating nothing, and makes x_k's equations
+        # on the next side the tail.  Every probe works on a copy, and no
+        # block is changed once built.
         calls, events = _record_search(monkeypatch)
         trace = []
         standardize(_search_input(which), trace=trace)
-        (_init, block), *_rest = calls["eliminate"]
+        (_rows, rhs, *_rest), block = calls["eliminate"][0]
+        assert rhs[0] == 1 and not any(rhs[1:])
+        assert {key[:2] for key in events[0]["tail"]} <= {(0, _T[Side.U])}
         blocks = [(block, dict(block))]
         accepts = [e for e in events if e["name"] == "accept"]
         assert 1 + len(accepts) == len({k for k, _p, _ok in trace}) > 1
         assert {e["p"].sign for e in accepts} == {1, -1}
-        reductions = {
-            e["step"]: e["got"] for e in events if e["name"] == "reduced" and e["eliminates"]
-        }
         for e in accepts:
+            k = e["step"]
+            (chosen,) = [
+                x["got"] for x in events if x["name"] == "probe" and (x["step"], x["p"]) == (k, e["p"])
+            ]
             assert e["block"] is blocks[-1][0]
-            if e["p"].sign > 0:
-                assert e["eliminates"] == [] and e["after"] is reductions[e["step"]]
-            else:
-                ((rows, _rhs, pivots, before, got),) = e["eliminates"]
-                assert rows == [m for key, m in e["rows"].items() if key[0] == e["step"] - 1]
-                assert before == e["block"] and pivots is not e["block"] and got is e["after"]
+            assert e["eliminates"] == [] and e["after"] is e["pivots"] is chosen
+            assert {key[:2] for key in e["tail_after"]} <= {(k, _T[_expected_side(k + 1)])}
             blocks.append((e["after"], dict(e["after"])))
+        assert any(e["tail_after"] for e in accepts)
         for e in events:
             assert all(pivots is not e["block"] for _r, _b, pivots, _bf, _g in e["eliminates"])
         assert all(b == copy for b, copy in blocks)
