@@ -6,7 +6,6 @@ sparse differential matrix of ring elements.  The differential has degree
 F2[U,V] appear only as inputs to the base change into ring X.
 """
 
-import functools
 import heapq
 from operator import index
 
@@ -20,6 +19,9 @@ from .ring import (
     _Record,
     _TABLES,
     _brief,
+    _exps_ok,
+    _grading,
+    _side_exp,
     elem_grading,
     elem_mul,
     elem_ok,
@@ -100,12 +102,21 @@ def validate(C):
     product ``_part_products`` that the checker also forms its chain defect
     with.  The keys, gradings and entries a violation prints are cut to 80
     characters (``ring._brief``), so each stays one short line.  Anything
-    but a ``FreeComplex`` gets one violation naming its type.
+    but a ``FreeComplex`` gets one violation naming its type, and so does
+    each of its fields that has the wrong type (a ring that is not a
+    ``RingId``, generators that are not a tuple or list, a ``diff`` that is
+    not a dict); then nothing else is checked.
     """
     if not isinstance(C, FreeComplex):
         hint = "; base_change turns it into one over X" if isinstance(C, FUVComplex) else ""
         return ["expected a FreeComplex, got %s%s" % (type(C).__name__, hint)]
-    out = []
+    fields = (("ring", C.ring, RingId, "RingId"),
+              ("generators", C.generators, (tuple, list), "tuple or list"),
+              ("diff", C.diff, dict, "dict"))
+    out = ["%s is %s, not a %s" % (name, _brief(value), want)
+           for name, value, types, want in fields if not isinstance(value, types)]
+    if out:
+        return out
     names = []
     paired = True
     for rec in C.generators:
@@ -442,9 +453,10 @@ class PairedBasis(_Record):
     the nontorsion part.
 
     The basis stores no gradings; the complex owns them.  A homogeneous
-    change of basis moves no grading, so element i has grading ``C.gr(i)``;
-    for a pair's z that is ``gr(y) - (1, 1) - mono_grading(order)``, since
-    d_side(y) = order * z has degree (-1, -1).
+    change of basis moves no grading, so element i has grading ``C.gr(i)``,
+    and since d_side has degree (-1, -1) a pair's order is the one side
+    monomial of grading gr(y) - gr(z) - (1, 1): ``paired_basis`` reads it
+    off the gradings, as it reads every entry.
 
     Fields: ``side``; ``basis``, the residue bitmasks, one per new basis
     element; ``pairs``, of ``(y_index, z_index, Monomial)``; ``unpaired``.
@@ -476,140 +488,130 @@ def side_rows(C, side):
     return rows
 
 
-def _neg_key(exp):
-    """The lattice key of ``exp`` with every component negated.
+class _Slots(dict):
+    """Per side, ``slots[d]`` is the entry of a slot (i, r) with gr(i) - gr(r) = d, or None.
 
-    The keys of one band of ``lattice_key`` share one length and the bands
-    differ in their first component, so no key is a prefix of another and
-    negating the components exactly reverses the order.  The origin, which
-    has no key, gets ``(-5,)``: it is popped before every other exponent.
+    The entry is the one side monomial of grading d - (1, 1), given as its
+    exponent (``ring._side_exp``) and its heap key, the lattice key with
+    every component negated; None means no side exponent of ``X``'s region
+    off the origin has that grading.  The keys of one band of
+    ``lattice_key`` share one length and the bands differ in their first
+    component, so no key is a prefix of another and negating exactly
+    reverses the order: the least heap key is the <!-greatest exponent.
+    Memoized for the whole process, as the grading tables are.
     """
-    if exp == (0, 0):
-        return (-5,)
-    return tuple(-k for k in lattice_key(exp))
+
+    def __init__(self, side):
+        super().__init__()
+        self.side = side
+
+    def __missing__(self, d):
+        g = (d[0] - 1, d[1] - 1)
+        exp = _side_exp(self.side, g)
+        fits = _exps_ok(RingId.X, [exp]) and _grading(self.side, exp) == g
+        got = self[d] = (exp, tuple(-k for k in lattice_key(exp))) if fits else None
+        return got
+
+
+_SLOTS = {side: _Slots(side) for side in (Side.U, Side.V)}
 
 
 def paired_basis(C, side):
     """Change of basis putting the side-differential into paired form.
 
-    The pivot is the first <!-greatest entry in row-major order over the
-    unpaired rows and columns; such a pivot divides every other remaining
-    entry, so all eliminations stay inside the ring and the resulting
-    torsion orders are canonical.
+    Every side part is checked before anything is eliminated: it must be a
+    side exponent in ``X``'s region off the origin whose grading
+    (``ring._grading``) is gr(i) - gr(j) - (1, 1) for its entry (i, j),
+    else ValueError names the entry (``side part U[2,1] at (1, 3) does
+    not fit the gradings``).  It is compared by value, so ``(1.0, 0)``
+    passes where ``(1, 0)`` fits; ``validate`` checks the types.  The
+    change of basis is homogeneous, so every later entry (i, r) is the one
+    side monomial of grading gr(i) - gr(r) - (1, 1) (``_Slots``), and the
+    side-differential is held as its incidence alone: per row the set of
+    filled columns, per column the set of filled rows.
 
-    The side-differential is held as sparse rows ``{col: exp}`` with a set
-    of rows per column, and every exponent written into a slot is pushed on
-    a min-heap as ``(negated lattice key, row, col)``.  The least entry is
-    then the <!-greatest exponent, first in row-major order among equal
-    ones, which is the pivot rule above; a popped entry is stale, and
-    skipped, once its row or column is paired or its slot no longer holds
-    that exponent.
+    The pivot is the first <!-greatest entry in row-major order over the
+    unpaired rows and columns.  On the region <! is divisibility, so the
+    pivot divides every other remaining entry, the eliminations stay
+    inside the ring and the torsion orders are canonical.  Each filled
+    slot is pushed on a min-heap as ``(heap key, row, col)``, so the least
+    entry is the pivot; a popped entry is stale, and skipped, once its
+    slot is empty, as it is once its row or column is paired.
 
     Only the change of basis mod the maximal ideals is kept, as one residue
-    bitmask per basis element, and no grading (see ``PairedBasis``).  The
-    residues are exact: a coefficient with a nonzero exponent lies in a
-    maximal ideal, so only the unit multiples of a row (exponent (0, 0))
-    reach the residues.
-
-    Exponents are handled as integer pairs throughout: the divisibility
-    test (the quotient must lie in the exponent region) and the slot update
-    (a new exponent fills an empty slot, an equal one cancels, any other
-    conflicts) are written out in the two update loops, which visit rows
-    and columns in ascending order so that an invalid input meets the same
-    error first (``TestAgainstReference`` pins that order).  They stay
-    written out: a shared slot-update helper measured 2-5% slower.
+    bitmask per basis element, and no grading (see ``PairedBasis``).  A
+    quotient of two entries is the unit exactly when their gradings agree,
+    so the residues follow from the gradings too.  When the pivot's
+    column does not clear, d^2 != 0 and ValueError is raised.
     """
     if side not in (Side.U, Side.V):
         raise ValueError("side must be U or V")
     if not is_reduced(C):
         raise ValueError("paired_basis needs a reduced complex")
+    slots = _SLOTS[side]
+    gr = [g for _nm, g in C.generators]
     rows = side_rows(C, side)
-    m = C.n_gens()
-    cols = [set() for _ in range(m)]  # cols[j] = the rows with an entry in column j
-    neg_key = functools.cache(_neg_key)  # one call sees few distinct exponents
+    cols = [set() for _ in gr]  # cols[j] = the rows with an entry in column j
     heap = []
     for i, row in enumerate(rows):
+        a1, a2 = gr[i]
         for j, exp in row.items():
+            b1, b2 = gr[j]
+            slot = slots[(a1 - b1, a2 - b2)]
+            if slot is None or slot[0] != exp:
+                raise ValueError("side part %r at %s does not fit the gradings" % (
+                    Monomial(side, exp), (i, j)))
             cols[j].add(i)
-            heap.append((neg_key(exp), i, j, exp))
+            heap.append((slot[1], i, j))
+        rows[i] = set(row)
     heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    basis = [1 << i for i in range(m)]
-    paired = [False] * m
+
+    def flip(i, r):  # toggle slot (i, r); a filled slot goes on the heap
+        row = rows[i]
+        if r in row:
+            row.remove(r)
+            cols[r].remove(i)
+        else:
+            row.add(r)
+            cols[r].add(i)
+            (a1, a2), (b1, b2) = gr[i], gr[r]
+            heapq.heappush(heap, (slots[(a1 - b1, a2 - b2)][1], i, r))
+
+    basis = [1 << i for i in range(len(gr))]
     pairs = []
     while heap:
-        _key, p, q, mu = pop(heap)
-        prow = rows[p]
-        if paired[p] or paired[q] or prow.get(q) != mu:
+        _key, p, q = heapq.heappop(heap)
+        if q not in rows[p]:
             continue
-        if mu == (0, 0):
-            lattice_key(mu)  # raises: an entry at the origin cannot be ordered
-        m0, m1 = mu
-        # the quotients rows[p][r] / mu in ascending r; lam leaves out q's, the unit
-        lam = []
+        gp, gq = gr[p], gr[q]
+        pairs.append((p, q, Monomial(side, slots[(gp[0] - gq[0], gp[1] - gq[1])][0])))
+        # Replace basis element q by (1/mu) d_side(g_p), mu the pivot's monomial;
+        # the entries (p, r) equal to mu are those with gr(r) = gr(q).
         newrow = 0
-        for r in sorted(prow):
-            a = prow[r]
-            l0, l1 = a[0] - m0, a[1] - m1
-            if l1 < 0 or (l1 == 0 and l0 < 0):
-                raise ValueError("pivot does not divide entry %s / %s" % (a, mu))
-            if l0 == l1 == 0:
+        for r in rows[p]:
+            if gr[r] == gq:
                 newrow ^= basis[r]
-            if r != q:
-                lam.append((r, l0, l1))
-        # Replace basis element q by (1/mu) d_side(g_p).
         basis[q] = newrow
-        for i in sorted(cols[q]):
-            if i == q:
-                continue
-            row = rows[i]
-            c0, c1 = row[q]
-            for r, l0, l1 in lam:
-                exp = (c0 + l0, c1 + l1)
-                old = row.get(r)
-                if old is None:
-                    row[r] = exp
-                    cols[r].add(i)
-                    push(heap, (neg_key(exp), i, r, exp))
-                elif old == exp:
-                    del row[r]
-                    cols[r].discard(i)
-                else:
-                    raise ValueError("conflicting monomials in one matrix slot")
+        lam = rows[p] - {q}
+        for i in cols[q]:
+            for r in lam:
+                flip(i, r)
         for j in rows[q]:
-            cols[j].discard(q)
-        rows[q] = {}
-        # Clear the rest of column q by adding multiples of g_p.
-        col_q, col_p = cols[q], cols[p]
-        for i in sorted(col_q):
-            if i == p:
-                continue
-            a = rows[i].pop(q)
-            l0, l1 = a[0] - m0, a[1] - m1
-            if l1 < 0 or (l1 == 0 and l0 < 0):
-                raise ValueError("pivot does not divide entry %s / %s" % (a, mu))
-            col_q.discard(i)
-            if l0 == l1 == 0:
+            cols[j].remove(q)
+        rows[p], rows[q] = set(), set()  # row p was (p, q) alone
+        # Clear the rest of column q by adding multiples of g_p, a unit one
+        # to each row of g_p's grading.
+        col_q, cols[q] = cols[q] - {p}, set()
+        for i in col_q:
+            rows[i].remove(q)
+            if gr[i] == gp:
                 basis[i] ^= basis[p]
-            for k in sorted(cols[i]):
-                row = rows[k]
-                c = row[i]
-                exp = (c[0] + l0, c[1] + l1)
-                old = row.get(p)
-                if old is None:
-                    row[p] = exp
-                    col_p.add(k)
-                    push(heap, (neg_key(exp), k, p, exp))
-                elif old == exp:
-                    del row[p]
-                    col_p.discard(k)
-                else:
-                    raise ValueError("conflicting monomials in one matrix slot")
-        if col_p:
+            for k in cols[i]:
+                flip(k, p)
+        if cols[p]:
             raise ValueError("column of a paired generator did not clear; d^2 != 0?")
-        pairs.append((p, q, Monomial(side, mu)))
-        paired[p] = paired[q] = True
-    unpaired = tuple(i for i in range(m) if not paired[i])
+    paired = {i for p, q, _order in pairs for i in (p, q)}
+    unpaired = tuple(i for i in range(len(gr)) if i not in paired)
     return PairedBasis(side, tuple(basis), tuple(pairs), unpaired)
 
 

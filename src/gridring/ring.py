@@ -143,11 +143,11 @@ def _exps_ok(ring, exps):
     subclasses, in the region off the origin: j > 0 (ring X only), or
     j == 0 < i.  Anything else, a float, a str, a 3-tuple, a frozenset or
     ``exps`` itself not iterable, gives False.  This is the one membership
-    rule: ``in_region``, ``monomial_ok``, ``elem_ok``, ``param_ok`` and the
-    grading tables call it.  Two copies stay written out where a call per
-    pair measured slower: ``localeq._extant``'s region test (380 to 640 us
-    per search-long input) and ``complexes.paired_basis``'s divisibility
-    tests.  ``complexes.validate`` passes a valid entry on the grading
+    rule: ``in_region``, ``monomial_ok``, ``elem_ok``, ``param_ok``, the
+    grading tables and ``complexes.paired_basis``'s slot table call it.
+    One copy stays written out where a call per pair measured slower:
+    ``localeq._extant``'s region test (380 to 640 us per search-long
+    input).  ``complexes.validate`` passes a valid entry on the grading
     table's subset tests and a type test of each exponent, which together
     agree with this rule.
     """
@@ -167,6 +167,16 @@ def _grading(side, exp):
     """The bigrading of a side monomial (i, j): (-2i, -2j) on side U, (-2j, -2i) on side V."""
     i, j = exp
     return (-2 * i, -2 * j) if side is Side.U else (-2 * j, -2 * i)
+
+
+def _side_exp(side, gr):
+    """The inverse of ``_grading``: the exponent of the side monomial of grading ``gr``.
+
+    ``gr`` must be a pair of even ints.  This is the one place the inverse
+    is written: the grading tables and ``complexes.paired_basis`` call it.
+    Whether the exponent lies in a ring is the caller's test.
+    """
+    return (-gr[0] // 2, -gr[1] // 2) if side is Side.U else (-gr[1] // 2, -gr[0] // 2)
 
 
 def _exp_text(exp):
@@ -408,11 +418,10 @@ def elem_grading(e):
     """Common bigrading of a homogeneous element; None for zero.
 
     Raises ValueError when the constituents live in different bigradings.
-    The U-side exponent (i, j) has grading (-2i, -2j), the V-side one
-    (-2j, -2i).
+    Each exponent is graded by ``_grading``.
     """
-    grs = {(-2 * i, -2 * j) for i, j in e.u}
-    grs.update((-2 * j, -2 * i) for i, j in e.v)
+    grs = {_grading(Side.U, exp) for exp in e.u}
+    grs.update(_grading(Side.V, exp) for exp in e.v)
     if e.scalar:
         grs.add((0, 0))
     if not grs:
@@ -445,8 +454,7 @@ class _GradingTable(dict):
         elif g1 % 2 or g2 % 2:
             basis = []
         else:
-            ue, ve = (-g1 // 2, -g2 // 2), (-g2 // 2, -g1 // 2)
-            pairs = ((Side.U, ue), (Side.V, ve))
+            pairs = [(side, _side_exp(side, gr)) for side in (Side.U, Side.V)]
             basis = [Monomial(side, x) for side, x in pairs if _exps_ok(self.ring, [x])]
         elems = [ZERO]
         for m in basis:

@@ -5,11 +5,13 @@ Builds the K-fold tensor power of the base-changed cable example
 and runs ``standard_representative`` on it once.  Prints its CPU time, the
 time and call count of ``_gf2.eliminate`` within it (the script wraps that
 function, so ``_gf2.solve`` and ``solve_unit`` are counted through it),
-the rows passed to those calls and the pivots they added, the process's
-peak resident set size and the spec.  The row and pivot counts are read
-from each call's arguments and result, so unlike the times they do not
-vary from machine to machine or run to run.  ``cable⊗5`` (3125
-generators) takes a few seconds and about 200 MB.
+the rows passed to those calls and the pivots they added, the time and
+call count of ``paired_basis`` (both bindings, ``complexes.paired_basis``
+and ``localeq.paired_basis``, are wrapped) and the pairs it found per
+side, the process's peak resident set size and the spec.  The row, pivot
+and pair counts are read from each call's arguments and result, so unlike
+the times they do not vary from machine to machine or run to run.
+``cable⊗5`` (3125 generators) takes a few seconds and about 200 MB.
 
 Run from the repository root: ``python3 tests/scale.py K``.
 """
@@ -21,7 +23,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from gridring import _gf2, base_change, example_cable, format_spec, standard_representative, tensor
+from gridring import _gf2, base_change, complexes, example_cable, format_spec, localeq, \
+    standard_representative, tensor
 
 
 def cable_power(k):
@@ -52,17 +55,33 @@ def main(argv):
         spent[3] += len(got) - before if got is not None else 0
         return got
 
+    paired_basis, paired = complexes.paired_basis, [0, 0.0, {"U": 0, "V": 0}]  # calls, seconds, pairs
+
+    def timed_paired_basis(C, side):
+        t = time.process_time()
+        try:
+            pb = paired_basis(C, side)
+        finally:
+            paired[0] += 1
+            paired[1] += time.process_time() - t
+        paired[2][side.value] += len(pb.pairs)
+        return pb
+
     _gf2.eliminate = timed
+    complexes.paired_basis = localeq.paired_basis = timed_paired_basis
     try:
         t = time.process_time()
         spec = standard_representative(C)[0]
         cpu = time.process_time() - t
     finally:
         _gf2.eliminate = eliminate
+        complexes.paired_basis = localeq.paired_basis = paired_basis
     print("input cable^%d (%d generators)" % (k, C.n_gens()))
     print("cpu_s %.3f" % cpu)
     print("eliminate_s %.3f over %d calls" % (spent[1], spent[0]))
     print("eliminate_rows %d pivots_added %d" % (spent[2], spent[3]))
+    print("paired_basis_s %.3f over %d calls" % (paired[1], paired[0]))
+    print("paired_basis_pairs U %(U)d V %(V)d" % paired[2])
     print("maxrss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
     print("spec %s" % format_spec(spec))
 

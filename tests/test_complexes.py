@@ -373,12 +373,13 @@ _GRADINGS = st.one_of(
 def _any_complex(draw):
     """A ``FreeComplex`` of up to 6 generators, well formed or not.
 
-    Each record, grading, key and entry is well formed or arbitrary.  A
-    well-formed entry between well-formed gradings is a sum of basis
-    monomials of the arrow's grading (the scalar 1 where that grading has
-    none), now and then with float or bool exponents, so ``validate``
-    passes some complexes and the rest of the pipeline is reached.  Names
-    run to 104 characters.
+    The ring, the generators container (a tuple or a list) and ``diff`` are
+    now and then of another type.  Each record, grading, key and entry is
+    well formed or arbitrary.  A well-formed entry between well-formed
+    gradings is a sum of basis monomials of the arrow's grading (the scalar
+    1 where that grading has none), now and then with float or bool
+    exponents, so ``validate`` passes some complexes and the rest of the
+    pipeline is reached.  Names run to 104 characters.
     """
     ring = draw(st.sampled_from(RingId))
     n = draw(st.integers(0, 6))
@@ -406,7 +407,13 @@ def _any_complex(draw):
             keys = st.tuples(st.integers(-1, 6), st.integers(-1, 6)) | st.tuples(_ANYTHING, _ANYTHING)
             elems = st.builds(RingElem, st.integers(0, 1) | _ANYTHING, _PARTS, _PARTS)
             diff[draw(keys | _ANYTHING)] = draw(elems | _ANYTHING)
-    return FreeComplex(ring, tuple(gens), diff)
+    # now and then a field itself has another type
+    if not draw(st.integers(0, 9)):
+        ring = draw(st.sampled_from([r.value for r in RingId]) | _ANYTHING)
+    gens = draw(st.sampled_from([tuple, list]))(gens) if draw(st.integers(0, 9)) else draw(_ANYTHING)
+    if not draw(st.integers(0, 9)):
+        diff = draw(st.sampled_from([list(diff.items()), tuple(diff)]) | _ANYTHING)
+    return FreeComplex(ring, gens, diff)
 
 
 class TestValidate:
@@ -640,7 +647,8 @@ class TestValidate:
         # complex; a violation prints a generator's name whole
         bad = validate(C)
         assert isinstance(bad, list) and all(isinstance(line, str) for line in bad)
-        longest = max((len(rec[0]) for rec in C.generators if isinstance(rec, tuple) and rec
+        recs = C.generators if isinstance(C.generators, (tuple, list)) else ()
+        longest = max((len(rec[0]) for rec in recs if isinstance(rec, tuple) and rec
                        and isinstance(rec[0], str)), default=0)
         assert all(len(line) <= 250 + 2 * longest for line in bad), bad
         try:
@@ -651,6 +659,35 @@ class TestValidate:
             assert not bad
         else:
             assert not bad
+
+    def test_ring_of_another_type(self):
+        C = FreeComplex("X", (("a", (0, 0)),))
+        assert validate(C) == ["ring is 'X', not a RingId"]
+        with pytest.raises(InvalidComplexError, match="^invalid complex: ring is 'X', not a RingId$"):
+            standard_representative(C)
+
+    def test_generators_of_another_type(self):
+        for gens in (None, "ab", {"a": (0, 0)}):
+            C = FreeComplex(RingId.X, gens)
+            assert validate(C) == ["generators is %s, not a tuple or list" % _brief(gens)]
+            with pytest.raises(InvalidComplexError, match="generators is"):
+                standard_representative(C)
+        # a list of records is a container like a tuple
+        assert validate(FreeComplex(RingId.X, [("a", (0, 0))])) == []
+
+    def test_diff_of_another_type(self):
+        gens = (("a", (0, 0)), ("b", (-1, -1)))
+        for diff in ([((0, 1), ONE_ELEM)], ((0, 1),), 5):
+            C = FreeComplex(RingId.X, gens, diff)
+            assert validate(C) == ["diff is %s, not a dict" % _brief(diff)]
+            with pytest.raises(InvalidComplexError, match="diff is"):
+                standard_representative(C)
+        # every field of the wrong type is one violation, in field order
+        assert validate(FreeComplex(None, None, 5)) == [
+            "ring is None, not a RingId",
+            "generators is None, not a tuple or list",
+            "diff is 5, not a dict",
+        ]
 
     def test_malformed_records_and_keys_are_violations(self):
         # a generator record that is not a (str name, gradings) pair, and a
@@ -944,25 +981,60 @@ def _outcome(fn, C, side):
         return "ValueError: %s" % exc
 
 
-def _random_side_matrix(rng, m):
-    """A reduced but unvalidated complex: random one-monomial side entries.
+# side exponents of X near the origin, the window random side parts draw from
+_SIDE_WINDOW = [(i, j) for i in range(-4, 5) for j in range(5) if j or i > 0]
 
-    Exponents come from a window that leaves the ring's region, and nothing
-    forces d^2 = 0, so paired_basis meets each of its three errors.  The
-    diagonal stays empty, as in every complex of homogeneous entries.
+
+def _random_side_matrix(rng, m):
+    """A reduced but unvalidated complex whose side parts fit its gradings.
+
+    Each generator has gradings (2a + t, 2b + t).  A slot (i, j) holds, at
+    random, the one side monomial of grading gr(i) - gr(j) - (1, 1) on each
+    side where the window has one.  Nothing forces d^2 = 0, so paired_basis
+    meets its column error.
     """
-    exps = [(i, j) for i in range(-2, 3) for j in range(-1, 3) if (i, j) != (0, 0)]
-    gens = tuple(("g%d" % k, (2 * rng.randint(-2, 2), 2 * rng.randint(-2, 2))) for k in range(m))
+    gens = []
+    for k in range(m):
+        t = rng.randrange(2)
+        gens.append(("g%d" % k, (2 * rng.randint(-2, 2) + t, 2 * rng.randint(-2, 2) + t)))
     diff = {}
-    for i in range(m):
-        for j in range(m):
-            if i == j or rng.random() > 0.35:
+    for i, (_a, (a1, a2)) in enumerate(gens):
+        for j, (_b, (b1, b2)) in enumerate(gens):
+            if rng.random() > 0.35:
                 continue
-            u = frozenset([rng.choice(exps)]) if rng.randrange(3) else frozenset()
-            v = frozenset([rng.choice(exps)]) if rng.randrange(3) else frozenset()
+            want = (a1 - b1 - 1, a2 - b2 - 1)
+            u, v = (frozenset(exp for exp in _SIDE_WINDOW
+                              if mono_grading(Monomial(side, exp)) == want and rng.randrange(3))
+                    for side in (Side.U, Side.V))
             if u or v:
                 diff[(i, j)] = RingElem(0, u, v)
-    return FreeComplex(RingId.X, gens, diff)
+    return FreeComplex(RingId.X, tuple(gens), diff)
+
+
+def _misfit(C, rng):
+    """A copy of C with one side part that does not fit the gradings, and what it is.
+
+    Returns ``(kind, side, (i, j), exp, B)``: slot (i, j) of ``B`` holds the
+    side monomial ``exp`` on ``side``.  ``kind`` is ``inhomogeneous`` (an
+    exponent of the window with another grading), ``out-of-region`` or
+    ``origin``.
+    """
+    m = C.n_gens()
+    i, j = rng.randrange(m), rng.randrange(m)
+    side = rng.choice((Side.U, Side.V))
+    (a1, a2), (b1, b2) = C.gr(i), C.gr(j)
+    kind = rng.choice(("inhomogeneous", "out-of-region", "origin"))
+    if kind == "inhomogeneous":
+        want = (a1 - b1 - 1, a2 - b2 - 1)
+        exp = rng.choice([x for x in _SIDE_WINDOW if mono_grading(Monomial(side, x)) != want])
+    else:
+        exp = rng.choice([(-1, 0), (-3, 0), (0, -1), (2, -1), (-1, -2)]) \
+            if kind == "out-of-region" else (0, 0)
+    e = C.diff.get((i, j), ZERO)
+    part = frozenset([exp])
+    diff = dict(C.diff)
+    diff[(i, j)] = RingElem(0, part, e.v) if side is Side.U else RingElem(0, e.u, part)
+    return kind, side, (i, j), exp, FreeComplex(C.ring, C.generators, diff)
 
 
 class TestAgainstReference:
@@ -988,6 +1060,10 @@ class TestAgainstReference:
             _same_bases(scramble(R, rng, n_ops=R.n_gens()))
 
     def test_errors_match(self):
+        # on homogeneous side parts paired_basis returns, or fails, as the
+        # reference does, and neither meets a pivot that does not divide or
+        # two monomials in one slot; any other side part fails up front,
+        # naming its entry, in every caller
         rng = random.Random(47)
         seen = set()
         for _ in range(1000):
@@ -1001,7 +1077,17 @@ class TestAgainstReference:
                 else:
                     assert got == want
                     seen.add(want.split(" ")[1])
-        assert seen >= {"ok", "pivot", "conflicting", "column"}
+            kind, side, (i, j), (x, y), B = _misfit(C, rng)
+            seen.add(kind)
+            message = "ValueError: side part %s[%d,%d] at (%d, %d) does not fit the gradings" % (
+                side.value, x, y, i, j)
+            assert _outcome(paired_basis, B, side) == message
+            assert _outcome(quotient_homology, B, side) == message
+            # is_knotlike builds the U side first, which may fail on its own
+            first = _outcome(paired_basis, B, Side.U) if side is Side.V else message
+            want = first if isinstance(first, str) else message
+            assert _outcome(lambda B, _side: is_knotlike(B), B, None) == want
+        assert seen == {"ok", "column", "inhomogeneous", "out-of-region", "origin"}
 
     def test_quotient_homology(self, pool):
         # towers and torsion as read off the reference's stored gradings

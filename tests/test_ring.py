@@ -23,6 +23,8 @@ from gridring.ring import (
     ONE_ELEM,
     Monomial,
     _exps_ok,
+    _grading,
+    _side_exp,
     RingElem,
     ZERO,
     elem_from_mono,
@@ -454,6 +456,21 @@ class TestGradingTable:
                             want = want + elem_from_mono(m)
                     assert elems[bits] == want, (ring, gr, bits)
                 assert grading_basis(ring, gr) == basis, (ring, gr)
+
+    def test_elem_grading_agrees_with_mono_grading(self):
+        # elem_grading reads each exponent through ring._grading, the rule
+        # mono_grading and the tables' basis use
+        for ring in RingId:
+            for gr in self.GRADINGS:
+                for m in grading_basis(ring, gr):
+                    assert elem_grading(elem_from_mono(m)) == mono_grading(m) == gr, (ring, m)
+                assert all(elem_grading(e) == gr for e in _TABLES[ring][gr][3][1:]), (ring, gr)
+
+    def test_side_exp_inverts_grading(self):
+        for side in (Side.U, Side.V):
+            for i in range(-4, 5):
+                for j in range(-4, 5):
+                    assert _side_exp(side, _grading(side, (i, j))) == (i, j)
 
     def test_grading_basis_is_a_fresh_list(self):
         got = grading_basis(RingId.X, (-2, -2))
