@@ -143,13 +143,13 @@ def _exps_ok(ring, exps):
     subclasses, in the region off the origin: j > 0 (ring X only), or
     j == 0 < i.  Anything else, a float, a str, a 3-tuple, a frozenset or
     ``exps`` itself not iterable, gives False.  This is the one membership
-    rule: ``in_region``, ``monomial_ok``, ``elem_ok``, ``param_ok``, the
-    grading tables and ``complexes.paired_basis``'s slot table call it.
-    One copy stays written out where a call per pair measured slower:
-    ``localeq._extant``'s region test (380 to 640 us per search-long
-    input).  ``complexes.validate`` passes a valid entry on the grading
-    table's subset tests and a type test of each exponent, which together
-    agree with this rule.
+    rule: ``in_region``, ``monomial_ok``, ``elem_ok``, ``param_ok`` and
+    ``_side_exp`` (the inverse of ``_grading`` that the grading tables and
+    ``complexes._slot`` call) apply it.  One copy stays written out
+    where a call per pair measured slower: ``localeq._extant``'s region
+    test (380 to 640 us per search-long input).  ``complexes.validate``
+    passes a valid entry on the grading table's subset tests and a type
+    test of each exponent, which together agree with this rule.
     """
     over_r = ring is RingId.R
     try:
@@ -169,14 +169,18 @@ def _grading(side, exp):
     return (-2 * i, -2 * j) if side is Side.U else (-2 * j, -2 * i)
 
 
-def _side_exp(side, gr):
-    """The inverse of ``_grading``: the exponent of the side monomial of grading ``gr``.
+def _side_exp(ring, side, gr):
+    """The inverse of ``_grading``: the exponent of ``ring``'s side monomial of grading ``gr``.
 
-    ``gr`` must be a pair of even ints.  This is the one place the inverse
-    is written: the grading tables and ``complexes.paired_basis`` call it.
-    Whether the exponent lies in a ring is the caller's test.
+    None when ``gr`` has an odd component or its exponent fails
+    ``_exps_ok``, as the origin does.  This is the one place the inverse
+    is written: the grading tables and ``complexes._slot`` call it.
     """
-    return (-gr[0] // 2, -gr[1] // 2) if side is Side.U else (-gr[1] // 2, -gr[0] // 2)
+    g1, g2 = gr
+    if g1 % 2 or g2 % 2:
+        return None
+    exp = (-g1 // 2, -g2 // 2) if side is Side.U else (-g2 // 2, -g1 // 2)
+    return exp if _exps_ok(ring, [exp]) else None
 
 
 def _exp_text(exp):
@@ -448,14 +452,11 @@ class _GradingTable(dict):
         self.ring = ring
 
     def __missing__(self, gr):
-        g1, g2 = gr
         if gr == (0, 0):
             basis = [MONO_ONE]
-        elif g1 % 2 or g2 % 2:
-            basis = []
         else:
-            pairs = [(side, _side_exp(side, gr)) for side in (Side.U, Side.V)]
-            basis = [Monomial(side, x) for side, x in pairs if _exps_ok(self.ring, [x])]
+            pairs = [(side, _side_exp(self.ring, side, gr)) for side in (Side.U, Side.V)]
+            basis = [Monomial(side, x) for side, x in pairs if x is not None]
         elems = [ZERO]
         for m in basis:
             e = elem_from_mono(m)

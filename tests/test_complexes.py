@@ -889,6 +889,24 @@ class TestPairedBasis:
         # the V side has no part in that entry
         assert paired_basis(C, Side.V).unpaired == (0, 1)
 
+    def test_list_gradings_equal_their_tuples(self):
+        # d(a) = U[1,0] c + U[1,0] d and d(b) = U[1,0] c, with b and d graded
+        # by lists: the residues pair up generators whose gradings are equal
+        # as values, in the new pair's row (c) and in the cleared column (b)
+        u10 = RingElem(0, frozenset({(1, 0)}), frozenset())
+        diff = {(0, 2): u10, (0, 3): u10, (1, 2): u10}
+        gens = (("a", (0, 0)), ("b", [0, 0]), ("c", (1, -1)), ("d", [1, -1]))
+        C = FreeComplex(RingId.X, gens, diff)
+        T = FreeComplex(RingId.X, tuple((nm, tuple(g)) for nm, g in gens), diff)
+        assert validate(C) == []
+        pb = paired_basis(C, Side.U)
+        assert pb.basis == (0b0001, 0b0011, 0b1100, 0b1000)
+        assert pb.pairs == ((0, 2, u_mono(1, 0)), (1, 3, u_mono(1, 0)))
+        for side in (Side.U, Side.V):
+            _same_paired_basis(C, paired_basis(C, side), reference_paired_basis(C, side))
+            got, want = paired_basis(C, side), paired_basis(T, side)
+            assert (got.basis, got.pairs, got.unpaired) == (want.basis, want.pairs, want.unpaired)
+
     def test_matrix_shape(self, pool):
         rng = random.Random(23)
         for spec in pool:

@@ -467,10 +467,15 @@ class TestGradingTable:
                 assert all(elem_grading(e) == gr for e in _TABLES[ring][gr][3][1:]), (ring, gr)
 
     def test_side_exp_inverts_grading(self):
-        for side in (Side.U, Side.V):
-            for i in range(-4, 5):
-                for j in range(-4, 5):
-                    assert _side_exp(side, _grading(side, (i, j))) == (i, j)
+        # on the ring's exponents, and None off them and on odd gradings
+        for ring in RingId:
+            for side in (Side.U, Side.V):
+                for i in range(-4, 5):
+                    for j in range(-4, 5):
+                        want = (i, j) if _exps_ok(ring, [(i, j)]) else None
+                        assert _side_exp(ring, side, _grading(side, (i, j))) == want
+                        assert _side_exp(ring, side, (2 * i + 1, 2 * j)) is None
+                        assert _side_exp(ring, side, (2 * i, 2 * j - 1)) is None
 
     def test_grading_basis_is_a_fresh_list(self):
         got = grading_basis(RingId.X, (-2, -2))
