@@ -471,7 +471,9 @@ def side_rows(C, side):
 
     An arrow with no part on ``side`` is absent; each dict keeps the order
     of ``C.diff``.  Each entry's side part is read once and unpacked as its
-    single exponent; a part of two or more monomials raises ValueError.
+    single exponent; a part of two or more monomials, or one that is not a
+    set (an int, say), raises one ValueError naming the entry (``side U
+    part 5 at (0, 1) must be a single monomial``).
     """
     rows = [{} for _ in range(C.n_gens())]
     on_u = side is Side.U
@@ -480,10 +482,9 @@ def side_rows(C, side):
         if part:
             try:
                 (rows[a][b],) = part
-            except ValueError:
-                raise ValueError(
-                    "side part of a homogeneous entry must be a single monomial"
-                ) from None
+            except (TypeError, ValueError):  # two monomials, or no set at all
+                raise ValueError("side %s part %s at %s must be a single monomial" % (
+                    side.value, _brief(part), (a, b))) from None
     return rows
 
 
@@ -509,10 +510,11 @@ def paired_basis(C, side):
     side exponent in ``X``'s region off the origin whose grading
     (``ring._grading``) is gr(i) - gr(j) - (1, 1) for its entry (i, j),
     else ValueError names the entry (``side part U[2,1] at (1, 3) does
-    not fit the gradings``).  That monomial's exponent is ``_slot``'s,
-    ``ring._side_exp`` of the grading: the inverse of ``_grading`` that the
-    grading tables also call, and the only exponent ``ring._exps_ok`` is
-    applied to.  The part is compared with it by value, so ``(1.0, 0)``
+    not fit the gradings``), as it does when the two gradings do not
+    subtract to numbers (a str grading).  That monomial's exponent is
+    ``_slot``'s, ``ring._side_exp`` of the grading: the inverse of
+    ``_grading`` that the grading tables also call, and the only exponent
+    ``ring._exps_ok`` is applied to.  The part is compared with it by value, so ``(1.0, 0)``
     passes where ``(1, 0)`` fits; ``validate`` checks the types.  No
     grading table is read, so the certificate checker stays off them.  The
     change of basis is homogeneous, so every later entry (i, r) is the one
@@ -553,7 +555,10 @@ def paired_basis(C, side):
         a1, a2 = gr[i]
         for j, exp in row.items():
             b1, b2 = gr[j]
-            slot = _slot(on_u, a1 - b1, a2 - b2)
+            try:
+                slot = _slot(on_u, a1 - b1, a2 - b2)
+            except TypeError:  # gradings that do not subtract to numbers fit nothing
+                slot = None
             if slot is None or slot[0] != exp:
                 raise ValueError("side part %r at %s does not fit the gradings" % (
                     Monomial(side, exp), (i, j)))
@@ -611,6 +616,62 @@ def paired_basis(C, side):
     return PairedBasis(side, tuple(basis), tuple(pairs), unpaired)
 
 
+class _SidePairing(_Record):
+    """One side's pairs ``(y_index, z_index, Monomial)`` and unpaired indices, without a basis.
+
+    ``_column_pairing`` builds it; it reads like a ``PairedBasis`` where
+    only the pairing is used (``_knotlike_shift``, ``localeq._extant``).
+    """
+
+    __slots__ = ("side", "pairs", "unpaired")
+
+
+def _column_pairing(C, side):
+    """The pairs and unpaired generators of one side of a valid, reduced complex.
+
+    The persistence column reduction (Zomorodian-Carlsson, "Computing
+    persistent homology", 2005), which builds no change of basis.  The
+    generators are ordered by their key, (gr2, gr1) on side U and (gr1,
+    gr2) on side V, descending.  A side monomial of grading gr(p) - gr(q)
+    lies in ``X``, or is the unit, exactly when q's key is at least p's
+    (in ``R`` two columns that share a row agree in the key's first
+    component), so an earlier column enters a later one with a multiplier
+    in the ring, and within a column the entry of the least key, the last
+    filled row, divides the others.  Each side column is an int bitmask over that
+    order, and each is reduced against the earlier ones by XOR, pivoting on
+    its highest set bit; a column left nonzero pairs y = its generator with
+    z = its pivot row, and the order is the side monomial of gr(y) - gr(z)
+    - (1, 1).  The multiset of (gr(y), order) and the unpaired gradings
+    are invariants of the complex, so they equal ``paired_basis``'s.
+    Only for complexes that pass ``validate``: d^2 = 0 and every side part
+    fitting its gradings are assumed, not checked.
+    """
+    on_u = side is Side.U
+    gr = [(g1, g2) for _nm, (g1, g2) in C.generators]
+    order = sorted(range(len(gr)), key=(lambda i: gr[i][::-1]) if on_u else gr.__getitem__,
+                   reverse=True)
+    pos = {i: k for k, i in enumerate(order)}
+    cols = [0] * len(gr)
+    for (a, b), e in C.diff.items():
+        if e.u if on_u else e.v:
+            cols[pos[a]] |= 1 << pos[b]
+    owner = {}  # a pivot row's position: the position of its column
+    pairs = []
+    for k, col in enumerate(cols):
+        while col:
+            low = col.bit_length() - 1
+            j = owner.get(low)
+            if j is None:
+                owner[low], cols[k] = k, col
+                y, z = order[k], order[low]
+                (y1, y2), (z1, z2) = gr[y], gr[z]
+                pairs.append((y, z, Monomial(side, _slot(on_u, y1 - z1, y2 - z2)[0])))
+                break
+            col ^= cols[j]
+    paired = {i for y, z, _o in pairs for i in (y, z)}
+    return _SidePairing(side, tuple(pairs), tuple(i for i in range(len(gr)) if i not in paired))
+
+
 def tower_functional(pb):
     """The tower of a paired basis: (functional mask, element mask).
 
@@ -654,48 +715,51 @@ def quotient_homology(C, side):
     return QuotientHomology(side, len(pb.unpaired), towers, tuple(torsion))
 
 
-def _knotlike_bases(C):
-    """Both sides' paired bases and the normalizing shift, or None.
+def _knotlike_shift(C, pb_u, pb_v):
+    """The normalizing shift read off both sides' pairings, or None.
 
-    The shift is None unless each side has a single tower; subtracting it
+    ``pb_u`` and ``pb_v`` are paired bases or column pairings
+    (``_column_pairing``); only their unpaired indices are read.  The
+    shift is None unless each side has a single tower; subtracting it
     puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.
     """
-    pb_u, pb_v = paired_basis(C, Side.U), paired_basis(C, Side.V)
     if len(pb_u.unpaired) != 1 or len(pb_v.unpaired) != 1:
-        return pb_u, pb_v, None
+        return None
     shift = (C.gr(pb_v.unpaired[0])[0], C.gr(pb_u.unpaired[0])[1])
     if (shift[0] - shift[1]) % 2:
         raise NotKnotlikeError("tower gradings have mixed parity; complex is malformed")
-    return pb_u, pb_v, shift
+    return shift
 
 
-def _require_knotlike(C, what="complex"):
-    """``_knotlike_bases`` of a knotlike complex; raises NotKnotlikeError naming both tower counts.
+def _require_knotlike(C, pb_u, pb_v, what="complex"):
+    """``_knotlike_shift`` of a knotlike complex; raises NotKnotlikeError naming both tower counts.
 
     ``what`` names the complex in the message, e.g. ``complex is not
     knotlike: 2 towers on side U, 2 on side V``.
     """
-    pb_u, pb_v, shift = _knotlike_bases(C)
+    shift = _knotlike_shift(C, pb_u, pb_v)
     if shift is None:
         raise NotKnotlikeError(
             "%s is not knotlike: %d towers on side U, %d on side V"
             % (what, len(pb_u.unpaired), len(pb_v.unpaired))
         )
-    return pb_u, pb_v, shift
+    return shift
 
 
 def is_knotlike(C):
     """Single-tower test on both sides, plus the normalizing grading shift.
 
     Returns (flag, shift); the shift is None when the complex is not knotlike.
+    Both sides' paired bases are built, U first, so an unvalidated complex
+    fails as ``paired_basis`` does.
     """
-    shift = _knotlike_bases(C)[2]
+    shift = _knotlike_shift(C, paired_basis(C, Side.U), paired_basis(C, Side.V))
     return shift is not None, shift
 
 
 def normalize(C):
     """Apply the unique knotlike normalization shift."""
-    shift = _require_knotlike(C)[2]
+    shift = _require_knotlike(C, paired_basis(C, Side.U), paired_basis(C, Side.V))
     if shift == (0, 0):
         return C
     return shift_gradings(C, shift)

@@ -62,6 +62,7 @@ from . import _gf2
 from .complexes import (
     InvalidComplexError,
     NotKnotlikeError,
+    _column_pairing,
     _entry_fault,
     _key_ok,
     _part_bits,
@@ -140,9 +141,24 @@ def _require_valid(C):
         raise InvalidComplexError(bad)
 
 
+def _knotlike_pairings(C, what="complex"):
+    """Side U's column pairing, side V's paired basis and the shift of a valid, knotlike complex.
+
+    Only side V's change of basis is read (``tower_functional``); side U
+    gives its tower count, tower grading and pairs, which
+    ``complexes._column_pairing`` finds without one, on a complex that
+    passes ``validate``.  Side V goes first, so an unreduced complex fails
+    with ``paired_basis``'s message.  The shift comes from
+    ``complexes._require_knotlike``, whose NotKnotlikeError names ``what``.
+    """
+    pb_v = paired_basis(C, Side.V)
+    pb_u = _column_pairing(C, Side.U)
+    return pb_u, pb_v, _require_knotlike(C, pb_u, pb_v, what)
+
+
 def _require_normalized(C, what):
-    """Both paired bases (U side, V side) of a knotlike, normalized complex."""
-    pb_u, pb_v, shift = _require_knotlike(C, what)
+    """``_knotlike_pairings`` (U side, V side) of a valid, knotlike, normalized complex."""
+    pb_u, pb_v, shift = _knotlike_pairings(C, what)
     if shift != (0, 0):
         raise ValueError("%s must be normalized; apply the knotlike shift %s first" % (what, shift))
     return pb_u, pb_v
@@ -163,13 +179,15 @@ def extant_coefficients(C):
 
 
 def _extant(C, pb_u, pb_v):
-    """``extant_coefficients`` from the paired bases, in integer arithmetic.
+    """``extant_coefficients`` from both sides' pairings, in integer arithmetic.
 
-    A pair's y keeps its generator's grading g_y = ``C.gr(y)``, since a
-    paired basis stores no gradings.  The side element moving y into the
-    grading g_0 has the exponent (g_y - g_0)/2, its components swapped on
-    the V side; it is kept when it is the origin (the unit) or a valid side
-    exponent of the ring.  This stays integer arithmetic: reading the ring's
+    Only each side's pairs are read, so ``pb_u`` is a column pairing
+    (``_knotlike_pairings``) or a paired basis alike.  A pair's y keeps its
+    generator's grading g_y = ``C.gr(y)``, since neither pairing stores
+    gradings.  The side element moving y into the grading g_0 has the
+    exponent (g_y - g_0)/2, its components swapped on the V side; it is
+    kept when it is the origin (the unit) or a valid side exponent of the
+    ring.  This stays integer arithmetic: reading the ring's
     grading table here instead measured about 1.5x slower.
     """
     gen_grades = {C.gr(i) for i in range(C.n_gens())}
@@ -585,9 +603,12 @@ def standardize(C, trace=None):
     is sorted once.  A probe only eliminates; the stopping probe alone is
     back-substituted, into the forward certificate, and only the returned
     spec is realized.
-    The paired bases and the target each read C's side exponents where
-    they use them, and the forward check reads the tower functional the
-    search solved against, so C's paired bases are built once per side.
+    C's V side gets one paired basis (``_knotlike_pairings``), whose
+    change of basis gives the tower functional; the forward check reads the
+    functional the search solved against.  Its U side gives only its tower
+    and its pairs, for the knotlike check and the extant pool, and is
+    paired once by column reduction (``complexes._column_pairing``), which
+    builds no change of basis and relies on the validation.
     ``trace``, when given, receives one ``(step, parameter or
     None, feasible)`` tuple per probe, in probe order.
     """
@@ -596,7 +617,7 @@ def standardize(C, trace=None):
 
 
 def _standardize(C, pb_u, pb_v, trace=None):
-    """``standardize`` on a complex known to pass its checks, with its paired bases."""
+    """``standardize`` on a complex known to pass its checks, with its side pairings."""
     ext = _extant(C, pb_u, pb_v)
     w_tgt, elem_mask = tower_functional(pb_v)
     tgr = C.gr(pb_v.unpaired[0])
@@ -654,14 +675,16 @@ def standard_representative(C):
 
     Returns (spec, forward cert, backward cert, applied shift), the shift
     being the reduced complex's knotlike normalization; shifting the input's
-    gradings changes only that shift.  Validation and the paired bases run
-    once.
+    gradings changes only that shift.  Validation runs once, and so do the
+    pairings of the reduced complex (``_knotlike_pairings``): a paired
+    basis on side V and a column reduction on side U, whose tower grading
+    gives the shift's second component.
     """
     _require_valid(C)
     C = reduce(C)
-    pb_u, pb_v, shift = _require_knotlike(C)
+    pb_u, pb_v, shift = _knotlike_pairings(C)
     # a grading shift moves no pivot, pair, basis row or side exponent, and
-    # a paired basis stores no gradings, so the bases serve the shifted complex
+    # neither pairing stores gradings, so both serve the shifted complex
     spec, fwd, back = _standardize(shift_gradings(C, shift), pb_u, pb_v)
     return spec, fwd, back, shift
 

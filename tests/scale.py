@@ -6,9 +6,10 @@ and runs ``standard_representative`` on it once.  Prints its CPU time, the
 time and call count of ``_gf2.eliminate`` within it (the script wraps that
 function, so ``_gf2.solve`` and ``solve_unit`` are counted through it),
 the rows passed to those calls and the pivots they added, the time and
-call count of ``paired_basis`` (both bindings, ``complexes.paired_basis``
-and ``localeq.paired_basis``, are wrapped) and the pairs it found per
-side, the process's peak resident set size and the spec.  The row, pivot
+call count of the side pairings and the pairs they found per side (both
+bindings of ``paired_basis`` and of ``complexes._column_pairing``, which
+pairs the input's U side, are wrapped: ``complexes`` and ``localeq``),
+the process's peak resident set size and the spec.  The row, pivot
 and pair counts are read from each call's arguments and result, so unlike
 the times they do not vary from machine to machine or run to run.
 ``cable⊗5`` (3125 generators) takes a few seconds and about 200 MB.
@@ -55,33 +56,42 @@ def main(argv):
         spent[3] += len(got) - before if got is not None else 0
         return got
 
-    paired_basis, paired = complexes.paired_basis, [0, 0.0, {"U": 0, "V": 0}]  # calls, seconds, pairs
+    pairings = ("paired_basis", "_column_pairing")
+    originals = {name: getattr(complexes, name) for name in pairings}
+    paired = [0, 0.0, {"U": 0, "V": 0}]  # calls, seconds, pairs
 
-    def timed_paired_basis(C, side):
-        t = time.process_time()
-        try:
-            pb = paired_basis(C, side)
-        finally:
-            paired[0] += 1
-            paired[1] += time.process_time() - t
-        paired[2][side.value] += len(pb.pairs)
-        return pb
+    def timing(pairing):
+        def timed_pairing(C, side):
+            t = time.process_time()
+            try:
+                pb = pairing(C, side)
+            finally:
+                paired[0] += 1
+                paired[1] += time.process_time() - t
+            paired[2][side.value] += len(pb.pairs)
+            return pb
+        return timed_pairing
+
+    def bind(fns):
+        for name, fn in fns.items():
+            setattr(complexes, name, fn)
+            setattr(localeq, name, fn)
 
     _gf2.eliminate = timed
-    complexes.paired_basis = localeq.paired_basis = timed_paired_basis
+    bind({name: timing(fn) for name, fn in originals.items()})
     try:
         t = time.process_time()
         spec = standard_representative(C)[0]
         cpu = time.process_time() - t
     finally:
         _gf2.eliminate = eliminate
-        complexes.paired_basis = localeq.paired_basis = paired_basis
+        bind(originals)
     print("input cable^%d (%d generators)" % (k, C.n_gens()))
     print("cpu_s %.3f" % cpu)
     print("eliminate_s %.3f over %d calls" % (spent[1], spent[0]))
     print("eliminate_rows %d pivots_added %d" % (spent[2], spent[3]))
-    print("paired_basis_s %.3f over %d calls" % (paired[1], paired[0]))
-    print("paired_basis_pairs U %(U)d V %(V)d" % paired[2])
+    print("pairing_s %.3f over %d calls" % (paired[1], paired[0]))
+    print("pairing_pairs U %(U)d V %(V)d" % paired[2])
     print("maxrss_mb %.1f" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
     print("spec %s" % format_spec(spec))
 

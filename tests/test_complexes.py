@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -29,6 +31,7 @@ from gridring.complexes import (
     InvalidComplexError,
     NotKnotlikeError,
     QuotientHomology,
+    _column_pairing,
     fuv_image,
     shift_gradings,
     side_rows,
@@ -216,7 +219,8 @@ def reference_paired_basis(C, side):
         for mono in elem_monomials(e):
             if mono.side is side:
                 if D[i][j] is not None:
-                    raise ValueError("side part of a homogeneous entry must be a single monomial")
+                    raise ValueError("side %s part %s at %s must be a single monomial" % (
+                        side.value, _brief(e.u if side is Side.U else e.v), (i, j)))
                 D[i][j] = mono.exp
     basis = [[ONE_ELEM if i == j else ZERO for j in range(m)] for i in range(m)]
     grades = [C.gr(i) for i in range(m)]
@@ -310,7 +314,8 @@ def reference_side_rows(C, side):
         for mono in elem_monomials(e):
             if mono.side is side:
                 if b in rows[a]:
-                    raise ValueError("side part of a homogeneous entry must be a single monomial")
+                    raise ValueError("side %s part %s at %s must be a single monomial" % (
+                        side.value, _brief(e.u if side is Side.U else e.v), (a, b)))
                 rows[a][b] = mono.exp
     return rows
 
@@ -339,7 +344,8 @@ class TestSideRows:
     def test_two_monomials_on_one_side_rejected(self):
         e = RingElem(0, frozenset({(1, 0), (2, 0)}), frozenset({(1, 0)}))
         C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (3, 1))), {(0, 1): e})
-        message = "^side part of a homogeneous entry must be a single monomial$"
+        message = "^%s$" % re.escape(
+            "side U part frozenset({(1, 0), (2, 0)}) at (0, 1) must be a single monomial")
         for fn in (side_rows, reference_side_rows):
             with pytest.raises(ValueError, match=message):
                 fn(C, Side.U)
@@ -880,7 +886,8 @@ class TestPairedBasis:
         e = RingElem(0, frozenset({(1, 0), (2, 0)}), frozenset())
         C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (3, 1))), {(0, 1): e})
         assert is_reduced(C)
-        message = "^side part of a homogeneous entry must be a single monomial$"
+        message = "^%s$" % re.escape(
+            "side U part frozenset({(1, 0), (2, 0)}) at (0, 1) must be a single monomial")
         for fn in (paired_basis, reference_paired_basis):
             with pytest.raises(ValueError, match=message):
                 fn(C, Side.U)
@@ -906,6 +913,33 @@ class TestPairedBasis:
             _same_paired_basis(C, paired_basis(C, side), reference_paired_basis(C, side))
             got, want = paired_basis(C, side), paired_basis(T, side)
             assert (got.basis, got.pairs, got.unpaired) == (want.basis, want.pairs, want.unpaired)
+
+    def test_side_part_not_a_set_rejected(self):
+        # an unvalidated side part that is no set of exponents fails as one
+        # ValueError naming its entry, in every caller that skips validate;
+        # b's gradings make U[1,0] fit a -> b, so is_knotlike reaches side V
+        gens = (("a", (0, 0)), ("b", (1, -1)))
+        u10 = frozenset({(1, 0)})
+        for side, e, part in ((Side.U, RingElem(0, 5), "5"), (Side.V, RingElem(0, u10, 7), "7")):
+            C = FreeComplex(RingId.X, gens, {(0, 1): e})
+            assert validate(C) != []
+            message = "^%s$" % re.escape(
+                "side %s part %s at (0, 1) must be a single monomial" % (side.value, part))
+            calls = [side_rows, paired_basis, quotient_homology, lambda C, _s: is_knotlike(C)]
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call(C, side)
+
+    def test_grading_that_does_not_subtract_rejected(self):
+        # a str grading fits no side part: the up-front check names the entry
+        u10 = RingElem(0, frozenset({(1, 0)}), frozenset())
+        C = FreeComplex(RingId.X, (("a", ("0", 0)), ("b", (1, -1))), {(0, 1): u10})
+        assert validate(C) != []
+        message = "^%s$" % re.escape("side part U[1,0] at (0, 1) does not fit the gradings")
+        calls = [paired_basis, quotient_homology, lambda C, _s: is_knotlike(C)]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(C, Side.U)
 
     def test_matrix_shape(self, pool):
         rng = random.Random(23)
@@ -1123,6 +1157,73 @@ class TestAgainstReference:
         _s, C = wide_product(random.Random(53))
         assert C.n_gens() >= 265
         _same_bases(_same_reduction(C))
+
+
+class TestColumnPairing:
+    """``_column_pairing`` finds ``paired_basis``'s pairs and towers on every valid complex."""
+
+    def _cases(self, pool):
+        """Valid reduced complexes: the seed 1-3 inputs of every workload, pool
+        products, scrambled padded products and non-knotlike direct sums."""
+        for workload in ("search-long", "wide-trivial", "batch-small"):
+            for seed in (1, 2, 3):
+                for case in inputs(workload, seed):
+                    C = case.complex
+                    if C is None:
+                        try:
+                            C = io_json.document_to_complex(case.doc)[0]
+                        except ValueError:
+                            continue  # a document the workload expects to be rejected
+                    if not validate(C):
+                        yield reduce(C)
+        realized = [realize(spec) for spec in pool]
+        yield from (tensor(A, B) for A in realized for B in realized)
+        for mixed, rng in _scrambled_padded_products(pool):
+            R = reduce(mixed)
+            yield R
+            yield scramble(R, rng, n_ops=R.n_gens())
+        # two towers a side, and a U-side pair x -> U[1,0] y, which has no
+        # tower on side U and two on side V, alone and added to a product
+        u_pair = FreeComplex(RingId.X, (("x", (0, 0)), ("y", (1, -1))),
+                             {(0, 1): RingElem(0, frozenset({(1, 0)}))})
+        yield u_pair
+        rng = random.Random(71)
+        for _ in range(12):
+            A, B = (realize(rng.choice(pool)) for _ in range(2))
+            yield direct_sum(A, B)
+            if A.ring is RingId.X:
+                yield scramble(direct_sum(tensor(A, B), u_pair), rng, n_ops=A.n_gens())
+
+    def test_same_pairs_and_towers_as_paired_basis(self, pool):
+        counts = set()
+        for C in self._cases(pool):
+            assert validate(C) == [] and is_reduced(C)
+            for side in (Side.U, Side.V):
+                got, want = _column_pairing(C, side), paired_basis(C, side)
+                assert got.side is side
+                assert sorted(C.gr(t) for t in got.unpaired) == \
+                    sorted(C.gr(t) for t in want.unpaired)
+                assert Counter((tuple(C.gr(y)), o) for y, _z, o in got.pairs) == \
+                    Counter((tuple(C.gr(y)), o) for y, _z, o in want.pairs)
+                counts.add(len(got.unpaired))
+        assert counts == {0, 1, 2, 3}
+
+    def test_unreduced_input_fails_as_before(self, pool):
+        # the V side's paired basis goes first, so a valid complex that is
+        # not reduced fails with its message, before any U-side pairing
+        from gridring.localeq import extant_coefficients, find_local_map, standardize
+
+        rng = random.Random(73)
+        gens = (("x", (0, 0)), ("y", (-1, -1)))
+        cases = [FreeComplex(RingId.X, gens, {(0, 1): ONE_ELEM})]
+        cases += [pad(realize(spec), rng, 2) for spec in pool[:4]]
+        for C in cases:
+            assert validate(C) == [] and not is_reduced(C)
+            calls = [standardize, extant_coefficients,
+                     lambda C: find_local_map(parse_spec("C(0)"), C)]
+            for call in calls:
+                with pytest.raises(ValueError, match="^paired_basis needs a reduced complex$"):
+                    call(C)
 
 
 def _scrambled_padded_products(pool):

@@ -37,7 +37,6 @@ from gridring import (
 )
 from gridring import _gf2
 from gridring.complexes import (
-    _knotlike_bases,
     _part_products,
     normalize,
     paired_basis,
@@ -371,7 +370,7 @@ class TestExtant:
         # the integer form of the pool against the monomial walk: on the
         # seed 1-3 inputs of every workload, and on random products over
         # both rings and wide products, padded and scrambled
-        from gridring import io_json, shift_gradings, validate
+        from gridring import io_json, is_knotlike, shift_gradings, validate
         from gridring.localeq import _extant
 
         complexes = []
@@ -397,7 +396,7 @@ class TestExtant:
             if validate(C):
                 continue
             C = reduce(C)
-            pb_u, pb_v, shift = _knotlike_bases(C)
+            shift = is_knotlike(C)[1]
             if shift is None:
                 continue
             C = shift_gradings(C, shift)
@@ -1298,8 +1297,9 @@ class TestStandardize:
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):
-        # side rows are read where they are used: the input's by its two
-        # paired bases and once per side by the target of every trial (the
+        # side rows are read where they are used: the input's by its V-side
+        # paired basis and once per side by the target of every trial (the
+        # U side is paired by column reduction, which reads C.diff, and the
         # forward check reuses the search's tower, so it builds no basis);
         # the standard representative's once per side by the backward target
         # and on V by the backward check.  The backward solve reads the
@@ -1322,31 +1322,39 @@ class TestStandardize:
         assert len(trace) > 3
         others = {id(D) for D, _s in built if D is not C}
         assert len(others) == 1  # the standard representative
-        for side, of_input, of_std in ((Side.U, 2, 1), (Side.V, 2, 2)):
+        for side, of_input, of_std in ((Side.U, 1, 1), (Side.V, 2, 2)):
             assert sum(1 for D, s in built if D is C and s is side) == of_input
             assert sum(1 for D, s in built if D is not C and s is side) == of_std
 
     def test_paired_bases_computed_once(self, monkeypatch):
-        # per call: both sides of the reduced input once (2), handed shifted
-        # to the extant pool and the tower, and one fresh target basis for
-        # the backward check (1): the forward check reuses the search's
-        # tower; the standard representative's tower is x_0 in closed form
+        # per call: the reduced input's V side once, handed shifted to the
+        # tower, and one fresh target basis for the backward check: the
+        # forward check reuses the search's tower, and the standard
+        # representative's tower is x_0 in closed form.  The input's U side
+        # is paired once, by column reduction, for its tower and the pool
         import gridring.complexes
         import gridring.localeq
 
-        calls = []
+        calls, pairings = [], []
         original = gridring.complexes.paired_basis
+        column = gridring.complexes._column_pairing
 
         def counting(C, side):
             calls.append(side)
             return original(C, side)
 
+        def counting_columns(C, side):
+            pairings.append(side)
+            return column(C, side)
+
         # every paired basis goes through the public paired_basis
         for module in (gridring.complexes, gridring.localeq):
             monkeypatch.setattr(module, "paired_basis", counting)
+            monkeypatch.setattr(module, "_column_pairing", counting_columns)
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
-        assert calls == [Side.U, Side.V, Side.V]
+        assert calls == [Side.V, Side.V]
+        assert pairings == [Side.U]
 
     def test_validated_once(self, monkeypatch):
         # reduce is a homotopy equivalence, so its output needs no second check
