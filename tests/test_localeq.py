@@ -371,6 +371,7 @@ class TestExtant:
         # seed 1-3 inputs of every workload, and on random products over
         # both rings and wide products, padded and scrambled
         from gridring import io_json, is_knotlike, shift_gradings, validate
+        from gridring.complexes import _column_pairing
         from gridring.localeq import _extant
 
         complexes = []
@@ -403,6 +404,8 @@ class TestExtant:
             pb_u, pb_v = paired_basis(C, Side.U), paired_basis(C, Side.V)
             ext = _extant(C, pb_u, pb_v)
             assert (ext.u_coeffs, ext.v_coeffs) == reference_extant(C, pb_u, pb_v)
+            # the pipeline's U side: the column pairing gives the same pool
+            assert _extant(C, _column_pairing(C, Side.U), pb_v) == ext
             compared[C.ring] += 1
         assert compared[RingId.R] >= 10 and compared[RingId.X] > 100
 
