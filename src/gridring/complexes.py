@@ -454,8 +454,10 @@ class PairedBasis(_Record):
     The basis stores no gradings; the complex owns them.  A homogeneous
     change of basis moves no grading, so element i has grading ``C.gr(i)``,
     and since d_side has degree (-1, -1) a pair's order is the one side
-    monomial of grading gr(y) - gr(z) - (1, 1): ``paired_basis`` reads it
-    off the gradings, as it reads every entry.
+    monomial of grading gr(y) - gr(z) - (1, 1): ``_column_pairing`` reads
+    it off the gradings, as it reads every entry.  Its basis is
+    unitriangular: ``basis[i]`` has bit i, and otherwise only bits of
+    generators of i's grading and lower index.
 
     Fields: ``side``; ``basis``, the residue bitmasks, one per new basis
     element; ``pairs``, of ``(y_index, z_index, Monomial)``; ``unpaired``.
@@ -490,186 +492,154 @@ def side_rows(C, side):
 
 @functools.cache
 def _slot(on_u, d1, d2):
-    """The side U (else V) slot (i, r) with gr(i) - gr(r) = (d1, d2): (exponent, heap key), or None.
+    """The exponent of the side U (else V) slot (i, r) with gr(i) - gr(r) = (d1, d2), or None.
 
-    The exponent is ``ring._side_exp`` of grading (d1 - 1, d2 - 1) in
-    ``X``, and the heap key its lattice key with every component negated.
+    It is ``ring._side_exp`` of grading (d1 - 1, d2 - 1) in ``X``.
     Memoized for the whole process, as the grading tables are: a memo per
     ``paired_basis`` call, which starts empty, measured about 8 us slower
     per call on complexes of 3 to 30 generators, 3-4% of a batch-small
     input (2 vCPUs, Python 3.11.7).
     """
-    exp = _side_exp(RingId.X, Side.U if on_u else Side.V, (d1 - 1, d2 - 1))
-    return None if exp is None else (exp, tuple(-k for k in lattice_key(exp)))
+    return _side_exp(RingId.X, Side.U if on_u else Side.V, (d1 - 1, d2 - 1))
 
 
 def paired_basis(C, side):
     """Change of basis putting the side-differential into paired form.
 
-    Every side part is checked before anything is eliminated: it must be a
-    side exponent in ``X``'s region off the origin whose grading
-    (``ring._grading``) is gr(i) - gr(j) - (1, 1) for its entry (i, j),
-    else ValueError names the entry (``side part U[2,1] at (1, 3) does
-    not fit the gradings``), as it does when the two gradings do not
-    subtract to numbers (a str grading).  That monomial's exponent is
-    ``_slot``'s, ``ring._side_exp`` of the grading: the inverse of
-    ``_grading`` that the grading tables also call, and the only exponent
-    ``ring._exps_ok`` is applied to.  The part is compared with it by value, so ``(1.0, 0)``
-    passes where ``(1, 0)`` fits; ``validate`` checks the types.  No
-    grading table is read, so the certificate checker stays off them.  The
-    change of basis is homogeneous, so every later entry (i, r) is the one
-    side monomial of grading gr(i) - gr(r) - (1, 1), and the
-    side-differential is held as its incidence alone: per row the set of
-    filled columns, per column the set of filled rows.
+    Its checks, then ``_column_pairing``.  The side must be U or V, and the
+    complex reduced.  Every side part must be a single monomial
+    (``side_rows``), a side exponent in ``X``'s region off the origin
+    whose grading (``ring._grading``) is gr(i) - gr(j) - (1, 1) for its
+    entry (i, j), else ValueError names the entry (``side part U[2,1] at
+    (1, 3) does not fit the gradings``), as it does when the two gradings
+    do not subtract to numbers (a str grading).
+    That monomial's exponent is ``_slot``'s, ``ring._side_exp`` of the
+    grading: the inverse of ``_grading`` that the grading tables also call,
+    and the only exponent ``ring._exps_ok`` is applied to.  The part is
+    compared with it by value, so ``(1.0, 0)`` passes where ``(1, 0)``
+    fits; ``validate`` checks the types.  No grading table is read, so the
+    certificate checker stays off them.
 
-    The pivot is the first <!-greatest entry in row-major order over the
-    unpaired rows and columns.  On the region <! is divisibility, so the
-    pivot divides every other remaining entry, the eliminations stay
-    inside the ring and the torsion orders are canonical.  Each filled
-    slot is pushed on a min-heap as ``(heap key, row, col)``, the heap key
-    being the lattice key with every component negated.  The keys of one
-    band of ``lattice_key`` share one length and the bands differ in their
-    first component, so no key is a prefix of another and negating exactly
-    reverses the order: the least entry is the pivot.  A popped entry is
-    stale, and skipped, once its slot is empty, as it is once its row or
-    column is paired.
-
-    Only the change of basis mod the maximal ideals is kept, as one residue
-    bitmask per basis element, and no grading (see ``PairedBasis``).  A
-    quotient of two entries is the unit exactly when their gradings agree
-    (compared as tuples, so a list grading equals its tuple), so the
-    residues follow from the gradings too.  When the pivot's
-    column does not clear, d^2 != 0 and ValueError is raised.
+    Then d_side^2 must vanish.  Every entry being the one side monomial of
+    its gradings, and a product of two side monomials never zero, entry
+    (a, c) of d_side^2 is the side monomial of grading gr(a) - gr(c) -
+    (2, 2) times the parity of the paths a -> b -> c, so the check XORs int
+    bitmasks of the filled slots, exactly.  A nonzero entry raises
+    ValueError naming it (``d^2 is nonzero: side part U[1,1] at (0, 0)``),
+    the first row's lowest column.  A grading that no entry reaches and
+    that does not compare with the others (a str) raises ValueError too.
     """
     if side not in (Side.U, Side.V):
         raise ValueError("side must be U or V")
     if not is_reduced(C):
         raise ValueError("paired_basis needs a reduced complex")
     on_u = side is Side.U
-
     gr = [(g1, g2) for _nm, (g1, g2) in C.generators]
     rows = side_rows(C, side)
-    cols = [set() for _ in gr]  # cols[j] = the rows with an entry in column j
-    heap = []
+    masks = []  # per row, its filled columns
     for i, row in enumerate(rows):
         a1, a2 = gr[i]
+        mask = 0
         for j, exp in row.items():
             b1, b2 = gr[j]
             try:
                 slot = _slot(on_u, a1 - b1, a2 - b2)
             except TypeError:  # gradings that do not subtract to numbers fit nothing
                 slot = None
-            if slot is None or slot[0] != exp:
+            if slot is None or slot != exp:
                 raise ValueError("side part %r at %s does not fit the gradings" % (
                     Monomial(side, exp), (i, j)))
-            cols[j].add(i)
-            heap.append((slot[1], i, j))
-        rows[i] = set(row)
-    heapq.heapify(heap)
-
-    def flip(i, r):  # toggle slot (i, r); a filled slot goes on the heap
-        row = rows[i]
-        if r in row:
-            row.remove(r)
-            cols[r].remove(i)
-        else:
-            row.add(r)
-            cols[r].add(i)
-            (a1, a2), (b1, b2) = gr[i], gr[r]
-            heapq.heappush(heap, (_slot(on_u, a1 - b1, a2 - b2)[1], i, r))
-
-    basis = [1 << i for i in range(len(gr))]
-    pairs = []
-    while heap:
-        _key, p, q = heapq.heappop(heap)
-        if q not in rows[p]:
-            continue
-        gp, gq = gr[p], gr[q]
-        pairs.append((p, q, Monomial(side, _slot(on_u, gp[0] - gq[0], gp[1] - gq[1])[0])))
-        # Replace basis element q by (1/mu) d_side(g_p), mu the pivot's monomial;
-        # the entries (p, r) equal to mu are those with gr(r) = gr(q).
-        newrow = 0
-        for r in rows[p]:
-            if gr[r] == gq:
-                newrow ^= basis[r]
-        basis[q] = newrow
-        lam = rows[p] - {q}
-        for i in cols[q]:
-            for r in lam:
-                flip(i, r)
-        for j in rows[q]:
-            cols[j].remove(q)
-        rows[p], rows[q] = set(), set()  # row p was (p, q) alone
-        # Clear the rest of column q by adding multiples of g_p, a unit one
-        # to each row of g_p's grading.
-        col_q, cols[q] = cols[q] - {p}, set()
-        for i in col_q:
-            rows[i].remove(q)
-            if gr[i] == gp:
-                basis[i] ^= basis[p]
-            for k in cols[i]:
-                flip(k, p)
-        if cols[p]:
-            raise ValueError("column of a paired generator did not clear; d^2 != 0?")
-    paired = {i for p, q, _order in pairs for i in (p, q)}
-    unpaired = tuple(i for i in range(len(gr)) if i not in paired)
-    return PairedBasis(side, tuple(basis), tuple(pairs), unpaired)
-
-
-class _SidePairing(_Record):
-    """One side's pairs ``(y_index, z_index, Monomial)`` and unpaired indices, without a basis.
-
-    ``_column_pairing`` builds it; it reads like a ``PairedBasis`` where
-    only the pairing is used (``_knotlike_shift``, ``localeq._extant``).
-    """
-
-    __slots__ = ("side", "pairs", "unpaired")
+            mask |= 1 << j
+        masks.append(mask)
+    for a, row in enumerate(rows):
+        sq = 0
+        for b in row:
+            sq ^= masks[b]
+        if sq:
+            c = (sq & -sq).bit_length() - 1
+            (a1, a2), (c1, c2) = gr[a], gr[c]
+            raise ValueError("d^2 is nonzero: side part %r at %s" % (
+                Monomial(side, _slot(on_u, a1 - c1 - 1, a2 - c2 - 1)), (a, c)))
+    return _column_pairing(C, side)
 
 
 def _column_pairing(C, side):
-    """The pairs and unpaired generators of one side of a valid, reduced complex.
+    """The paired basis of one side of a complex whose side parts fit its gradings, d_side^2 = 0.
 
     The persistence column reduction (Zomorodian-Carlsson, "Computing
-    persistent homology", 2005), which builds no change of basis.  The
-    generators are ordered by their key, (gr2, gr1) on side U and (gr1,
-    gr2) on side V, descending.  A side monomial of grading gr(p) - gr(q)
-    lies in ``X``, or is the unit, exactly when q's key is at least p's
-    (in ``R`` two columns that share a row agree in the key's first
-    component), so an earlier column enters a later one with a multiplier
-    in the ring, and within a column the entry of the least key, the last
-    filled row, divides the others.  Each side column is an int bitmask over that
-    order, and each is reduced against the earlier ones by XOR, pivoting on
-    its highest set bit; a column left nonzero pairs y = its generator with
-    z = its pivot row, and the order is the side monomial of gr(y) - gr(z)
-    - (1, 1).  The multiset of (gr(y), order) and the unpaired gradings
-    are invariants of the complex, so they equal ``paired_basis``'s.
-    Only for complexes that pass ``validate``: d^2 = 0 and every side part
-    fitting its gradings are assumed, not checked.
+    persistent homology", 2005).  The generators are ordered by their key,
+    (gr2, gr1) on side U and (gr1, gr2) on side V, descending, equal keys
+    in ascending index.  A side monomial of grading gr(p) - gr(q) lies in
+    ``X``, or is the unit, exactly when q's key is at least p's (in ``R``
+    two columns that share a row agree in the key's first component), so
+    an earlier column enters a later one with a multiplier in the ring,
+    and within a column the entry of the least key, the last filled row,
+    divides the others.  Each side column d_side(g_k) is an int bitmask
+    over that order, and each is reduced against the earlier ones by XOR,
+    pivoting on its highest set bit: R_k = d_side(V_k), V_k being g_k
+    plus multiples of earlier V_j.  A column left nonzero pairs y = its
+    generator with z = its pivot row, and the order is the side monomial
+    of gr(y) - gr(z) - (1, 1).
+
+    The basis is V_y for a column y that keeps a pivot, R_y / order for
+    its pivot row z and V_t for an unpaired t, each kept as its residue
+    bitmask (see ``PairedBasis``).  A multiplier, or a quotient by the
+    order, is the unit exactly when the two gradings agree (compared as
+    tuples, so a list grading equals its tuple), so V_j enters V_k's
+    residue only then, and R_y / order's residue is R_y's rows graded like
+    z.  Those come earlier in the order, so element i has bit i and
+    otherwise only generators of its grading and lower index: the basis is
+    unitriangular.  Only for complexes that pass ``validate``, or
+    ``paired_basis``'s checks: neither is checked here, but gradings that
+    do not sort raise ValueError.
     """
     on_u = side is Side.U
     gr = [(g1, g2) for _nm, (g1, g2) in C.generators]
-    order = sorted(range(len(gr)), key=(lambda i: gr[i][::-1]) if on_u else gr.__getitem__,
-                   reverse=True)
+    keys = [(g2, g1) for g1, g2 in gr] if on_u else gr
+    try:
+        order = sorted(range(len(gr)), key=keys.__getitem__, reverse=True)
+    except TypeError:  # past paired_basis's checks, a grading no entry reaches, a str say
+        raise ValueError("generator gradings do not compare: %s" % _brief(gr)) from None
     pos = {i: k for k, i in enumerate(order)}
+    gpos = [gr[i] for i in order]  # the gradings by position
     cols = [0] * len(gr)
     for (a, b), e in C.diff.items():
         if e.u if on_u else e.v:
             cols[pos[a]] |= 1 << pos[b]
+    basis = [1 << i for i in range(len(gr))]
     owner = {}  # a pivot row's position: the position of its column
     pairs = []
     for k, col in enumerate(cols):
+        if not col:
+            continue
+        y = order[k]
+        gy, res = gr[y], basis[y]
         while col:
             low = col.bit_length() - 1
             j = owner.get(low)
             if j is None:
                 owner[low], cols[k] = k, col
-                y, z = order[k], order[low]
-                (y1, y2), (z1, z2) = gr[y], gr[z]
-                pairs.append((y, z, Monomial(side, _slot(on_u, y1 - z1, y2 - z2)[0])))
+                z, row = order[low], 0
+                gz = gr[z]
+                pairs.append((y, z, Monomial(side, _slot(on_u, gy[0] - gz[0], gy[1] - gz[1]))))
+                # equal gradings are adjacent in the order, so R_y's rows
+                # graded like z are its top bits
+                while col:
+                    b = col.bit_length() - 1
+                    if gpos[b] != gz:
+                        break
+                    row |= 1 << order[b]
+                    col ^= 1 << b
+                basis[z] = row
                 break
             col ^= cols[j]
+            if gpos[j] == gy:
+                res ^= basis[order[j]]
+        if k not in owner:  # a pivot row's element is the reduced column over the order
+            basis[y] = res
     paired = {i for y, z, _o in pairs for i in (y, z)}
-    return _SidePairing(side, tuple(pairs), tuple(i for i in range(len(gr)) if i not in paired))
+    return PairedBasis(side, tuple(basis), tuple(pairs),
+                       tuple(i for i in range(len(gr)) if i not in paired))
 
 
 def tower_functional(pb):
@@ -679,7 +649,9 @@ def tower_functional(pb):
     scalar-coordinate vector of an element gives the coefficient of the
     unpaired tower generator in the paired basis; the element mask is that
     generator's residue row.  The tower's bigrading is its generator's,
-    ``C.gr(pb.unpaired[0])``.
+    ``C.gr(pb.unpaired[0])``.  ``_column_pairing``'s basis is
+    unitriangular, so the solve always succeeds on it; the ValueError is
+    for a ``PairedBasis`` built by hand.
     """
     if len(pb.unpaired) != 1:
         raise NotKnotlikeError(
@@ -718,8 +690,8 @@ def quotient_homology(C, side):
 def _knotlike_shift(C, pb_u, pb_v):
     """The normalizing shift read off both sides' pairings, or None.
 
-    ``pb_u`` and ``pb_v`` are paired bases or column pairings
-    (``_column_pairing``); only their unpaired indices are read.  The
+    ``pb_u`` and ``pb_v`` are paired bases, from ``paired_basis`` or
+    straight from ``_column_pairing``; only their unpaired indices are read.  The
     shift is None unless each side has a single tower; subtracting it
     puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.
     """

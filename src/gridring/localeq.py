@@ -142,14 +142,15 @@ def _require_valid(C):
 
 
 def _knotlike_pairings(C, what="complex"):
-    """Side U's column pairing, side V's paired basis and the shift of a valid, knotlike complex.
+    """Both sides' paired bases (U, V) and the shift of a valid, knotlike complex.
 
-    Only side V's change of basis is read (``tower_functional``); side U
-    gives its tower count, tower grading and pairs, which
-    ``complexes._column_pairing`` finds without one, on a complex that
-    passes ``validate``.  Side V goes first, so an unreduced complex fails
-    with ``paired_basis``'s message.  The shift comes from
-    ``complexes._require_knotlike``, whose NotKnotlikeError names ``what``.
+    Both come from the one column reduction, ``complexes._column_pairing``.
+    Side V goes through ``paired_basis``'s checks first, so an unreduced
+    complex fails with its message; side U, whose change of basis is never
+    read (only its tower count, tower grading and pairs are), is paired
+    straight away, on a complex that passes ``validate`` and so every
+    check.  The shift comes from ``complexes._require_knotlike``, whose
+    NotKnotlikeError names ``what``.
     """
     pb_v = paired_basis(C, Side.V)
     pb_u = _column_pairing(C, Side.U)
@@ -181,8 +182,7 @@ def extant_coefficients(C):
 def _extant(C, pb_u, pb_v):
     """``extant_coefficients`` from both sides' pairings, in integer arithmetic.
 
-    Only each side's pairs are read, so ``pb_u`` is a column pairing
-    (``_knotlike_pairings``) or a paired basis alike.  A pair's y keeps its
+    Only each side's pairs are read.  A pair's y keeps its
     generator's grading g_y = ``C.gr(y)``, since neither pairing stores
     gradings.  The side element moving y into the grading g_0 has the
     exponent (g_y - g_0)/2, its components swapped on the V side; it is
@@ -603,12 +603,11 @@ def standardize(C, trace=None):
     is sorted once.  A probe only eliminates; the stopping probe alone is
     back-substituted, into the forward certificate, and only the returned
     spec is realized.
-    C's V side gets one paired basis (``_knotlike_pairings``), whose
+    C's sides are paired once each (``_knotlike_pairings``).  Side V's
     change of basis gives the tower functional; the forward check reads the
-    functional the search solved against.  Its U side gives only its tower
-    and its pairs, for the knotlike check and the extant pool, and is
-    paired once by column reduction (``complexes._column_pairing``), which
-    builds no change of basis and relies on the validation.
+    functional the search solved against.  Side U gives only its tower and
+    its pairs, for the knotlike check and the extant pool, and skips
+    ``paired_basis``'s checks, relying on the validation.
     ``trace``, when given, receives one ``(step, parameter or
     None, feasible)`` tuple per probe, in probe order.
     """
@@ -675,10 +674,10 @@ def standard_representative(C):
 
     Returns (spec, forward cert, backward cert, applied shift), the shift
     being the reduced complex's knotlike normalization; shifting the input's
-    gradings changes only that shift.  Validation runs once, and so do the
-    pairings of the reduced complex (``_knotlike_pairings``): a paired
-    basis on side V and a column reduction on side U, whose tower grading
-    gives the shift's second component.
+    gradings changes only that shift.  Validation runs once, and so does
+    the column reduction of each side of the reduced complex
+    (``_knotlike_pairings``), side V's behind ``paired_basis``'s checks;
+    side U's tower grading gives the shift's second component.
     """
     _require_valid(C)
     C = reduce(C)

@@ -179,7 +179,7 @@ def reference_reduce(C):
 
 @dataclass(frozen=True)
 class ReferenceBasis:
-    """``reference_paired_basis``'s result: a ``PairedBasis`` with full rows and a matrix.
+    """A reference's paired basis: a ``PairedBasis`` with full rows, gradings and a matrix.
 
     ``basis`` holds full RingElem rows, and ``matrix`` the side-differential
     in the new basis, ``(i, j) -> exponent``.
@@ -299,6 +299,68 @@ def reference_paired_basis(C, side):
         matrix=matrix,
         pairs=tuple(pairs),
         unpaired=tuple(active),
+    )
+
+
+def _side_quotient(side, a, b):
+    """a / b for one-monomial side elements a and b: a side element or the unit, else ValueError."""
+    (ma,), (mb,) = elem_monomials(a), elem_monomials(b)
+    exp = (ma.exp[0] - mb.exp[0], ma.exp[1] - mb.exp[1])
+    if not in_region(exp):
+        raise ValueError("%r does not divide %r" % (mb, ma))
+    return _side_coeff(side, exp)
+
+
+def reference_column_pairing(C, side):
+    """``paired_basis``'s column reduction, dense, with full ``RingElem`` rows.
+
+    The generators are ordered by their key, (gr2, gr1) on side U and
+    (gr1, gr2) on side V, descending, ties in ascending index.  Column y
+    holds d_side(V_y) over the generators, V_y starting as g_y.  While its
+    last filled row in that order is an earlier column's pivot, that
+    column times the quotient of the two entries is added to it, and the
+    same multiple of the earlier V to V_y.  A column left nonzero pairs y
+    with its pivot row z.  The new basis is V_y for such a y, column y
+    divided by its pivot entry, the order, for z, and V_t for an unpaired
+    t.  It checks no input, but raises ValueError on a quotient outside the
+    ring.
+    """
+    m = C.n_gens()
+    order = sorted(range(m), key=lambda i: tuple(C.gr(i))[::-1 if side is Side.U else 1],
+                   reverse=True)
+    pos = {i: k for k, i in enumerate(order)}
+    cols = [[ZERO] * m for _ in range(m)]
+    for (i, j), e in C.diff.items():
+        cols[i][j] = _side_part(e, side)
+    vs = [[ONE_ELEM if i == j else ZERO for j in range(m)] for i in range(m)]
+    owner, pairs = {}, []
+    for y in order:
+        while any(cols[y]):
+            low = max((r for r in range(m) if cols[y][r]), key=pos.__getitem__)
+            j = owner.get(low)
+            if j is None:
+                owner[low] = y
+                (mono,) = elem_monomials(cols[y][low])
+                pairs.append((y, low, mono))
+                break
+            c = _side_quotient(side, cols[y][low], cols[j][low])
+            for row, earlier in ((cols[y], cols[j]), (vs[y], vs[j])):
+                for t in range(m):
+                    row[t] = row[t] + elem_mul(c, earlier[t])
+    basis, grades = list(vs), [C.gr(i) for i in range(m)]
+    for y, z, order in pairs:
+        divisor = elem_from_mono(order)
+        basis[z] = [_side_quotient(side, e, divisor) if e else ZERO for e in cols[y]]
+        (g1, g2), (m1, m2) = C.gr(y), mono_grading(order)
+        grades[z] = (g1 - 1 - m1, g2 - 1 - m2)
+    paired = {i for y, z, _o in pairs for i in (y, z)}
+    return ReferenceBasis(
+        side=side,
+        basis=tuple(tuple(row) for row in basis),
+        gradings=tuple(grades),
+        matrix={(y, z): order.exp for y, z, order in pairs},
+        pairs=tuple(pairs),
+        unpaired=tuple(i for i in range(m) if i not in paired),
     )
 
 
@@ -866,6 +928,7 @@ class TestPairedBasis:
         assert pb.unpaired == (2,)
         # the preferred basis needed no changes
         assert pb.basis == (0b001, 0b010, 0b100)
+        _same_paired_basis(C, pb, reference_column_pairing(C, Side.U))
 
     def test_zhou_v_side(self):
         X = base_change(example_zhou(2))
@@ -874,6 +937,7 @@ class TestPairedBasis:
         y, z, order = pb.pairs[0]
         assert (y, z) == (0, 2) and order == v_mono(2, 1)
         assert pb.unpaired == (1,)
+        _same_paired_basis(X, pb, reference_column_pairing(X, Side.V))
 
     def test_zero_side_differential(self):
         gens = (("a", (0, 0)), ("b", (3, 1)))
@@ -897,20 +961,21 @@ class TestPairedBasis:
         assert paired_basis(C, Side.V).unpaired == (0, 1)
 
     def test_list_gradings_equal_their_tuples(self):
-        # d(a) = U[1,0] c + U[1,0] d and d(b) = U[1,0] c, with b and d graded
+        # d(a) = U[1,0] c + U[1,0] d and d(b) = U[1,0] d, with b and d graded
         # by lists: the residues pair up generators whose gradings are equal
-        # as values, in the new pair's row (c) and in the cleared column (b)
+        # as values, in the reduced column (b takes a) and in the new pair's
+        # row (d's is column a's rows graded like d: c and d)
         u10 = RingElem(0, frozenset({(1, 0)}), frozenset())
-        diff = {(0, 2): u10, (0, 3): u10, (1, 2): u10}
+        diff = {(0, 2): u10, (0, 3): u10, (1, 3): u10}
         gens = (("a", (0, 0)), ("b", [0, 0]), ("c", (1, -1)), ("d", [1, -1]))
         C = FreeComplex(RingId.X, gens, diff)
         T = FreeComplex(RingId.X, tuple((nm, tuple(g)) for nm, g in gens), diff)
         assert validate(C) == []
         pb = paired_basis(C, Side.U)
-        assert pb.basis == (0b0001, 0b0011, 0b1100, 0b1000)
-        assert pb.pairs == ((0, 2, u_mono(1, 0)), (1, 3, u_mono(1, 0)))
+        assert pb.basis == (0b0001, 0b0011, 0b0100, 0b1100)
+        assert pb.pairs == ((0, 3, u_mono(1, 0)), (1, 2, u_mono(1, 0)))
         for side in (Side.U, Side.V):
-            _same_paired_basis(C, paired_basis(C, side), reference_paired_basis(C, side))
+            _same_paired_basis(C, paired_basis(C, side), reference_column_pairing(C, side))
             got, want = paired_basis(C, side), paired_basis(T, side)
             assert (got.basis, got.pairs, got.unpaired) == (want.basis, want.pairs, want.unpaired)
 
@@ -940,6 +1005,30 @@ class TestPairedBasis:
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call(C, Side.U)
+        # no V-side entry reaches a's grading, which does not sort with b's
+        message = "^%s$" % re.escape("generator gradings do not compare: [('0', 0), (1, -1)]")
+        for call in (paired_basis, quotient_homology):
+            with pytest.raises(ValueError, match=message):
+                call(C, Side.V)
+
+    def test_nonzero_side_square_rejected(self):
+        # every side part fits the gradings, but d(g0) = U[-2,1] g2 and
+        # d(g2) = (U[3,0] + V[0,3]) g0 make d_U^2 (g0 -> g0) = U[1,1]: every
+        # caller that skips validate fails on it, naming the entry
+        gens = (("g0", (5, -3)), ("g1", (0, -4)), ("g2", (0, -2)))
+        diff = {(0, 2): elem_from_mono(u_mono(-2, 1)),
+                (2, 0): elem_from_mono(u_mono(3, 0)) + elem_from_mono(v_mono(0, 3))}
+        C = FreeComplex(RingId.X, gens, diff)
+        assert validate(C) == ["d^2 is nonzero: (g0 -> g0) = U[1,1]",
+                               "d^2 is nonzero: (g2 -> g2) = U[1,1]"]
+        message = "^%s$" % re.escape("d^2 is nonzero: side part U[1,1] at (0, 0)")
+        calls = [lambda C: paired_basis(C, Side.U), is_knotlike, normalize,
+                 lambda C: quotient_homology(C, Side.U)]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(C)
+        # d_V^2 vanishes: the V side pairs g2 with g0
+        assert paired_basis(C, Side.V).pairs == ((2, 0, v_mono(0, 3)),)
 
     def test_matrix_shape(self, pool):
         rng = random.Random(23)
@@ -954,10 +1043,16 @@ class TestPairedBasis:
                 assert len(zs) == len(set(zs))
                 # change of basis is invertible over the residue field
                 assert _gf2.solve_unit(pb.basis, 0) is not None
+                # unitriangular: element i has bit i and otherwise bits of
+                # generators of its grading and lower index
+                for i, row in enumerate(pb.basis):
+                    assert row >> i == 1
+                    assert all(T.gr(j) == T.gr(i) for j in range(i) if row >> j & 1)
 
     def test_change_of_basis_identity(self, pool):
         # d(new_i) expanded two ways forces B * D_side == D_paired * B; the
-        # reference keeps the full rows, which paired_basis reduces to residues
+        # column reference keeps the full rows, which paired_basis reduces
+        # to residues
         rng = random.Random(71)
         picks = [realize(spec) for spec in pool[:5]]
         picks.append(tensor(realize(pool[1]), realize(pool[5])))
@@ -965,7 +1060,7 @@ class TestPairedBasis:
         for C in picks:
             m = C.n_gens()
             for side in (Side.U, Side.V):
-                pb = reference_paired_basis(C, side)
+                pb = reference_column_pairing(C, side)
                 _same_paired_basis(C, paired_basis(C, side), pb)
                 d_side = {}
                 for (i, j), e in C.diff.items():
@@ -999,7 +1094,7 @@ def _residues(rows):
 
 
 def _same_paired_basis(C, got, want):
-    """``got`` from paired_basis, ``want`` from the full-row reference, both of C.
+    """``got`` from paired_basis, ``want`` from ``reference_column_pairing``, both of C.
 
     The residual side-differential is the pairs' orders alone, and the
     reference's gradings are those C and ``got``'s pairs give.
@@ -1021,9 +1116,26 @@ def _same_reduction(C):
     return got
 
 
+def _same_invariants(C, got, want):
+    """``got`` has the unpaired gradings and the multiset {(gr y, order)} of ``want``.
+
+    Both are invariants of the complex, so any two pairings of one side
+    agree in them: ``want`` comes from ``reference_paired_basis``, the
+    dense elimination the column reduction replaced.
+    """
+    assert got.side is want.side
+    assert sorted(tuple(C.gr(t)) for t in got.unpaired) == \
+        sorted(tuple(C.gr(t)) for t in want.unpaired)
+    assert Counter((tuple(C.gr(y)), o) for y, _z, o in got.pairs) == \
+        Counter((tuple(C.gr(y)), o) for y, _z, o in want.pairs)
+
+
 def _same_bases(R):
+    """Both sides' paired bases: the column reference's, with the elimination reference's invariants."""
     for side in (Side.U, Side.V):
-        _same_paired_basis(R, paired_basis(R, side), reference_paired_basis(R, side))
+        got = paired_basis(R, side)
+        _same_paired_basis(R, got, reference_column_pairing(R, side))
+        _same_invariants(R, got, reference_paired_basis(R, side))
 
 
 def _outcome(fn, C, side):
@@ -1043,7 +1155,7 @@ def _random_side_matrix(rng, m):
     Each generator has gradings (2a + t, 2b + t).  A slot (i, j) holds, at
     random, the one side monomial of grading gr(i) - gr(j) - (1, 1) on each
     side where the window has one.  Nothing forces d^2 = 0, so paired_basis
-    meets its column error.
+    meets its d^2 check.
     """
     gens = []
     for k in range(m):
@@ -1089,8 +1201,14 @@ def _misfit(C, rng):
     return kind, side, (i, j), exp, FreeComplex(C.ring, C.generators, diff)
 
 
+def _side_square(C, side):
+    """The nonzero entries of d_side^2, formed with ``elem_mul`` (``reference_compose``)."""
+    d = {key: _side_part(e, side) for key, e in C.diff.items()}
+    return reference_compose({key: e for key, e in d.items() if e}, d)
+
+
 class TestAgainstReference:
-    """The heap-driven reduce and paired_basis return what the dense ones did."""
+    """The heap-driven reduce and the column-reduction paired_basis return what the dense ones do."""
 
     def test_pool(self, pool):
         for spec in pool:
@@ -1112,9 +1230,11 @@ class TestAgainstReference:
             _same_bases(scramble(R, rng, n_ops=R.n_gens()))
 
     def test_errors_match(self):
-        # on homogeneous side parts paired_basis returns, or fails, as the
-        # reference does, and neither meets a pivot that does not divide or
-        # two monomials in one slot; any other side part fails up front,
+        # on homogeneous side parts paired_basis fails exactly when the side
+        # part of d^2 is nonzero, naming its first row's lowest column, and
+        # otherwise returns the column reference's basis, with the pairing
+        # invariants of the elimination reference; neither reference meets
+        # a quotient outside the ring.  Any other side part fails up front,
         # naming its entry, in every caller
         rng = random.Random(47)
         seen = set()
@@ -1122,13 +1242,16 @@ class TestAgainstReference:
             C = _random_side_matrix(rng, rng.randint(2, 8))
             for side in (Side.U, Side.V):
                 got = _outcome(paired_basis, C, side)
-                want = _outcome(reference_paired_basis, C, side)
-                if isinstance(want, ReferenceBasis):
-                    _same_paired_basis(C, got, want)
-                    seen.add("ok")
+                square = _side_square(C, side)
+                if square:
+                    (a, c), e = min(square.items())
+                    (mono,) = elem_monomials(e)
+                    assert got == "ValueError: d^2 is nonzero: side part %r at %s" % (mono, (a, c))
+                    seen.add("square")
                 else:
-                    assert got == want
-                    seen.add(want.split(" ")[1])
+                    _same_paired_basis(C, got, reference_column_pairing(C, side))
+                    _same_invariants(C, got, reference_paired_basis(C, side))
+                    seen.add("ok")
             kind, side, (i, j), (x, y), B = _misfit(C, rng)
             seen.add(kind)
             message = "ValueError: side part %s[%d,%d] at (%d, %d) does not fit the gradings" % (
@@ -1139,7 +1262,7 @@ class TestAgainstReference:
             first = _outcome(paired_basis, B, Side.U) if side is Side.V else message
             want = first if isinstance(first, str) else message
             assert _outcome(lambda B, _side: is_knotlike(B), B, None) == want
-        assert seen == {"ok", "column", "inhomogeneous", "out-of-region", "origin"}
+        assert seen == {"ok", "square", "inhomogeneous", "out-of-region", "origin"}
 
     def test_quotient_homology(self, pool):
         # towers and torsion as read off the reference's stored gradings
@@ -1160,7 +1283,7 @@ class TestAgainstReference:
 
 
 class TestColumnPairing:
-    """``_column_pairing`` finds ``paired_basis``'s pairs and towers on every valid complex."""
+    """``_column_pairing`` finds the elimination reference's pairs and towers on every valid complex."""
 
     def _cases(self, pool):
         """Valid reduced complexes: the seed 1-3 inputs of every workload, pool
@@ -1199,12 +1322,9 @@ class TestColumnPairing:
         for C in self._cases(pool):
             assert validate(C) == [] and is_reduced(C)
             for side in (Side.U, Side.V):
-                got, want = _column_pairing(C, side), paired_basis(C, side)
+                got = _column_pairing(C, side)
                 assert got.side is side
-                assert sorted(C.gr(t) for t in got.unpaired) == \
-                    sorted(C.gr(t) for t in want.unpaired)
-                assert Counter((tuple(C.gr(y)), o) for y, _z, o in got.pairs) == \
-                    Counter((tuple(C.gr(y)), o) for y, _z, o in want.pairs)
+                _same_invariants(C, got, reference_paired_basis(C, side))
                 counts.add(len(got.unpaired))
         assert counts == {0, 1, 2, 3}
 
@@ -1559,8 +1679,9 @@ class TestQuotientHomology:
 
 class TestOrders:
     def test_pairs_and_torsion_descend(self, pool):
-        # pivots are taken <!-greatest first, and torsion is listed in
-        # descending <! order with ties in ascending shift
+        # pairs come in column order: their y's key descends, ties in
+        # ascending index; torsion is listed in descending <! order with
+        # ties in ascending shift
         rng = random.Random(29)
         for _ in range(25):
             C = tensor(realize(rng.choice(pool)), realize(rng.choice(pool)))
@@ -1569,9 +1690,9 @@ class TestOrders:
                 C = direct_sum(C, acyclic_pair(RingId.X, gr))
             R = reduce(scramble(C, rng, n_ops=12))
             for side in (Side.U, Side.V):
-                orders = [order.exp for _y, _z, order in paired_basis(R, side).pairs]
-                keys = [lattice_key(a) for a in orders]
-                assert all(ka >= kb for ka, kb in zip(keys, keys[1:]))
+                ys = [y for y, _z, _order in paired_basis(R, side).pairs]
+                keys = [(R.gr(y)[::-1] if side is Side.U else R.gr(y), -y) for y in ys]
+                assert all(ka > kb for ka, kb in zip(keys, keys[1:]))
                 torsion = quotient_homology(R, side).torsion
                 for (oa, sa), (ob, sb) in zip(torsion, torsion[1:]):
                     ka, kb = lattice_key(oa.exp), lattice_key(ob.exp)

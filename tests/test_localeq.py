@@ -1334,7 +1334,9 @@ class TestStandardize:
         # tower, and one fresh target basis for the backward check: the
         # forward check reuses the search's tower, and the standard
         # representative's tower is x_0 in closed form.  The input's U side
-        # is paired once, by column reduction, for its tower and the pool
+        # is paired once, for its tower and the pool, by the column
+        # reduction without paired_basis's checks; each paired basis runs
+        # that same reduction after its checks, so it eliminates V, U, V
         import gridring.complexes
         import gridring.localeq
 
@@ -1357,7 +1359,7 @@ class TestStandardize:
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
         assert calls == [Side.V, Side.V]
-        assert pairings == [Side.U]
+        assert pairings == [Side.V, Side.U, Side.V]
 
     def test_validated_once(self, monkeypatch):
         # reduce is a homotopy equivalence, so its output needs no second check

@@ -571,7 +571,7 @@ def _record_classes():
 
 def _cold_records():
     """One of each record that builds through the shared constructor."""
-    from gridring.complexes import FUVComplex, PairedBasis, QuotientHomology, _SidePairing
+    from gridring.complexes import FUVComplex, PairedBasis, QuotientHomology
     from gridring.invariants import PhiTable, report
     from gridring.localeq import ExtantSet, LocalMapCert
     from gridring.standard import ShiftMap, make_spec
@@ -581,7 +581,6 @@ def _cold_records():
     return [
         FUVComplex((("a", (0, 0)), ("b", (-1, -1))), {(0, 1): frozenset([(0, 0)])}),
         PairedBasis(Side.U, (1, 2), ((0, 1, u_mono(1, 0)),), (2,)),
-        _SidePairing(Side.U, ((0, 1, u_mono(1, 0)),), (2,)),
         QuotientHomology(Side.V, 1, (0,), ((v_mono(1, 0), -1),)),
         rep.phi,
         rep,
@@ -598,7 +597,7 @@ class TestSharedConstructor:
 
     def test_records_that_write_their_own_init(self):
         classes = _record_classes()
-        assert len(classes) == 14
+        assert len(classes) == 13
         own = {cls.__name__ for cls in classes if "__init__" in cls.__dict__}
         assert own == self.OWN_INIT
         cold = {type(rec) for rec in _cold_records()}
