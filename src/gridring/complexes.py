@@ -82,40 +82,30 @@ class FUVComplex(_Generators):
     __slots__ = ("generators", "diff")
 
 
-def validate(C):
-    """Structural checks; returns a list of violation strings (empty = ok).
+def _record_faults(C):
+    """The violations of C's type, fields and generator records, and its gradings when readable.
 
-    Each generator record must be a pair of a str name and gradings, and
-    the gradings a pair (tuple or list) of ints, a bool being the int it
-    subclasses; when a record or a grading is not, the entries, which read
-    two gradings each, are not checked.  Each differential key must be a
-    pair of ints in range (``_key_ok``).  A valid entry is a nonzero
-    ``RingElem`` that is a sum of basis monomials of its expected grading,
-    so each entry is checked with one lookup in the ring's grading table
-    (``ring._TABLES``) and three subset tests against the sum of that
-    grading's basis, the scalar being the int 0 or 1, both side parts
-    frozensets and each exponent a pair of ints.  An entry that fails
-    them gets its violation from ``_entry_fault``, the rule
-    ``localeq.check_certificate`` also applies.  Once every entry passes,
-    d^2 is computed on the entries' part bits (``_square_defects``), by the
-    product ``_part_products`` that the checker also forms its chain defect
-    with.  The keys, gradings and entries a violation prints are cut to 80
-    characters (``ring._brief``), so each stays one short line.  Anything
-    but a ``FreeComplex`` gets one violation naming its type, and so does
-    each of its fields that has the wrong type (a ring that is not a
-    ``RingId``, generators that are not a tuple or list, a ``diff`` that is
-    not a dict); then nothing else is checked.
+    Returns ``(violations, grs)``.  Anything but a ``FreeComplex`` gets one
+    violation naming its type, and so does each of its fields that has the
+    wrong type (a ring that is not a ``RingId``, generators that are not a
+    tuple or list, a ``diff`` that is not a dict).  Each generator record
+    must be a pair of a str name and gradings, and the gradings a pair
+    (tuple or list) of ints, a bool being the int it subclasses, of equal
+    parity; names must be unique.  ``grs`` lists the gradings when every
+    record and grading is well formed, else it is None and the entries,
+    which read two gradings each, are not checked.  ``validate`` and
+    ``_violations`` open with it.
     """
     if not isinstance(C, FreeComplex):
         hint = "; base_change turns it into one over X" if isinstance(C, FUVComplex) else ""
-        return ["expected a FreeComplex, got %s%s" % (type(C).__name__, hint)]
+        return ["expected a FreeComplex, got %s%s" % (type(C).__name__, hint)], None
     fields = (("ring", C.ring, RingId, "RingId"),
               ("generators", C.generators, (tuple, list), "tuple or list"),
               ("diff", C.diff, dict, "dict"))
     out = ["%s is %s, not a %s" % (name, _brief(value), want)
            for name, value, types, want in fields if not isinstance(value, types)]
     if out:
-        return out
+        return out, None
     names = []
     paired = True
     for rec in C.generators:
@@ -136,10 +126,32 @@ def validate(C):
             out.append("generator %s has gradings of mixed parity %s" % (nm, _brief((g1, g2))))
     if len(set(names)) != len(names):
         out.insert(0, "generator names are not unique")
-    if not paired:
+    return out, [gr for _nm, gr in C.generators] if paired else None
+
+
+def validate(C):
+    """Structural checks; returns a list of violation strings (empty = ok).
+
+    First the type, field and generator-record checks (``_record_faults``).
+    Each differential key must be a pair of ints in range (``_key_ok``).
+    A valid entry is a nonzero ``RingElem`` that is a sum of basis
+    monomials of its expected grading, so each entry is checked with one
+    lookup in the ring's grading table (``ring._TABLES``) and three subset
+    tests against the sum of that grading's basis, the scalar being the
+    int 0 or 1, both side parts frozensets and each exponent a pair of
+    ints.  An entry that fails them gets its violation from
+    ``_entry_fault``, the rule ``localeq.check_certificate`` also applies.
+    Once every entry passes, d^2 is computed on the entries' part bits
+    (``_square_defects``), by the product ``_part_products`` that the
+    checker also forms its chain defect with.  The keys, gradings and
+    entries a violation prints are cut to 80 characters (``ring._brief``),
+    so each stays one short line.  ``_violations`` gives the same list
+    without the grading table.
+    """
+    out, grs = _record_faults(C)
+    if grs is None:
         return out
-    n = C.n_gens()
-    grs = [gr for _nm, gr in C.generators]
+    n = len(grs)
     table = _TABLES[C.ring]
     parts = []
     for key, e in C.diff.items():
@@ -168,10 +180,36 @@ def validate(C):
                     continue
         # an entry that fails the table's tests is never valid
         out.append(_entry_fault(C.ring, e, want, C.name(i), C.name(j)))
-    if not out:
-        for (i, k), e in _square_defects(C, parts):
-            out.append("d^2 is nonzero: (%s -> %s) = %s" % (C.name(i), C.name(k), _brief(e)))
-    return out
+    return out or _square_defects(C, parts)
+
+
+def _violations(C):
+    """``validate(C)``, found without reading a grading table.
+
+    The same rules in the same order: ``_record_faults``, then per entry
+    ``_key_ok`` and the entry rule ``_entry_fault``, then d^2 by
+    ``_square_defects``, so the list is ``validate``'s.  It costs more per
+    entry than ``validate``'s table tests; ``paired_basis`` calls it, so
+    that the certificate checker, which pairs its target through
+    ``paired_basis``, reads no grading table.
+    """
+    out, grs = _record_faults(C)
+    if grs is None:
+        return out
+    n = len(grs)
+    parts = []
+    for key, e in C.diff.items():
+        if not _key_ok(key, n, n):
+            out.append("differential entry %s out of range" % _brief(key))
+            continue
+        i, j = key
+        (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
+        fault = _entry_fault(C.ring, e, (gi1 - gj1 - 1, gi2 - gj2 - 1), C.name(i), C.name(j))
+        if fault:
+            out.append(fault)
+        else:
+            parts.append(_part_bits(e))
+    return out or _square_defects(C, parts)
 
 
 def _key_ok(key, n_rows, n_cols):
@@ -263,22 +301,26 @@ def _part_products(left, right, parity):
 
 
 def _square_defects(C, parts):
-    """The nonzero entries of d^2, as ``((i, k), RingElem)`` in the order of their first product.
+    """The d^2 violations of C, in the order of their first product.
 
     ``parts[t]`` holds the part bits of the t-th entry of ``C.diff``, every
     entry valid, and ``_part_products`` forms d∘d on them (the order of the
     tests' reference product).  Each nonzero parity is read back as an
-    element of the grading gr(i) - gr(k) - (2, 2) in the grading table.
+    element of the grading g = gr(i) - gr(k) - (2, 2): the scalar where g
+    is (0, 0), else the side monomials of g (``ring._side_exp``), which a
+    product of two side exponents of the ring always is.  No grading table
+    is read, so ``_violations`` reads none.
     """
     parity = _part_products(zip(C.diff, parts), zip(C.diff, parts), {})
-    table = _TABLES[C.ring]
     out = []
     for (i, k), b in parity.items():
         if b:
             (gi1, gi2), (gk1, gk2) = C.gr(i), C.gr(k)
-            _n, u, v, elems = table[(gi1 - gk1 - 2, gi2 - gk2 - 2)]
-            # the scalar occurs only in grading (0, 0), whose basis is the unit alone
-            out.append(((i, k), elems[(b & 1) | (u if b & 2 else 0) | (v if b & 4 else 0)]))
+            g = (gi1 - gk1 - 2, gi2 - gk2 - 2)
+            u = frozenset([_side_exp(C.ring, Side.U, g)]) if b & 2 else frozenset()
+            v = frozenset([_side_exp(C.ring, Side.V, g)]) if b & 4 else frozenset()
+            e = RingElem(b & 1, u, v)
+            out.append("d^2 is nonzero: (%s -> %s) = %s" % (C.name(i), C.name(k), _brief(e)))
     return out
 
 
@@ -473,20 +515,15 @@ def side_rows(C, side):
 
     An arrow with no part on ``side`` is absent; each dict keeps the order
     of ``C.diff``.  Each entry's side part is read once and unpacked as its
-    single exponent; a part of two or more monomials, or one that is not a
-    set (an int, say), raises one ValueError naming the entry (``side U
-    part 5 at (0, 1) must be a single monomial``).
+    single exponent, so ``C`` must pass ``validate``: its one caller,
+    ``localeq._Target``, gets validated complexes only.
     """
     rows = [{} for _ in range(C.n_gens())]
     on_u = side is Side.U
     for (a, b), e in C.diff.items():
         part = e.u if on_u else e.v
         if part:
-            try:
-                (rows[a][b],) = part
-            except (TypeError, ValueError):  # two monomials, or no set at all
-                raise ValueError("side %s part %s at %s must be a single monomial" % (
-                    side.value, _brief(part), (a, b))) from None
+            (rows[a][b],) = part
     return rows
 
 
@@ -494,11 +531,11 @@ def side_rows(C, side):
 def _slot(on_u, d1, d2):
     """The exponent of the side U (else V) slot (i, r) with gr(i) - gr(r) = (d1, d2), or None.
 
-    It is ``ring._side_exp`` of grading (d1 - 1, d2 - 1) in ``X``.
-    Memoized for the whole process, as the grading tables are: a memo per
-    ``paired_basis`` call, which starts empty, measured about 8 us slower
-    per call on complexes of 3 to 30 generators, 3-4% of a batch-small
-    input (2 vCPUs, Python 3.11.7).
+    It is ``ring._side_exp`` of grading (d1 - 1, d2 - 1) in ``X``; the
+    column reduction reads a pair's order off it.  Memoized for the whole
+    process, as the grading tables are: a memo per call, which starts
+    empty, measured about 8 us slower per call on complexes of 3 to 30
+    generators, 3-4% of a batch-small input (2 vCPUs, Python 3.11.7).
     """
     return _side_exp(RingId.X, Side.U if on_u else Side.V, (d1 - 1, d2 - 1))
 
@@ -506,65 +543,27 @@ def _slot(on_u, d1, d2):
 def paired_basis(C, side):
     """Change of basis putting the side-differential into paired form.
 
-    Its checks, then ``_column_pairing``.  The side must be U or V, and the
-    complex reduced.  Every side part must be a single monomial
-    (``side_rows``), a side exponent in ``X``'s region off the origin
-    whose grading (``ring._grading``) is gr(i) - gr(j) - (1, 1) for its
-    entry (i, j), else ValueError names the entry (``side part U[2,1] at
-    (1, 3) does not fit the gradings``), as it does when the two gradings
-    do not subtract to numbers (a str grading).
-    That monomial's exponent is ``_slot``'s, ``ring._side_exp`` of the
-    grading: the inverse of ``_grading`` that the grading tables also call,
-    and the only exponent ``ring._exps_ok`` is applied to.  The part is
-    compared with it by value, so ``(1.0, 0)`` passes where ``(1, 0)``
-    fits; ``validate`` checks the types.  No grading table is read, so the
-    certificate checker stays off them.
-
-    Then d_side^2 must vanish.  Every entry being the one side monomial of
-    its gradings, and a product of two side monomials never zero, entry
-    (a, c) of d_side^2 is the side monomial of grading gr(a) - gr(c) -
-    (2, 2) times the parity of the paths a -> b -> c, so the check XORs int
-    bitmasks of the filled slots, exactly.  A nonzero entry raises
-    ValueError naming it (``d^2 is nonzero: side part U[1,1] at (0, 0)``),
-    the first row's lowest column.  A grading that no entry reaches and
-    that does not compare with the others (a str) raises ValueError too.
+    The side must be U or V.  Then C is checked by ``validate``'s rules
+    (``_violations``): on any violation it raises ``InvalidComplexError``
+    listing exactly what ``validate(C)`` lists.  It does not call
+    ``validate``, whose table tests read the grading tables: the
+    certificate checker pairs its target here and must read none.
+    ``_violations`` reads none even when d^2 is nonzero, as
+    ``_square_defects`` builds the entry from ``ring._side_exp``.  Then
+    ``_column_pairing``, which raises ValueError (``paired_basis needs a
+    reduced complex``) unless C is reduced.  A complex that already passed
+    ``validate`` is paired by ``_column_pairing`` alone, not checked twice.
     """
     if side not in (Side.U, Side.V):
         raise ValueError("side must be U or V")
-    if not is_reduced(C):
-        raise ValueError("paired_basis needs a reduced complex")
-    on_u = side is Side.U
-    gr = [(g1, g2) for _nm, (g1, g2) in C.generators]
-    rows = side_rows(C, side)
-    masks = []  # per row, its filled columns
-    for i, row in enumerate(rows):
-        a1, a2 = gr[i]
-        mask = 0
-        for j, exp in row.items():
-            b1, b2 = gr[j]
-            try:
-                slot = _slot(on_u, a1 - b1, a2 - b2)
-            except TypeError:  # gradings that do not subtract to numbers fit nothing
-                slot = None
-            if slot is None or slot != exp:
-                raise ValueError("side part %r at %s does not fit the gradings" % (
-                    Monomial(side, exp), (i, j)))
-            mask |= 1 << j
-        masks.append(mask)
-    for a, row in enumerate(rows):
-        sq = 0
-        for b in row:
-            sq ^= masks[b]
-        if sq:
-            c = (sq & -sq).bit_length() - 1
-            (a1, a2), (c1, c2) = gr[a], gr[c]
-            raise ValueError("d^2 is nonzero: side part %r at %s" % (
-                Monomial(side, _slot(on_u, a1 - c1 - 1, a2 - c2 - 1)), (a, c)))
+    bad = _violations(C)
+    if bad:
+        raise InvalidComplexError(bad)
     return _column_pairing(C, side)
 
 
 def _column_pairing(C, side):
-    """The paired basis of one side of a complex whose side parts fit its gradings, d_side^2 = 0.
+    """The paired basis of one side of a reduced complex that passes ``validate``.
 
     The persistence column reduction (Zomorodian-Carlsson, "Computing
     persistent homology", 2005).  The generators are ordered by their key,
@@ -589,21 +588,21 @@ def _column_pairing(C, side):
     residue only then, and R_y / order's residue is R_y's rows graded like
     z.  Those come earlier in the order, so element i has bit i and
     otherwise only generators of its grading and lower index: the basis is
-    unitriangular.  Only for complexes that pass ``validate``, or
-    ``paired_basis``'s checks: neither is checked here, but gradings that
-    do not sort raise ValueError.
+    unitriangular.  The entry loop holds the one reducedness check: a
+    scalar entry raises ValueError (``paired_basis needs a reduced
+    complex``).  Nothing else is checked: callers pass complexes that
+    passed ``validate``, or ``paired_basis``'s ``_violations``.
     """
     on_u = side is Side.U
     gr = [(g1, g2) for _nm, (g1, g2) in C.generators]
     keys = [(g2, g1) for g1, g2 in gr] if on_u else gr
-    try:
-        order = sorted(range(len(gr)), key=keys.__getitem__, reverse=True)
-    except TypeError:  # past paired_basis's checks, a grading no entry reaches, a str say
-        raise ValueError("generator gradings do not compare: %s" % _brief(gr)) from None
+    order = sorted(range(len(gr)), key=keys.__getitem__, reverse=True)
     pos = {i: k for k, i in enumerate(order)}
     gpos = [gr[i] for i in order]  # the gradings by position
     cols = [0] * len(gr)
     for (a, b), e in C.diff.items():
+        if e.scalar:
+            raise ValueError("paired_basis needs a reduced complex")
         if e.u if on_u else e.v:
             cols[pos[a]] |= 1 << pos[b]
     basis = [1 << i for i in range(len(gr))]
@@ -722,16 +721,17 @@ def is_knotlike(C):
     """Single-tower test on both sides, plus the normalizing grading shift.
 
     Returns (flag, shift); the shift is None when the complex is not knotlike.
-    Both sides' paired bases are built, U first, so an unvalidated complex
-    fails as ``paired_basis`` does.
+    Side U is paired by ``paired_basis``, so a complex ``validate`` rejects
+    fails with its violations, and side V, then known valid, by
+    ``_column_pairing`` alone.
     """
-    shift = _knotlike_shift(C, paired_basis(C, Side.U), paired_basis(C, Side.V))
+    shift = _knotlike_shift(C, paired_basis(C, Side.U), _column_pairing(C, Side.V))
     return shift is not None, shift
 
 
 def normalize(C):
-    """Apply the unique knotlike normalization shift."""
-    shift = _require_knotlike(C, paired_basis(C, Side.U), paired_basis(C, Side.V))
+    """Apply the unique knotlike normalization shift; the sides are paired as in ``is_knotlike``."""
+    shift = _require_knotlike(C, paired_basis(C, Side.U), _column_pairing(C, Side.V))
     if shift == (0, 0):
         return C
     return shift_gradings(C, shift)

@@ -144,16 +144,16 @@ def _require_valid(C):
 def _knotlike_pairings(C, what="complex"):
     """Both sides' paired bases (U, V) and the shift of a valid, knotlike complex.
 
-    Both come from the one column reduction, ``complexes._column_pairing``.
-    Side V goes through ``paired_basis``'s checks first, so an unreduced
-    complex fails with its message; side U, whose change of basis is never
-    read (only its tower count, tower grading and pairs are), is paired
-    straight away, on a complex that passes ``validate`` and so every
-    check.  The shift comes from ``complexes._require_knotlike``, whose
-    NotKnotlikeError names ``what``.
+    Both come from the one column reduction, ``complexes._column_pairing``,
+    U first, without ``paired_basis``'s second run of ``validate``'s
+    rules: every caller has validated C.  The reduction's entry loop
+    rejects an unreduced complex with ``paired_basis``'s message.  Side
+    V's change of basis gives the tower functional; of side U only the
+    tower count, tower grading and pairs are read.  The shift comes from
+    ``complexes._require_knotlike``, whose NotKnotlikeError names ``what``.
     """
-    pb_v = paired_basis(C, Side.V)
     pb_u = _column_pairing(C, Side.U)
+    pb_v = _column_pairing(C, Side.V)
     return pb_u, pb_v, _require_knotlike(C, pb_u, pb_v, what)
 
 
@@ -507,8 +507,11 @@ def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     is formed by direct matrix algebra, with the part-bit product
     ``complexes._part_products`` that ``validate`` uses for d^2, which is
     exact on valid entries.  Locality is checked against the tower
-    functional ``tgt_w`` of the target, computed from a fresh paired basis
-    of the target when it is None.  ``standardize``'s forward check passes
+    functional ``tgt_w`` of the target, computed from a fresh
+    ``paired_basis`` of the target when it is None; ``paired_basis``
+    checks the target by ``validate``'s rules without reading a grading
+    table, and an invalid or unreduced target, or one without a single
+    V-side tower, is one violation.  ``standardize``'s forward check passes
     the functional its search solved against: a paired basis is
     deterministic, so a second one of the same complex adds no
     independence.
@@ -518,7 +521,8 @@ def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     stays independent of the code that produced the certificate: the
     solver builds its entries from the ring's grading table and ``_gf2``,
     and this check reads neither; the entry rule works on the entries'
-    scalars and exponents.
+    scalars and exponents, and so do the target's checks in
+    ``paired_basis``.
     """
     n_src, n_tgt = src.n_gens(), tgt.n_gens()
     out = [
@@ -603,11 +607,12 @@ def standardize(C, trace=None):
     is sorted once.  A probe only eliminates; the stopping probe alone is
     back-substituted, into the forward certificate, and only the returned
     spec is realized.
-    C's sides are paired once each (``_knotlike_pairings``).  Side V's
-    change of basis gives the tower functional; the forward check reads the
-    functional the search solved against.  Side U gives only its tower and
-    its pairs, for the knotlike check and the extant pool, and skips
-    ``paired_basis``'s checks, relying on the validation.
+    C's sides are paired once each by the column reduction alone
+    (``_knotlike_pairings``), relying on the validation rather than
+    ``paired_basis``'s second run of its rules.  Side V's change of basis
+    gives the tower functional; the forward check reads the functional the
+    search solved against.  Side U gives only its tower and its pairs, for
+    the knotlike check and the extant pool.
     ``trace``, when given, receives one ``(step, parameter or
     None, feasible)`` tuple per probe, in probe order.
     """
@@ -676,8 +681,9 @@ def standard_representative(C):
     being the reduced complex's knotlike normalization; shifting the input's
     gradings changes only that shift.  Validation runs once, and so does
     the column reduction of each side of the reduced complex
-    (``_knotlike_pairings``), side V's behind ``paired_basis``'s checks;
-    side U's tower grading gives the shift's second component.
+    (``_knotlike_pairings``), with no second check; side U's tower grading
+    gives the shift's second component.  Only the backward check's fresh
+    basis of the standard representative goes through ``paired_basis``.
     """
     _require_valid(C)
     C = reduce(C)

@@ -43,9 +43,9 @@ class _Record:
     ``Monomial`` on it, search-long ``latency_p50_s`` was slower in 5 of 6
     paired runs) and about twice as slow per ``SignedParam``, built once
     per probe.  ``FreeComplex``, which gives a fresh ``{}`` when ``diff``
-    is omitted, and ``StandardSpec``, which checks its parameters, pass
-    their fields on to the shared one.  The records left on it are built
-    off the hot path.
+    is omitted, and ``StandardSpec``, which checks its ring and its
+    parameters, pass their fields on to the shared one.  The records left
+    on it are built off the hot path.
 
     Records compare equal, and hash, by their fields' values (``_fields``,
     a tuple unless there is one field); a record of another class is never
@@ -144,8 +144,8 @@ def _exps_ok(ring, exps):
     j == 0 < i.  Anything else, a float, a str, a 3-tuple, a frozenset or
     ``exps`` itself not iterable, gives False.  This is the one membership
     rule: ``in_region``, ``monomial_ok``, ``elem_ok``, ``param_ok`` and
-    ``_side_exp`` (the inverse of ``_grading`` that the grading tables and
-    ``complexes._slot`` call) apply it.  One copy stays written out
+    ``_side_exp`` (the inverse of ``_grading`` that the grading tables,
+    ``complexes._slot`` and ``complexes._square_defects`` call) apply it.  One copy stays written out
     where a call per pair measured slower: ``localeq._extant``'s region
     test (380 to 640 us per search-long input).  ``complexes.validate``
     passes a valid entry on the grading table's subset tests and a type
@@ -174,7 +174,8 @@ def _side_exp(ring, side, gr):
 
     None when ``gr`` has an odd component or its exponent fails
     ``_exps_ok``, as the origin does.  This is the one place the inverse
-    is written: the grading tables and ``complexes._slot`` call it.
+    is written: the grading tables, ``complexes._slot`` and
+    ``complexes._square_defects`` call it.
     """
     g1, g2 = gr
     if g1 % 2 or g2 % 2:

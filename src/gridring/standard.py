@@ -32,17 +32,24 @@ from .ring import (
 class StandardSpec(_Record):
     """A parameter sequence over a ring, checked when it is built.
 
-    ``params`` is a tuple of ``SignedParam``, of odd length for a
-    semistandard prefix.  Each parameter must lie on the side of its
-    position and be valid in the ring; otherwise construction raises
-    ``ValueError``.
+    ``ring`` is a ``RingId`` and ``params`` a tuple of ``SignedParam``, of
+    odd length for a semistandard prefix.  Each parameter must lie on the
+    side of its position and be valid in the ring; otherwise construction
+    raises one ``ValueError`` naming the ring, the params or the first
+    failing parameter.
     """
 
     __slots__ = ("ring", "params")
 
     def __init__(self, ring, params):
+        if not isinstance(ring, RingId):
+            raise ValueError("spec ring is %s, not a RingId" % _brief(ring))
+        if not isinstance(params, tuple):
+            raise ValueError("spec params are %s, not a tuple" % _brief(params))
         super().__init__(ring, params)
         for k, p in enumerate(params, start=1):
+            if not isinstance(p, SignedParam):
+                raise ValueError("parameter %d is %s, not a SignedParam" % (k, _brief(p)))
             if p.side is not _expected_side(k):
                 raise ValueError(
                     "parameter %d must lie on side %s" % (k, _expected_side(k).value)

@@ -8,14 +8,15 @@ function, so ``_gf2.solve`` and ``solve_unit`` are counted through it),
 the rows passed to those calls and the pivots they added, the time and
 call count of the side pairings and the pairs they found per side, the
 process's peak resident set size and the spec.  Every side pairing is one
-column reduction (``complexes._column_pairing``): ``paired_basis`` runs
-it after its checks, and ``localeq`` calls it directly for the input's U
-side.  So the script wraps both bindings of ``paired_basis``
+column reduction (``complexes._column_pairing``): ``localeq`` calls it
+directly for both sides of the validated input, and ``paired_basis`` runs
+it after its checks for the backward check's basis of the standard
+representative.  So the script wraps both bindings of ``paired_basis``
 (``complexes`` and ``localeq``) and ``localeq``'s binding of
-``_column_pairing``, and each pairing counts once, checks included.  The
-row, pivot and pair counts are read from each call's arguments and
-result, so unlike the times they do not vary from machine to machine or
-run to run.
+``_column_pairing``, and each pairing counts once, checks included: three
+per standardization.  The row, pivot and pair counts are read from each
+call's arguments and result, so unlike the times they do not vary from
+machine to machine or run to run.
 ``cable⊗5`` (3125 generators) takes a few seconds and about 200 MB.
 
 Run from the repository root: ``python3 tests/scale.py K``.

@@ -404,13 +404,15 @@ class TestSideRows:
         assert n > 400
 
     def test_two_monomials_on_one_side_rejected(self):
+        # validate rejects the entry, so side_rows, which reads validated
+        # complexes only, never meets it; the reference names it
         e = RingElem(0, frozenset({(1, 0), (2, 0)}), frozenset({(1, 0)}))
         C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (3, 1))), {(0, 1): e})
+        assert validate(C) != []
         message = "^%s$" % re.escape(
             "side U part frozenset({(1, 0), (2, 0)}) at (0, 1) must be a single monomial")
-        for fn in (side_rows, reference_side_rows):
-            with pytest.raises(ValueError, match=message):
-                fn(C, Side.U)
+        with pytest.raises(ValueError, match=message):
+            reference_side_rows(C, Side.U)
         assert side_rows(C, Side.V) == [{1: (1, 0)}, {}]
 
 
@@ -920,7 +922,64 @@ class TestTensorDual:
             assert ok and shift == (0, 0)
 
 
+def _outcomes(C):
+    """What ``paired_basis`` (both sides), ``is_knotlike``, ``normalize`` and ``quotient_homology`` (both sides) do on C.
+
+    Each is ``("invalid", violations)`` for an ``InvalidComplexError``,
+    ``("not knotlike", None)`` for a ``NotKnotlikeError``, ``("unreduced",
+    None)`` for the reducedness ValueError and ``("ok", None)`` for an
+    answer; any other exception propagates.
+    """
+    calls = [lambda C, side=side: paired_basis(C, side) for side in (Side.U, Side.V)]
+    calls += [is_knotlike, normalize]
+    calls += [lambda C, side=side: quotient_homology(C, side) for side in (Side.U, Side.V)]
+    out = []
+    for call in calls:
+        try:
+            call(C)
+        except InvalidComplexError as exc:
+            out.append(("invalid", exc.violations))
+        except NotKnotlikeError:
+            out.append(("not knotlike", None))
+        except ValueError as exc:
+            if str(exc) != "paired_basis needs a reduced complex":
+                raise
+            out.append(("unreduced", None))
+        else:
+            out.append(("ok", None))
+    return out
+
+
+def _rejected_as_validate_rejects(C):
+    """Every call of ``_outcomes`` raises InvalidComplexError with ``validate(C)``'s violations."""
+    bad = validate(C)
+    assert bad
+    assert _outcomes(C) == [("invalid", bad)] * 6
+
+
 class TestPairedBasis:
+    @settings(max_examples=300, deadline=None)
+    @given(C=_any_complex())
+    def test_rejects_exactly_what_validate_rejects(self, C):
+        # paired_basis checks with validate's rules: its callers raise
+        # InvalidComplexError with validate's violations exactly when it
+        # lists any, and otherwise answer or raise the package's knotlike
+        # or reducedness error, never anything else
+        bad = validate(C)
+        for kind, violations in _outcomes(C):
+            if bad:
+                assert (kind, violations) == ("invalid", bad)
+            else:
+                assert kind in ("ok", "not knotlike", "unreduced")
+
+    def test_r_entry_outside_r_rejected(self):
+        # U[1,1] is a side monomial of X, not of R: the X-only entry is
+        # never paired into torsion
+        C = FreeComplex(RingId.R, (("a", (0, 0)), ("b", (1, 1))),
+                        {(0, 1): RingElem(u=frozenset({(1, 1)}))})
+        assert validate(C) == ["entry (a, b) = U[1,1] is not in ring R"]
+        _rejected_as_validate_rejects(C)
+
     def test_standard_complex_already_paired(self):
         C = realize(parse_spec("C(-U[2,1], +V[2,1])"))
         pb = paired_basis(C, Side.U)
@@ -946,19 +1005,18 @@ class TestPairedBasis:
         assert pb.pairs == () and pb.unpaired == (0, 1)
 
     def test_two_monomials_on_one_side_rejected(self):
-        # reduced, but the entry U[1,0] + U[2,0] is no homogeneous side part
+        # reduced, but the entry U[1,0] + U[2,0] is no homogeneous side part:
+        # both sides and every caller fail with validate's violation, though
+        # the V side has no part in that entry
         e = RingElem(0, frozenset({(1, 0), (2, 0)}), frozenset())
         C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (3, 1))), {(0, 1): e})
         assert is_reduced(C)
+        assert validate(C) == ["entry (a, b) = U[1,0]+U[2,0] is inhomogeneous"]
+        _rejected_as_validate_rejects(C)
         message = "^%s$" % re.escape(
             "side U part frozenset({(1, 0), (2, 0)}) at (0, 1) must be a single monomial")
-        for fn in (paired_basis, reference_paired_basis):
-            with pytest.raises(ValueError, match=message):
-                fn(C, Side.U)
         with pytest.raises(ValueError, match=message):
-            is_knotlike(C)
-        # the V side has no part in that entry
-        assert paired_basis(C, Side.V).unpaired == (0, 1)
+            reference_paired_basis(C, Side.U)
 
     def test_list_gradings_equal_their_tuples(self):
         # d(a) = U[1,0] c + U[1,0] d and d(b) = U[1,0] d, with b and d graded
@@ -980,55 +1038,37 @@ class TestPairedBasis:
             assert (got.basis, got.pairs, got.unpaired) == (want.basis, want.pairs, want.unpaired)
 
     def test_side_part_not_a_set_rejected(self):
-        # an unvalidated side part that is no set of exponents fails as one
-        # ValueError naming its entry, in every caller that skips validate;
-        # b's gradings make U[1,0] fit a -> b, so is_knotlike reaches side V
+        # a side part that is no set of exponents fails validate, and every
+        # caller raises its violation; b's gradings make U[1,0] fit a -> b
         gens = (("a", (0, 0)), ("b", (1, -1)))
         u10 = frozenset({(1, 0)})
-        for side, e, part in ((Side.U, RingElem(0, 5), "5"), (Side.V, RingElem(0, u10, 7), "7")):
+        for e, part in ((RingElem(0, 5), "5"), (RingElem(0, u10, 7), "7")):
             C = FreeComplex(RingId.X, gens, {(0, 1): e})
-            assert validate(C) != []
-            message = "^%s$" % re.escape(
-                "side %s part %s at (0, 1) must be a single monomial" % (side.value, part))
-            calls = [side_rows, paired_basis, quotient_homology, lambda C, _s: is_knotlike(C)]
-            for call in calls:
-                with pytest.raises(ValueError, match=message):
-                    call(C, side)
+            assert validate(C) == [
+                "entry (a, b) has side part %s, not a frozenset of exponents" % part]
+            _rejected_as_validate_rejects(C)
 
     def test_grading_that_does_not_subtract_rejected(self):
-        # a str grading fits no side part: the up-front check names the entry
+        # a str grading is no pair of ints: validate's record check names
+        # the generator, on both sides, though no V-side entry reaches it
         u10 = RingElem(0, frozenset({(1, 0)}), frozenset())
         C = FreeComplex(RingId.X, (("a", ("0", 0)), ("b", (1, -1))), {(0, 1): u10})
-        assert validate(C) != []
-        message = "^%s$" % re.escape("side part U[1,0] at (0, 1) does not fit the gradings")
-        calls = [paired_basis, quotient_homology, lambda C, _s: is_knotlike(C)]
-        for call in calls:
-            with pytest.raises(ValueError, match=message):
-                call(C, Side.U)
-        # no V-side entry reaches a's grading, which does not sort with b's
-        message = "^%s$" % re.escape("generator gradings do not compare: [('0', 0), (1, -1)]")
-        for call in (paired_basis, quotient_homology):
-            with pytest.raises(ValueError, match=message):
-                call(C, Side.V)
+        assert validate(C) == ["generator a has gradings ('0', 0), not a pair of ints"]
+        _rejected_as_validate_rejects(C)
 
     def test_nonzero_side_square_rejected(self):
         # every side part fits the gradings, but d(g0) = U[-2,1] g2 and
         # d(g2) = (U[3,0] + V[0,3]) g0 make d_U^2 (g0 -> g0) = U[1,1]: every
-        # caller that skips validate fails on it, naming the entry
+        # caller of paired_basis fails with validate's d^2 violations
         gens = (("g0", (5, -3)), ("g1", (0, -4)), ("g2", (0, -2)))
         diff = {(0, 2): elem_from_mono(u_mono(-2, 1)),
                 (2, 0): elem_from_mono(u_mono(3, 0)) + elem_from_mono(v_mono(0, 3))}
         C = FreeComplex(RingId.X, gens, diff)
         assert validate(C) == ["d^2 is nonzero: (g0 -> g0) = U[1,1]",
                                "d^2 is nonzero: (g2 -> g2) = U[1,1]"]
-        message = "^%s$" % re.escape("d^2 is nonzero: side part U[1,1] at (0, 0)")
-        calls = [lambda C: paired_basis(C, Side.U), is_knotlike, normalize,
-                 lambda C: quotient_homology(C, Side.U)]
-        for call in calls:
-            with pytest.raises(ValueError, match=message):
-                call(C)
-        # d_V^2 vanishes: the V side pairs g2 with g0
-        assert paired_basis(C, Side.V).pairs == ((2, 0, v_mono(0, 3)),)
+        _rejected_as_validate_rejects(C)
+        # d_V^2 vanishes: the V side's column reduction pairs g2 with g0
+        assert _column_pairing(C, Side.V).pairs == ((2, 0, v_mono(0, 3)),)
 
     def test_matrix_shape(self, pool):
         rng = random.Random(23)
@@ -1141,8 +1181,8 @@ def _same_bases(R):
 def _outcome(fn, C, side):
     try:
         return fn(C, side)
-    except ValueError as exc:
-        return "ValueError: %s" % exc
+    except InvalidComplexError as exc:
+        return ("invalid", exc.violations)
 
 
 # side exponents of X near the origin, the window random side parts draw from
@@ -1230,38 +1270,33 @@ class TestAgainstReference:
             _same_bases(scramble(R, rng, n_ops=R.n_gens()))
 
     def test_errors_match(self):
-        # on homogeneous side parts paired_basis fails exactly when the side
-        # part of d^2 is nonzero, naming its first row's lowest column, and
-        # otherwise returns the column reference's basis, with the pairing
-        # invariants of the elimination reference; neither reference meets
-        # a quotient outside the ring.  Any other side part fails up front,
-        # naming its entry, in every caller
+        # paired_basis raises exactly when validate rejects the complex,
+        # with its violations (on these complexes a nonzero d^2 or a side
+        # part that misfits its gradings), and otherwise returns the column
+        # reference's basis, with the pairing invariants of the elimination
+        # reference; neither reference meets a quotient outside the ring
         rng = random.Random(47)
         seen = set()
         for _ in range(1000):
             C = _random_side_matrix(rng, rng.randint(2, 8))
+            bad = validate(C)
+            # cross-side products vanish, so d^2 is the sum of the side squares
+            assert bool(bad) == bool(_side_square(C, Side.U) or _side_square(C, Side.V))
+            assert all(line.startswith("d^2 is nonzero: ") for line in bad)
             for side in (Side.U, Side.V):
                 got = _outcome(paired_basis, C, side)
-                square = _side_square(C, side)
-                if square:
-                    (a, c), e = min(square.items())
-                    (mono,) = elem_monomials(e)
-                    assert got == "ValueError: d^2 is nonzero: side part %r at %s" % (mono, (a, c))
+                if bad:
+                    assert got == ("invalid", bad)
                     seen.add("square")
                 else:
                     _same_paired_basis(C, got, reference_column_pairing(C, side))
                     _same_invariants(C, got, reference_paired_basis(C, side))
                     seen.add("ok")
-            kind, side, (i, j), (x, y), B = _misfit(C, rng)
+            kind, side, _key, _exp, B = _misfit(C, rng)
             seen.add(kind)
-            message = "ValueError: side part %s[%d,%d] at (%d, %d) does not fit the gradings" % (
-                side.value, x, y, i, j)
-            assert _outcome(paired_basis, B, side) == message
-            assert _outcome(quotient_homology, B, side) == message
-            # is_knotlike builds the U side first, which may fail on its own
-            first = _outcome(paired_basis, B, Side.U) if side is Side.V else message
-            want = first if isinstance(first, str) else message
-            assert _outcome(lambda B, _side: is_knotlike(B), B, None) == want
+            bad = validate(B)
+            assert bad
+            assert _outcomes(B) == [("invalid", bad)] * 6
         assert seen == {"ok", "square", "inhomogeneous", "out-of-region", "origin"}
 
     def test_quotient_homology(self, pool):
@@ -1329,8 +1364,9 @@ class TestColumnPairing:
         assert counts == {0, 1, 2, 3}
 
     def test_unreduced_input_fails_as_before(self, pool):
-        # the V side's paired basis goes first, so a valid complex that is
-        # not reduced fails with its message, before any U-side pairing
+        # the column reduction's entry loop holds the reducedness check, so
+        # a valid complex that is not reduced fails with paired_basis's
+        # message, though no caller here goes through paired_basis
         from gridring.localeq import extant_coefficients, find_local_map, standardize
 
         rng = random.Random(73)
@@ -1716,7 +1752,7 @@ class TestKnotlike:
         assert not ok and shift is None
 
     def test_non_reduced_rejected(self):
-        # paired_basis holds the one reducedness check for all its callers
+        # the column reduction holds the one reducedness check for all its callers
         gens = (("x", (0, 0)), ("y", (-1, -1)))
         C = FreeComplex(RingId.X, gens, {(0, 1): ONE_ELEM})
         calls = [is_knotlike, normalize]

@@ -566,13 +566,17 @@ class TestFindLocalMap:
         name, (g1, g2) = gens[1]
         gens[1] = (name, (g1 + 2, g2))
         bad = FreeComplex(C.ring, tuple(gens), C.diff)
-        # paired_basis checks every side part against the gradings first
-        with pytest.raises(ValueError, match=r"^side part U\[1,0\] at \(0, 1\) does not fit"):
+        violations = validate(bad)
+        assert violations and all(" has grading " in line for line in violations)
+        # paired_basis checks with validate's rules
+        with pytest.raises(InvalidComplexError) as info:
             is_knotlike(bad)
+        assert info.value.violations == violations
         for text in ("C(0)", "C(-U[1,0], +V[1,0])"):
             for kind in ("full", "short"):
-                with pytest.raises(InvalidComplexError):
+                with pytest.raises(InvalidComplexError) as info:
                     find_local_map(parse_spec(text), bad, kind)
+                assert info.value.violations == violations
 
     def test_unnormalized_target_rejected(self):
         C = reduce(base_change(example_cable()))
@@ -1300,13 +1304,13 @@ class TestStandardize:
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):
-        # side rows are read where they are used: the input's by its V-side
-        # paired basis and once per side by the target of every trial (the
-        # U side is paired by column reduction, which reads C.diff, and the
-        # forward check reuses the search's tower, so it builds no basis);
-        # the standard representative's once per side by the backward target
-        # and on V by the backward check.  The backward solve reads the
-        # input's arrows from C.diff.
+        # side rows are read where they are used: once per side by the
+        # target of every trial, the input's, and once per side by the
+        # backward target, the standard representative's.  Both sides'
+        # pairings and the backward check's paired basis are column
+        # reductions, which read C.diff, and the forward check reuses the
+        # search's tower.  The backward solve reads the input's arrows from
+        # C.diff.
         import gridring.complexes
         import gridring.localeq
 
@@ -1325,18 +1329,18 @@ class TestStandardize:
         assert len(trace) > 3
         others = {id(D) for D, _s in built if D is not C}
         assert len(others) == 1  # the standard representative
-        for side, of_input, of_std in ((Side.U, 1, 1), (Side.V, 2, 2)):
+        for side, of_input, of_std in ((Side.U, 1, 1), (Side.V, 1, 1)):
             assert sum(1 for D, s in built if D is C and s is side) == of_input
             assert sum(1 for D, s in built if D is not C and s is side) == of_std
 
     def test_paired_bases_computed_once(self, monkeypatch):
-        # per call: the reduced input's V side once, handed shifted to the
-        # tower, and one fresh target basis for the backward check: the
-        # forward check reuses the search's tower, and the standard
-        # representative's tower is x_0 in closed form.  The input's U side
-        # is paired once, for its tower and the pool, by the column
-        # reduction without paired_basis's checks; each paired basis runs
-        # that same reduction after its checks, so it eliminates V, U, V
+        # per call: one fresh target basis for the backward check goes
+        # through paired_basis: the forward check reuses the search's tower,
+        # and the standard representative's tower is x_0 in closed form.
+        # The validated input's sides are paired once each, U then V, by the
+        # column reduction without paired_basis's checks, the V side handed
+        # shifted to the tower; the paired basis runs that same reduction
+        # after its checks, so it eliminates U, V, V
         import gridring.complexes
         import gridring.localeq
 
@@ -1358,8 +1362,8 @@ class TestStandardize:
             monkeypatch.setattr(module, "_column_pairing", counting_columns)
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
-        assert calls == [Side.V, Side.V]
-        assert pairings == [Side.V, Side.U, Side.V]
+        assert calls == [Side.V]
+        assert pairings == [Side.U, Side.V, Side.V]
 
     def test_validated_once(self, monkeypatch):
         # reduce is a homotopy equivalence, so its output needs no second check

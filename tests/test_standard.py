@@ -194,6 +194,37 @@ class TestConstruction:
         params = [bad, SignedParam(Side.V, 1, (1, 0))]
         _rejected(RingId.R, params, "parameter 1 is invalid in ring R: %r" % (bad,))
 
+    @pytest.mark.parametrize("ring", ["X", "R", None, 0])
+    def test_ring_not_a_ring_id(self, ring):
+        # a str ring would build a spec unequal to the same literal over the
+        # RingId, checked by X's rules whatever it names
+        message = "spec ring is %s, not a RingId" % _brief(ring)
+        builds = [lambda: StandardSpec(ring, ()), lambda: make_spec(ring, []),
+                  lambda: parse_spec("C(-U[1,0], +V[1,0])", ring), lambda: parse_spec("C(0)", ring)]
+        if ring == "R":
+            builds.append(lambda: make_spec(ring, parse_spec("C(-U[1,1], +V[1,0])").params))
+        for build in builds:
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                build()
+
+    def test_parameter_not_a_signed_param(self):
+        # the first parameter that is no SignedParam is named, never read
+        # for a side
+        with pytest.raises(ValueError, match="^parameter 1 is 1, not a SignedParam$"):
+            make_spec(RingId.X, [1])
+        for bad in [None, "-V[1,0]", (Side.V, -1, (1, 0))]:
+            message = "parameter 2 is %s, not a SignedParam" % _brief(bad)
+            for build in (StandardSpec, make_spec):
+                with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                    build(RingId.X, (self.VALID[0], bad))
+
+    def test_params_not_a_tuple(self):
+        # a record hashes by its fields, so a list of params would not hash
+        params = list(self.VALID)
+        with pytest.raises(ValueError, match=r"^spec params are \[.*, not a tuple$"):
+            StandardSpec(RingId.X, params)
+        assert hash(make_spec(RingId.X, params)) == hash(StandardSpec(RingId.X, self.VALID))
+
     def test_first_failing_position_and_side_check_first(self):
         # the side is checked before the exponent at each position, and the
         # earliest failing position is the one reported
