@@ -18,7 +18,6 @@ from .ring import (
     ZERO,
     Monomial,
     _Record,
-    _TABLES,
     _brief,
     _side_exp,
     elem_grading,
@@ -93,8 +92,8 @@ def _record_faults(C):
     (tuple or list) of ints, a bool being the int it subclasses, of equal
     parity; names must be unique.  ``grs`` lists the gradings when every
     record and grading is well formed, else it is None and the entries,
-    which read two gradings each, are not checked.  ``validate`` and
-    ``_violations`` open with it.
+    which read two gradings each, are not checked.  ``validate`` opens
+    with it.
     """
     if not isinstance(C, FreeComplex):
         hint = "; base_change turns it into one over X" if isinstance(C, FUVComplex) else ""
@@ -133,26 +132,26 @@ def validate(C):
     """Structural checks; returns a list of violation strings (empty = ok).
 
     First the type, field and generator-record checks (``_record_faults``).
-    Each differential key must be a pair of ints in range (``_key_ok``).
-    A valid entry is a nonzero ``RingElem`` that is a sum of basis
-    monomials of its expected grading, so each entry is checked with one
-    lookup in the ring's grading table (``ring._TABLES``) and three subset
-    tests against the sum of that grading's basis, the scalar being the
-    int 0 or 1, both side parts frozensets and each exponent a pair of
-    ints.  An entry that fails them gets its violation from
-    ``_entry_fault``, the rule ``localeq.check_certificate`` also applies.
-    Once every entry passes, d^2 is computed on the entries' part bits
+    Each differential key must be a tuple (i, j) of ints in range
+    (``_key_ok``).  Each entry must pass the entry rule (``_entry_fault``)
+    at its arrow's grading (w1, w2) = gr(i) - gr(j) - (1, 1).  A valid
+    entry is the int 1 alone at (0, 0), or else has scalar 0 and at most
+    one monomial a side, U[-w1/2, -w2/2] and V[-w2/2, -w1/2], the only side
+    monomials of that grading.  So each entry is first tested against the
+    grading alone, reading no grading table, and only one that fails the
+    test goes through the entry rule, which gives its violation (or passes
+    it: the test asks a plain tuple of an exponent).  Once every entry
+    passes, d^2 is computed on the entries' part bits
     (``_square_defects``), by the product ``_part_products`` that the
-    checker also forms its chain defect with.  The keys, gradings and
-    entries a violation prints are cut to 80 characters (``ring._brief``),
-    so each stays one short line.  ``_violations`` gives the same list
-    without the grading table.
+    certificate checker also forms its chain defect with.  The keys,
+    gradings and entries a violation prints are cut to 80 characters
+    (``ring._brief``), so each stays one short line.
     """
     out, grs = _record_faults(C)
     if grs is None:
         return out
     n = len(grs)
-    table = _TABLES[C.ring]
+    over_x = C.ring is RingId.X
     parts = []
     for key, e in C.diff.items():
         # _key_ok written out: a call per entry would cost the valid path
@@ -161,50 +160,34 @@ def validate(C):
             (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
         except (TypeError, ValueError, IndexError):
             i = -1
-        if not (0 <= i < n and 0 <= j < n):
+        if not (0 <= i < n and 0 <= j < n and isinstance(key, tuple)):
             out.append("differential entry %s out of range" % _brief(key))
             continue
-        want = (gi1 - gj1 - 1, gi2 - gj2 - 1)
+        w1, w2 = gi1 - gj1 - 1, gi2 - gj2 - 1
         if isinstance(e, RingElem):
             s, u, v = e.scalar, e.u, e.v
-            full = table[want][3][-1]
-            if (s or u or v) and isinstance(s, int) and 0 <= s <= full.scalar \
-                    and type(u) is frozenset is type(v) and u <= full.u and v <= full.v:
-                # each part holds at most one exponent, equal to a pair of
-                # ints; the entry rule rejects a float equal to an int
-                (a, b), = u or ((0, 0),)
-                (c, d), = v or ((0, 0),)
-                if isinstance(a, int) and isinstance(b, int) \
-                        and isinstance(c, int) and isinstance(d, int):
-                    parts.append(s | (2 if u else 0) | (4 if v else 0))
-                    continue
-        # an entry that fails the table's tests is never valid
-        out.append(_entry_fault(C.ring, e, want, C.name(i), C.name(j)))
-    return out or _square_defects(C, parts)
-
-
-def _violations(C):
-    """``validate(C)``, found without reading a grading table.
-
-    The same rules in the same order: ``_record_faults``, then per entry
-    ``_key_ok`` and the entry rule ``_entry_fault``, then d^2 by
-    ``_square_defects``, so the list is ``validate``'s.  It costs more per
-    entry than ``validate``'s table tests; ``paired_basis`` calls it, so
-    that the certificate checker, which pairs its target through
-    ``paired_basis``, reads no grading table.
-    """
-    out, grs = _record_faults(C)
-    if grs is None:
-        return out
-    n = len(grs)
-    parts = []
-    for key, e in C.diff.items():
-        if not _key_ok(key, n, n):
-            out.append("differential entry %s out of range" % _brief(key))
-            continue
-        i, j = key
-        (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
-        fault = _entry_fault(C.ring, e, (gi1 - gj1 - 1, gi2 - gj2 - 1), C.name(i), C.name(j))
+            if type(u) is frozenset is type(v) and isinstance(s, int):
+                if s:
+                    if s == 1 and not (u or v or w1 or w2):
+                        parts.append(1)
+                        continue
+                elif not (w1 | w2) & 1:
+                    # each exponent must be a tuple of ints equal to U[a, b],
+                    # in the region where b > 0 (ring X) or b == 0 < a, or
+                    # V[b, a], where a > 0 (ring X) or a == 0 < b; the bit 8
+                    # marks any other
+                    a, b = -w1 // 2, -w2 // 2
+                    bits = 0
+                    for x in u:
+                        bits |= 2 if x == (a, b) and type(x) is tuple and isinstance(x[0], int) \
+                            and isinstance(x[1], int) and (b > 0 and over_x or b == 0 < a) else 8
+                    for x in v:
+                        bits |= 4 if x == (b, a) and type(x) is tuple and isinstance(x[0], int) \
+                            and isinstance(x[1], int) and (a > 0 and over_x or a == 0 < b) else 8
+                    if 0 < bits < 8:
+                        parts.append(bits)
+                        continue
+        fault = _entry_fault(C.ring, e, (w1, w2), C.name(i), C.name(j))
         if fault:
             out.append(fault)
         else:
@@ -213,17 +196,19 @@ def _violations(C):
 
 
 def _key_ok(key, n_rows, n_cols):
-    """True if a matrix key is a pair (i, j) of ints with 0 <= i < n_rows and 0 <= j < n_cols.
+    """True if a matrix key is a tuple (i, j) of ints with 0 <= i < n_rows and 0 <= j < n_cols.
 
     An int is what a list takes as an index: a bool is the int it
-    subclasses, and a float is not an int.  ``localeq.check_certificate``
+    subclasses, and a float is not an int.  Any other key, a ``range`` or
+    a ``frozenset`` of two ints among them, is not a matrix key: the JSON
+    writer sorts the keys, and tuples sort.  ``localeq.check_certificate``
     calls it on a certificate's keys.  ``validate`` applies it written out
     (unpack the key, index the gradings, test the range): one call per
     entry made ``validate`` 4-17% slower on the benchmark's inputs.
     """
     try:
         i, j = key
-        return 0 <= index(i) < n_rows and 0 <= index(j) < n_cols
+        return 0 <= index(i) < n_rows and 0 <= index(j) < n_cols and isinstance(key, tuple)
     except (TypeError, ValueError):
         return False
 
@@ -240,8 +225,9 @@ def _entry_fault(ring, e, want, a, b):
     grading ``want``.  It reads only the entry's scalar and exponents,
     through ``elem_ok`` and ``elem_grading``, and no grading table: a
     homogeneous entry in the ring lies in the basis of its own grading.
-    This is the one copy of the entry rule; ``validate`` calls it for each entry its table tests
-    reject, and the certificate checker for every entry.
+    This is the one copy of the entry rule; ``validate`` calls it for each
+    entry that fails its test against the arrow's grading, and the
+    certificate checker for every entry.
     """
     if not isinstance(e, RingElem):
         return "entry (%s, %s) = %s is not a RingElem" % (a, b, _brief(e))
@@ -270,7 +256,8 @@ def _part_bits(e):
 
     The certificate checker lists a map's and both differentials' entries
     with it once ``_entry_fault`` has passed every entry of the map;
-    ``validate`` writes the same bits inline, on its hot path.
+    ``validate`` writes the same bits inline for an entry that passes its
+    test against the arrow's grading, and reads them here for the others.
     """
     return (1 if e.scalar else 0) | (2 if e.u else 0) | (4 if e.v else 0)
 
@@ -309,7 +296,7 @@ def _square_defects(C, parts):
     element of the grading g = gr(i) - gr(k) - (2, 2): the scalar where g
     is (0, 0), else the side monomials of g (``ring._side_exp``), which a
     product of two side exponents of the ring always is.  No grading table
-    is read, so ``_violations`` reads none.
+    is read, so ``validate`` reads none.
     """
     parity = _part_products(zip(C.diff, parts), zip(C.diff, parts), {})
     out = []
@@ -543,20 +530,17 @@ def _slot(on_u, d1, d2):
 def paired_basis(C, side):
     """Change of basis putting the side-differential into paired form.
 
-    The side must be U or V.  Then C is checked by ``validate``'s rules
-    (``_violations``): on any violation it raises ``InvalidComplexError``
-    listing exactly what ``validate(C)`` lists.  It does not call
-    ``validate``, whose table tests read the grading tables: the
-    certificate checker pairs its target here and must read none.
-    ``_violations`` reads none even when d^2 is nonzero, as
-    ``_square_defects`` builds the entry from ``ring._side_exp``.  Then
+    The side must be U or V.  Then C is checked by ``validate``: on any
+    violation it raises ``InvalidComplexError`` listing what ``validate(C)``
+    lists.  ``validate`` reads no grading table, so the certificate
+    checker, which pairs its target here, reads none either.  Then
     ``_column_pairing``, which raises ValueError (``paired_basis needs a
     reduced complex``) unless C is reduced.  A complex that already passed
     ``validate`` is paired by ``_column_pairing`` alone, not checked twice.
     """
     if side not in (Side.U, Side.V):
         raise ValueError("side must be U or V")
-    bad = _violations(C)
+    bad = validate(C)
     if bad:
         raise InvalidComplexError(bad)
     return _column_pairing(C, side)
@@ -591,7 +575,7 @@ def _column_pairing(C, side):
     unitriangular.  The entry loop holds the one reducedness check: a
     scalar entry raises ValueError (``paired_basis needs a reduced
     complex``).  Nothing else is checked: callers pass complexes that
-    passed ``validate``, or ``paired_basis``'s ``_violations``.
+    passed ``validate``, or ``paired_basis``'s call of it.
     """
     on_u = side is Side.U
     gr = [(g1, g2) for _nm, (g1, g2) in C.generators]

@@ -495,7 +495,7 @@ def find_local_map(spec, target, kind="full"):
 def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     """Independent verification of a certificate; returns violation strings, never raises.
 
-    Each key must be a pair of generator indices in range
+    Each key must be a tuple of two generator indices in range
     (``complexes._key_ok``); a key that is not is reported alone, since
     every other check indexes its generators.  Each entry must then pass
     ``validate``'s entry rule (``complexes._entry_fault``) at its expected
@@ -509,9 +509,9 @@ def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     exact on valid entries.  Locality is checked against the tower
     functional ``tgt_w`` of the target, computed from a fresh
     ``paired_basis`` of the target when it is None; ``paired_basis``
-    checks the target by ``validate``'s rules without reading a grading
-    table, and an invalid or unreduced target, or one without a single
-    V-side tower, is one violation.  ``standardize``'s forward check passes
+    checks the target by ``validate``, which reads no grading table, and
+    an invalid or unreduced target, or one without a single V-side tower,
+    is one violation.  ``standardize``'s forward check passes
     the functional its search solved against: a paired basis is
     deterministic, so a second one of the same complex adds no
     independence.
@@ -521,8 +521,8 @@ def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     stays independent of the code that produced the certificate: the
     solver builds its entries from the ring's grading table and ``_gf2``,
     and this check reads neither; the entry rule works on the entries'
-    scalars and exponents, and so do the target's checks in
-    ``paired_basis``.
+    scalars and exponents, and ``validate``, which checks the target in
+    ``paired_basis``, on them and the arrows' gradings.
     """
     n_src, n_tgt = src.n_gens(), tgt.n_gens()
     out = [

@@ -148,8 +148,9 @@ def _exps_ok(ring, exps):
     ``complexes._slot`` and ``complexes._square_defects`` call) apply it.  One copy stays written out
     where a call per pair measured slower: ``localeq._extant``'s region
     test (380 to 640 us per search-long input).  ``complexes.validate``
-    passes a valid entry on the grading table's subset tests and a type
-    test of each exponent, which together agree with this rule.
+    first tests each exponent against its arrow's grading: a tuple of ints
+    equal to that grading's side exponent, which it tests for the region
+    written out, so an exponent it passes passes this rule.
     """
     over_r = ring is RingId.R
     try:

@@ -385,7 +385,9 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_standardize_validates_once(self, capsys, tmp_path, monkeypatch):
-        # the library's validation is the document check, not a second pass
+        # the library's validation is the document check, not a second pass;
+        # the only other check is the certificate checker's of its own
+        # target, the realized answer
         import gridring.cli
         import gridring.complexes
         import gridring.localeq
@@ -400,9 +402,10 @@ class TestCli:
         for module in (gridring.cli, gridring.complexes, gridring.localeq):
             monkeypatch.setattr(module, "validate", counting)
         cable = self.emit_file(capsys, tmp_path, "cable.json", "example", "cable")
-        code, _out, err = invoke(capsys, "--json", "standardize", str(cable))
+        code, out, err = invoke(capsys, "--json", "standardize", str(cable))
         assert code == 0, err
-        assert len(calls) == 1
+        answer = realize(parse_spec(json.loads(out)["specText"]))
+        assert calls == [document_to_complex(json.loads(cable.read_text()))[0], answer]
 
     @pytest.mark.parametrize(
         "argv",

@@ -32,6 +32,11 @@ from gridring.complexes import (
     NotKnotlikeError,
     QuotientHomology,
     _column_pairing,
+    _entry_fault,
+    _key_ok,
+    _part_bits,
+    _record_faults,
+    _square_defects,
     fuv_image,
     shift_gradings,
     side_rows,
@@ -116,6 +121,33 @@ def reference_validate(C):
         for (i, k), e in sq.items():
             out.append("d^2 is nonzero: (%s -> %s) = %r" % (C.name(i), C.name(k), e))
     return out
+
+
+def rule_by_rule_validate(C):
+    """``validate``'s list, found by applying its rules one at a time.
+
+    ``complexes._record_faults``, then per entry the key rule ``_key_ok``
+    and the entry rule ``_entry_fault``, then d^2 by ``_square_defects`` on
+    the valid entries' part bits, with no test of an entry against its
+    arrow's grading first.  ``validate`` must return the same list.
+    """
+    out, grs = _record_faults(C)
+    if grs is None:
+        return out
+    n = len(grs)
+    parts = []
+    for key, e in C.diff.items():
+        if not _key_ok(key, n, n):
+            out.append("differential entry %s out of range" % _brief(key))
+            continue
+        i, j = key
+        (gi1, gi2), (gj1, gj2) = grs[i], grs[j]
+        fault = _entry_fault(C.ring, e, (gi1 - gj1 - 1, gi2 - gj2 - 1), C.name(i), C.name(j))
+        if fault:
+            out.append(fault)
+        else:
+            parts.append(_part_bits(e))
+    return out or _square_defects(C, parts)
 
 
 def reference_reduce(C):
@@ -445,11 +477,12 @@ def _any_complex(draw):
 
     The ring, the generators container (a tuple or a list) and ``diff`` are
     now and then of another type.  Each record, grading, key and entry is
-    well formed or arbitrary.  A well-formed entry between well-formed
-    gradings is a sum of basis monomials of the arrow's grading (the scalar
-    1 where that grading has none), now and then with float or bool
-    exponents, so ``validate`` passes some complexes and the rest of the
-    pipeline is reached.  Names run to 104 characters.
+    well formed or arbitrary; a key may be a ``range`` or a ``frozenset``
+    that unpacks into two ints in range.  A well-formed entry between
+    well-formed gradings is a sum of basis monomials of the arrow's grading
+    (the scalar 1 where that grading has none), now and then with float or
+    bool exponents, so ``validate`` passes some complexes and the rest of
+    the pipeline is reached.  Names run to 104 characters.
     """
     ring = draw(st.sampled_from(RingId))
     n = draw(st.integers(0, 6))
@@ -474,7 +507,9 @@ def _any_complex(draw):
             kind = draw(st.sampled_from([None, None, float, bool]))
             diff[(i, j)] = retyped(e, kind) if kind else e
         else:
-            keys = st.tuples(st.integers(-1, 6), st.integers(-1, 6)) | st.tuples(_ANYTHING, _ANYTHING)
+            keys = st.tuples(st.integers(-1, 6), st.integers(-1, 6)) | st.tuples(_ANYTHING, _ANYTHING) \
+                | st.integers(0, 5).map(lambda i: range(i, i + 2)) \
+                | st.integers(0, 5).map(lambda i: frozenset({i, i + 1}))
             elems = st.builds(RingElem, st.integers(0, 1) | _ANYTHING, _PARTS, _PARTS)
             diff[draw(keys | _ANYTHING)] = draw(elems | _ANYTHING)
     # now and then a field itself has another type
@@ -761,8 +796,10 @@ class TestValidate:
 
     def test_malformed_records_and_keys_are_violations(self):
         # a generator record that is not a (str name, gradings) pair, and a
-        # differential key that is not a pair of ints in range, are each one
-        # violation, never an exception
+        # differential key that is not a tuple of two ints in range, are each
+        # one violation, never an exception; a range or a frozenset key
+        # unpacks into two ints in range, but complex_to_document sorts the
+        # keys, and only tuples sort
         assert validate(FreeComplex(RingId.X, ("a",))) == [
             "generator record 'a' is not a (str name, gradings) pair"
         ]
@@ -777,11 +814,16 @@ class TestValidate:
             "generator record 5 is not a (str name, gradings) pair",
         ]
         gens = (("a", (0, 0)), ("b", (-1, -1)))
-        for key in [0, (0, 1.0), (1.0, 0), (0,), (0, 1, 2), ("a", "b"), "ab", (0, 2), (-1, 0)]:
+        for key in [0, (0, 1.0), (1.0, 0), (0,), (0, 1, 2), ("a", "b"), "ab", (0, 2), (-1, 0),
+                    range(0, 2), frozenset({0, 1})]:
             C = FreeComplex(RingId.X, gens, {key: ONE_ELEM, (0, 1): ONE_ELEM})
             assert validate(C) == ["differential entry %s out of range" % _brief(key)]
             with pytest.raises(InvalidComplexError, match="out of range"):
                 standard_representative(C)
+            for side in (Side.U, Side.V):
+                with pytest.raises(InvalidComplexError) as info:
+                    paired_basis(C, side)
+                assert info.value.violations == validate(C)
         # a bool is the int it subclasses
         assert validate(FreeComplex(RingId.X, gens, {(False, True): ONE_ELEM})) == []
 
@@ -1618,8 +1660,8 @@ class TestValidateAgainstReference:
             assert _same_validation(C) == []
 
     def test_valid_entries_not_classified(self, pool, monkeypatch):
-        # a valid entry passes on the grading table's subset tests alone;
-        # only a failing one is classified by elem_ok and elem_grading
+        # a valid entry passes on its test against the arrow's grading
+        # alone; only a failing one is classified by elem_ok and elem_grading
         import gridring.complexes
 
         calls = []
@@ -1660,6 +1702,39 @@ class TestValidateAgainstReference:
             (e,) = C.diff.values()
             assert {(1, 0), (2, 0), (3, 0)} in (e.u, e.v)
             assert "inhomogeneous" in " ".join(_same_validation(C))
+
+    @settings(max_examples=300, deadline=None)
+    @given(C=_any_complex())
+    def test_arbitrary_complexes_rule_by_rule(self, C):
+        # validate tests an entry against its arrow's grading before the
+        # entry rule: it lists what the rules give one at a time
+        assert validate(C) == rule_by_rule_validate(C)
+
+    def test_entries_at_their_own_grading_rule_by_rule(self):
+        # each exponent of a small window on either side, alone, retyped,
+        # beside a second one, with the other side or with the scalar, at
+        # the grading of its U monomial, where the test against the arrow's
+        # grading may pass it; and the scalar alone there
+        exps = [(i, j) for i in range(-2, 3) for j in range(-1, 3)]
+        for ring in RingId:
+            for i, j in exps:
+                gens = (("a", (0, 0)), ("b", (2 * i - 1, 2 * j - 1)))
+                u, v = frozenset({(i, j)}), frozenset({(j, i)})
+                for e in [RingElem(0, u), RingElem(0, frozenset(), v), RingElem(0, u, v),
+                          RingElem(0, frozenset({(float(i), j)})),
+                          RingElem(0, frozenset(), frozenset({(j, float(i))})),
+                          RingElem(0, u | {(i + 1, j)}), RingElem(0, frozenset(), v | {(j, i + 1)}),
+                          RingElem(1, u), ONE_ELEM]:
+                    C = FreeComplex(ring, gens, {(0, 1): e})
+                    assert validate(C) == rule_by_rule_validate(C), (ring, e)
+
+    def test_mutations_rule_by_rule(self):
+        rng = random.Random(71)
+        for _ in range(10):
+            for C in VALID_BASES:
+                for kind in sorted(MUTATIONS):
+                    M = MUTATIONS[kind](C, rng)
+                    assert validate(M) == rule_by_rule_validate(M), kind
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -548,6 +548,22 @@ class TestFindLocalMap:
                 full = check_certificate(realize(prefix), target, as_full)
                 assert set(full) == {"chain condition fails at generator %d on side U" % n}
 
+    def test_short_keeps_the_other_side_of_x_n(self):
+        # a short certificate drops x_n's chain condition on one side only:
+        # with one entry dropped, x_n's condition on the kept side V is the
+        # only one that fails
+        target = normalize(reduce(base_change(example_cable())))
+        cable = parse_spec("C(-U[1,1], +V[1,0], -U[1,0], +V[1,1])")
+        for n, key in [(0, (0, 1)), (2, (1, 0)), (4, (4, 1))]:
+            prefix = make_spec(RingId.X, cable.params[:n])
+            cert = find_local_map(prefix, target, "short")
+            assert _short_skip(n) == (n, Side.U)
+            assert check_certificate(realize(prefix), target, cert) == []
+            matrix = {k: e for k, e in cert.matrix.items() if k != key}
+            assert check_certificate(realize(prefix), target, _with_matrix(cert, matrix)) == [
+                "chain condition fails at generator %d on side V" % n
+            ]
+
     def test_short_weaker_than_full(self):
         # the length-1 prefix of the zhou spec admits a short map but no
         # standard extension by a positive parameter
@@ -728,6 +744,9 @@ _KEYS = st.one_of(
     st.tuples(st.integers(0, 6)),
     st.tuples(st.text(max_size=2), st.integers(0, 6)),
     st.sampled_from([(), "ab", (10**5000, 0)]),
+    # not tuples, though each unpacks into two ints
+    st.integers(0, 6).map(lambda i: range(i, i + 2)),
+    st.integers(0, 6).map(lambda i: frozenset({i, i + 1})),
 )
 
 
@@ -821,7 +840,7 @@ class TestCertificateCheck:
     @pytest.mark.parametrize("workload", ["search-long", "wide-trivial"])
     def test_checker_reads_no_grading_table(self, workload, monkeypatch):
         # the solver builds its entries from the grading table; the checker
-        # verifies them without reading it
+        # and validate verify them without reading it
         import sys
 
         class Unreadable:
@@ -834,15 +853,16 @@ class TestCertificateCheck:
         for module in modules:
             if hasattr(module, "_TABLES"):
                 monkeypatch.setattr(module, "_TABLES", Unreadable())
+        assert validate(calls[0][0][0]) == []
         with pytest.raises(AssertionError, match="grading table was read"):
-            validate(calls[0][0][0])
+            standard_representative(calls[0][0][0])
         for args, kwargs in calls:
             assert check_certificate(*args, **kwargs) == []
 
     def test_checker_rejects_what_validate_rejects(self):
         # a scalar other than the int 0 or 1, an entry that is not a
-        # RingElem, and a key that is not a pair of ints in range are each
-        # one violation, never an exception
+        # RingElem, and a key that is not a tuple of two ints in range are
+        # each one violation, never an exception
         X = normalize(reduce(base_change(example_cable())))
         spec, fwd, _back = standardize(X)
         S = realize(spec)
@@ -861,7 +881,7 @@ class TestCertificateCheck:
             for matrix in ({**fwd.matrix, (2, 2): e}, {**dropped, (2, 2): e}):
                 assert check_certificate(S, X, _with_matrix(fwd, matrix)) == [message]
         free = next(j for j in range(X.n_gens()) if (0, j) not in fwd.matrix)
-        for key in [0, (0, float(free)), (0,), (0, 1, 2), ("0", 0)]:
+        for key in [0, (0, float(free)), (0,), (0, 1, 2), ("0", 0), range(0, 2), frozenset({0, 1})]:
             matrix = {**fwd.matrix, key: fwd.matrix[(2, 2)]}
             assert check_certificate(S, X, _with_matrix(fwd, matrix)) == [
                 "entry %s out of range" % _brief(key)
