@@ -311,6 +311,17 @@ def _square_defects(C, parts):
     return out
 
 
+def _require_valid(C):
+    """Raise InvalidComplexError listing ``validate(C)``'s violations, if there are any.
+
+    The one input gate of the package's entry points: ``paired_basis``,
+    ``is_knotlike``, ``normalize`` and ``localeq``'s entry points call it.
+    """
+    bad = validate(C)
+    if bad:
+        raise InvalidComplexError(bad)
+
+
 def validate_fuv(C):
     """Structural checks of an F2[U,V] complex; returns violation strings.
 
@@ -530,19 +541,18 @@ def _slot(on_u, d1, d2):
 def paired_basis(C, side):
     """Change of basis putting the side-differential into paired form.
 
-    The side must be U or V.  Then C is checked by ``validate``: on any
-    violation it raises ``InvalidComplexError`` listing what ``validate(C)``
-    lists.  ``validate`` reads no grading table, so the certificate
-    checker, which pairs its target here, reads none either.  Then
-    ``_column_pairing``, which raises ValueError (``paired_basis needs a
-    reduced complex``) unless C is reduced.  A complex that already passed
-    ``validate`` is paired by ``_column_pairing`` alone, not checked twice.
+    The side must be U or V.  Then C is checked by ``_require_valid``: on
+    any violation it raises ``InvalidComplexError`` listing what
+    ``validate(C)`` lists.  ``validate`` reads no grading table, so the
+    certificate checker, which pairs its target here, reads none either.
+    Then ``_column_pairing``, which raises ValueError (``paired_basis needs
+    a reduced complex``) unless C is reduced.  A complex that already
+    passed ``validate`` is paired by ``_column_pairing`` alone, through
+    ``_knotlike_bases``, not checked twice.
     """
     if side not in (Side.U, Side.V):
         raise ValueError("side must be U or V")
-    bad = validate(C)
-    if bad:
-        raise InvalidComplexError(bad)
+    _require_valid(C)
     return _column_pairing(C, side)
 
 
@@ -574,8 +584,14 @@ def _column_pairing(C, side):
     otherwise only generators of its grading and lower index: the basis is
     unitriangular.  The entry loop holds the one reducedness check: a
     scalar entry raises ValueError (``paired_basis needs a reduced
-    complex``).  Nothing else is checked: callers pass complexes that
-    passed ``validate``, or ``paired_basis``'s call of it.
+    complex``).  Nothing else is checked: its two callers,
+    ``paired_basis`` and ``_knotlike_bases``, pass complexes that passed
+    ``_require_valid``.
+
+    Each pair joins generators of opposite gr1 parity: an arrow's grading
+    is (1, 1) plus a side monomial's, which is even.  So a side whose only
+    unpaired generator is t has t in the larger gr1 parity class, and the
+    two towers of a knotlike complex share one parity.
     """
     on_u = side is Side.U
     gr = [(g1, g2) for _nm, (g1, g2) in C.generators]
@@ -670,52 +686,46 @@ def quotient_homology(C, side):
     return QuotientHomology(side, len(pb.unpaired), towers, tuple(torsion))
 
 
-def _knotlike_shift(C, pb_u, pb_v):
-    """The normalizing shift read off both sides' pairings, or None.
+def _knotlike_bases(C, what="complex"):
+    """Both sides' paired bases (U, V) of a valid knotlike complex, and its normalizing shift.
 
-    ``pb_u`` and ``pb_v`` are paired bases, from ``paired_basis`` or
-    straight from ``_column_pairing``; only their unpaired indices are read.  The
-    shift is None unless each side has a single tower; subtracting it
-    puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0.
+    Each side is paired once by the column reduction alone, U then V: the
+    caller has checked C by ``_require_valid``, and the reduction's entry
+    loop rejects an unreduced complex with ``paired_basis``'s message.
+    Unless each side has a single tower it raises NotKnotlikeError, whose
+    message names C by ``what`` and both tower counts, e.g. ``complex is
+    not knotlike: 2 towers on side U, 2 on side V``.  Subtracting the shift
+    puts the U-side tower in gr2 = 0 and the V-side tower in gr1 = 0; its
+    components share one parity (see ``_column_pairing``).
     """
+    pb_u, pb_v = _column_pairing(C, Side.U), _column_pairing(C, Side.V)
     if len(pb_u.unpaired) != 1 or len(pb_v.unpaired) != 1:
-        return None
-    shift = (C.gr(pb_v.unpaired[0])[0], C.gr(pb_u.unpaired[0])[1])
-    if (shift[0] - shift[1]) % 2:
-        raise NotKnotlikeError("tower gradings have mixed parity; complex is malformed")
-    return shift
-
-
-def _require_knotlike(C, pb_u, pb_v, what="complex"):
-    """``_knotlike_shift`` of a knotlike complex; raises NotKnotlikeError naming both tower counts.
-
-    ``what`` names the complex in the message, e.g. ``complex is not
-    knotlike: 2 towers on side U, 2 on side V``.
-    """
-    shift = _knotlike_shift(C, pb_u, pb_v)
-    if shift is None:
         raise NotKnotlikeError(
             "%s is not knotlike: %d towers on side U, %d on side V"
             % (what, len(pb_u.unpaired), len(pb_v.unpaired))
         )
-    return shift
+    return pb_u, pb_v, (C.gr(pb_v.unpaired[0])[0], C.gr(pb_u.unpaired[0])[1])
 
 
 def is_knotlike(C):
     """Single-tower test on both sides, plus the normalizing grading shift.
 
-    Returns (flag, shift); the shift is None when the complex is not knotlike.
-    Side U is paired by ``paired_basis``, so a complex ``validate`` rejects
-    fails with its violations, and side V, then known valid, by
-    ``_column_pairing`` alone.
+    Returns (flag, shift); the shift is None when the complex is not
+    knotlike.  C is checked by ``_require_valid``, so a complex
+    ``validate`` rejects fails with its violations, and then paired by
+    ``_knotlike_bases``.
     """
-    shift = _knotlike_shift(C, paired_basis(C, Side.U), _column_pairing(C, Side.V))
-    return shift is not None, shift
+    _require_valid(C)
+    try:
+        return True, _knotlike_bases(C)[2]
+    except NotKnotlikeError:
+        return False, None
 
 
 def normalize(C):
-    """Apply the unique knotlike normalization shift; the sides are paired as in ``is_knotlike``."""
-    shift = _require_knotlike(C, paired_basis(C, Side.U), _column_pairing(C, Side.V))
+    """Apply the unique knotlike normalization shift; C is checked and paired as in ``is_knotlike``."""
+    _require_valid(C)
+    shift = _knotlike_bases(C)[2]
     if shift == (0, 0):
         return C
     return shift_gradings(C, shift)

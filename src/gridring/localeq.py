@@ -60,20 +60,17 @@ equals the one a from-scratch solve returns.
 
 from . import _gf2
 from .complexes import (
-    InvalidComplexError,
-    NotKnotlikeError,
-    _column_pairing,
     _entry_fault,
     _key_ok,
+    _knotlike_bases,
     _part_bits,
     _part_products,
-    _require_knotlike,
+    _require_valid,
     paired_basis,
     reduce,
     shift_gradings,
     side_rows,
     tower_functional,
-    validate,
 )
 from .ring import (
     RingId,
@@ -134,32 +131,16 @@ class ExtantSet(_Record):
         return self.u_coeffs if side is Side.U else self.v_coeffs
 
 
-def _require_valid(C):
-    """Raise InvalidComplexError unless ``validate`` passes."""
-    bad = validate(C)
-    if bad:
-        raise InvalidComplexError(bad)
-
-
-def _knotlike_pairings(C, what="complex"):
-    """Both sides' paired bases (U, V) and the shift of a valid, knotlike complex.
-
-    Both come from the one column reduction, ``complexes._column_pairing``,
-    U first, without ``paired_basis``'s second run of ``validate``'s
-    rules: every caller has validated C.  The reduction's entry loop
-    rejects an unreduced complex with ``paired_basis``'s message.  Side
-    V's change of basis gives the tower functional; of side U only the
-    tower count, tower grading and pairs are read.  The shift comes from
-    ``complexes._require_knotlike``, whose NotKnotlikeError names ``what``.
-    """
-    pb_u = _column_pairing(C, Side.U)
-    pb_v = _column_pairing(C, Side.V)
-    return pb_u, pb_v, _require_knotlike(C, pb_u, pb_v, what)
-
-
 def _require_normalized(C, what):
-    """``_knotlike_pairings`` (U side, V side) of a valid, knotlike, normalized complex."""
-    pb_u, pb_v, shift = _knotlike_pairings(C, what)
+    """Both sides' paired bases (U, V) of a valid, knotlike, normalized complex.
+
+    The gate of ``standardize``, ``extant_coefficients`` and
+    ``find_local_map``: C is checked by ``complexes._require_valid`` and
+    paired by ``complexes._knotlike_bases``, whose NotKnotlikeError names
+    ``what``; a knotlike shift other than (0, 0) raises ValueError.
+    """
+    _require_valid(C)
+    pb_u, pb_v, shift = _knotlike_bases(C, what)
     if shift != (0, 0):
         raise ValueError("%s must be normalized; apply the knotlike shift %s first" % (what, shift))
     return pb_u, pb_v
@@ -174,9 +155,7 @@ def extant_coefficients(C):
     (short) local map can use.  The complex must be valid, reduced,
     knotlike and normalized.
     """
-    _require_valid(C)
-    pb_u, pb_v = _require_normalized(C, "complex")
-    return _extant(C, pb_u, pb_v)
+    return _extant(C, *_require_normalized(C, "complex"))
 
 
 def _extant(C, pb_u, pb_v):
@@ -477,7 +456,6 @@ def find_local_map(spec, target, kind="full"):
     """
     if kind not in ("full", "short"):
         raise ValueError("kind must be 'full' or 'short'")
-    _require_valid(target)
     _pb_u, pb_v = _require_normalized(target, "target")
     if spec.ring is not target.ring:
         raise ValueError("spec and target live over different rings")
@@ -558,7 +536,7 @@ def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     if tgt_w is None:
         try:
             tgt_w, _em = tower_functional(paired_basis(tgt, Side.V))
-        except (NotKnotlikeError, ValueError) as exc:
+        except ValueError as exc:
             out.append("target tower not available: %s" % exc)
             return out
     if _tower_coefficient(cert.matrix, src_mask, tgt_w) != 1:
@@ -607,16 +585,15 @@ def standardize(C, trace=None):
     is sorted once.  A probe only eliminates; the stopping probe alone is
     back-substituted, into the forward certificate, and only the returned
     spec is realized.
-    C's sides are paired once each by the column reduction alone
-    (``_knotlike_pairings``), relying on the validation rather than
-    ``paired_basis``'s second run of its rules.  Side V's change of basis
+    C is validated once and its sides paired once each by the column
+    reduction alone (``_require_normalized``), rather than by
+    ``paired_basis``'s second run of the checks.  Side V's change of basis
     gives the tower functional; the forward check reads the functional the
     search solved against.  Side U gives only its tower and its pairs, for
     the knotlike check and the extant pool.
     ``trace``, when given, receives one ``(step, parameter or
     None, feasible)`` tuple per probe, in probe order.
     """
-    _require_valid(C)
     return _standardize(C, *_require_normalized(C, "complex"), trace)
 
 
@@ -679,15 +656,16 @@ def standard_representative(C):
 
     Returns (spec, forward cert, backward cert, applied shift), the shift
     being the reduced complex's knotlike normalization; shifting the input's
-    gradings changes only that shift.  Validation runs once, and so does
-    the column reduction of each side of the reduced complex
-    (``_knotlike_pairings``), with no second check; side U's tower grading
-    gives the shift's second component.  Only the backward check's fresh
-    basis of the standard representative goes through ``paired_basis``.
+    gradings changes only that shift.  Validation runs once
+    (``complexes._require_valid``), and so does the column reduction of
+    each side of the reduced complex (``complexes._knotlike_bases``), with
+    no second check; side U's tower grading gives the shift's second
+    component.  Only the backward check's fresh basis of the standard
+    representative goes through ``paired_basis``.
     """
     _require_valid(C)
     C = reduce(C)
-    pb_u, pb_v, shift = _knotlike_pairings(C)
+    pb_u, pb_v, shift = _knotlike_bases(C)
     # a grading shift moves no pivot, pair, basis row or side exponent, and
     # neither pairing stores gradings, so both serve the shifted complex
     spec, fwd, back = _standardize(shift_gradings(C, shift), pb_u, pb_v)

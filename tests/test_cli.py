@@ -387,10 +387,10 @@ class TestCli:
     def test_standardize_validates_once(self, capsys, tmp_path, monkeypatch):
         # the library's validation is the document check, not a second pass;
         # the only other check is the certificate checker's of its own
-        # target, the realized answer
+        # target, the realized answer.  Both run in complexes, whose
+        # _require_valid is the library's one gate
         import gridring.cli
         import gridring.complexes
-        import gridring.localeq
 
         calls = []
         original = gridring.complexes.validate
@@ -399,7 +399,7 @@ class TestCli:
             calls.append(C)
             return original(C)
 
-        for module in (gridring.cli, gridring.complexes, gridring.localeq):
+        for module in (gridring.cli, gridring.complexes):
             monkeypatch.setattr(module, "validate", counting)
         cable = self.emit_file(capsys, tmp_path, "cable.json", "example", "cable")
         code, out, err = invoke(capsys, "--json", "standardize", str(cable))

@@ -1437,6 +1437,66 @@ def _scrambled_padded_products(pool):
         yield shuffle_generators(mixed, rng), rng
 
 
+def _random_valid(rng, ring):
+    """A random valid complex over ``ring``, unreduced and not normalized.
+
+    A product of two realized random specs, now and then summed with a
+    third (two towers a side), padded, scrambled, with its generators
+    shuffled and its gradings shifted by an even or odd amount.
+    """
+    C = tensor(realize(random_spec(rng, ring)), realize(random_spec(rng, ring)))
+    if not rng.randrange(3):
+        C = direct_sum(C, realize(random_spec(rng, ring)))
+    C = scramble(pad(C, rng, rng.randint(0, 4)), rng, n_ops=2 * C.n_gens())
+    s = rng.randint(-3, 3)
+    return shift_gradings(shuffle_generators(C, rng), (s, s + 2 * rng.randint(-2, 2)))
+
+
+class TestTowerParity:
+    """The parity fact that makes the towers of a knotlike complex share one parity.
+
+    Each pair of the column reduction joins generators of opposite gr1
+    parity, since an arrow's grading is (1, 1) plus an even one.  So a side
+    with a single tower has it in the larger gr1 parity class, the same
+    class on both sides, and the normalizing shift's components agree in
+    parity.
+    """
+
+    def _cases(self, pool):
+        """Valid reduced complexes: the pool, pool products, scrambled padded
+        products and random complexes over X and R."""
+        realized = [realize(spec) for spec in pool]
+        yield from realized
+        yield from (tensor(A, B) for A in realized for B in realized)
+        for mixed, _rng in _scrambled_padded_products(pool):
+            yield reduce(mixed)
+        rng = random.Random(79)
+        for ring in (RingId.X, RingId.R):
+            for _ in range(40):
+                yield reduce(_random_valid(rng, ring))
+
+    def test_pairs_join_opposite_gr1_parities(self, pool):
+        rings = set()
+        for C in self._cases(pool):
+            assert validate(C) == [] and is_reduced(C)
+            rings.add(C.ring)
+            for side in (Side.U, Side.V):
+                for y, z, _order in _column_pairing(C, side).pairs:
+                    assert (C.gr(y)[0] - C.gr(z)[0]) % 2 == 1
+        assert rings == {RingId.X, RingId.R}
+
+    def test_knotlike_shift_components_share_parity(self, pool):
+        seen = set()
+        for C in self._cases(pool):
+            ok, shift = is_knotlike(C)
+            if ok:
+                assert (shift[0] - shift[1]) % 2 == 0
+            seen.add((C.ring, ok, shift[0] % 2 if ok else None))
+        # both rings, both parities and complexes with two towers a side
+        assert {(ring, True, p) for ring in RingId for p in (0, 1)} <= seen
+        assert {(ring, False, None) for ring in RingId} <= seen
+
+
 def _reference_quotient_homology(C, side):
     """``quotient_homology`` read off ``reference_paired_basis``'s gradings."""
     pb = reference_paired_basis(C, side)

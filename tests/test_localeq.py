@@ -1360,7 +1360,8 @@ class TestStandardize:
         # The validated input's sides are paired once each, U then V, by the
         # column reduction without paired_basis's checks, the V side handed
         # shifted to the tower; the paired basis runs that same reduction
-        # after its checks, so it eliminates U, V, V
+        # after its checks, so it eliminates U, V, V.  Every reduction is
+        # called from complexes, by _knotlike_bases or paired_basis
         import gridring.complexes
         import gridring.localeq
 
@@ -1379,28 +1380,30 @@ class TestStandardize:
         # every paired basis goes through the public paired_basis
         for module in (gridring.complexes, gridring.localeq):
             monkeypatch.setattr(module, "paired_basis", counting)
-            monkeypatch.setattr(module, "_column_pairing", counting_columns)
+        monkeypatch.setattr(gridring.complexes, "_column_pairing", counting_columns)
         cable = reduce(base_change(example_cable()))
         standard_representative(tensor(cable, cable))
         assert calls == [Side.V]
         assert pairings == [Side.U, Side.V, Side.V]
 
     def test_validated_once(self, monkeypatch):
-        # reduce is a homotopy equivalence, so its output needs no second check
-        import gridring.localeq
+        # reduce is a homotopy equivalence, so its output needs no second
+        # check: the input is validated once, and the only other validation
+        # is paired_basis's of the realized answer, for the backward check
+        import gridring.complexes
 
         calls = []
-        original = gridring.localeq.validate
+        original = gridring.complexes.validate
 
         def counting(C):
             calls.append(C)
             return original(C)
 
-        monkeypatch.setattr(gridring.localeq, "validate", counting)
+        monkeypatch.setattr(gridring.complexes, "validate", counting)
         cable = reduce(base_change(example_cable()))
         C = tensor(cable, cable)
-        standard_representative(C)
-        assert calls == [C]
+        spec = standard_representative(C)[0]
+        assert calls == [C, realize(spec)]
 
     def test_termination_guard_via_certificates(self):
         # certificates returned by standardize always verify; a complex with

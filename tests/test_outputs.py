@@ -19,7 +19,9 @@ Regenerate both files, only for an intended change of output, with
 ``PYTHONPATH=src:bench python tests/test_outputs.py``.
 
 The benchmark's tracer (``bench/tracing.py``) looks up the library's entry
-points by name, so every name it traces must exist.
+points by name, so every name it traces must exist, and ``bench/selftest.py``
+needs ``localeq`` to bind ``paired_basis`` and ``realize`` and a traced
+standardization to call ``paired_basis``.
 """
 
 import contextlib
@@ -32,11 +34,13 @@ import pathlib
 import random
 import tempfile
 
+import gridring
 from conftest import POOL_TEXTS, random_spec
 from corpus import inputs
-from gridring import RingId, cli, io_json, parse_spec, report, standard_representative
+from gridring import RingId, base_change, cli, complexes, example_cable, io_json, localeq, \
+    parse_spec, report, standard, standard_representative
 from gridring.localeq import LocalMapCert
-from tracing import TRACED
+from tracing import TRACED, Tracer
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "corpus_digests.json"
 REPORTS = pathlib.Path(__file__).parent / "data" / "report_digests.json"
@@ -123,6 +127,20 @@ def test_traced_names_exist():
         missing = [name for name in names if not callable(getattr(mod, name, None))]
         assert missing == [], "gridring.%s lacks %s" % (module, missing)
     assert callable(getattr(LocalMapCert, "to_json", None))
+
+
+def test_selftest_library_hooks():
+    # bench/selftest.py asks two things of the library that no other test
+    # here checks; bench/ changes wait for ROADMAP item 10, so a library
+    # change that breaks either must fail here first
+    why = "bench/selftest.py line %d fails; changing bench/ is ROADMAP item 10"
+    for name, fn in (("paired_basis", complexes.paired_basis), ("realize", standard.realize)):
+        assert vars(localeq).get(name) is fn, "gridring.localeq binds no %s: %s" % (name, why % 102)
+    tracer = Tracer(gridring)
+    with tracer.installed():
+        localeq.standard_representative(base_change(example_cable()))
+    names = [span[0] for span in tracer.spans]
+    assert "complexes.paired_basis" in names, "no paired_basis call traced: %s" % (why % 131)
 
 
 if __name__ == "__main__":
