@@ -44,7 +44,7 @@ def _read_complex(path, base=None):
     return C, dy
 
 
-def _load_complex(path, base=None):
+def _load_complex(path, base):
     """A validated complex from a document, base-changed into X once."""
     C, dy = _read_complex(path, base)
     bad = validate(C)

@@ -63,13 +63,10 @@ class _Generators(_Record):
 class FreeComplex(_Generators):
     """A complex over a grid ring; ``diff`` maps (from, to) to a nonzero ``RingElem``.
 
-    An omitted ``diff`` is a fresh ``{}``.
+    It builds through the shared record constructor, so ``diff`` is required.
     """
 
     __slots__ = ("ring", "generators", "diff")
-
-    def __init__(self, ring, generators, diff=None):
-        super().__init__(ring, generators, {} if diff is None else diff)
 
 
 class FUVComplex(_Generators):
@@ -506,23 +503,6 @@ class PairedBasis(_Record):
     __slots__ = ("side", "basis", "pairs", "unpaired")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-
-def side_rows(C, side):
-    """Per generator, ``{target: side exponent}`` of its arrows on one side.
-
-    An arrow with no part on ``side`` is absent; each dict keeps the order
-    of ``C.diff``.  Each entry's side part is read once and unpacked as its
-    single exponent, so ``C`` must pass ``validate``: its one caller,
-    ``localeq._Target``, gets validated complexes only.
-    """
-    rows = [{} for _ in range(C.n_gens())]
-    on_u = side is Side.U
-    for (a, b), e in C.diff.items():
-        part = e.u if on_u else e.v
-        if part:
-            (rows[a][b],) = part
-    return rows
 
 
 @functools.cache

@@ -69,7 +69,6 @@ from .complexes import (
     paired_basis,
     reduce,
     shift_gradings,
-    side_rows,
     tower_functional,
 )
 from .ring import (
@@ -253,7 +252,9 @@ class _Layout:
 class _Target:
     """The tables every system into one target complex reads, built once.
 
-    ``out[t]`` is the target's ``side_rows`` table of side t (1: U, 2: V).
+    ``out[t][j]`` lists, in the order of ``C.diff``, the generators that
+    j's arrows with a part on side t (1: U, 2: V) reach; one pass over
+    ``C.diff`` builds both sides.  The arrows' exponents are not read.
     ``grades`` lists the target's distinct gradings and ``grade_of[j]`` is
     the index of generator j's.  ``layout(G)`` is the ``_Layout`` of a source
     generator of (shifted) grading G, memoized per grading.
@@ -261,7 +262,13 @@ class _Target:
 
     def __init__(self, C):
         self.ring = C.ring
-        self.out = (None, side_rows(C, Side.U), side_rows(C, Side.V))
+        out_u, out_v = [[] for _ in range(C.n_gens())], [[] for _ in range(C.n_gens())]
+        for (a, b), e in C.diff.items():
+            if e.u:
+                out_u[a].append(b)
+            if e.v:
+                out_v[a].append(b)
+        self.out = (None, out_u, out_v)
         index = {}
         self.grade_of = [index.setdefault(C.gr(j), len(index)) for j in range(C.n_gens())]
         self.grades = list(index)
@@ -473,12 +480,16 @@ def find_local_map(spec, target, kind="full"):
 def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     """Independent verification of a certificate; returns violation strings, never raises.
 
-    Each key must be a tuple of two generator indices in range
-    (``complexes._key_ok``); a key that is not is reported alone, since
-    every other check indexes its generators.  Each entry must then pass
-    ``validate``'s entry rule (``complexes._entry_fault``) at its expected
-    grading: a nonzero ``RingElem`` whose scalar is the int 0 or 1, in the
-    ring, homogeneous and of that grading.  The entry violations are
+    First ``cert`` must be a ``LocalMapCert``, else that is the one
+    violation; its ``kind`` must be ``"full"`` or ``"short"``, its
+    ``matrix`` a dict and its ``gr2shift`` an int (a bool is the int it
+    subclasses).  Each field that is not is one violation, and these are
+    reported alone.  Each key must be a tuple of two generator indices in
+    range (``complexes._key_ok``); a key that is not is reported alone,
+    since every other check indexes its generators.  Each entry must then
+    pass ``validate``'s entry rule (``complexes._entry_fault``) at its
+    expected grading: a nonzero ``RingElem`` whose scalar is the int 0 or
+    1, in the ring, homogeneous and of that grading.  The entry violations are
     reported alone too, as ``validate`` forms d^2 only on valid entries:
     the chain-map identities (minus the dropped condition for short
     certificates) and locality read the entries' parts.  The chain defect
@@ -498,10 +509,25 @@ def check_certificate(src, tgt, cert, src_mask=1, tgt_w=None):
     its input, and a realized spec is valid by construction).  The checker
     stays independent of the code that produced the certificate: the
     solver builds its entries from the ring's grading table and ``_gf2``,
-    and this check reads neither; the entry rule works on the entries'
-    scalars and exponents, and ``validate``, which checks the target in
-    ``paired_basis``, on them and the arrows' gradings.
+    and this check's own code reads neither; the entry rule works on the
+    entries' scalars and exponents, and ``validate``, which checks the
+    target in ``paired_basis``, on them and the arrows' gradings.  Only
+    when ``tgt_w`` is None does it reach ``_gf2``: ``tower_functional``
+    solves through ``_gf2.solve_unit``.
     """
+    if not isinstance(cert, LocalMapCert):
+        return ["certificate is %s, not a LocalMapCert" % _brief(cert)]
+    out = [
+        "certificate %s is %s, not %s" % (name, _brief(value), want)
+        for name, value, ok, want in (
+            ("kind", cert.kind, cert.kind in ("full", "short"), "'full' or 'short'"),
+            ("matrix", cert.matrix, isinstance(cert.matrix, dict), "a dict"),
+            ("gr2shift", cert.gr2shift, isinstance(cert.gr2shift, int), "an int"),
+        )
+        if not ok
+    ]
+    if out:
+        return out
     n_src, n_tgt = src.n_gens(), tgt.n_gens()
     out = [
         "entry %s out of range" % _brief(key)

@@ -36,16 +36,15 @@ class _Record:
     The shared ``__init__`` takes the fields positionally or by keyword, in
     ``__slots__`` order, and raises ``TypeError`` naming the class and the
     field on too many arguments, a missing field, a field given twice or an
-    unknown keyword.  Five records write their own ``__init__``.
+    unknown keyword.  Four records write their own ``__init__``.
     ``RingElem``, ``Monomial`` and ``SignedParam`` set their fields with
     ``object.__setattr__``: they are built on the hot path, where the
     shared one measured 5-11% slower per small standardization (with
     ``Monomial`` on it, search-long ``latency_p50_s`` was slower in 5 of 6
     paired runs) and about twice as slow per ``SignedParam``, built once
-    per probe.  ``FreeComplex``, which gives a fresh ``{}`` when ``diff``
-    is omitted, and ``StandardSpec``, which checks its ring and its
-    parameters, pass their fields on to the shared one.  The records left
-    on it are built off the hot path.
+    per probe.  ``StandardSpec``, which checks its ring and its
+    parameters, passes its fields on to the shared one.  Every other
+    record, ``FreeComplex`` among them, builds through the shared one.
 
     Records compare equal, and hash, by their fields' values (``_fields``,
     a tuple unless there is one field); a record of another class is never
@@ -143,14 +142,15 @@ def _exps_ok(ring, exps):
     subclasses, in the region off the origin: j > 0 (ring X only), or
     j == 0 < i.  Anything else, a float, a str, a 3-tuple, a frozenset or
     ``exps`` itself not iterable, gives False.  This is the one membership
-    rule: ``in_region``, ``monomial_ok``, ``elem_ok``, ``param_ok`` and
-    ``_side_exp`` (the inverse of ``_grading`` that the grading tables,
-    ``complexes._slot`` and ``complexes._square_defects`` call) apply it.  One copy stays written out
-    where a call per pair measured slower: ``localeq._extant``'s region
-    test (380 to 640 us per search-long input).  ``complexes.validate``
-    first tests each exponent against its arrow's grading: a tuple of ints
-    equal to that grading's side exponent, which it tests for the region
-    written out, so an exponent it passes passes this rule.
+    rule: ``in_region``, ``elem_ok``, ``param_ok`` and ``_side_exp``
+    (the inverse of ``_grading`` that the grading tables,
+    ``complexes._slot`` and ``complexes._square_defects`` call) apply it.
+    One copy stays written out where a call per pair measured slower:
+    ``localeq._extant``'s region test (380 to 640 us per search-long
+    input).  ``complexes.validate`` first tests each exponent against its
+    arrow's grading: a tuple of ints equal to that grading's side exponent,
+    which it tests for the region written out, so an exponent it passes
+    passes this rule.
     """
     over_r = ring is RingId.R
     try:
@@ -211,7 +211,7 @@ class Monomial(_Record):
 
     __slots__ = ("side", "exp")
 
-    def __init__(self, side, exp=(0, 0)):
+    def __init__(self, side, exp):
         _set(self, "side", side)
         _set(self, "exp", exp)
 
@@ -228,13 +228,6 @@ def u_mono(i, j=0):
 
 def v_mono(i, j=0):
     return Monomial(Side.V, (i, j))
-
-
-def monomial_ok(ring, m):
-    """Validity of a monomial in the given ring."""
-    if m.side is Side.ONE:
-        return m.exp == (0, 0)
-    return _exps_ok(ring, [m.exp])
 
 
 def mono_grading(m):

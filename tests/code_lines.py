@@ -1,9 +1,11 @@
-"""Code lines and unused imports of ``src/gridring``.
+"""Code lines, unused imports and unread private names of ``src/gridring``.
 
 Prints the code lines of each module and their total, without blank lines,
-comments or docstrings, then every name a module imports and never reads;
-the imports of ``__init__.py`` are the public re-exports.  Exits 1 if a
-module has an unused import, else 0 (the line count is reported only).
+comments or docstrings, then every name a module imports and never reads
+(the imports of ``__init__.py`` are the public re-exports), then every
+private top-level name (``_x``) that no module of the package reads, an
+import of it counting as a read.  Exits 1 if a module has an unused import
+or a private name is unread, else 0 (the line count is reported only).
 
 Run from the repository root: ``python3 tests/code_lines.py``.
 """
@@ -40,11 +42,34 @@ def unused_imports(path, text):
     return bad
 
 
+def unread_private(modules):
+    """One message per private top-level name of ``modules``, (path, text) pairs, that none reads."""
+    read, defined = set(), []
+    for path, text in modules:
+        tree = ast.parse(text)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path, n.lineno, n.id) for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)]
+    return ["%s:%d defines %s, never read" % d for d in defined
+            if d[2].startswith("_") and not d[2].startswith("__") and d[2] not in read]
+
+
 def main():
     total = 0
     bad = []
+    modules = []
     for path in sorted(pathlib.Path("src/gridring").glob("*.py")):
         text = path.read_text(encoding="utf-8")
+        modules.append((path, text))
         n = code_lines(text)
         total += n
         print("%6d  %s" % (n, path.name))
@@ -52,7 +77,9 @@ def main():
             bad += unused_imports(path, text)
     print("%6d  total" % total)
     print("\n".join(bad) or "no unused imports")
-    return 1 if bad else 0
+    unread = unread_private(modules)
+    print("\n".join(unread) or "no unread private names")
+    return 1 if bad or unread else 0
 
 
 if __name__ == "__main__":

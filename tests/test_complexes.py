@@ -39,8 +39,8 @@ from gridring.complexes import (
     _square_defects,
     fuv_image,
     shift_gradings,
-    side_rows,
 )
+from gridring.localeq import _Target
 from gridring.ring import (
     MONO_ONE,
     Monomial,
@@ -415,6 +415,8 @@ def reference_side_rows(C, side):
 
 
 class TestSideRows:
+    """``localeq._Target``'s successor lists against ``reference_side_rows``."""
+
     def _corpus(self):
         """The seed-1 inputs of the three benchmark workloads, and the reduced library ones."""
         for case in inputs("search-long", 1) + inputs("wide-trivial", 1):
@@ -424,20 +426,19 @@ class TestSideRows:
             yield io_json.document_to_complex(case.doc)[0]
 
     def test_corpus_matches_reference(self):
+        # out[t][j] lists the keys of generator j's reference row on side t,
+        # in the order of C.diff
         n = 0
         for C in self._corpus():
-            for side in (Side.U, Side.V):
-                got = side_rows(C, side)
-                want = reference_side_rows(C, side)
-                assert got == want
-                # each dict keeps the order of C.diff
-                assert [list(row) for row in got] == [list(row) for row in want]
+            out = _Target(C).out
+            for t, side in ((1, Side.U), (2, Side.V)):
+                assert out[t] == [list(row) for row in reference_side_rows(C, side)]
                 n += 1
         assert n > 400
 
     def test_two_monomials_on_one_side_rejected(self):
-        # validate rejects the entry, so side_rows, which reads validated
-        # complexes only, never meets it; the reference names it
+        # validate rejects the entry, and the reference names it; the
+        # target reads no exponent, only which sides an arrow has
         e = RingElem(0, frozenset({(1, 0), (2, 0)}), frozenset({(1, 0)}))
         C = FreeComplex(RingId.X, (("a", (0, 0)), ("b", (3, 1))), {(0, 1): e})
         assert validate(C) != []
@@ -445,7 +446,8 @@ class TestSideRows:
             "side U part frozenset({(1, 0), (2, 0)}) at (0, 1) must be a single monomial")
         with pytest.raises(ValueError, match=message):
             reference_side_rows(C, Side.U)
-        assert side_rows(C, Side.V) == [{1: (1, 0)}, {}]
+        assert reference_side_rows(C, Side.V) == [{1: (1, 0)}, {}]
+        assert _Target(C).out == (None, [[1], []], [[1], []])
 
 
 # anything a library caller may pass: ints of any size, floats, bools, None and strs
@@ -637,7 +639,7 @@ class TestValidate:
     def test_values_past_the_digit_limit_print_as_digit_counts(self, int_digit_limit):
         # repr of these values raises ValueError; validate prints digit counts
         big = 10**5000
-        bad = validate(FreeComplex(RingId.X, (("a", (big + 1, 0)),)))
+        bad = validate(FreeComplex(RingId.X, (("a", (big + 1, 0)),), {}))
         assert bad == ["generator a has gradings of mixed parity (<5001 digits>, 0)"]
         assert len(bad) == 1 and len(bad[0]) <= 80
         gens = (("a", (0, 0)), ("b", (-1, -1)))
@@ -703,11 +705,11 @@ class TestValidate:
             with pytest.raises(InvalidComplexError, match="not a pair of ints"):
                 standard_representative(C)
         long = tuple(range(40))
-        assert validate(FreeComplex(RingId.X, (("a", long),))) == [
+        assert validate(FreeComplex(RingId.X, (("a", long),), {})) == [
             "generator a has gradings %s..., not a pair of ints" % repr(long)[:77]
         ]
-        assert validate(FreeComplex(RingId.X, (("a", (True, True)), ("b", [0, 0])))) == []
-        assert validate(FreeComplex(RingId.X, (("a", (True, False)),))) == [
+        assert validate(FreeComplex(RingId.X, (("a", (True, True)), ("b", [0, 0])), {})) == []
+        assert validate(FreeComplex(RingId.X, (("a", (True, False)),), {})) == [
             "generator a has gradings of mixed parity (True, False)"
         ]
 
@@ -766,19 +768,19 @@ class TestValidate:
             assert not bad
 
     def test_ring_of_another_type(self):
-        C = FreeComplex("X", (("a", (0, 0)),))
+        C = FreeComplex("X", (("a", (0, 0)),), {})
         assert validate(C) == ["ring is 'X', not a RingId"]
         with pytest.raises(InvalidComplexError, match="^invalid complex: ring is 'X', not a RingId$"):
             standard_representative(C)
 
     def test_generators_of_another_type(self):
         for gens in (None, "ab", {"a": (0, 0)}):
-            C = FreeComplex(RingId.X, gens)
+            C = FreeComplex(RingId.X, gens, {})
             assert validate(C) == ["generators is %s, not a tuple or list" % _brief(gens)]
             with pytest.raises(InvalidComplexError, match="generators is"):
                 standard_representative(C)
         # a list of records is a container like a tuple
-        assert validate(FreeComplex(RingId.X, [("a", (0, 0))])) == []
+        assert validate(FreeComplex(RingId.X, [("a", (0, 0))], {})) == []
 
     def test_diff_of_another_type(self):
         gens = (("a", (0, 0)), ("b", (-1, -1)))
@@ -800,7 +802,7 @@ class TestValidate:
         # one violation, never an exception; a range or a frozenset key
         # unpacks into two ints in range, but complex_to_document sorts the
         # keys, and only tuples sort
-        assert validate(FreeComplex(RingId.X, ("a",))) == [
+        assert validate(FreeComplex(RingId.X, ("a",), {})) == [
             "generator record 'a' is not a (str name, gradings) pair"
         ]
         for rec in [("a",), ("a", (0, 0), 1), 5, None, (1, (0, 0)), (("a",), (0, 0))]:
@@ -808,7 +810,7 @@ class TestValidate:
             assert validate(C) == ["generator record %s is not a (str name, gradings) pair" % _brief(rec)]
             with pytest.raises(InvalidComplexError, match="generator record"):
                 standard_representative(C)
-        C = FreeComplex(RingId.X, (("b", (0, 0)), ("b", (1, 1)), 5))
+        C = FreeComplex(RingId.X, (("b", (0, 0)), ("b", (1, 1)), 5), {})
         assert validate(C) == [
             "generator names are not unique",
             "generator record 5 is not a (str name, gradings) pair",

@@ -495,9 +495,7 @@ class TestFindLocalMap:
     def test_checker_reports_bad_entries(self):
         # an entry out of range, zero, outside the ring, inhomogeneous or of
         # another grading is a violation, not an exception
-        X = normalize(reduce(base_change(example_cable())))
-        spec, fwd, _back = standardize(X)
-        S = realize(spec)
+        S, X, fwd = _cable_forward()
         u1 = elem_from_mono(u_mono(1, 0))
         cases = [
             ((99, 0), u1, "entry (99, 0) out of range"),
@@ -560,7 +558,7 @@ class TestFindLocalMap:
             assert _short_skip(n) == (n, Side.U)
             assert check_certificate(realize(prefix), target, cert) == []
             matrix = {k: e for k, e in cert.matrix.items() if k != key}
-            assert check_certificate(realize(prefix), target, _with_matrix(cert, matrix)) == [
+            assert check_certificate(realize(prefix), target, _with_fields(cert, matrix=matrix)) == [
                 "chain condition fails at generator %d on side V" % n
             ]
 
@@ -690,8 +688,16 @@ def _pool_certificates():
     return out
 
 
-def _with_matrix(cert, matrix):
-    return LocalMapCert(cert.source, cert.target, cert.gr2shift, matrix, cert.kind)
+def _cable_forward():
+    """The cable's standard representative, the cable and its forward certificate."""
+    X = normalize(reduce(base_change(example_cable())))
+    spec, fwd, _back = standardize(X)
+    return realize(spec), X, fwd
+
+
+def _with_fields(cert, **fields):
+    """``cert`` with the given fields replaced."""
+    return LocalMapCert(**{**{name: getattr(cert, name) for name in cert.__slots__}, **fields})
 
 
 # scalars: ints of any size, floats, bools and a str
@@ -863,9 +869,7 @@ class TestCertificateCheck:
         # a scalar other than the int 0 or 1, an entry that is not a
         # RingElem, and a key that is not a tuple of two ints in range are
         # each one violation, never an exception
-        X = normalize(reduce(base_change(example_cable())))
-        spec, fwd, _back = standardize(X)
-        S = realize(spec)
+        S, X, fwd = _cable_forward()
         dropped = {k: e for k, e in fwd.matrix.items() if k != (2, 2)}
         for e, message in [
             (RingElem(scalar=3), "entry (2, 2) has scalar 3, not 0 or 1"),
@@ -879,11 +883,11 @@ class TestCertificateCheck:
             ("U[1,0]", "entry (2, 2) = 'U[1,0]' is not a RingElem"),
         ]:
             for matrix in ({**fwd.matrix, (2, 2): e}, {**dropped, (2, 2): e}):
-                assert check_certificate(S, X, _with_matrix(fwd, matrix)) == [message]
+                assert check_certificate(S, X, _with_fields(fwd, matrix=matrix)) == [message]
         free = next(j for j in range(X.n_gens()) if (0, j) not in fwd.matrix)
         for key in [0, (0, float(free)), (0,), (0, 1, 2), ("0", 0), range(0, 2), frozenset({0, 1})]:
             matrix = {**fwd.matrix, key: fwd.matrix[(2, 2)]}
-            assert check_certificate(S, X, _with_matrix(fwd, matrix)) == [
+            assert check_certificate(S, X, _with_fields(fwd, matrix=matrix)) == [
                 "entry %s out of range" % _brief(key)
             ]
 
@@ -899,7 +903,7 @@ class TestCertificateCheck:
         want = (src.gr(i)[0] - tgt.gr(j)[0], src.gr(i)[1] + cert.gr2shift - tgt.gr(j)[1])
         assert (want[0] - want[1]) % 2 == 0
         e = data.draw(_entries(tgt.ring, want))
-        got = check_certificate(src, tgt, _with_matrix(cert, {**cert.matrix, (i, j): e}))
+        got = check_certificate(src, tgt, _with_fields(cert, matrix={**cert.matrix, (i, j): e}))
         assert isinstance(got, list) and all(isinstance(line, str) for line in got)
         # an entry A -> B of a complex has grading gr(A) - gr(B) - (1, 1)
         gens = (("A", (0, 0)), ("B", (-want[0] - 1, -want[1] - 1)))
@@ -918,7 +922,7 @@ class TestCertificateCheck:
         src, tgt, cert = data.draw(st.sampled_from(_pool_certificates()))
         key = data.draw(_KEYS)
         matrix = {**cert.matrix, key: ONE_ELEM}
-        got = check_certificate(src, tgt, _with_matrix(cert, matrix))
+        got = check_certificate(src, tgt, _with_fields(cert, matrix=matrix))
         bad = [k for k in matrix if not _pair_of_ints_in(k, src.n_gens(), tgt.n_gens())]
         if bad:
             assert got == ["entry %s out of range" % _brief(k) for k in bad]
@@ -944,11 +948,77 @@ class TestCertificateCheck:
 
     def test_zero_tower_misses(self):
         # a functional of 0 is a given tower, not a missing one
-        X = normalize(reduce(base_change(example_cable())))
-        spec, fwd, _back = standardize(X)
-        assert check_certificate(realize(spec), X, fwd, tgt_w=0) == [
+        S, X, fwd = _cable_forward()
+        assert check_certificate(S, X, fwd, tgt_w=0) == [
             "image of the source tower misses the target tower"
         ]
+
+    def test_not_a_certificate(self):
+        # anything but a LocalMapCert is one violation, never an exception
+        S, X, fwd = _cable_forward()
+        fields = tuple(getattr(fwd, name) for name in fwd.__slots__)
+        for cert in (None, 5, fwd.matrix, fwd.to_json(), fields):
+            assert check_certificate(S, X, cert) == [
+                "certificate is %s, not a LocalMapCert" % _brief(cert)
+            ]
+
+    def test_kind_not_full_or_short(self):
+        # a kind other than "full" or "short" is one violation, not a full map
+        S, X, fwd = _cable_forward()
+        assert check_certificate(S, X, fwd) == []
+        for kind in ("bogus", None, "Full", ["full"], 1):
+            assert check_certificate(S, X, _with_fields(fwd, kind=kind)) == [
+                "certificate kind is %s, not 'full' or 'short'" % _brief(kind)
+            ]
+
+    def test_matrix_not_a_dict(self):
+        # the keys are never read from a matrix that is not a dict
+        S, X, fwd = _cable_forward()
+        for matrix in (None, [], 5, sorted(fwd.matrix.items())):
+            assert check_certificate(S, X, _with_fields(fwd, matrix=matrix)) == [
+                "certificate matrix is %s, not a dict" % _brief(matrix)
+            ]
+
+    def test_gr2shift_not_an_int(self):
+        # a float equal to an int is not one; a bool is the int it subclasses
+        S, X, fwd = _cable_forward()
+        for shift in ("0", None, float(fwd.gr2shift), str(fwd.gr2shift)):
+            assert check_certificate(S, X, _with_fields(fwd, gr2shift=shift)) == [
+                "certificate gr2shift is %s, not an int" % _brief(shift)
+            ]
+        for shift in (False, True):
+            got = check_certificate(S, X, _with_fields(fwd, gr2shift=shift))
+            assert got == check_certificate(S, X, _with_fields(fwd, gr2shift=int(shift)))
+        # each bad field is one violation: kind, then matrix, then gr2shift
+        bad = _with_fields(fwd, gr2shift=None, matrix=None, kind=None)
+        assert check_certificate(S, X, bad) == [
+            "certificate kind is None, not 'full' or 'short'",
+            "certificate matrix is None, not a dict",
+            "certificate gr2shift is None, not an int",
+        ]
+
+    def test_checker_code_calls_no_gf2(self, monkeypatch):
+        # given the tower functional, the checker solves nothing: with every
+        # _gf2 function raising, the seed-1 search-long certificates pass.
+        # Without it, tower_functional solves through _gf2.solve_unit
+        import inspect
+
+        calls = _recorded_checks(monkeypatch, "search-long", 1)
+        towers = [tower_functional(paired_basis(args[1], Side.V))[0] for args, _kw in calls]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("_gf2 was called")
+
+        names = {name for name, f in vars(_gf2).items() if inspect.isfunction(f)}
+        assert names == {"eliminate", "solve", "back_substitute", "solve_unit"}
+        for name in names:
+            monkeypatch.setattr(_gf2, name, unreachable)
+        for (args, kwargs), w in zip(calls, towers):
+            assert check_certificate(*args, **{**kwargs, "tgt_w": w}) == []
+        args, kwargs = calls[-1]
+        assert "tgt_w" not in kwargs  # the backward check
+        with pytest.raises(AssertionError, match="_gf2 was called"):
+            check_certificate(*args, **kwargs)
 
 
 def _all_feasible(monkeypatch):
@@ -1324,34 +1394,31 @@ class TestStandardize:
 
     @pytest.mark.parametrize("which", ["cable", "zhou3"])
     def test_target_edges_built_once(self, which, monkeypatch):
-        # side rows are read where they are used: once per side by the
-        # target of every trial, the input's, and once per side by the
-        # backward target, the standard representative's.  Both sides'
-        # pairings and the backward check's paired basis are column
-        # reductions, which read C.diff, and the forward check reuses the
-        # search's tower.  The backward solve reads the input's arrows from
-        # C.diff.
-        import gridring.complexes
+        # a target's arrows are read where they are used: one _Target, which
+        # reads both sides in one pass over C.diff, serves the input's every
+        # trial, and one the backward map into the standard representative.
+        # Both sides' pairings and the backward check's paired basis are
+        # column reductions, which read C.diff, and the forward check reuses
+        # the search's tower.  The backward solve reads the input's arrows
+        # from C.diff.
         import gridring.localeq
 
         built = []
-        original = gridring.complexes.side_rows
+        original = gridring.localeq._Target
 
-        def recording(C, side):
-            built.append((C, side))
-            return original(C, side)
+        class Recording(original):
+            def __init__(self, C):
+                built.append(C)
+                super().__init__(C)
 
         C = _search_input(which)
-        for module in (gridring.complexes, gridring.localeq):
-            monkeypatch.setattr(module, "side_rows", recording)
+        monkeypatch.setattr(gridring.localeq, "_Target", Recording)
         trace = []
         standardize(C, trace=trace)
         assert len(trace) > 3
-        others = {id(D) for D, _s in built if D is not C}
+        assert sum(1 for D in built if D is C) == 1
+        others = [D for D in built if D is not C]
         assert len(others) == 1  # the standard representative
-        for side, of_input, of_std in ((Side.U, 1, 1), (Side.V, 1, 1)):
-            assert sum(1 for D, s in built if D is C and s is side) == of_input
-            assert sum(1 for D, s in built if D is not C and s is side) == of_std
 
     def test_paired_bases_computed_once(self, monkeypatch):
         # per call: one fresh target basis for the backward check goes

@@ -33,7 +33,6 @@ from gridring.ring import (
     lattice_key,
     mono_grading,
     mono_text,
-    monomial_ok,
     param_key,
     param_ok,
     param_text,
@@ -351,7 +350,7 @@ class TestExponentKernels:
             for exp in grid:
                 want = reference_side_ok(ring, exp)
                 assert _exps_ok(ring, [exp]) is want, (ring, exp)
-                assert monomial_ok(ring, u_mono(*exp)) is want
+                assert _exps_ok(ring, [u_mono(*exp).exp]) is want
                 assert elem_ok(ring, RingElem(0, frozenset(), frozenset([exp]))) is want
                 assert param_ok(ring, SignedParam(Side.V, -1, exp)) is want
             assert _exps_ok(ring, grid) is False and _exps_ok(ring, []) is True
@@ -368,7 +367,7 @@ class TestExponentKernels:
             for exp in bad:
                 for exps in ([exp], [(1, 0), exp]):
                     assert _exps_ok(ring, exps) is False, (ring, exps)
-                assert monomial_ok(ring, Monomial(Side.U, exp)) is False
+                assert _exps_ok(ring, [Monomial(Side.U, exp).exp]) is False
                 assert param_ok(ring, SignedParam(Side.U, 1, exp)) is False
             for exps in (5, None, 1.5, [5], ["ab"]):
                 assert _exps_ok(ring, exps) is False
@@ -431,7 +430,7 @@ class TestGradingBasis:
                 if (g1, g2) != (0, 0):
                     assert len(basis) <= 1
                 for m in basis:
-                    assert monomial_ok(RingId.R, m) or m is MONO_ONE
+                    assert m is MONO_ONE or (m.side is not Side.ONE and _exps_ok(RingId.R, [m.exp]))
 
 
 class TestGradingTable:
@@ -549,8 +548,8 @@ class TestRecords:
         with pytest.raises(TypeError):
             hash(C)
         assert FreeComplex(C.ring, C.generators, dict(C.diff)) == C
-        empty = FreeComplex(RingId.X, ())
-        assert empty.diff == {} and empty.diff is not FreeComplex(RingId.X, ()).diff
+        empty = FreeComplex(RingId.X, (), {})
+        assert empty.diff == {} and empty.diff is not FreeComplex(RingId.X, (), {}).diff
         # a paired basis, like a certificate, is equal only to itself
         a, b = paired_basis(C, Side.U), paired_basis(C, Side.U)
         assert a == a and a != b and len({a, b}) == 2
@@ -571,7 +570,7 @@ def _record_classes():
 
 def _cold_records():
     """One of each record that builds through the shared constructor."""
-    from gridring.complexes import FUVComplex, PairedBasis, QuotientHomology
+    from gridring.complexes import FUVComplex, FreeComplex, PairedBasis, QuotientHomology
     from gridring.invariants import PhiTable, report
     from gridring.localeq import ExtantSet, LocalMapCert
     from gridring.standard import ShiftMap, make_spec
@@ -580,6 +579,7 @@ def _cold_records():
     rep = report(make_spec(RingId.X, [p, SignedParam(Side.V, -1, (1, 0))]))
     return [
         FUVComplex((("a", (0, 0)), ("b", (-1, -1))), {(0, 1): frozenset([(0, 0)])}),
+        FreeComplex(RingId.X, (("a", (0, 0)), ("b", (-1, -1))), {(0, 1): ONE_ELEM}),
         PairedBasis(Side.U, (1, 2), ((0, 1, u_mono(1, 0)),), (2,)),
         QuotientHomology(Side.V, 1, (0,), ((v_mono(1, 0), -1),)),
         rep.phi,
@@ -593,7 +593,7 @@ def _cold_records():
 class TestSharedConstructor:
     """Records without their own ``__init__`` take their fields by position or keyword."""
 
-    OWN_INIT = {"RingElem", "Monomial", "SignedParam", "FreeComplex", "StandardSpec"}
+    OWN_INIT = {"RingElem", "Monomial", "SignedParam", "StandardSpec"}
 
     def test_records_that_write_their_own_init(self):
         classes = _record_classes()
@@ -619,7 +619,7 @@ class TestSharedConstructor:
                 assert (built == rec) is (cls.__name__ not in ("PairedBasis", "LocalMapCert"))
 
     def test_bad_arguments_raise_type_error(self):
-        from gridring.complexes import FUVComplex
+        from gridring.complexes import FUVComplex, FreeComplex
         from gridring.localeq import ExtantSet
         from gridring.standard import ShiftMap
 
@@ -631,8 +631,9 @@ class TestSharedConstructor:
             (lambda: ExtantSet(u, v, u_coeffs=u), r"ExtantSet repeats field 'u_coeffs'"),
             (lambda: ExtantSet(u, v, w_coeffs=u), r"ExtantSet has no field 'w_coeffs'"),
             (lambda: ShiftMap(Side.U, None, mult=u_mono(1, 0), side=Side.U), r"ShiftMap repeats field 'side'"),
-            # unlike FreeComplex, an F2[U,V] complex has no default differential
+            # neither complex type has a default differential
             (lambda: FUVComplex((("a", (0, 0)),)), r"FUVComplex is missing field 'diff'"),
+            (lambda: FreeComplex(RingId.X, (("a", (0, 0)),)), r"FreeComplex is missing field 'diff'"),
         ]
         for build, message in cases:
             with pytest.raises(TypeError, match="^%s$" % message):
